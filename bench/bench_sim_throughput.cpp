@@ -52,11 +52,13 @@ constexpr ModeSpec kModes[] = {
 void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
            const util::Cli& cli, bench::Telemetry& telemetry) {
   // exact-parallel must actually exercise the pool: on a box whose default
-  // thread count is 1 (or when --sim-threads 1 is set), bump it to 2 so the
-  // parallel rows measure pooled execution rather than silently re-running
-  // the serial path under a different label.
-  const std::size_t pool_threads =
-      std::max<std::size_t>(2, gpusim::ExecutionEngine::instance().threads());
+  // thread count is 1 (or when --sim-threads 1 is set), bump it to 2 so that
+  // row measures pooled execution rather than silently re-running the
+  // serial path under a different label. sampled and functional run at the
+  // configured count, so --sim-threads 1 compares them on one core (the
+  // vector-vs-scalar perf gate relies on this).
+  const std::size_t configured_threads =
+      gpusim::ExecutionEngine::instance().threads();
   const bool guard = parse_on_off(cli, "guard", false);
   util::Table table("Simulator throughput, hybrid M=" + std::to_string(m) +
                     " N=" + std::to_string(n) + " (double)");
@@ -82,8 +84,12 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
         mode_filter.find(spec.name) == std::string::npos) {
       continue;
     }
-    const gpusim::ScopedSimThreads threads_guard(spec.serial ? 1
-                                                             : pool_threads);
+    const std::size_t want_threads =
+        spec.serial ? 1
+        : spec.mode == gpusim::InstrumentMode::exact
+            ? std::max<std::size_t>(2, configured_threads)
+            : configured_threads;
+    const gpusim::ScopedSimThreads threads_guard(want_threads);
     const gpusim::ScopedInstrumentMode mode_guard(spec.mode);
     // Read back what the engine actually settled on so the JSONL rows
     // record the real worker count, not the requested one.

@@ -11,9 +11,17 @@
 //   extra          = serializations - ceil(access bytes / bank width)
 //
 // so a conflict-free access pattern costs zero extra (including 8-byte
-// accesses, which inherently take two passes). This is the effect
-// Göddeke & Strzodka's bank-conflict-free CR layout [10] eliminates; the
-// banks ablation bench measures it on both CR layouts.
+// accesses, which inherently take two passes). A repeated word (a
+// broadcast) counts once. This is the effect Göddeke & Strzodka's
+// bank-conflict-free CR layout [10] eliminates; the banks ablation bench
+// measures it on both CR layouts.
+//
+// Cost: record() appends the access's words to its ordinal group —
+// constant work per access, no duplicate search. flush() sorts each
+// group's words (skipped when lanes arrived in address order, the common
+// case), drops repeats and histograms the rest by bank: O(w log w) per
+// group of w words, O(w) when already sorted. tests/test_bank_oracle.cpp
+// pins every count to a pairwise reference tracker on random streams.
 //
 // Like WarpCoalescer, instances are pooled in per-worker scratch:
 // flush() clears group contents but keeps capacity, attach() retargets
@@ -26,6 +34,7 @@
 // contents or arithmetic. Units: serializations and extra replays are
 // cycle-equivalent counts per warp; widths/bytes are bytes.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <vector>
@@ -37,7 +46,8 @@ namespace tridsolve::gpusim {
 class BankTracker {
  public:
   BankTracker(int num_banks, int bank_width_bytes, KernelCosts* costs)
-      : banks_(num_banks), width_(bank_width_bytes), costs_(costs) {}
+      : banks_(num_banks), width_(bank_width_bytes), costs_(costs),
+        per_bank_(banks_) {}
 
   /// Point subsequent recording at a (possibly different) cost shard.
   /// Requires the previous phase to have been flushed.
@@ -54,10 +64,8 @@ class BankTracker {
     const auto first = reinterpret_cast<std::uintptr_t>(addr) / width_;
     const auto last =
         (reinterpret_cast<std::uintptr_t>(addr) + size - 1) / width_;
-    for (std::uintptr_t w = first; w <= last; ++w) {
-      insert_unique(group.words, w);
-    }
-    group.max_size = group.max_size > size ? group.max_size : size;
+    for (std::uintptr_t w = first; w <= last; ++w) group.words.push_back(w);
+    group.max_size = std::max(group.max_size, size);
     ++costs_->shared_accesses;
     costs_->shared_bytes += size;
   }
@@ -67,21 +75,21 @@ class BankTracker {
   void flush() {
     for (std::size_t g = 0; g < groups_used_; ++g) {
       auto& group = groups_[g];
-      std::size_t worst = 0;
-      // Count distinct words per bank; small linear scans (<= 64 words).
-      for (std::size_t i = 0; i < group.words.size(); ++i) {
-        std::size_t in_bank = 0;
-        const auto bank_i = group.words[i] % banks_;
-        for (std::uintptr_t w : group.words) {
-          in_bank += (w % banks_) == bank_i;
-        }
-        worst = worst > in_bank ? worst : in_bank;
+      auto& words = group.words;
+      if (!std::is_sorted(words.begin(), words.end())) {
+        std::sort(words.begin(), words.end());
       }
+      const auto distinct_end = std::unique(words.begin(), words.end());
+      std::uint32_t worst = 0;
+      for (auto w = words.begin(); w != distinct_end; ++w) {
+        worst = std::max(worst, ++per_bank_[*w % banks_]);
+      }
+      std::fill(per_bank_.begin(), per_bank_.end(), 0u);
       const std::size_t baseline = (group.max_size + width_ - 1) / width_;
       if (worst > baseline) {
         costs_->shared_serializations += worst - baseline;
       }
-      group.words.clear();
+      words.clear();
       group.max_size = 0;
     }
     groups_used_ = 0;
@@ -89,22 +97,16 @@ class BankTracker {
 
  private:
   struct Group {
-    std::vector<std::uintptr_t> words;
+    std::vector<std::uintptr_t> words;  ///< with repeats until flush()
     std::size_t max_size = 0;
   };
-
-  static void insert_unique(std::vector<std::uintptr_t>& v, std::uintptr_t w) {
-    for (std::uintptr_t existing : v) {
-      if (existing == w) return;
-    }
-    v.push_back(w);
-  }
 
   std::size_t banks_;
   std::size_t width_;
   KernelCosts* costs_;
   std::vector<Group> groups_;
   std::size_t groups_used_ = 0;  // groups_[0..groups_used_) are live
+  std::vector<std::uint32_t> per_bank_;  ///< flush() scratch, zero between groups
 };
 
 }  // namespace tridsolve::gpusim

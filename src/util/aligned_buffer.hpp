@@ -55,14 +55,23 @@ class AlignedBuffer {
 
  private:
   struct Deleter {
-    void operator()(T* p) const noexcept { ::operator delete[](p, std::align_val_t{kDefaultAlignment}); }
+    void* block = nullptr;  ///< start of the allocation data() sits in
+    void operator()(T*) const noexcept { ::operator delete(block); }
   };
 
+  // A plain block with room to align, not aligned operator new: glibc
+  // serves that through memalign, which trims each block to the exact
+  // size and frees the slack. A freed buffer then cannot hold the next
+  // same-size request, the slack pins small holes between big buffers,
+  // and a batch loop that reallocates its buffers keeps growing the heap.
   static std::unique_ptr<T[], Deleter> allocate(std::size_t count) {
     if (count == 0) return nullptr;
-    auto* raw = static_cast<T*>(
-        ::operator new[](count * sizeof(T), std::align_val_t{kDefaultAlignment}));
-    return std::unique_ptr<T[], Deleter>(raw);
+    const std::size_t bytes = count * sizeof(T);
+    std::size_t space = bytes + kDefaultAlignment;
+    void* block = ::operator new(space);
+    void* p = block;
+    std::align(kDefaultAlignment, bytes, p, space);
+    return std::unique_ptr<T[], Deleter>(static_cast<T*>(p), Deleter{block});
   }
 
   std::size_t size_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/aligned_buffer.hpp"
@@ -17,6 +18,25 @@ TEST(AlignedBuffer, ProvidesAlignedStorage) {
   util::AlignedBuffer<double> buf(1000);
   EXPECT_TRUE(util::is_aligned(buf.data(), util::kDefaultAlignment));
   EXPECT_EQ(buf.size(), 1000u);
+  for (const std::size_t n : {1u, 3u, 17u, 4096u, 300000u}) {
+    util::AlignedBuffer<float> f(n, 1.0f);
+    util::AlignedBuffer<char> c(n, 'x');
+    EXPECT_TRUE(util::is_aligned(f.data(), util::kDefaultAlignment)) << n;
+    EXPECT_TRUE(util::is_aligned(c.data(), util::kDefaultAlignment)) << n;
+    EXPECT_EQ(f[n - 1], 1.0f);
+    EXPECT_EQ(c[n - 1], 'x');
+  }
+}
+
+TEST(AlignedBuffer, MovedBufferKeepsItsStorage) {
+  util::AlignedBuffer<double> a(64, 2.0);
+  const double* storage = a.data();
+  util::AlignedBuffer<double> b(std::move(a));
+  EXPECT_EQ(b.data(), storage);
+  util::AlignedBuffer<double> c(8);
+  c = std::move(b);  // releases c's own block, adopts b's
+  EXPECT_EQ(c.data(), storage);
+  EXPECT_EQ(c[63], 2.0);
 }
 
 TEST(AlignedBuffer, FillsWithRequestedValue) {
