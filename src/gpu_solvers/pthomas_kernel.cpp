@@ -1,18 +1,18 @@
 #include "gpu_solvers/pthomas_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "gpusim/vector_engine.hpp"
+#include "tridiag/pcr.hpp"
 
 namespace tridsolve::gpu {
 
 namespace {
 
-// Both sweeps run lockstep (phase_rounds): one round per row, every lane
-// of the block advancing together. That is how the warp executes on
+// Each sweep is one body, written once over a generic thread handle `t`
+// and run lockstep: one round per row, every live lane of the block
+// advancing together, lanes innermost. That is how the warp executes on
 // hardware, and on the simulator host it pipelines the per-row divide
 // across the block's independent systems and turns the interleaved
 // layout's accesses into contiguous row-major streams. Recorded costs are
@@ -20,12 +20,12 @@ namespace {
 // are unchanged); per-thread carries (c', d', x_{i+1}) live in pooled
 // lane arrays instead of registers.
 //
-// Non-instrumented blocks additionally split into two twins: the scalar
-// raw twin (same loops, no instrumentation plumbing) and — when the
-// engine's vector path is on and no guard spans are attached — the
-// vectorized lane executor (gpusim/vector_engine.hpp), which batches
-// affine runs of lanes into contiguous SIMD inner loops. All three paths
-// are bit-identical (tests/test_sim_engine.cpp, tests/test_vector_engine.cpp).
+// The executor (lockstep) picks the handle: blocks that record, check
+// hazards or inject faults run the body through ThreadCtx; every other
+// block runs it on gpusim::RawThread, whose cost calls are no-ops, so both
+// compute the same bits by construction. The only other path is the
+// grid-wide vectorized sweep of functional solves (grid_vector_sweep),
+// pinned bit-identical to the bodies by tests/test_vector_engine.cpp.
 
 /// Round count and lane count for one block of a thread-per-system grid.
 template <typename T>
@@ -45,6 +45,23 @@ struct BlockLanes {
   }
 };
 
+/// Run `body(t, round)` for every live lane of the block, round-major with
+/// lanes innermost: through phase_rounds/ThreadCtx when the block is
+/// observed, else on RawThread.
+template <typename T, typename Body>
+void lockstep(gpusim::BlockContext& ctx, const BlockLanes<T>& blk, Body&& body) {
+  if (ctx.observed()) {
+    ctx.phase_rounds(blk.rounds, body);
+    return;
+  }
+  for (std::size_t r = 0; r < blk.rounds; ++r) {
+    for (std::size_t lane = 0; lane < blk.lanes; ++lane) {
+      gpusim::RawThread t(static_cast<int>(lane));
+      body(t, r);
+    }
+  }
+}
+
 template <typename T>
 std::size_t grid_for(std::span<const tridiag::SystemRef<T>> systems,
                      int block_threads) {
@@ -52,59 +69,47 @@ std::size_t grid_for(std::span<const tridiag::SystemRef<T>> systems,
          static_cast<std::size_t>(block_threads);
 }
 
-/// Extend the maximal affine lane segment starting at block lane `l0`:
-/// consecutive systems of equal size whose a/b/c/d arrays share one row
-/// stride and advance lane-to-lane by one common element step. Fills
-/// `seg` and returns one past the last lane of the run; `ok = false`
-/// means lane l0 itself has mismatched per-array strides (never produced
-/// by SystemBatch views) and must run scalar.
+/// True when the grid-wide sweep may replace the launch bodies: the engine
+/// is on its functional fast path and every system's a/b/c/d arrays share
+/// one row stride (SystemBatch views always do; mismatched views run the
+/// per-block bodies instead).
 template <typename T>
-struct SegmentScan {
-  std::size_t end = 0;
-  bool ok = false;
-};
-
-template <typename T>
-SegmentScan<T> affine_segment(std::span<const tridiag::SystemRef<T>> systems,
-                              std::size_t base, std::size_t l0,
-                              std::size_t lanes, gpusim::LaneSegment<T>& seg) {
-  const tridiag::SystemRef<T>& s0 = systems[base + l0];
-  const std::ptrdiff_t rs = s0.a.stride();
-  if (s0.b.stride() != rs || s0.c.stride() != rs || s0.d.stride() != rs) {
-    return {l0 + 1, false};
-  }
-  seg.a = s0.a.data();
-  seg.b = s0.b.data();
-  seg.c = s0.c.data();
-  seg.d = s0.d.data();
-  seg.row_step = rs;
-  seg.rows = s0.size();
-  seg.lane_step = 1;
-  seg.lanes = 1;
-  std::size_t l = l0 + 1;
-  for (; l < lanes; ++l) {
-    const tridiag::SystemRef<T>& p = systems[base + l - 1];
-    const tridiag::SystemRef<T>& s = systems[base + l];
-    if (s.size() != seg.rows || s.a.stride() != rs || s.b.stride() != rs ||
-        s.c.stride() != rs || s.d.stride() != rs) {
-      break;
-    }
-    const std::ptrdiff_t step = s.a.data() - p.a.data();
-    if (s.b.data() - p.b.data() != step || s.c.data() - p.c.data() != step ||
-        s.d.data() - p.d.data() != step) {
-      break;
-    }
-    if (l == l0 + 1) {
-      seg.lane_step = step;
-    } else if (step != seg.lane_step) {
-      break;
-    }
-    seg.lanes = l - l0 + 1;
-  }
-  return {l0 + seg.lanes, true};
+bool grid_sweep_applies(std::span<const tridiag::SystemRef<T>> systems) {
+  if (!gpusim::ExecutionEngine::instance().functional_fast_path()) return false;
+  return std::all_of(systems.begin(), systems.end(), [](const auto& s) {
+    const std::ptrdiff_t rs = s.a.stride();
+    return s.b.stride() == rs && s.c.stride() == rs && s.d.stride() == rs;
+  });
 }
 
-/// Longest run of xout views starting at absolute lane `abs0` (at most
+/// Extend the maximal affine lane segment starting at lane `l0`:
+/// consecutive systems of equal size and row stride whose a/b/c/d arrays
+/// all advance lane-to-lane by one common element step. Fills `seg` and
+/// returns one past its last lane.
+template <typename T>
+std::size_t affine_segment(std::span<const tridiag::SystemRef<T>> systems,
+                           std::size_t l0, gpusim::LaneSegment<T>& seg) {
+  const tridiag::SystemRef<T>& s0 = systems[l0];
+  seg = {.a = s0.a.data(), .b = s0.b.data(), .c = s0.c.data(),
+         .d = s0.d.data(), .lane_step = 1, .row_step = s0.a.stride(),
+         .lanes = 1, .rows = s0.size()};
+  for (std::size_t l = l0 + 1; l < systems.size(); ++l) {
+    const tridiag::SystemRef<T>& p = systems[l - 1];
+    const tridiag::SystemRef<T>& s = systems[l];
+    const std::ptrdiff_t step = s.a.data() - p.a.data();
+    if (s.size() != seg.rows || s.a.stride() != seg.row_step ||
+        s.b.data() - p.b.data() != step || s.c.data() - p.c.data() != step ||
+        s.d.data() - p.d.data() != step ||
+        (l > l0 + 1 && step != seg.lane_step)) {
+      break;
+    }
+    seg.lane_step = step;
+    seg.lanes = l - l0 + 1;
+  }
+  return l0 + seg.lanes;
+}
+
+/// Longest run of xout views starting at lane `abs0` (at most
 /// `max_lanes`) that stays affine: equal row stride, constant
 /// lane-to-lane pointer step. Fills `out` and returns the run length.
 template <typename T>
@@ -142,41 +147,14 @@ gpusim::LaneSegment<T> sub_segment(const gpusim::LaneSegment<T>& seg,
   return sub;
 }
 
-/// Scalar fused Thomas solve of one system whose views are not affine
-/// (per-array strides differ — never produced by SystemBatch, kept for
-/// generality). Same arithmetic and order as the kernels.
-template <typename T>
-void scalar_fused_lane(const tridiag::SystemRef<T>& s,
-                       const tridiag::StridedView<T>* xv) {
-  const std::size_t n = s.size();
-  T cpl = T(0);
-  T dpl = T(0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const T a = *s.a.ptr(i);
-    const T denom = *s.b.ptr(i) - cpl * a;
-    const T inv = T(1) / denom;
-    cpl = *s.c.ptr(i) * inv;
-    dpl = (*s.d.ptr(i) - dpl * a) * inv;
-    *s.c.ptr(i) = cpl;
-    *s.d.ptr(i) = dpl;
-  }
-  if (n == 0) return;
-  T v = *s.d.ptr(n - 1);
-  *(xv == nullptr ? s.d.ptr(n - 1) : xv->ptr(n - 1)) = v;
-  for (std::size_t i = n - 1; i-- > 0;) {
-    v = *s.d.ptr(i) - *s.c.ptr(i) * v;
-    *(xv == nullptr ? s.d.ptr(i) : xv->ptr(i)) = v;
-  }
-}
-
 /// Grid-wide vectorized sweep for the functional fast path (the launch
-/// bodies become no-ops; see pthomas_solve). Walks maximal affine lane
-/// segments across the WHOLE grid — not per 128-lane block, so streams
-/// are megabytes long — and lane-tiles each segment (gpusim::lane_tile)
-/// so that when `fuse_backward` is set the backward substitution re-reads
-/// the forward sweep's c'/d' tile from cache instead of DRAM. Per-lane
-/// arithmetic and order are exactly the per-block twins': bit-identical
-/// outputs (pinned by tests/test_vector_engine.cpp).
+/// bodies become no-ops; see pthomas_solve). Requires grid_sweep_applies.
+/// Walks maximal affine lane segments across the WHOLE grid — not per
+/// 128-lane block, so streams are megabytes long — and lane-tiles each
+/// segment (gpusim::lane_tile) so that when `fuse_backward` is set the
+/// backward substitution re-reads the forward sweep's c'/d' tile from
+/// cache instead of DRAM. Per-lane arithmetic and order are exactly the
+/// kernel bodies': bit-identical outputs (tests/test_vector_engine.cpp).
 template <typename T>
 void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
                        std::span<const tridiag::StridedView<T>> xout,
@@ -184,50 +162,14 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
   gpusim::LanePool& pool = gpusim::host_lane_pool();
   pool.begin_block();
   const bool backward = fuse_backward || !forward;
-  const std::size_t lanes = systems.size();
   std::size_t l0 = 0;
-  while (l0 < lanes) {
+  while (l0 < systems.size()) {
     gpusim::LaneSegment<T> seg;
-    auto scan = affine_segment(systems, 0, l0, lanes, seg);
-    if (!scan.ok) {
-      if (forward && backward) {
-        scalar_fused_lane(systems[l0], xout.empty() ? nullptr : &xout[l0]);
-      } else if (forward) {
-        T cp = T(0);
-        T dp = T(0);
-        // Strides differ per array: fall back to the ptr() form.
-        const tridiag::SystemRef<T>& s = systems[l0];
-        for (std::size_t i = 0; i < s.size(); ++i) {
-          const T a = *s.a.ptr(i);
-          const T denom = *s.b.ptr(i) - cp * a;
-          const T inv = T(1) / denom;
-          cp = *s.c.ptr(i) * inv;
-          dp = (*s.d.ptr(i) - dp * a) * inv;
-          *s.c.ptr(i) = cp;
-          *s.d.ptr(i) = dp;
-        }
-      } else {
-        const tridiag::SystemRef<T>& s = systems[l0];
-        const std::size_t n = s.size();
-        if (n > 0) {
-          const tridiag::StridedView<T>* xv =
-              xout.empty() ? nullptr : &xout[l0];
-          T v = *s.d.ptr(n - 1);
-          *(xv == nullptr ? s.d.ptr(n - 1) : xv->ptr(n - 1)) = v;
-          for (std::size_t i = n - 1; i-- > 0;) {
-            v = *s.d.ptr(i) - *s.c.ptr(i) * v;
-            *(xv == nullptr ? s.d.ptr(i) : xv->ptr(i)) = v;
-          }
-        }
-      }
-      l0 = scan.end;
-      continue;
-    }
+    std::size_t end = affine_segment(systems, l0, seg);
     gpusim::LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
     if (backward && !xout.empty()) {
-      const std::size_t xl = xout_affine_run(xout, l0, seg.lanes, out);
-      seg.lanes = xl;
-      scan.end = l0 + xl;
+      seg.lanes = xout_affine_run(xout, l0, seg.lanes, out);
+      end = l0 + seg.lanes;
     }
     const std::size_t tile =
         std::min(seg.lanes, gpusim::lane_tile(seg.rows, sizeof(T)));
@@ -251,47 +193,12 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
         gpusim::thomas_backward_lanes(sub, osub, xn.data());
       }
     }
-    l0 = scan.end;
+    l0 = end;
   }
   std::size_t acquires = 0;
   std::size_t reuses = 0;
   pool.drain(acquires, reuses);
   gpusim::detail::note_scratch(acquires, reuses);
-}
-
-/// Per-lane pivot-guard accumulator for the forward sweep. Detection only:
-/// it reads values the elimination already has in hand, records no costs,
-/// and never alters the arithmetic — guarded and unguarded runs stay
-/// bit-identical in both outputs and recorded timing.
-struct GuardAcc {
-  bool flagged = false;
-  std::size_t row = 0;
-  double growth = 1.0;
-};
-
-template <typename T>
-inline void guard_check(GuardAcc& g, T a, T b, T c, T denom,
-                        std::size_t i) noexcept {
-  // !(denom != 0) also catches a NaN denominator.
-  if (!(denom != T(0)) || !std::isfinite(static_cast<double>(denom))) {
-    if (!g.flagged) {
-      g.flagged = true;
-      g.row = i;
-    }
-    return;
-  }
-  const double scale = std::max({std::abs(static_cast<double>(a)),
-                                 std::abs(static_cast<double>(b)),
-                                 std::abs(static_cast<double>(c))});
-  const double ratio = scale / std::abs(static_cast<double>(denom));
-  if (ratio > g.growth) g.growth = ratio;
-}
-
-inline tridiag::SolveStatus guard_status(const GuardAcc& g) noexcept {
-  return g.flagged
-             ? tridiag::SolveStatus{tridiag::SolveCode::zero_pivot, g.row,
-                                    g.growth}
-             : tridiag::SolveStatus{tridiag::SolveCode::ok, 0, g.growth};
 }
 
 }  // namespace
@@ -310,16 +217,16 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
   }
   PthomasStats stats;
   const bool guarding = !guard.empty();
+  const std::size_t grid = grid_for(systems, block_threads);
 
   // Functional fast path: no instrumentation, hazards, faults or guards
   // active, so run one grid-wide fused sweep (forward + backward per lane
   // tile, cache-blocked) and issue the two launches with empty bodies —
   // launch accounting, timeline labels and grid shape stay exactly as in
-  // the per-block execution. Guard spans force the per-block twins.
-  if (!guarding && gpusim::ExecutionEngine::instance().functional_fast_path()) {
+  // the per-block execution.
+  if (!guarding && grid_sweep_applies(systems)) {
     grid_vector_sweep<T>(systems, xout, /*forward=*/true,
                          /*fuse_backward=*/true);
-    const std::size_t grid = grid_for(systems, block_threads);
     gpusim::detail::note_vector_blocks(static_cast<double>(2 * grid));
     stats.forward =
         gpusim::launch(dev, {grid, block_threads}, [](gpusim::BlockContext&) {});
@@ -331,80 +238,13 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
   // Forward reduction, in place: c <- c', d <- d'. One serialized memory
   // round per row (the loads of row i gate the elimination row i+1 needs).
   stats.forward = gpusim::launch(
-      dev, {grid_for(systems, block_threads), block_threads},
-      [&](gpusim::BlockContext& ctx) {
+      dev, {grid, block_threads}, [&](gpusim::BlockContext& ctx) {
         const BlockLanes<T> blk(ctx, systems, block_threads);
         const std::span<T> cp = ctx.lane_buffer<T>(blk.lanes);
         const std::span<T> dp = ctx.lane_buffer<T>(blk.lanes);
-        const std::span<GuardAcc> acc =
-            ctx.lane_buffer<GuardAcc>(guarding ? blk.lanes : 0);
-        // Each lane owns one system, so the guard slot write below is
-        // race-free regardless of block scheduling order.
-        auto guard_row = [&](std::size_t lane, const tridiag::SystemRef<T>& s,
-                             T a, T b, T c, T denom, std::size_t i) {
-          GuardAcc g = acc[lane];
-          guard_check(g, a, b, c, denom, i);
-          acc[lane] = g;
-          if (i + 1 == s.size()) {
-            guard[blk.base + lane] = guard_status(g);
-          }
-        };
-        if (!ctx.recording() && !ctx.hazard_checking() && !ctx.fault_checking()) {
-          if (!guarding && ctx.vector_enabled()) {
-            // Vectorized lane twin: affine runs of systems execute as
-            // contiguous SIMD inner loops. Per-lane arithmetic and order
-            // are exactly the scalar twin's — bit-identical outputs.
-            gpusim::detail::note_vector_blocks(1.0);
-            std::size_t l0 = 0;
-            while (l0 < blk.lanes) {
-              gpusim::LaneSegment<T> seg;
-              const auto scan =
-                  affine_segment(systems, blk.base, l0, blk.lanes, seg);
-              if (scan.ok) {
-                gpusim::thomas_forward_lanes(seg, cp.data() + l0,
-                                             dp.data() + l0);
-              } else {
-                const tridiag::SystemRef<T>& s = systems[blk.base + l0];
-                for (std::size_t i = 0; i < s.size(); ++i) {
-                  const T a = *s.a.ptr(i);
-                  const T denom = *s.b.ptr(i) - cp[l0] * a;
-                  const T inv = T(1) / denom;
-                  cp[l0] = *s.c.ptr(i) * inv;
-                  dp[l0] = (*s.d.ptr(i) - dp[l0] * a) * inv;
-                  *s.c.ptr(i) = cp[l0];
-                  *s.d.ptr(i) = dp[l0];
-                }
-              }
-              l0 = scan.end;
-            }
-            return;
-          }
-          // Scalar raw twin (sampled / functional_only, or guarded /
-          // --vector off): the same arithmetic in the same order —
-          // bit-exact with the recorded path below, pinned by
-          // tests/test_sim_engine.cpp — without the per-access
-          // instrumentation plumbing. Hazard checking forces the
-          // instrumented path so the detector sees every access.
-          for (std::size_t i = 0; i < blk.rounds; ++i) {
-            for (std::size_t lane = 0; lane < blk.lanes; ++lane) {
-              const tridiag::SystemRef<T>& s = systems[blk.base + lane];
-              if (i >= s.size()) continue;
-              const T a = *s.a.ptr(i);
-              const T b = *s.b.ptr(i);
-              const T c = *s.c.ptr(i);
-              const T d = *s.d.ptr(i);
-              const T denom = b - cp[lane] * a;
-              if (guarding) guard_row(lane, s, a, b, c, denom, i);
-              const T inv = T(1) / denom;
-              cp[lane] = c * inv;
-              dp[lane] = (d - dp[lane] * a) * inv;
-              *s.c.ptr(i) = cp[lane];
-              *s.d.ptr(i) = dp[lane];
-            }
-          }
-          return;
-        }
-        ctx.phase_rounds(blk.rounds, [&](gpusim::ThreadCtx& t, std::size_t i) {
+        const std::span<tridiag::SolveStatus> acc =
+            ctx.lane_buffer<tridiag::SolveStatus>(guarding ? blk.lanes : 0);
+        lockstep(ctx, blk, [&](auto& t, std::size_t i) {
           const std::size_t lane = static_cast<std::size_t>(t.tid());
           if (lane >= blk.lanes) return;
           const tridiag::SystemRef<T>& s = systems[blk.base + lane];
@@ -414,12 +254,17 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
           const T c = t.load(s.c.ptr(i));
           const T d = t.load(s.d.ptr(i));
           const T denom = b - cp[lane] * a;
-          if (guarding) guard_row(lane, s, a, b, c, denom, i);
+          if (guarding) {
+            // Each lane owns one system, so the slot write is race-free
+            // regardless of block scheduling order.
+            tridiag::detail::guard_thomas_pivot(acc[lane], a, b, c, denom, i);
+            if (i + 1 == s.size()) guard[blk.base + lane] = acc[lane];
+          }
           const T inv = T(1) / denom;
           cp[lane] = c * inv;
           dp[lane] = (d - dp[lane] * a) * inv;
-          t.flops<T>(6);
-          t.divs<T>(1);
+          t.template flops<T>(6);
+          t.template divs<T>(1);
           t.store(s.c.ptr(i), cp[lane]);
           t.store(s.d.ptr(i), dp[lane]);
         });
@@ -437,12 +282,12 @@ gpusim::LaunchStats pthomas_backward(const gpusim::DeviceSpec& dev,
   if (!xout.empty() && xout.size() != systems.size()) {
     throw std::invalid_argument("pthomas_backward: xout/systems size mismatch");
   }
+  const std::size_t grid = grid_for(systems, block_threads);
   // Functional fast path (see pthomas_solve): one grid-wide vectorized
   // backward sweep, then an empty-bodied launch for the accounting.
-  if (gpusim::ExecutionEngine::instance().functional_fast_path()) {
+  if (grid_sweep_applies(systems)) {
     grid_vector_sweep<T>(systems, xout, /*forward=*/false,
                          /*fuse_backward=*/false);
-    const std::size_t grid = grid_for(systems, block_threads);
     gpusim::detail::note_vector_blocks(static_cast<double>(grid));
     return gpusim::launch(dev, {grid, block_threads},
                           [](gpusim::BlockContext&) {});
@@ -450,93 +295,29 @@ gpusim::LaunchStats pthomas_backward(const gpusim::DeviceSpec& dev,
   // Backward substitution: x_i = d'_i - c'_i x_{i+1}, walking rows from the
   // end; round r touches row n-1-r, x_{i+1} carries between rounds.
   return gpusim::launch(
-      dev, {grid_for(systems, block_threads), block_threads},
-      [&](gpusim::BlockContext& ctx) {
+      dev, {grid, block_threads}, [&](gpusim::BlockContext& ctx) {
         const BlockLanes<T> blk(ctx, systems, block_threads);
         const std::span<T> x_next = ctx.lane_buffer<T>(blk.lanes);
-        if (!ctx.recording() && !ctx.hazard_checking() && !ctx.fault_checking()) {
-          if (ctx.vector_enabled()) {
-            // Vectorized lane twin (see the forward sweep). A segment
-            // additionally requires the solution views to stay affine
-            // with the same run of lanes.
-            gpusim::detail::note_vector_blocks(1.0);
-            std::size_t l0 = 0;
-            while (l0 < blk.lanes) {
-              gpusim::LaneSegment<T> seg;
-              auto scan = affine_segment(systems, blk.base, l0, blk.lanes, seg);
-              gpusim::LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
-              if (scan.ok && !xout.empty()) {
-                // Shrink the segment to the run the outputs also cover.
-                const std::size_t xl = xout_affine_run(
-                    xout, blk.base + l0, scan.end - l0, out);
-                scan.end = l0 + xl;
-                seg.lanes = xl;
-              }
-              if (scan.ok) {
-                gpusim::thomas_backward_lanes(seg, out, x_next.data() + l0);
-              } else {
-                const tridiag::SystemRef<T>& s = systems[blk.base + l0];
-                const std::size_t n = s.size();
-                if (n > 0) {
-                  T v = *s.d.ptr(n - 1);
-                  T* xdst = xout.empty() ? s.d.ptr(n - 1)
-                                         : xout[blk.base + l0].ptr(n - 1);
-                  *xdst = v;
-                  for (std::size_t i = n - 1; i-- > 0;) {
-                    v = *s.d.ptr(i) - *s.c.ptr(i) * v;
-                    xdst = xout.empty() ? s.d.ptr(i) : xout[blk.base + l0].ptr(i);
-                    *xdst = v;
-                  }
-                  x_next[l0] = v;
-                }
-              }
-              l0 = scan.end;
-            }
-            return;
-          }
-          // Bit-exact scalar raw twin of the recorded path below.
-          for (std::size_t r = 0; r < blk.rounds; ++r) {
-            for (std::size_t lane = 0; lane < blk.lanes; ++lane) {
-              const tridiag::SystemRef<T>& s = systems[blk.base + lane];
-              const std::size_t n = s.size();
-              if (n == 0 || r >= n) continue;
-              T* const xdst = xout.empty() ? s.d.ptr(n - 1 - r)
-                                           : xout[blk.base + lane].ptr(n - 1 - r);
-              if (r == 0) {
-                const T x = *s.d.ptr(n - 1);
-                *xdst = x;
-                x_next[lane] = x;
-                continue;
-              }
-              const std::size_t i = n - 1 - r;
-              const T x = *s.d.ptr(i) - *s.c.ptr(i) * x_next[lane];
-              *xdst = x;
-              x_next[lane] = x;
-            }
-          }
-          return;
-        }
-        ctx.phase_rounds(blk.rounds, [&](gpusim::ThreadCtx& t, std::size_t r) {
+        lockstep(ctx, blk, [&](auto& t, std::size_t r) {
           const std::size_t lane = static_cast<std::size_t>(t.tid());
           if (lane >= blk.lanes) return;
           const tridiag::SystemRef<T>& s = systems[blk.base + lane];
           const std::size_t n = s.size();
-          if (n == 0 || r >= n) return;
-          auto x_at = [&](std::size_t i) {
-            return xout.empty() ? s.d.ptr(i) : xout[blk.base + lane].ptr(i);
-          };
+          if (r >= n) return;
+          const std::size_t i = n - 1 - r;
+          T* const x_at =
+              xout.empty() ? s.d.ptr(i) : xout[blk.base + lane].ptr(i);
           if (r == 0) {
-            const T x = t.load(s.d.ptr(n - 1));  // x_{n-1} = d'_{n-1}
-            t.store(x_at(n - 1), x);
+            const T x = t.load(s.d.ptr(i));  // x_{n-1} = d'_{n-1}
+            t.store(x_at, x);
             x_next[lane] = x;
             return;
           }
-          const std::size_t i = n - 1 - r;
           const T cp = t.load(s.c.ptr(i));
           const T dp = t.load(s.d.ptr(i));
           const T x = dp - cp * x_next[lane];
-          t.flops<T>(2);
-          t.store(x_at(i), x);
+          t.template flops<T>(2);
+          t.store(x_at, x);
           x_next[lane] = x;
         });
       });

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
-#include <vector>
 
-#include "gpusim/vector_engine.hpp"
 #include "tridiag/pcr.hpp"
 
 namespace tridsolve::gpu {
@@ -41,26 +38,6 @@ inline void guard_srow_combine(tridiag::SolveStatus& st, const SRow<T>& lo,
       st, tridiag::Row<T>{lo.a, lo.b, lo.c, lo.d},
       tridiag::Row<T>{mid.a, mid.b, mid.c, mid.d},
       tridiag::Row<T>{hi.a, hi.b, hi.c, hi.d}, pos);
-}
-
-/// Guard check for one fused Thomas-forward pivot (same rule as the
-/// p-Thomas kernel): zero/NaN/Inf denominator flags zero_pivot at `pos`
-/// (first offence wins); otherwise the growth estimate absorbs the row.
-template <typename T>
-inline void guard_fused_pivot(tridiag::SolveStatus& st, const SRow<T>& row,
-                              T denom, std::size_t pos) noexcept {
-  if (!(denom != T(0)) || !std::isfinite(static_cast<double>(denom))) {
-    if (st.code == tridiag::SolveCode::ok) {
-      st.code = tridiag::SolveCode::zero_pivot;
-      st.index = pos;
-    }
-    return;
-  }
-  const double scale = std::max({std::abs(static_cast<double>(row.a)),
-                                 std::abs(static_cast<double>(row.b)),
-                                 std::abs(static_cast<double>(row.c))});
-  const double ratio = scale / std::abs(static_cast<double>(denom));
-  if (ratio > st.pivot_growth) st.pivot_growth = ratio;
 }
 
 }  // namespace
@@ -138,327 +115,223 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       // vector) so Window is trivially copyable and can live in the
       // per-launch lane pool instead of a heap vector.
       std::array<std::span<SRow<T>>, kMaxK> tails{};
+      // "Registers" of the fused Thomas forward, one carry per thread;
+      // zero-filled by lane_buffer, matching the T(0) carries.
+      std::span<T> cp, dp;
       tridiag::SolveStatus guard_st{};     // per-window pivot guard (if guarding)
+      std::size_t row_loads = 0;           // real input rows loaded
+      std::size_t eliminations = 0;        // eliminations of real rows
     };
     const std::size_t first = ctx.block_id() * G;
-    const std::size_t count = std::min(G, work.size() - std::min(work.size(), first));
-    if (count == 0 || first >= work.size()) return;
-
-    // Blocks run concurrently; accumulate locally and publish once at
-    // block end (commutative integer adds keep the totals deterministic).
-    std::size_t block_row_loads = 0;
-    std::size_t block_eliminations = 0;
-
-    if (!ctx.recording() && !ctx.hazard_checking() && !ctx.fault_checking() &&
-        !guarding && ctx.vector_enabled()) {
-      // Vectorized raw twin: windows of a block share no data, so each
-      // runs to completion as straight-line loops over the whole sub-tile
-      // batch — no per-thread phase dispatch. Element order within every
-      // loop matches the instrumented path's (idx ascending enumerates the
-      // same (cc, tid) work items; the fused forward recurrence per tid
-      // still sees its rows in ascending order), all reads come from the
-      // opposite ping-pong buffer or the tail cache, and the arithmetic is
-      // untouched — outputs and the row-load/elimination tallies are
-      // bit-identical to the recorded path (tests/test_vector_engine.cpp).
-      gpusim::detail::note_vector_blocks(1.0);
-      for (std::size_t g = 0; g < count; ++g) {
-        const TiledPcrWork<T>& w = work[first + g];
-        std::ptrdiff_t P = static_cast<std::ptrdiff_t>(w.r0) -
-                           static_cast<std::ptrdiff_t>(warm * S);
-        const std::size_t len = w.r1 - w.r0;
-        const std::size_t iters =
-            warm + (len + static_cast<std::size_t>(halo) + S - 1) / S;
-        const std::span<SRow<T>> buf[2] = {ctx.shared<SRow<T>>(S),
-                                           ctx.shared<SRow<T>>(S)};
-        std::array<std::span<SRow<T>>, kMaxK> tails{};
-        for (unsigned j = 0; j < cfg.k; ++j) {
-          tails[j] = ctx.shared<SRow<T>>(std::size_t{2} << j);
-          for (SRow<T>& r : tails[j]) r = identity_srow<T>();
-        }
-        const std::span<T> cp = ctx.lane_buffer<T>(
-            cfg.fuse_thomas_forward ? static_cast<std::size_t>(threads) : 0);
-        const std::span<T> dp = ctx.lane_buffer<T>(
-            cfg.fuse_thomas_forward ? static_cast<std::size_t>(threads) : 0);
-        const auto n = static_cast<std::ptrdiff_t>(w.sys.size());
-        for (std::size_t iter = 0; iter < iters; ++iter) {
-          // LOAD: level-0 batch into buf[0].
-          {
-            SRow<T>* const b0 = buf[0].data();
-            for (std::size_t idx = 0; idx < S; ++idx) {
-              const std::ptrdiff_t pos = P + static_cast<std::ptrdiff_t>(idx);
-              if (pos >= 0 && pos < n) {
-                const auto u = static_cast<std::size_t>(pos);
-                b0[idx] = SRow<T>{*w.sys.a.ptr(u), *w.sys.b.ptr(u),
-                                  *w.sys.c.ptr(u), *w.sys.d.ptr(u)};
-                ++block_row_loads;
-              } else {
-                b0[idx] = identity_srow<T>();
-              }
-            }
-          }
-          // k PCR levels: combine, then save the level j-1 tail.
-          for (unsigned j = 1; j <= cfg.k; ++j) {
-            const std::size_t reach = std::size_t{1} << (j - 1);
-            const std::size_t span_j = std::size_t{2} << (j - 1);
-            const std::span<SRow<T>> src = buf[(j - 1) & 1u];
-            const std::span<SRow<T>> dst = buf[j & 1u];
-            const std::span<SRow<T>> tail = tails[j - 1];
-            auto read = [&](std::ptrdiff_t rel) -> const SRow<T>& {
-              return rel >= 0 ? src[static_cast<std::size_t>(rel)]
-                              : tail[static_cast<std::size_t>(
-                                    rel + static_cast<std::ptrdiff_t>(span_j))];
-            };
-            for (std::size_t i = 0; i < S; ++i) {
-              const auto idx = static_cast<std::ptrdiff_t>(i);
-              const SRow<T>& lo = read(idx - static_cast<std::ptrdiff_t>(span_j));
-              const SRow<T>& mid = read(idx - static_cast<std::ptrdiff_t>(reach));
-              const SRow<T>& hi = read(idx);
-              const std::ptrdiff_t pos =
-                  P - (static_cast<std::ptrdiff_t>(span_j) - 1) + idx;
-              const T k1 = mid.a / lo.b;
-              const T k2 = mid.c / hi.b;
-              dst[i] = SRow<T>{-lo.a * k1, mid.b - lo.c * k1 - hi.a * k2,
-                               -hi.c * k2, mid.d - lo.d * k1 - hi.d * k2};
-              if (pos >= 0 && pos < n) ++block_eliminations;
-            }
-            for (std::size_t tid = 0; tid < span_j; ++tid) {
-              tail[tid] = src[S - span_j + tid];
-            }
-          }
-          // STORE: level-k batch back to global (or fused forward).
-          {
-            const std::span<SRow<T>> out = buf[cfg.k & 1u];
-            const auto r0 = static_cast<std::ptrdiff_t>(w.r0);
-            const auto r1 = static_cast<std::ptrdiff_t>(w.r1);
-            for (std::size_t idx = 0; idx < S; ++idx) {
-              const std::ptrdiff_t pos =
-                  P - halo + static_cast<std::ptrdiff_t>(idx);
-              if (pos < r0 || pos >= r1) continue;
-              const auto u = static_cast<std::size_t>(pos);
-              const SRow<T>& row = out[idx];
-              if (cfg.fuse_thomas_forward) {
-                const std::size_t tid = idx % static_cast<std::size_t>(threads);
-                const T denom = row.b - cp[tid] * row.a;
-                const T inv = T(1) / denom;
-                cp[tid] = row.c * inv;
-                dp[tid] = (row.d - dp[tid] * row.a) * inv;
-                *w.out.c.ptr(u) = cp[tid];
-                *w.out.d.ptr(u) = dp[tid];
-              } else {
-                *w.out.a.ptr(u) = row.a;
-                *w.out.b.ptr(u) = row.b;
-                *w.out.c.ptr(u) = row.c;
-                *w.out.d.ptr(u) = row.d;
-              }
-            }
-          }
-          P += static_cast<std::ptrdiff_t>(S);
-        }
-      }
-      std::atomic_ref<std::size_t>(stats.row_loads)
-          .fetch_add(block_row_loads, std::memory_order_relaxed);
-      std::atomic_ref<std::size_t>(stats.eliminations)
-          .fetch_add(block_eliminations, std::memory_order_relaxed);
-      return;
-    }
+    if (first >= work.size()) return;
+    const std::size_t count = std::min(G, work.size() - first);
+    const auto tcount = static_cast<std::size_t>(threads);
 
     const std::span<Window> win = ctx.lane_buffer<Window>(count);
     std::size_t max_iters = 0;
     for (std::size_t g = 0; g < count; ++g) {
-      auto& wd = win[g];
+      Window& wd = win[g];
       wd.w = work[first + g];
       wd.P = static_cast<std::ptrdiff_t>(wd.w.r0) -
              static_cast<std::ptrdiff_t>(warm * S);
       const std::size_t len = wd.w.r1 - wd.w.r0;
       wd.iters = warm + (len + static_cast<std::size_t>(halo) + S - 1) / S;
+      max_iters = std::max(max_iters, wd.iters);
       wd.buf[0] = ctx.shared<SRow<T>>(S);
       wd.buf[1] = ctx.shared<SRow<T>>(S);
       for (unsigned j = 0; j < cfg.k; ++j) {
         wd.tails[j] = ctx.shared<SRow<T>>(std::size_t{2} << j);
       }
-      max_iters = std::max(max_iters, wd.iters);
+      wd.cp = ctx.lane_buffer<T>(cfg.fuse_thomas_forward ? tcount : 0);
+      wd.dp = ctx.lane_buffer<T>(cfg.fuse_thomas_forward ? tcount : 0);
     }
 
-    // "Registers" of the fused Thomas forward: per thread, per window.
-    // Pool-backed: zero-filled by lane_buffer, matching the T(0) carries.
-    const std::span<T> fwd_cp =
-        ctx.lane_buffer<T>(count * static_cast<std::size_t>(threads));
-    const std::span<T> fwd_dp =
-        ctx.lane_buffer<T>(count * static_cast<std::size_t>(threads));
-
-    // ---- Init: identity tails (lead-in state of Fig. 10) ----------------
-    ctx.phase([&](gpusim::ThreadCtx& t) {
-      for (std::size_t g = 0; g < count; ++g) {
-        for (unsigned j = 0; j < cfg.k; ++j) {
-          auto tail = win[g].tails[j];
-          for (std::size_t i = static_cast<std::size_t>(t.tid()); i < tail.size();
-               i += static_cast<std::size_t>(threads)) {
-            t.note_swrite(tail[i]);
-            tail[i] = identity_srow<T>();
-          }
-        }
+    // ---- Phase bodies, each written once over a thread handle `t` -------
+    // INIT: one tail row to the identity (lead-in state of Fig. 10).
+    auto init_tail = [](auto& t, SRow<T>& row) {
+      t.note_swrite(row);
+      row = identity_srow<T>();
+    };
+    // LOAD: batch row `idx` of level 0 from global memory.
+    auto load = [&](auto& t, Window& wd, std::size_t idx) {
+      const std::ptrdiff_t pos = wd.P + static_cast<std::ptrdiff_t>(idx);
+      t.note_swrite(wd.buf[0][idx]);
+      if (pos >= 0 && pos < static_cast<std::ptrdiff_t>(wd.w.sys.size())) {
+        const auto u = static_cast<std::size_t>(pos);
+        wd.buf[0][idx] = SRow<T>{t.load(wd.w.sys.a.ptr(u)),
+                                 t.load(wd.w.sys.b.ptr(u)),
+                                 t.load(wd.w.sys.c.ptr(u)),
+                                 t.load(wd.w.sys.d.ptr(u))};
+        ++wd.row_loads;
+      } else {
+        wd.buf[0][idx] = identity_srow<T>();
       }
-    });
-
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      // ---- LOAD: level-0 batch into buf[0]; one memory round ------------
-      ctx.phase([&](gpusim::ThreadCtx& t) {
-        for (std::size_t g = 0; g < count; ++g) {
-          auto& wd = win[g];
-          if (iter >= wd.iters) continue;
-          const auto n = static_cast<std::ptrdiff_t>(wd.w.sys.size());
-          for (std::size_t cc = 0; cc < cfg.c; ++cc) {
-            const std::size_t idx = cc * static_cast<std::size_t>(threads) +
-                                    static_cast<std::size_t>(t.tid());
-            const std::ptrdiff_t pos = wd.P + static_cast<std::ptrdiff_t>(idx);
-            t.note_swrite(wd.buf[0][idx]);
-            if (pos >= 0 && pos < n) {
-              const auto u = static_cast<std::size_t>(pos);
-              wd.buf[0][idx] = SRow<T>{t.load(wd.w.sys.a.ptr(u)),
-                                       t.load(wd.w.sys.b.ptr(u)),
-                                       t.load(wd.w.sys.c.ptr(u)),
-                                       t.load(wd.w.sys.d.ptr(u))};
-              ++block_row_loads;
-            } else {
-              wd.buf[0][idx] = identity_srow<T>();
-            }
-          }
+    };
+    // COMBINE: the level-j elimination (Eqs. 5-6) producing batch row `idx`.
+    auto combine = [&](auto& t, Window& wd, unsigned j, std::size_t idx) {
+      const auto reach = static_cast<std::ptrdiff_t>(std::size_t{1} << (j - 1));
+      const std::ptrdiff_t span_j = 2 * reach;  // 2^j
+      const std::span<SRow<T>> src = wd.buf[(j - 1) & 1u];
+      const std::span<SRow<T>> tail = wd.tails[j - 1];
+      // Read level j-1 at batch-relative index `rel`; rel < 0 comes from
+      // the tail cache holding the previous sub-tile's last 2^j values.
+      auto read = [&](std::ptrdiff_t rel) -> const SRow<T>& {
+        return rel >= 0 ? src[static_cast<std::size_t>(rel)]
+                        : tail[static_cast<std::size_t>(rel + span_j)];
+      };
+      const auto i = static_cast<std::ptrdiff_t>(idx);
+      const SRow<T>& lo = read(i - span_j);
+      const SRow<T>& mid = read(i - reach);
+      const SRow<T>& hi = read(i);
+      t.note_sread(lo);
+      t.note_sread(mid);
+      t.note_sread(hi);
+      // Position of the row this elimination produces (used for the
+      // redundancy bookkeeping and guard attribution below).
+      const std::ptrdiff_t pos = wd.P - (span_j - 1) + i;
+      const bool real_row =
+          pos >= 0 && pos < static_cast<std::ptrdiff_t>(wd.w.sys.size());
+      if (guarding && real_row) {
+        // Read-only divisor check; the elimination below is unchanged.
+        guard_srow_combine(wd.guard_st, lo, mid, hi,
+                           static_cast<std::size_t>(pos));
+      }
+      const T k1 = mid.a / lo.b;
+      const T k2 = mid.c / hi.b;
+      SRow<T>& dst = wd.buf[j & 1u][idx];
+      t.note_swrite(dst);
+      dst = SRow<T>{-lo.a * k1, mid.b - lo.c * k1 - hi.a * k2, -hi.c * k2,
+                    mid.d - lo.d * k1 - hi.d * k2};
+      t.template flops<T>(10);
+      t.template divs<T>(2);
+      // Count only eliminations of real rows for the redundancy
+      // bookkeeping (identity warm-up/drain rows are free lanes).
+      if (real_row) ++wd.eliminations;
+    };
+    // TAIL SAVE: row `r` of level j-1's last 2^j rows, kept for the next
+    // sub-tile before buffer (j-1)&1 is overwritten by level j+1.
+    auto save_tail = [&](auto& t, Window& wd, unsigned j, std::size_t r) {
+      const SRow<T>& row =
+          wd.buf[(j - 1) & 1u][S - (std::size_t{2} << (j - 1)) + r];
+      t.note_sread(row);
+      t.note_swrite(wd.tails[j - 1][r]);
+      wd.tails[j - 1][r] = row;
+    };
+    // STORE: batch row `idx` of level k back to global memory or, fused,
+    // into the Thomas forward recurrence of reduced system idx mod 2^k,
+    // entirely from shared/registers: store only (c', d').
+    auto store = [&](auto& t, Window& wd, std::size_t idx) {
+      const std::ptrdiff_t pos = wd.P - halo + static_cast<std::ptrdiff_t>(idx);
+      if (pos < static_cast<std::ptrdiff_t>(wd.w.r0) ||
+          pos >= static_cast<std::ptrdiff_t>(wd.w.r1)) {
+        return;
+      }
+      const auto u = static_cast<std::size_t>(pos);
+      const SRow<T>& row = wd.buf[cfg.k & 1u][idx];
+      t.note_sread(row);
+      if (cfg.fuse_thomas_forward) {
+        T& cp = wd.cp[idx & (tcount - 1)];  // idx mod 2^k
+        T& dp = wd.dp[idx & (tcount - 1)];
+        const T denom = row.b - cp * row.a;
+        if (guarding) {
+          tridiag::detail::guard_thomas_pivot(wd.guard_st, row.a, row.b,
+                                              row.c, denom, u);
         }
-      });
+        const T inv = T(1) / denom;
+        cp = row.c * inv;
+        dp = (row.d - dp * row.a) * inv;
+        t.template flops<T>(6);
+        t.template divs<T>(1);
+        t.store(wd.w.out.c.ptr(u), cp);
+        t.store(wd.w.out.d.ptr(u), dp);
+      } else {
+        t.store(wd.w.out.a.ptr(u), row.a);
+        t.store(wd.w.out.b.ptr(u), row.b);
+        t.store(wd.w.out.c.ptr(u), row.c);
+        t.store(wd.w.out.d.ptr(u), row.d);
+      }
+    };
 
-      // ---- k PCR levels, each: combine phase + tail-save phase ----------
-      for (unsigned j = 1; j <= cfg.k; ++j) {
-        const std::size_t reach = std::size_t{1} << (j - 1);  // 2^{j-1}
-        const std::size_t span_j = std::size_t{2} << (j - 1); // 2^j
-        const unsigned src_sel = (j - 1) & 1u;
-        const unsigned dst_sel = j & 1u;
-
+    if (ctx.observed() || guarding) {
+      // Thread-major barrier phases, as the hardware block runs them: the
+      // order observers record, and the order in which the guard meets
+      // its first offence. Thread tid owns batch rows cc * 2^k + tid.
+      auto per_row = [&](std::size_t iter, auto&& body) {
         ctx.phase([&](gpusim::ThreadCtx& t) {
-          for (std::size_t g = 0; g < count; ++g) {
-            auto& wd = win[g];
+          for (Window& wd : win) {
             if (iter >= wd.iters) continue;
-            auto src = wd.buf[src_sel];
-            auto dst = wd.buf[dst_sel];
-            auto tail = wd.tails[j - 1];
-            // Read level j-1 at batch-relative index `rel`; rel < 0 comes
-            // from the tail cache holding the previous sub-tile's last
-            // 2^j values.
-            auto read = [&](std::ptrdiff_t rel) -> const SRow<T>& {
-              return rel >= 0 ? src[static_cast<std::size_t>(rel)]
-                              : tail[static_cast<std::size_t>(
-                                    rel + static_cast<std::ptrdiff_t>(span_j))];
-            };
             for (std::size_t cc = 0; cc < cfg.c; ++cc) {
-              const auto idx = static_cast<std::ptrdiff_t>(
-                  cc * static_cast<std::size_t>(threads) +
-                  static_cast<std::size_t>(t.tid()));
-              const SRow<T>& lo = read(idx - static_cast<std::ptrdiff_t>(span_j));
-              const SRow<T>& mid = read(idx - static_cast<std::ptrdiff_t>(reach));
-              const SRow<T>& hi = read(idx);
-              t.note_sread(lo);
-              t.note_sread(mid);
-              t.note_sread(hi);
-              // Position of the row this elimination produces (used for the
-              // redundancy bookkeeping and guard attribution below).
-              const std::ptrdiff_t pos =
-                  wd.P - (static_cast<std::ptrdiff_t>(span_j) - 1) + idx;
-              const bool real_row =
-                  pos >= 0 && pos < static_cast<std::ptrdiff_t>(wd.w.sys.size());
-              if (guarding && real_row) {
-                // Read-only divisor check; the elimination below is unchanged.
-                guard_srow_combine(wd.guard_st, lo, mid, hi,
-                                   static_cast<std::size_t>(pos));
-              }
-              // PCR elimination (Eqs. 5-6).
-              const T k1 = mid.a / lo.b;
-              const T k2 = mid.c / hi.b;
-              t.note_swrite(dst[static_cast<std::size_t>(idx)]);
-              dst[static_cast<std::size_t>(idx)] =
-                  SRow<T>{-lo.a * k1, mid.b - lo.c * k1 - hi.a * k2, -hi.c * k2,
-                          mid.d - lo.d * k1 - hi.d * k2};
-              t.flops<T>(10);
-              t.divs<T>(2);
-              // Count only eliminations of real rows for the redundancy
-              // bookkeeping (identity warm-up/drain rows are free lanes).
-              if (real_row) {
-                ++block_eliminations;
-              }
+              body(t, wd, cc * tcount + static_cast<std::size_t>(t.tid()));
             }
           }
         });
-
-        // Save the level j-1 tail for the next sub-tile before buffer
-        // (j-1)&1 is overwritten by level j+1.
-        ctx.phase([&](gpusim::ThreadCtx& t) {
-          for (std::size_t g = 0; g < count; ++g) {
-            auto& wd = win[g];
-            if (iter >= wd.iters) continue;
-            const auto tid = static_cast<std::size_t>(t.tid());
-            if (tid < span_j) {
-              t.note_sread(wd.buf[src_sel][S - span_j + tid]);
-              t.note_swrite(wd.tails[j - 1][tid]);
-              wd.tails[j - 1][tid] = wd.buf[src_sel][S - span_j + tid];
-            }
-          }
-        });
-      }
-
-      // ---- STORE: level-k batch back to global (or fused forward) -------
+      };
       ctx.phase([&](gpusim::ThreadCtx& t) {
-        for (std::size_t g = 0; g < count; ++g) {
-          auto& wd = win[g];
-          if (iter >= wd.iters) continue;
-          auto out = wd.buf[cfg.k & 1u];
-          for (std::size_t cc = 0; cc < cfg.c; ++cc) {
-            const std::size_t idx = cc * static_cast<std::size_t>(threads) +
-                                    static_cast<std::size_t>(t.tid());
-            const std::ptrdiff_t pos = wd.P - halo + static_cast<std::ptrdiff_t>(idx);
-            if (pos < static_cast<std::ptrdiff_t>(wd.w.r0) ||
-                pos >= static_cast<std::ptrdiff_t>(wd.w.r1)) {
-              continue;
-            }
-            const auto u = static_cast<std::size_t>(pos);
-            const SRow<T>& row = out[idx];
-            t.note_sread(row);
-            if (cfg.fuse_thomas_forward) {
-              // Thomas forward reduction of reduced system r(t), entirely
-              // from shared/registers: store only (c', d').
-              T& cp = fwd_cp[g * static_cast<std::size_t>(threads) +
-                             static_cast<std::size_t>(t.tid())];
-              T& dp = fwd_dp[g * static_cast<std::size_t>(threads) +
-                             static_cast<std::size_t>(t.tid())];
-              const T denom = row.b - cp * row.a;
-              if (guarding) guard_fused_pivot(wd.guard_st, row, denom, u);
-              const T inv = T(1) / denom;
-              cp = row.c * inv;
-              dp = (row.d - dp * row.a) * inv;
-              t.flops<T>(6);
-              t.divs<T>(1);
-              t.store(wd.w.out.c.ptr(u), cp);
-              t.store(wd.w.out.d.ptr(u), dp);
-            } else {
-              t.store(wd.w.out.a.ptr(u), row.a);
-              t.store(wd.w.out.b.ptr(u), row.b);
-              t.store(wd.w.out.c.ptr(u), row.c);
-              t.store(wd.w.out.d.ptr(u), row.d);
+        for (Window& wd : win) {
+          for (unsigned j = 0; j < cfg.k; ++j) {
+            for (std::size_t i = static_cast<std::size_t>(t.tid());
+                 i < wd.tails[j].size(); i += tcount) {
+              init_tail(t, wd.tails[j][i]);
             }
           }
         }
       });
-
-      for (auto& wd : win) wd.P += static_cast<std::ptrdiff_t>(S);
+      for (std::size_t iter = 0; iter < max_iters; ++iter) {
+        per_row(iter, load);
+        for (unsigned j = 1; j <= cfg.k; ++j) {
+          per_row(iter, [&](gpusim::ThreadCtx& t, Window& wd, std::size_t idx) {
+            combine(t, wd, j, idx);
+          });
+          ctx.phase([&](gpusim::ThreadCtx& t) {
+            const auto tid = static_cast<std::size_t>(t.tid());
+            if (tid >= std::size_t{2} << (j - 1)) return;
+            for (Window& wd : win) {
+              if (iter < wd.iters) save_tail(t, wd, j, tid);
+            }
+          });
+        }
+        per_row(iter, store);
+        for (Window& wd : win) wd.P += static_cast<std::ptrdiff_t>(S);
+      }
+    } else {
+      // Nothing observes this block and its windows share no data: run
+      // each window to completion, batch rows index-ascending. That is the
+      // same set of (cc, tid) work items, and each fused recurrence still
+      // meets its rows in ascending order, so outputs and tallies match
+      // the phased order bit for bit.
+      gpusim::RawThread t;
+      for (Window& wd : win) {
+        for (unsigned j = 0; j < cfg.k; ++j) {
+          for (SRow<T>& row : wd.tails[j]) init_tail(t, row);
+        }
+        for (std::size_t iter = 0; iter < wd.iters; ++iter) {
+          for (std::size_t idx = 0; idx < S; ++idx) load(t, wd, idx);
+          for (unsigned j = 1; j <= cfg.k; ++j) {
+            for (std::size_t idx = 0; idx < S; ++idx) combine(t, wd, j, idx);
+            for (std::size_t r = 0; r < std::size_t{2} << (j - 1); ++r) {
+              save_tail(t, wd, j, r);
+            }
+          }
+          for (std::size_t idx = 0; idx < S; ++idx) store(t, wd, idx);
+          wd.P += static_cast<std::ptrdiff_t>(S);
+        }
+      }
     }
 
+    // Blocks run concurrently; publish the block's tallies once
+    // (commutative integer adds keep the totals deterministic).
+    std::size_t block_row_loads = 0;
+    std::size_t block_eliminations = 0;
+    for (std::size_t g = 0; g < count; ++g) {
+      block_row_loads += win[g].row_loads;
+      block_eliminations += win[g].eliminations;
+      // Slots [first, first + count) belong to this block alone.
+      if (guarding) window_guard[first + g] = win[g].guard_st;
+    }
     std::atomic_ref<std::size_t>(stats.row_loads)
         .fetch_add(block_row_loads, std::memory_order_relaxed);
     std::atomic_ref<std::size_t>(stats.eliminations)
         .fetch_add(block_eliminations, std::memory_order_relaxed);
-    if (guarding) {
-      // Slots [first, first + count) belong to this block alone.
-      for (std::size_t g = 0; g < count; ++g) {
-        window_guard[first + g] = win[g].guard_st;
-      }
-    }
   });
 
   return stats;

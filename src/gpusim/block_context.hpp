@@ -20,7 +20,10 @@
 // owned by the executing worker thread, so back-to-back blocks (and
 // launches) reuse warm buffers instead of allocating. A block constructed
 // with record=false executes functionally but skips all cost recording —
-// the sampled/functional_only fast paths of the execution engine.
+// the sampled/functional_only fast paths of the execution engine. When
+// nothing observes a block (see observed()), a kernel may run the same
+// phase bodies on RawThread, a plain-memory stand-in for ThreadCtx, in a
+// loop order of its own choosing instead of through phase().
 //
 // Contracts:
 //  * Thread-safety: a BlockContext (and the ThreadCtx handles it hands
@@ -166,6 +169,36 @@ class ThreadCtx {
   std::size_t shared_ordinal_ = 0;
 };
 
+/// Per-thread handle for blocks nothing observes: the ThreadCtx calls a
+/// phase body is written against, on plain memory, with every cost and
+/// hazard call a no-op. One body instantiated over either handle computes
+/// bit-identical values; only what is recorded about it differs.
+class RawThread {
+ public:
+  explicit RawThread(int tid = 0) noexcept : tid_(tid) {}
+
+  [[nodiscard]] int tid() const noexcept { return tid_; }
+  template <typename T>
+  [[nodiscard]] T load(const T* p) const noexcept {
+    return *p;
+  }
+  template <typename T>
+  void store(T* p, T v) const noexcept {
+    *p = v;
+  }
+  template <typename T>
+  void flops(double) const noexcept {}
+  template <typename T>
+  void divs(double) const noexcept {}
+  template <typename T>
+  void note_sread(const T&) const noexcept {}
+  template <typename T>
+  void note_swrite(const T&) const noexcept {}
+
+ private:
+  int tid_;
+};
+
 /// One simulated thread block.
 class BlockContext {
  public:
@@ -173,7 +206,7 @@ class BlockContext {
                std::size_t grid_blocks, int block_threads,
                WorkerScratch& scratch, KernelCosts& costs, bool record = true,
                HazardTracker* hazards = nullptr, FaultSession* faults = nullptr,
-               std::uint64_t span_parent = 0, bool vector_ok = false)
+               std::uint64_t span_parent = 0)
       : dev_(dev),
         block_id_(block_id),
         grid_blocks_(grid_blocks),
@@ -181,7 +214,6 @@ class BlockContext {
         scratch_(scratch),
         costs_(costs),
         record_(record),
-        vector_(vector_ok),
         hazards_(hazards),
         faults_(faults),
         span_parent_(span_parent) {
@@ -208,24 +240,15 @@ class BlockContext {
   [[nodiscard]] int block_threads() const noexcept { return block_threads_; }
   [[nodiscard]] const DeviceSpec& device() const noexcept { return dev_; }
   [[nodiscard]] bool recording() const noexcept { return record_; }
-  /// True when a hazard detector is watching this block. Kernels with a
-  /// non-instrumented raw twin must take the instrumented path while
-  /// hazard checking so the detector sees every access.
-  [[nodiscard]] bool hazard_checking() const noexcept {
-    return hazards_ != nullptr;
+  /// True when this block records costs, a hazard detector watches it or
+  /// a fault injector is attached. Observed blocks must run their phase
+  /// bodies through phase()/phase_rounds() and ThreadCtx, so the
+  /// coalescer, the detector and the injector see every access in the
+  /// instrumented order (fault-site ordinals included); any other block
+  /// may run the same bodies on RawThread.
+  [[nodiscard]] bool observed() const noexcept {
+    return record_ || hazards_ != nullptr || faults_ != nullptr;
   }
-  /// True when a fault injector is attached to this block. Kernels with a
-  /// non-instrumented raw twin must take the instrumented path while
-  /// fault checking so every global access is a candidate site (and the
-  /// site ordinals match the instrumented modes).
-  [[nodiscard]] bool fault_checking() const noexcept {
-    return faults_ != nullptr;
-  }
-  /// True when the engine allows the vectorized lane fast path
-  /// (vector_engine.hpp). Kernels take it only on top of the raw-twin
-  /// gate — never while recording, hazard checking, fault checking or
-  /// guarding — and must stay bit-identical to the scalar twin.
-  [[nodiscard]] bool vector_enabled() const noexcept { return vector_; }
 
   /// Allocate shared memory for this block (throws if over capacity).
   template <typename T>
@@ -373,7 +396,6 @@ class BlockContext {
   WorkerScratch& scratch_;
   KernelCosts& costs_;
   bool record_;
-  bool vector_ = false;
   HazardTracker* hazards_ = nullptr;
   FaultSession* faults_ = nullptr;
   std::uint64_t span_parent_ = 0;

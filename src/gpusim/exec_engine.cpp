@@ -274,7 +274,7 @@ struct ExecutionEngine::Impl {
           BlockContext ctx(*req.dev, b, req.grid_blocks, req.block_threads,
                            ws, record ? slots[slot] : ws.discard, record, hz,
                            fs ? &*fs : nullptr,
-                           b == 0 ? req.span_parent : 0, req.vector_ok);
+                           b == 0 ? req.span_parent : 0);
           req.body(req.user, ctx);
           if (record) slots[slot].shared_peak_bytes = ws.arena->block_peak();
         }

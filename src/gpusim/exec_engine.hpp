@@ -22,6 +22,9 @@
 //                   execute functionally.
 //   functional_only no recording at all; the launch refuses to report
 //                   timing (LaunchStats.timed == false).
+// Blocks that record nothing, with no hazard tracker or fault session
+// attached, run the kernels' phase bodies on RawThread (block_context.hpp)
+// — the same bodies as recorded blocks, with no-op cost calls.
 //
 // Thread count comes from --sim-threads / TRIDSOLVE_SIM_THREADS (default
 // hardware_concurrency); the main thread always participates, so 1 means
@@ -94,9 +97,6 @@ struct LaunchRequest {
   int block_threads = 0;
   InstrumentMode mode = InstrumentMode::exact;
   HazardMode hazards = HazardMode::off;
-  /// Engine snapshot of vector_enabled(): blocks may take the vectorized
-  /// lane fast path (vector_engine.hpp) on top of the raw-twin gate.
-  bool vector_ok = true;
   BlockBody body = nullptr;
   void* user = nullptr;
   /// Span id of the enclosing launch when tracing (0 = tracing off).
@@ -153,10 +153,10 @@ class ExecutionEngine {
   [[nodiscard]] HazardMode default_hazards() const noexcept;
   void set_default_hazards(HazardMode mode) noexcept;
 
-  /// Vectorized lane fast path for non-instrumented blocks (on by
-  /// default; --vector off forces the scalar raw twins — same outputs,
-  /// bit-identical, just slower). Orthogonal to InstrumentMode: it only
-  /// ever applies to blocks that record nothing.
+  /// Grid-wide vectorized p-Thomas sweep of functional_only solves (on
+  /// by default; --vector off runs the per-block kernel bodies instead —
+  /// same outputs, bit-identical, just slower). It is the only thing the
+  /// switch controls.
   [[nodiscard]] bool vector_enabled() const noexcept;
   void set_vector_enabled(bool on) noexcept;
 
@@ -165,7 +165,7 @@ class ExecutionEngine {
   /// and the vector path on — i.e. a kernel may replace its launches with
   /// one grid-wide vectorized sweep (plus empty-bodied launches to keep
   /// the launch accounting identical). Kernel-side conditions (no guard
-  /// spans) are the caller's to check.
+  /// spans, equal per-array row strides) are the caller's to check.
   [[nodiscard]] bool functional_fast_path() const noexcept;
 
   /// Approximate number of blocks the sampled mode instruments per launch

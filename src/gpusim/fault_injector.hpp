@@ -29,8 +29,9 @@
 //  * Determinism: decisions depend only on (seed, launch, block, site);
 //    the per-block site ordinal counts *global* instrumented accesses in
 //    thread-sequential block order, which is identical across worker
-//    counts and instrument modes (kernels with raw twins divert to the
-//    instrumented path while fault checking, like hazard checking).
+//    counts and instrument modes (a block with a fault session is
+//    observed: kernels run their bodies through ThreadCtx, never on
+//    RawThread, like hazard checking).
 //  * Injection changes only functional values / timing — never recorded
 //    KernelCosts, so cost accounting stays that of the un-faulted kernel.
 

@@ -78,7 +78,6 @@ LaunchStats launch(const DeviceSpec& dev, LaunchConfig cfg, KernelFn&& body) {
   req.block_threads = cfg.block_threads;
   req.mode = mode;
   req.hazards = hazards;
-  req.vector_ok = ExecutionEngine::instance().vector_enabled();
   req.user = const_cast<void*>(static_cast<const void*>(std::addressof(body)));
   req.body = [](void* user, BlockContext& ctx) {
     (*static_cast<Fn*>(user))(ctx);

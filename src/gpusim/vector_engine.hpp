@@ -1,11 +1,12 @@
 #pragma once
 // Vectorized lane execution for the functional fast path.
 //
-// When a launch runs without instrumentation, hazard checking, fault
-// injection or divisor guards, kernels with a raw twin may drop the
-// one-thread-at-a-time simulation entirely and execute whole *lane
-// segments* — runs of consecutive systems whose coefficient arrays form
-// an affine grid: element (row i, lane l) of each array lives at
+// When a p-Thomas solve runs without instrumentation, hazard checking,
+// fault injection or divisor guards, its grid-wide sweep
+// (gpu_solvers/pthomas_kernel.cpp) drops the one-thread-at-a-time
+// simulation entirely and executes whole *lane segments* — runs of
+// consecutive systems whose coefficient arrays form an affine grid:
+// element (row i, lane l) of each array lives at
 // base + l*lane_step + i*row_step. The interleaved layout the paper's
 // p-Thomas kernel prefers (and the reduced-system views the hybrid
 // solver builds) satisfy this with lane_step == 1, so the inner loops
@@ -14,7 +15,7 @@
 //
 // Contracts:
 //  * Bit-exactness: every function performs, per lane, exactly the
-//    arithmetic of the scalar raw twin in the same per-lane order
+//    arithmetic of the p-Thomas kernel body in the same per-lane order
 //    (lanes are independent systems, so cross-lane ordering is free).
 //    tests/test_vector_engine.cpp pins vector-on vs vector-off outputs
 //    bitwise across the solver registry.
@@ -22,8 +23,8 @@
 //    the backward sweep, unless it is exactly the d array) must be
 //    disjoint — the same precondition the in-place kernels always had.
 //  * Thread-safety: all functions are pure loops over caller-owned
-//    memory; distinct segments never overlap, so concurrent blocks are
-//    race-free exactly as in the scalar twin.
+//    memory; distinct segments never overlap, so concurrent sweeps are
+//    race-free exactly as the kernel's blocks are.
 //
 // LanePool is the other half of the fast path: a per-worker bump
 // allocator backing the kernels' per-block lane carries (c', d', x_next,
@@ -284,8 +285,8 @@ class LanePool {
 
 namespace detail {
 /// Metric bookkeeping for the fast path (cached handles; see
-/// vector_engine.cpp): per-launch LanePool tallies and per-block counts
-/// of kernels that took the vectorized lane path.
+/// vector_engine.cpp): per-launch LanePool tallies and the number of
+/// launch blocks a grid-wide sweep replaced (gpusim.vector.blocks).
 void note_scratch(std::size_t acquires, std::size_t reuses) noexcept;
 void note_vector_blocks(double n) noexcept;
 }  // namespace detail

@@ -93,6 +93,29 @@ inline void guard_pcr_combine(SolveStatus& guard, const Row<T>& lo,
   if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
 }
 
+/// Pivot check for one Thomas forward-elimination row (a, b, c) whose
+/// denominator is `denom` = b - c'a: a zero or non-finite denominator
+/// flags zero_pivot at `pos` (first offence wins); otherwise the growth
+/// estimate absorbs max(|a|, |b|, |c|) / |denom|. Read-only — shared by
+/// the p-Thomas kernel and the tiled PCR kernel's fused forward sweep.
+template <typename T>
+inline void guard_thomas_pivot(SolveStatus& guard, T a, T b, T c, T denom,
+                               std::size_t pos) noexcept {
+  // !(denom != 0) also catches a NaN denominator.
+  if (!(denom != T(0)) || !std::isfinite(static_cast<double>(denom))) {
+    if (guard.code == SolveCode::ok) {
+      guard.code = SolveCode::zero_pivot;
+      guard.index = pos;
+    }
+    return;
+  }
+  const double scale = std::max({std::abs(static_cast<double>(a)),
+                                 std::abs(static_cast<double>(b)),
+                                 std::abs(static_cast<double>(c))});
+  const double ratio = scale / std::abs(static_cast<double>(denom));
+  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
+}
+
 }  // namespace detail
 
 /// One full PCR step at the given stride: dst[i] = combine(src[i-s], src[i],

@@ -51,8 +51,8 @@ class Cli {
 ///   --csv                 legacy alias for --format csv
 ///   --sim-threads N       simulator worker threads (0 = default)
 ///   --instrument MODE     exact | sampled | functional_only
-///   --vector {on,off}     vectorized lane fast path for non-instrumented
-///                         blocks (default on; off = scalar raw twins)
+///   --vector {on,off}     grid-wide vectorized p-Thomas sweep of functional
+///                         solves (default on; off = per-block kernel bodies)
 ///   --repeat N            repetitions per configuration (with warmup)
 ///   --check-hazards [MODE] shared-memory hazard detection: detect | fatal
 ///   --fault-seed N        fault-injection seed (deterministic site choice)

@@ -1,9 +1,12 @@
-// Simulated-GPU kernel tests: p-Thomas, tiled PCR kernel (all window
-// variants, fusion), and the Davidson/Zhang/CR baselines — all validated
-// against the host reference solvers.
+// Simulated-GPU kernel tests: p-Thomas (including views with mismatched
+// per-array strides), tiled PCR kernel (all window variants, fusion), and
+// the Davidson/Zhang/CR baselines — all validated against the host
+// reference solvers.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "gpu_solvers/cr_kernel.hpp"
@@ -12,6 +15,8 @@
 #include "gpu_solvers/tiled_pcr_kernel.hpp"
 #include "gpu_solvers/zhang_pcr_thomas.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/exec_engine.hpp"
+#include "obs/metrics.hpp"
 #include "tridiag/lu_pivot.hpp"
 #include "tridiag/pcr.hpp"
 #include "util/stats.hpp"
@@ -54,6 +59,76 @@ void expect_batch_solved(const td::SystemBatch<double>& solved,
           << "m=" << m << " i=" << i;
     }
   }
+}
+
+/// The systems of `batch`, with every third one copied into `store` so
+/// that its a/b/c/d rows sit at strides 1, 2, 3 and 4: views SystemBatch
+/// never produces, which the functional grid-wide sweep leaves to the
+/// per-block kernel bodies.
+std::vector<td::SystemRef<double>> mixed_stride_systems(
+    td::SystemBatch<double>& batch, std::vector<double>& store) {
+  const std::size_t n = batch.system_size();
+  store.assign(batch.num_systems() * 10 * n, 0.0);
+  double* next = store.data();
+  std::vector<td::SystemRef<double>> systems;
+  for (std::size_t m = 0; m < batch.num_systems(); ++m) {
+    td::SystemRef<double> s = batch.system(m);
+    if (m % 3 == 1) {
+      td::StridedView<double>* views[] = {&s.a, &s.b, &s.c, &s.d};
+      for (std::ptrdiff_t k = 0; k < 4; ++k) {
+        const td::StridedView<double> moved(next, n, k + 1);
+        for (std::size_t i = 0; i < n; ++i) moved[i] = (*views[k])[i];
+        *views[k] = moved;
+        next += n * static_cast<std::size_t>(k + 1);
+      }
+    }
+    systems.push_back(s);
+  }
+  return systems;
+}
+
+/// Run pthomas_solve (or, with `backward_only`, pthomas_backward on the
+/// batch's c and d as c', d') over a copy of `input` in `mode`, with the
+/// mismatched-stride systems when `mixed` and through an xout when
+/// `use_xout`; returns every solution value, system-major.
+std::vector<double> pthomas_run(const td::SystemBatch<double>& input,
+                                gs::InstrumentMode mode, bool mixed,
+                                bool use_xout, bool backward_only) {
+  const auto dev = gs::gtx480();
+  const gs::ScopedInstrumentMode scope(mode);
+  auto batch = input.clone();
+  const std::size_t n = batch.system_size();
+  std::vector<double> store;
+  std::vector<td::SystemRef<double>> systems;
+  if (mixed) {
+    systems = mixed_stride_systems(batch, store);
+  } else {
+    for (std::size_t m = 0; m < batch.num_systems(); ++m) {
+      systems.push_back(batch.system(m));
+    }
+  }
+  std::vector<double> x(use_xout ? systems.size() * n : 0);
+  std::vector<td::StridedView<double>> xout;
+  for (std::size_t m = 0; use_xout && m < systems.size(); ++m) {
+    xout.emplace_back(x.data() + m * n, n, std::ptrdiff_t{1});
+  }
+  if (backward_only) {
+    gp::pthomas_backward<double>(dev, systems, xout);
+  } else {
+    gp::pthomas_solve<double>(dev, systems, xout);
+  }
+  std::vector<double> out;
+  for (std::size_t m = 0; m < systems.size(); ++m) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(use_xout ? x[m * n + i] : systems[m].d[i]);
+    }
+  }
+  return out;
+}
+
+double vector_blocks() {
+  return tridsolve::obs::MetricsRegistry::instance().counter(
+      "gpusim.vector.blocks");
 }
 
 }  // namespace
@@ -106,6 +181,48 @@ TEST(PthomasKernel, XoutRedirectsSolution) {
   for (std::size_t m = 0; m < 8; ++m) {
     for (std::size_t i = 0; i < 33; ++i) {
       EXPECT_NEAR(x[i * 8 + m], ref[m][i], 1e-9);
+    }
+  }
+}
+
+// Systems whose a/b/c/d strides differ make the functional path skip the
+// grid-wide sweep for the per-block bodies. Their solutions must match
+// the affine batch's bitwise in exact and functional mode, with and
+// without xout, for the full solve and for the backward sweep alone.
+TEST(PthomasKernel, MismatchedStridesMatchAffineBitwise) {
+  // 150 systems: two blocks of 128 lanes, the second one ragged.
+  const auto batch = make_batch(150, 37, td::Layout::interleaved);
+  for (const bool backward_only : {false, true}) {
+    for (const bool use_xout : {false, true}) {
+      const auto ref = pthomas_run(batch, gs::InstrumentMode::exact,
+                                   /*mixed=*/false, use_xout, backward_only);
+      for (const auto mode : {gs::InstrumentMode::exact,
+                              gs::InstrumentMode::functional_only}) {
+        const double before = vector_blocks();
+        const auto mixed =
+            pthomas_run(batch, mode, /*mixed=*/true, use_xout, backward_only);
+        EXPECT_EQ(vector_blocks(), before)
+            << "mismatched strides must skip the grid-wide sweep";
+        const auto affine =
+            pthomas_run(batch, mode, /*mixed=*/false, use_xout, backward_only);
+        if (mode == gs::InstrumentMode::functional_only) {
+          EXPECT_GT(vector_blocks(), before)
+              << "the affine batch must take the grid-wide sweep";
+        }
+        ASSERT_EQ(mixed.size(), ref.size());
+        ASSERT_EQ(affine.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          const auto want = std::bit_cast<std::uint64_t>(ref[i]);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(mixed[i]), want)
+              << "mixed, mode " << gs::instrument_mode_name(mode) << ", xout "
+              << use_xout << ", backward only " << backward_only << ", row "
+              << i;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(affine[i]), want)
+              << "affine, mode " << gs::instrument_mode_name(mode)
+              << ", xout " << use_xout << ", backward only " << backward_only
+              << ", row " << i;
+        }
+      }
     }
   }
 }

@@ -353,9 +353,9 @@ TEST(HazardReadOnly, RegistrySweepCleanAndBitIdenticalUnderDetect) {
 }
 
 TEST(HazardReadOnly, DetectionPreservesStatsOnSampledRuns) {
-  // Sampled instrumentation + hazard checking compose: the pthomas raw
-  // twin must divert to the instrumented path for coverage, yet report
-  // the same numbers (its twins are pinned bit-exact).
+  // Sampled instrumentation + hazard checking compose: unrecorded blocks
+  // must still run the kernel bodies through ThreadCtx for coverage, yet
+  // report the same numbers (the RawThread runs are pinned bit-exact).
   const auto dev = gs::gtx480();
   const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 64, 512,
                                             td::Layout::interleaved, 7);

@@ -122,9 +122,9 @@ std::map<std::string, double> strategy_invariant_metric_delta(
   for (const auto& [name, value] : reg.counters()) {
     if (name.size() >= 7 && name.rfind("time_us") == name.size() - 7) continue;
     if (name.rfind("gpusim.sampling.", 0) == 0) continue;
-    // Pooled-scratch and vectorized-twin tallies are execution-strategy
+    // Pooled-scratch and vectorized-sweep tallies are execution-strategy
     // telemetry: they vary with worker count and instrument mode by design
-    // (more workers -> more pool warm-ups; exact mode takes no twin).
+    // (more workers -> more pool warm-ups; exact mode takes no sweep).
     if (name.rfind("gpusim.scratch.", 0) == 0) continue;
     if (name.rfind("gpusim.vector.", 0) == 0) continue;
     // Plan-cache tallies track process-wide cache warmth, not the strategy

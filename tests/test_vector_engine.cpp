@@ -1,14 +1,20 @@
 // Vectorized functional fast path: registry-wide bit-identity of the
-// lane-vectorized twins against the scalar twins, the fallback rules
-// (guards / faults / hazards force scalar), pooled-scratch steady state
+// grid-wide sweep against the per-block kernel bodies, and of functional
+// and sampled runs (kernel bodies on RawThread) against exact runs (on
+// ThreadCtx), guard statuses included; the fallback rules (guards /
+// faults / hazards keep the sweep off), pooled-scratch steady state
 // (zero allocations once warm), and the LanePool itself.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "gpu_solvers/hybrid_solver.hpp"
 #include "gpu_solvers/registry.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/exec_engine.hpp"
@@ -28,25 +34,35 @@ double counter(const char* name) {
   return tridsolve::obs::MetricsRegistry::instance().counter(name);
 }
 
-/// Solve `batch` functionally with the vector path on/off; returns the
-/// solved copy (or nullopt-equivalent empty batch when unsupported).
+/// Solve `batch` in `mode` with the vector path on/off into `solution`,
+/// which stays empty when the kind rejects the shape. functional_only
+/// runs report supported == false (no timing) but still hand out their
+/// solution.
 template <typename T>
-bool solve_functional(gpu::SolverKind kind, const td::SystemBatch<T>& batch,
-                      bool vector, td::SystemBatch<T>& solution) {
+gpu::SolveOutcome solve(gpu::SolverKind kind, const td::SystemBatch<T>& batch,
+                        gs::InstrumentMode mode, bool vector, bool guard,
+                        td::SystemBatch<T>& solution) {
   const auto dev = gs::gtx480();
   const gs::ScopedVectorMode vec(vector);
   gpu::SolverRunOptions opts;
-  opts.instrument = gs::InstrumentMode::functional_only;
-  (void)gpu::run_solver<T>(kind, dev, batch, opts, &solution);
-  // functional_only runs report supported == false (no timing) but still
-  // hand out their solution; a real configuration rejection leaves
-  // `solution` untouched.
+  opts.instrument = mode;
+  opts.guard = guard;
+  return gpu::run_solver<T>(kind, dev, batch, opts, &solution);
+}
+
+/// Solve `batch` functionally with the vector path on/off; false when the
+/// kind rejects the shape.
+template <typename T>
+bool solve_functional(gpu::SolverKind kind, const td::SystemBatch<T>& batch,
+                      bool vector, td::SystemBatch<T>& solution) {
+  (void)solve(kind, batch, gs::InstrumentMode::functional_only, vector,
+              /*guard=*/false, solution);
   return solution.total_rows() == batch.total_rows();
 }
 
 template <typename T>
 void expect_bitwise(const td::SystemBatch<T>& a, const td::SystemBatch<T>& b,
-                    const char* what) {
+                    const std::string& what) {
   ASSERT_EQ(a.total_rows(), b.total_rows()) << what;
   for (std::size_t i = 0; i < a.total_rows(); ++i) {
     T x = a.d()[i], y = b.d()[i];
@@ -57,36 +73,111 @@ void expect_bitwise(const td::SystemBatch<T>& a, const td::SystemBatch<T>& b,
   }
 }
 
+void expect_same_status(const td::BatchStatus& want, const td::BatchStatus& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t m = 0; m < want.size(); ++m) {
+    EXPECT_EQ(want[m].code, got[m].code) << what << " system " << m;
+    EXPECT_EQ(want[m].index, got[m].index) << what << " system " << m;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[m].pivot_growth),
+              std::bit_cast<std::uint64_t>(got[m].pivot_growth))
+        << what << " system " << m;
+  }
+}
+
+/// The kernel guards' per-system statuses of a hybrid-family solve.
+/// run_solver hands out none for functional_only runs (they report
+/// supported == false), so this asks hybrid_solve directly, with the
+/// registry's option mapping.
+td::BatchStatus hybrid_guard_status(gpu::SolverKind kind,
+                                    const td::SystemBatch<double>& batch,
+                                    gs::InstrumentMode mode, bool vector) {
+  gpu::HybridOptions opts;
+  opts.fuse = kind == gpu::SolverKind::hybrid_fused;
+  if (kind == gpu::SolverKind::pthomas_only) opts.force_k = 0;
+  const gs::ScopedInstrumentMode instrument(mode);
+  const gs::ScopedVectorMode vec(vector);
+  auto copy = batch.clone();
+  return gpu::hybrid_solve(gs::gtx480(), copy, opts).status;
+}
+
 }  // namespace
 
 // Every solver kind, both layouts, shapes chosen to stress the lane
 // blocking: odd N, N not divisible by any SIMD width, and M = 1 (a
-// single lane — no cross-system vectorization possible).
+// single lane — no cross-system vectorization possible). At M = 96 the
+// hybrids' PCR and p-Thomas launches already span more than
+// sample_target() blocks; M = 4100 does the same for the k = 0 p-Thomas
+// launches, so sampled runs leave blocks of each unrecorded. Functional
+// runs with the vector path on and off and sampled runs must all match
+// the exact run bitwise. The guarded pass plants a zero pivot and also
+// compares every system's SolveStatus: sampled against exact through
+// run_solver, and for the hybrid family the kernel guards' statuses of
+// functional runs (vector on and off) against exact ones.
 TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
   struct Shape {
     std::size_t m, n;
   };
-  const Shape shapes[] = {{96, 257}, {64, 130}, {1, 301}};
-  for (const auto kind : gpu::all_solver_kinds()) {
-    for (const auto layout :
-         {td::Layout::interleaved, td::Layout::contiguous}) {
-      for (const auto& s : shapes) {
-        const auto batch = wl::make_batch<double>(
-            wl::Kind::random_dominant, s.m, s.n, layout, /*seed=*/7);
-        td::SystemBatch<double> with_vec, without_vec;
-        const bool ok_on =
-            solve_functional(kind, batch, /*vector=*/true, with_vec);
-        const bool ok_off =
-            solve_functional(kind, batch, /*vector=*/false, without_vec);
-        ASSERT_EQ(ok_on, ok_off)
-            << gpu::solver_name(kind) << " applicability changed with --vector";
-        if (!ok_on) continue;  // kind rejects this shape (e.g. in-shared cap)
-        std::string what = std::string(gpu::solver_name(kind)) + " " +
-                           td::layout_name(layout) + " M=" +
-                           std::to_string(s.m) + " N=" + std::to_string(s.n);
-        expect_bitwise(with_vec, without_vec, what.c_str());
+  const Shape shapes[] = {{96, 257}, {64, 130}, {1, 301}, {4100, 33}};
+  std::set<std::string> sampled_launches;  // labels with unrecorded blocks
+  for (const bool guard : {false, true}) {
+    for (const auto kind : gpu::all_solver_kinds()) {
+      for (const auto layout :
+           {td::Layout::interleaved, td::Layout::contiguous}) {
+        for (const auto& s : shapes) {
+          auto batch = wl::make_batch<double>(
+              wl::Kind::random_dominant, s.m, s.n, layout, /*seed=*/7);
+          if (guard) batch.b()[batch.index(s.m / 2, 0)] = 0.0;  // zero pivot
+          td::SystemBatch<double> with_vec, without_vec, exact, sampled;
+          (void)solve(kind, batch, gs::InstrumentMode::functional_only,
+                      /*vector=*/true, guard, with_vec);
+          (void)solve(kind, batch, gs::InstrumentMode::functional_only,
+                      /*vector=*/false, guard, without_vec);
+          const auto ref = solve(kind, batch, gs::InstrumentMode::exact,
+                                 /*vector=*/true, guard, exact);
+          const auto smp = solve(kind, batch, gs::InstrumentMode::sampled,
+                                 /*vector=*/true, guard, sampled);
+          const bool ok_on = with_vec.total_rows() == batch.total_rows();
+          ASSERT_EQ(ok_on, without_vec.total_rows() == batch.total_rows())
+              << gpu::solver_name(kind) << " applicability changed with --vector";
+          if (!ok_on) continue;  // kind rejects this shape (e.g. in-shared cap)
+          const std::string what =
+              std::string(gpu::solver_name(kind)) + " " +
+              td::layout_name(layout) + " M=" + std::to_string(s.m) +
+              " N=" + std::to_string(s.n) + (guard ? " guarded" : "");
+          expect_bitwise(with_vec, without_vec, what);
+          expect_bitwise(exact, with_vec, what + " exact vs functional");
+          expect_bitwise(exact, sampled, what + " exact vs sampled");
+          expect_same_status(ref.status, smp.status, what + " sampled");
+          if (guard && (kind == gpu::SolverKind::hybrid ||
+                        kind == gpu::SolverKind::hybrid_fused ||
+                        kind == gpu::SolverKind::pthomas_only)) {
+            const auto want = hybrid_guard_status(
+                kind, batch, gs::InstrumentMode::exact, /*vector=*/true);
+            ASSERT_EQ(want.size(), batch.num_systems()) << what;
+            EXPECT_FALSE(want[s.m / 2].ok())
+                << what << ": the planted zero pivot went unflagged";
+            for (const bool vector : {true, false}) {
+              expect_same_status(
+                  want,
+                  hybrid_guard_status(kind, batch,
+                                      gs::InstrumentMode::functional_only,
+                                      vector),
+                  what + " functional, vector " + (vector ? "on" : "off"));
+            }
+          }
+          for (const auto& seg : smp.timeline.segments()) {
+            if (seg.stats.instrumented_blocks < seg.stats.config.grid_blocks) {
+              sampled_launches.insert(seg.label);
+            }
+          }
+        }
       }
     }
+  }
+  for (const char* label : {"pcr", "thomas-fwd", "thomas-bwd"}) {
+    EXPECT_EQ(sampled_launches.count(label), 1u)
+        << label << ": no sampled run left a block unrecorded";
   }
 }
 
@@ -106,9 +197,9 @@ TEST(VectorEngine, FloatPathBitIdentical) {
   }
 }
 
-// Guards, hazard detection, and fault injection must each force the
-// scalar twin: the vectorized paths skip per-access bookkeeping, so any
-// observing mode would silently lose its observations.
+// Guards, hazard detection, and fault injection must each keep the
+// grid-wide sweep off: it skips per-access and per-row bookkeeping, so
+// any observing mode would silently lose its observations.
 TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
   const auto dev = gs::gtx480();
   const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 64, 128,
@@ -128,7 +219,7 @@ TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
   }
 
   // Guarded run: pivot guards need the per-row divisor observations, so
-  // every *guarded* sweep (the eliminations) must take the scalar twin.
+  // every *guarded* sweep (the eliminations) must run the kernel bodies.
   // The backward substitution performs no divisions and records nothing a
   // guard could want, so it legitimately stays vectorized — the delta
   // must drop strictly below the unguarded run's.
@@ -139,7 +230,7 @@ TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
     (void)gpu::run_solver<double>(gpu::SolverKind::hybrid, dev, batch, opts,
                                   &solution);
     EXPECT_LT(counter("gpusim.vector.blocks") - before, plain_delta)
-        << "guarded run must drop every guarded sweep to the scalar twin";
+        << "guarded run must drop every guarded sweep to the kernel bodies";
   }
 
   // Hazard detection: needs per-access shared-memory tracking.
