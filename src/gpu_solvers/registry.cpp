@@ -309,6 +309,15 @@ std::vector<std::string> default_fallback_chain(SolverKind entry) {
   return chain;
 }
 
+std::string fallback_chain_error(const std::vector<std::string>& chain) {
+  try {
+    for (const std::string& tok : chain) (void)resolve_stage(tok);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
 tridiag::ResiliencePolicy engine_resilience_policy() {
   tridiag::ResiliencePolicy policy;
   const gpusim::ExecutionEngine& engine = gpusim::ExecutionEngine::instance();

@@ -145,6 +145,13 @@ struct ResilientOutcome {
 /// then pthomas → cpu-thomas → lu (duplicates of the entry elided).
 [[nodiscard]] std::vector<std::string> default_fallback_chain(SolverKind entry);
 
+/// Empty when every token of `chain` names a resilient stage (a solver
+/// token, cpu-thomas or lu); otherwise the message run_solver_resilient
+/// would throw for the first unknown token. Lets long-lived callers
+/// reject a bad chain up front instead of mid-solve.
+[[nodiscard]] std::string fallback_chain_error(
+    const std::vector<std::string>& chain);
+
 /// A ResiliencePolicy seeded from the engine's --deadline-us /
 /// --max-retries CLI defaults (everything else at its default).
 [[nodiscard]] tridiag::ResiliencePolicy engine_resilience_policy();

@@ -109,6 +109,10 @@ SolveService::SolveService(ServiceConfig cfg)
   } else if (!(cfg_.admission.ewma_alpha > 0.0) ||
              cfg_.admission.ewma_alpha > 1.0) {
     config_error_ = "AdmissionConfig.ewma_alpha must be in (0, 1]";
+  } else if (const std::string chain_error =
+                 gpu::fallback_chain_error(cfg_.fallback_chain);
+             !chain_error.empty()) {
+    config_error_ = "ServiceConfig.fallback_chain: " + chain_error;
   }
   shards_.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
@@ -399,24 +403,17 @@ void SolveService::expire_overdue(std::vector<Pending>& backlog,
 }
 
 void SolveService::dispatch(std::vector<Pending> group) {
-  // Bisection halves re-enter here too, so a fault storm that trips the
-  // breaker mid-recovery degrades (or sheds) the remaining halves
-  // instead of hammering a failing engine — bounded work, structured
-  // results either way.
-  switch (breaker_.admit(Clock::now())) {
-    case CircuitBreaker::Gate::pass:
-      dispatch_batch(std::move(group));
-      return;
-    case CircuitBreaker::Gate::degrade:
-      dispatch_degraded(std::move(group));
-      return;
-    case CircuitBreaker::Gate::shed:
-      for (Pending& p : group) shed(p);
-      return;
+  // The breaker gate picks the execute stage. Bisection halves re-enter
+  // here too, so a fault storm that trips the breaker mid-recovery
+  // degrades (or sheds) the remaining halves instead of hammering a
+  // failing engine — bounded work, structured results either way.
+  const CircuitBreaker::Gate gate = breaker_.admit(Clock::now());
+  if (gate == CircuitBreaker::Gate::shed) {
+    for (Pending& p : group) shed(p);
+    return;
   }
-}
+  const bool degraded = gate == CircuitBreaker::Gate::degrade;
 
-void SolveService::dispatch_batch(std::vector<Pending> group) {
   const std::size_t m = group.size();
   const std::size_t n = group.front().req.system.size();
   const std::uint64_t batch_id =
@@ -430,7 +427,10 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
   obs::SpanScope batch_span("service.batch");
   batch_span.attr("n", obs::JsonValue(static_cast<double>(n)));
   batch_span.attr("occupancy", obs::JsonValue(static_cast<double>(m)));
-  batch_span.attr("solver", obs::JsonValue(gpu::solver_name(cfg_.solver)));
+  const char* solver =
+      degraded ? "cpu-thomas" : gpu::solver_name(cfg_.solver);
+  batch_span.attr("solver", obs::JsonValue(solver));
+  if (degraded) batch_span.attr("degraded", obs::JsonValue(true));
 
   const auto admit = Clock::now();
   const tridiag::Layout layout = coalesced_layout(m, n);
@@ -446,17 +446,22 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
     }
   }
 
-  gpu::SolverRunOptions opts;
-  opts.guard = cfg_.guard;
-  opts.fallback = cfg_.fallback;
-  tridiag::SystemBatch<double> solution;  // written only if a solve ran
+  // Either stage hands back the assembled batch (solved d per recovered
+  // system, pristine d otherwise) and one status row with attempts per
+  // member.
+  tridiag::SystemBatch<double> solution;
   tridiag::BatchStatus status;
-  bool solved = false;
   double solve_us = 0.0;
-  bool dispatch_failed = false;
-  tridiag::SolveCode unran_code = tridiag::SolveCode::bad_argument;
-
-  if (cfg_.resilient) {
+  if (degraded) {
+    // Open breaker: the simulated GPU is presumed down, so solve on the
+    // host-Thomas stage — fault-immune, residual-gated, zero simulated
+    // time.
+    solution = batch.clone();
+    status.resize(m);
+    std::vector<std::size_t> all(m);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    tridiag::host_thomas_stage<double>(batch, all, solution, status);
+  } else {
     tridiag::ResiliencePolicy policy = gpu::engine_resilience_policy();
     if (cfg_.max_retries >= 0) policy.max_retries = cfg_.max_retries;
     if (!cfg_.fallback_chain.empty()) {
@@ -473,40 +478,24 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
         policy.deadline_us = remaining;
       }
     }
-    auto res = gpu::run_solver_resilient(cfg_.solver, cfg_.device, batch,
-                                         opts, policy, &solution);
-    // The resilient pipeline always hands out the assembled batch:
-    // solved d for every recovered system, pristine d otherwise.
-    solved = solution.num_systems() == m;
+    auto res = gpu::run_solver_resilient(cfg_.solver, cfg_.device, batch, {},
+                                         policy, &solution);
     solve_us = res.outcome.time_us;
     status = std::move(res.outcome.status);
+    bool launch_failed = false;
     for (const auto& a : res.report.attempts) {
       if (a.reason == tridiag::SolveCode::launch_failed) {
-        dispatch_failed = true;
+        launch_failed = true;
         break;
       }
     }
-  } else {
-    const auto outcome =
-        gpu::run_solver(cfg_.solver, cfg_.device, batch, opts, &solution);
-    // run_solver hands out a solution whenever the solve actually ran —
-    // including functional_only runs that report supported == false for
-    // lack of timing. A pristine (empty) solution batch means the
-    // configuration was rejected or the launch failed before running.
-    solved = solution.num_systems() == m;
-    solve_us = outcome.time_us;
-    status = outcome.status;
-    dispatch_failed = outcome.launch_failed;
-    unran_code = outcome.launch_failed ? tridiag::SolveCode::launch_failed
-                                       : tridiag::SolveCode::bad_argument;
-  }
-  if (dispatch_failed) {
-    breaker_.record_failure(Clock::now());
-  } else {
-    breaker_.record_success();
+    if (launch_failed) {
+      breaker_.record_failure(Clock::now());
+    } else {
+      breaker_.record_success();
+    }
   }
   h_solve_us_.record(solve_us);
-  const bool has_status = status.size() == m;
 
   const auto done = Clock::now();
   // Feed the brownout delay estimate before fulfilling any future, so a
@@ -517,20 +506,15 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
   std::vector<Pending> redisp;  // launch-failed members to bisect
   for (std::size_t j = 0; j < m; ++j) {
     Pending& p = group[j];
-    const tridiag::SolveStatus live =
-        solved && has_status ? status[j] : tridiag::SolveStatus{};
-    const std::uint32_t own_attempts =
-        has_status && status.has_provenance() ? status.attempts(j)
-                                              : std::uint32_t{1};
+    const tridiag::SolveStatus live = status[j];
 
-    if (cfg_.resilient && m > 1 &&
-        live.code == tridiag::SolveCode::launch_failed) {
+    if (m > 1 && live.code == tridiag::SolveCode::launch_failed) {
       // Blast-radius isolation: this member's launches kept failing
       // inside the coalesced batch. Re-dispatch it in bisected halves
       // from its pristine inputs so one poisoned request cannot fail its
       // co-batched riders; a request that still fails alone is
       // quarantined below on its solo pass.
-      p.prior_attempts += own_attempts;
+      p.prior_attempts += status.attempts(j);
       p.prior_solve_us += solve_us;
       p.saw_failure = true;
       redisp.push_back(std::move(p));
@@ -543,25 +527,18 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
     r.solve_us = p.prior_solve_us + solve_us;
     r.queue_us = us_between(p.arrival, admit);
     r.latency_us = us_between(p.arrival, done);
-    r.attempts = p.prior_attempts + own_attempts;
-    if (solved) {
-      const auto x = solution.system(j).d;
-      r.x.resize(n);
-      for (std::size_t i = 0; i < n; ++i) r.x[i] = x[i];
-      if (has_status) {
-        r.code = live.code;
-        r.pivot_growth = live.pivot_growth;
-        const tridiag::SolveCode det = status.detected(j).code;
-        r.recovered = live.code == tridiag::SolveCode::ok &&
-                      (p.saw_failure || tridiag::solve_code_severity(det) >
-                                            tridiag::solve_code_severity(
-                                                live.code));
-      }
-    } else {
-      r.code = unran_code;
-      r.x.assign(p.req.system.d().begin(), p.req.system.d().end());
-    }
-    if (cfg_.resilient && r.code == tridiag::SolveCode::launch_failed) {
+    r.attempts = p.prior_attempts + status.attempts(j);
+    r.code = live.code;
+    r.pivot_growth = live.pivot_growth;
+    r.recovered = live.code == tridiag::SolveCode::ok &&
+                  (p.saw_failure ||
+                   tridiag::solve_code_severity(status.detected(j).code) >
+                       tridiag::solve_code_severity(live.code));
+    r.degraded = degraded;
+    const auto x = solution.system(j).d;
+    r.x.resize(n);
+    for (std::size_t i = 0; i < n; ++i) r.x[i] = x[i];
+    if (r.code == tridiag::SolveCode::launch_failed) {
       // Solo and still failing after every retry and fallback stage:
       // quarantined — pristine inputs go back with the structured code.
       m_quarantined_.add();
@@ -570,6 +547,10 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
     if (r.attempts > 1) {
       m_retried_.add();
       retried_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (degraded) {
+      m_degraded_.add();
+      degraded_.fetch_add(1, std::memory_order_relaxed);
     }
     // In-flight expiry: the answer is delivered but late — upgrade an ok
     // verdict to timed_out; a more severe per-system code is kept.
@@ -619,103 +600,6 @@ void SolveService::dispatch_batch(std::vector<Pending> group) {
     dispatch(std::move(lo));
     if (!hi.empty()) dispatch(std::move(hi));
   }
-}
-
-void SolveService::dispatch_degraded(std::vector<Pending> group) {
-  const std::size_t m = group.size();
-  const std::size_t n = group.front().req.system.size();
-  const std::uint64_t batch_id =
-      batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-  m_batches_.add();
-  if (m == 1) m_solo_batches_.add();
-  h_batch_size_.record(static_cast<double>(m));
-  obs::gauge("service.batch.occupancy", static_cast<double>(m));
-
-  auto& tracer = obs::SpanTracer::instance();
-  obs::SpanScope batch_span("service.batch");
-  batch_span.attr("n", obs::JsonValue(static_cast<double>(n)));
-  batch_span.attr("occupancy", obs::JsonValue(static_cast<double>(m)));
-  batch_span.attr("solver", obs::JsonValue("cpu-thomas"));
-  batch_span.attr("degraded", obs::JsonValue(true));
-
-  const auto admit = Clock::now();
-  const tridiag::Layout layout = coalesced_layout(m, n);
-  tridiag::SystemBatch<double> batch(m, n, layout);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto& sys = group[j].req.system;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t at = batch.index(j, i);
-      batch.a()[at] = sys.a()[i];
-      batch.b()[at] = sys.b()[i];
-      batch.c()[at] = sys.c()[i];
-      batch.d()[at] = sys.d()[i];
-    }
-  }
-
-  // Open breaker: the simulated GPU is presumed down, so solve on the
-  // host-Thomas stage — fault-immune, residual-gated, zero simulated
-  // time — and mark every result degraded.
-  tridiag::SystemBatch<double> dst = batch.clone();
-  tridiag::BatchStatus status(m);
-  std::vector<std::size_t> all(m);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  tridiag::host_thomas_stage<double>(batch, all, dst, status);
-  h_solve_us_.record(0.0);
-
-  const auto done = Clock::now();
-  for (std::size_t j = 0; j < m; ++j) {
-    Pending& p = group[j];
-    SolveResult r;
-    r.batch_id = batch_id;
-    r.batch_size = m;
-    r.solve_us = p.prior_solve_us;  // host stage charges no simulated time
-    r.queue_us = us_between(p.arrival, admit);
-    r.latency_us = us_between(p.arrival, done);
-    r.attempts = p.prior_attempts + status.attempts(j);
-    r.code = status[j].code;
-    r.pivot_growth = status[j].pivot_growth;
-    r.degraded = true;
-    r.recovered = r.code == tridiag::SolveCode::ok && p.saw_failure;
-    const auto x = dst.system(j).d;
-    r.x.resize(n);
-    for (std::size_t i = 0; i < n; ++i) r.x[i] = x[i];
-    if (r.attempts > 1) {
-      m_retried_.add();
-      retried_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (p.has_deadline && done >= p.deadline &&
-        tridiag::solve_code_severity(r.code) <
-            tridiag::solve_code_severity(tridiag::SolveCode::timed_out)) {
-      r.code = tridiag::SolveCode::timed_out;
-    }
-    h_queue_.record(r.queue_us);
-    h_latency_.record(r.latency_us);
-    m_completed_.add();
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    m_degraded_.add();
-    degraded_.fetch_add(1, std::memory_order_relaxed);
-
-    if (tracer.enabled() && batch_span.id() != 0) {
-      obs::Span child;
-      child.id = tracer.reserve_id();
-      child.parent = batch_span.id();
-      child.name = "service.request";
-      child.wall_t0_us = p.wall_submit_us >= 0.0
-                             ? p.wall_submit_us
-                             : tracer.now_wall_us() - r.latency_us;
-      child.wall_t1_us = tracer.now_wall_us();
-      child.sim_t0_us = tracer.sim_now();
-      child.sim_t1_us = tracer.sim_now();
-      child.thread_ordinal = tracer.thread_ordinal();
-      child.attrs.emplace_back("seq",
-                               obs::JsonValue(static_cast<double>(p.seq)));
-      child.attrs.emplace_back("code",
-                               obs::JsonValue(tridiag::solve_code_name(r.code)));
-      tracer.emit(std::move(child));
-    }
-    p.promise.set_value(std::move(r));
-  }
-  admission_.observe_batch_latency(us_between(admit, done));
 }
 
 void SolveService::batcher_main() {

@@ -12,10 +12,13 @@
 //   submit() ──► admission ──► mutex-sharded queues ──► batcher thread
 //     (any thread)  (bounds      (one per shard)      (coalesce + admit)
 //                    + shedding)                             │
-//                                   breaker gate ──► resilient dispatch
-//                                  (open: degrade/shed)  (registry, PlanCache)
+//                                        gather one SystemBatch
+//                                                            │
+//      execute — the breaker gate picks the stage: pass = resilient
+//      solve (registry, PlanCache), degrade = host Thomas, shed = overloaded
 //                                                            │
 //   future<SolveResult> ◄── scatter per-request code/latency/provenance
+//                           (launch-failed members bisect, re-dispatch)
 //
 // Coalescing rules: requests are compatible when they agree on system
 // size N and element size (double today). The batcher opens a batch at
@@ -33,10 +36,10 @@
 // (shard queues plus the batcher's backlog), so it is a hard cap on
 // queue growth, provable via peak_queue_depth().
 //
-// Faults: with cfg.resilient (the default) every batch dispatches
-// through run_solver_resilient — guarded solve, chunked retries from
-// pristine inputs, degradation down the fallback chain, and a simulated
-// budget derived from the earliest member deadline. A batch that stays
+// Faults: every batch the breaker passes dispatches through
+// run_solver_resilient — guarded solve, chunked retries from pristine
+// inputs, degradation down the fallback chain, and a simulated budget
+// derived from the earliest member deadline. A batch that stays
 // launch_failed after that is *bisected*: both halves re-dispatch from
 // pristine inputs so one poisoned request cannot fail its co-batched
 // riders; a request still failing alone is quarantined with its own
@@ -104,11 +107,11 @@ namespace tridsolve::service {
 
 /// Service-wide knobs (fixed at construction). Units are stated per
 /// field; docs/SERVICE.md is the operator reference for tuning them.
-/// Invalid combinations (max_batch == 0, negative batch_window_us) are
-/// rejected structurally: the service constructs into a rejecting state
-/// where every submit() resolves immediately with SolveCode::bad_argument
-/// and config_error() names the offending knob — never silent clamping
-/// of a nonsensical value.
+/// Invalid combinations (max_batch == 0, negative batch_window_us, an
+/// unknown fallback_chain token) are rejected structurally: the service
+/// constructs into a rejecting state where every submit() resolves
+/// immediately with SolveCode::bad_argument and config_error() names the
+/// offending knob — never silent clamping of a nonsensical value.
 struct ServiceConfig {
   /// Coalescing window in wall microseconds, measured from the arrival
   /// of the oldest request in the open batch. Larger windows build
@@ -125,16 +128,6 @@ struct ServiceConfig {
   /// Solver every batch is dispatched through (the registry picks the
   /// plan per coalesced shape via the PlanCache).
   gpu::SolverKind solver = gpu::SolverKind::hybrid;
-  /// Per-system guarding: record a SolveCode per request (pivot guards
-  /// plus the registry's post-hoc scan). Off = every delivered request
-  /// reports ok and the service trusts the kernel blindly. Implied by
-  /// `resilient` (the resilient pipeline always guards).
-  bool guard = true;
-  /// Re-solve flagged systems with pivoting LU from pristine inputs
-  /// before delivering (implies guard). Only consulted on the
-  /// non-resilient dispatch path; the resilient path recovers through
-  /// its fallback chain instead.
-  bool fallback = false;
   /// Start the batcher thread in the constructor. Tests set false and
   /// call start() after staging requests, making admission
   /// deterministic.
@@ -148,17 +141,13 @@ struct ServiceConfig {
   /// Circuit breaker over consecutive dispatch failures (breaker.hpp).
   /// Default threshold 0 = disabled.
   BreakerConfig breaker{};
-  /// Route batches through run_solver_resilient: retries and fallback
-  /// degradation from pristine inputs, budget from the earliest member
-  /// deadline, launch-failure bisection. false = the plain run_solver
-  /// dispatch (one shot, shared-fate on launch failure).
-  bool resilient = true;
   /// Re-dispatches per resilient stage; -1 = the engine's --max-retries
   /// default. Tests pin 0 to make single-dispatch failures deterministic.
   int max_retries = -1;
   /// Resilient fallback-stage names after the entry solver; empty = the
   /// registry default (pthomas → cpu-thomas → lu). Pass the entry
-  /// solver's own token to disable fallbacks entirely.
+  /// solver's own token to disable fallbacks entirely. An unknown token
+  /// is rejected at construction (bad_argument).
   std::vector<std::string> fallback_chain{};
 };
 
@@ -266,12 +255,11 @@ class SolveService {
   void drain_shards(std::vector<Pending>& backlog);
   void expire_overdue(std::vector<Pending>& backlog,
                       std::chrono::steady_clock::time_point now);
-  /// Breaker gate, then the configured dispatch path. Bisection halves
-  /// re-enter here, so an ongoing fault storm trips the breaker
-  /// mid-recovery instead of hammering a failing engine.
+  /// One pipeline per batch: gather, the execute stage the breaker gate
+  /// picks, scatter. Bisection halves re-enter here, so an ongoing fault
+  /// storm trips the breaker mid-recovery instead of hammering a failing
+  /// engine.
   void dispatch(std::vector<Pending> group);
-  void dispatch_batch(std::vector<Pending> group);
-  void dispatch_degraded(std::vector<Pending> group);
   void fulfill_unran(Pending& p, tridiag::SolveCode code);
   void shed(Pending& p);
   /// Evict the lowest-priority queued request strictly below

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "gpusim/fault_injector.hpp"
 #include "service/solve_service.hpp"
 #include "tridiag/batch_status.hpp"
+#include "tridiag/thomas.hpp"
 #include "workloads/traffic.hpp"
 
 using namespace tridsolve;
@@ -97,6 +99,18 @@ TEST(ServiceValidation, NegativeWindowAndBadAlphaReject) {
   bad_alpha.admission.ewma_alpha = 0.0;
   service::SolveService svc2(bad_alpha);
   EXPECT_FALSE(svc2.config_error().empty());
+
+  // An unknown stage token must reject at construction, not throw out of
+  // the batcher (live) or out of shutdown() (paused) on the first solve.
+  service::ServiceConfig bad_chain;
+  bad_chain.fallback_chain = {"pthomas", "warp-shuffle-9000"};
+  service::SolveService svc3(bad_chain);
+  EXPECT_NE(svc3.config_error().find("\"warp-shuffle-9000\""),
+            std::string::npos)
+      << svc3.config_error();
+  EXPECT_EQ(svc3.submit(request_for(make_system(16, 5))).get().code,
+            tridiag::SolveCode::bad_argument);
+  svc3.shutdown();
 }
 
 TEST(ServiceValidation, ZeroShardsClampsAndServes) {
@@ -388,6 +402,61 @@ TEST(ServiceBreaker, OpenBreakerDegradesToHostThomas) {
   EXPECT_TRUE(r.degraded) << "open breaker solves on the host, marked so";
   EXPECT_EQ(svc.requests_degraded(), 1u);
   svc.shutdown();
+}
+
+// A coalesced batch under an open breaker: the N=64 solo trips the
+// breaker and is quarantined; the three N=32 riders then share one
+// host-Thomas batch, each bitwise equal to a guarded Thomas solve.
+TEST(ServiceBreaker, OpenBreakerDegradesCoalescedBatchBitwise) {
+  service::ServiceConfig cfg = entry_only_config();
+  cfg.breaker.threshold = 1;
+  cfg.breaker.cooldown_us = 60e6;
+  service::SolveService svc(cfg);
+
+  auto f_trip = svc.submit(request_for(make_system(64, 371)));
+  std::vector<tridiag::TridiagSystem<double>> systems;
+  std::vector<std::future<service::SolveResult>> futures;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    systems.push_back(make_system(32, 372 + i));
+    futures.push_back(svc.submit(request_for(systems.back())));
+  }
+  {
+    gpusim::ScopedFaultPlan scoped(launch_storm());
+    svc.shutdown();
+  }
+  const auto trip = f_trip.get();
+  EXPECT_EQ(trip.code, tridiag::SolveCode::launch_failed);
+  EXPECT_EQ(trip.batch_size, 1u);
+  EXPECT_EQ(svc.requests_quarantined(), 1u);
+  EXPECT_EQ(svc.breaker().state(), service::BreakerState::open);
+
+  std::uint64_t batch_id = 0;
+  for (std::size_t j = 0; j < futures.size(); ++j) {
+    const auto r = futures[j].get();
+    EXPECT_EQ(r.code, tridiag::SolveCode::ok) << "request " << j;
+    EXPECT_TRUE(r.degraded);
+    EXPECT_FALSE(r.recovered);
+    EXPECT_EQ(r.attempts, 1u);
+    EXPECT_EQ(r.solve_us, 0.0) << "the host stage charges no simulated time";
+    EXPECT_EQ(r.batch_size, 3u);
+    if (j == 0) batch_id = r.batch_id;
+    EXPECT_EQ(r.batch_id, batch_id) << "the riders must share one batch";
+
+    auto sys = systems[j].clone();
+    const std::size_t n = sys.size();
+    std::vector<double> x(n), cprime(n);
+    tridiag::SolveStatus guard{};
+    ASSERT_TRUE(tridiag::thomas_solve<double>(
+                    sys.ref(), tridiag::StridedView<double>(x.data(), n, 1),
+                    cprime, &guard)
+                    .ok());
+    ASSERT_EQ(r.x.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(r.x[i], x[i]) << "request " << j << " row " << i;
+    }
+  }
+  EXPECT_NE(batch_id, trip.batch_id);
+  EXPECT_EQ(svc.requests_degraded(), 3u);
 }
 
 // Shutdown with the breaker open in shed mode: the staged batch fails,
