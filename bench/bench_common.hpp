@@ -279,8 +279,6 @@ class Telemetry {
     // Guarded-solve taxonomy (all zero on healthy inputs; flagged > 0
     // means the pivot guard fired — see README troubleshooting).
     extra["guard_flagged"] = report.flagged;
-    extra["guard_fallback"] = report.fallback_solves;
-    extra["guard_refined"] = report.refine_steps;
     record(dev, solver, m, n, report.timeline, std::move(extra));
   }
 

@@ -96,7 +96,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
     const std::size_t threads = gpusim::ExecutionEngine::instance().threads();
 
     gpu::HybridOptions opts;
-    opts.guard.detect = guard;
+    opts.guard = guard;
     const double blocks_before = registry.counter("gpusim.blocks");
     std::size_t calls = 0;
     gpu::HybridReport report;

@@ -9,10 +9,8 @@
 //   --metrics-json out.json dumps the process metrics registry
 //   --break-row R          zeroes diagonal entry R: pivot-free solvers
 //                          break down, the guard flags the system and the
-//                          LU fallback recovers it (DESIGN.md "Guarded
-//                          solve path")
-//   --refine               adds residual-gated iterative refinement after
-//                          the LU fallback
+//                          resilient pipeline's fallback chain recovers it
+//                          (DESIGN.md "Guarded solve path")
 //   --check-hazards        runs the simulated kernels under the shared-
 //                          memory hazard detector (detect|fatal) and
 //                          prints the findings (expected: none)
@@ -57,14 +55,13 @@ using namespace tridsolve;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv,
                       util::with_obs_flags(
-                          {"n", "trace", "break-row", "refine", "force-k"}));
+                          {"n", "trace", "break-row", "force-k"}));
   // --sim-threads / --instrument / --check-hazards
   gpusim::configure_engine_from_cli(cli);
   // --plan-file / --autotune
   gpu::configure_plan_cache_from_cli(cli);
   const std::size_t n = static_cast<std::size_t>(cli.get_int("n", 1000));
   const long break_row = cli.get_int("break-row", -1);
-  const bool refine = cli.get_bool("refine", false);
   const int force_k = static_cast<int>(cli.get_int("force-k", -1));
 
   // A diagonally dominant random system A x = d.
@@ -117,13 +114,13 @@ int main(int argc, char** argv) {
     }
   }
   const auto dev = gpusim::gtx480();
-  // Fault injection or an explicit deadline/retry budget switches the
-  // solve onto the resilient pipeline (DESIGN.md "Fault injection &
-  // resilience"): retries, fallback chain, partial results — never a
-  // crash on an injected fault.
+  // Fault injection, a broken row or an explicit deadline/retry budget
+  // switches the solve onto the resilient pipeline (DESIGN.md "Fault
+  // injection & resilience"): retries, fallback chain, partial results —
+  // never a crash on an injected fault, never a silently broken system.
   const bool resilient_mode =
       gpusim::ExecutionEngine::instance().fault_plan().active() ||
-      cli.has("deadline-us") || cli.has("max-retries");
+      break_row >= 0 || cli.has("deadline-us") || cli.has("max-retries");
   gpu::HybridReport report;
   gpu::ResilientOutcome resil;
   if (resilient_mode) {
@@ -136,12 +133,8 @@ int main(int argc, char** argv) {
         gpu::engine_resilience_policy(), &solved);
     batch = std::move(solved);  // recovered solutions (or pristine d)
   } else {
-    gpu::HybridOptions hopts;
+    gpu::HybridOptions hopts;  // guard detection is on by default (free)
     hopts.force_k = force_k;
-    // Guard detection is always on (it is free); recovery is armed when a
-    // breakdown is being demonstrated or refinement was requested.
-    hopts.guard.fallback = break_row >= 0 || refine;
-    hopts.guard.refine = refine;
     try {
       report = gpu::hybrid_solve(dev, batch, hopts);
     } catch (const std::invalid_argument& e) {
@@ -186,12 +179,13 @@ int main(int argc, char** argv) {
                 out.faults.nan_writes, out.faults.launch_failures,
                 out.faults.timeouts);
   }
-  if (!resilient_mode && report.flagged > 0) {
-    std::printf("Guard       : %zu system(s) flagged (%s at row %zu, growth "
-                "%.2e), %zu LU fallback solve(s), %zu refinement step(s)\n",
-                report.flagged, tridiag::solve_code_name(report.status[0].code),
-                report.status[0].index, report.status[0].pivot_growth,
-                report.fallback_solves, report.refine_steps);
+  // The guard's detection record: on the resilient path it keeps the worst
+  // code any attempt reported, even after a later stage recovered.
+  const auto& guard = resilient_mode ? resil.outcome.status : report.status;
+  if (!guard.empty() && !guard.detected(0).ok()) {
+    const tridiag::SolveStatus& det = guard.detected(0);
+    std::printf("Guard       : %s at row %zu (growth %.2e)\n",
+                tridiag::solve_code_name(det.code), det.index, det.pivot_growth);
   }
   if (!resilient_mode && report.timeline.timed()) {
     std::printf("Hybrid (sim): relative residual %.3e, k=%u, %zu reduced "
@@ -281,8 +275,6 @@ int main(int argc, char** argv) {
       rec["time_us"] = report.total_us();
       rec["k"] = static_cast<double>(report.k);
       rec["guard_flagged"] = static_cast<double>(report.flagged);
-      rec["guard_fallback"] = static_cast<double>(report.fallback_solves);
-      rec["guard_refined"] = static_cast<double>(report.refine_steps);
     }
     sink.write(rec);
   }

@@ -8,7 +8,6 @@
 #include "gpu_solvers/pthomas_kernel.hpp"
 #include "gpu_solvers/transition.hpp"
 #include "obs/metrics.hpp"
-#include "tridiag/lu_pivot.hpp"
 #include "tridiag/pcr.hpp"
 
 namespace tridsolve::gpu {
@@ -135,10 +134,6 @@ struct HybridMetrics {
       obs::counter_handle("hybrid.variant.pthomas_only");
   obs::MetricsRegistry::Counter guard_flagged =
       obs::counter_handle("solver.guard.flagged");
-  obs::MetricsRegistry::Counter guard_fallback =
-      obs::counter_handle("solver.guard.fallback");
-  obs::MetricsRegistry::Counter guard_refined =
-      obs::counter_handle("solver.guard.refined");
 
   [[nodiscard]] obs::MetricsRegistry::Counter& variant(WindowVariant v) {
     switch (v) {
@@ -179,7 +174,7 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
 
   // --- 1. plan (transition point, variant, geometry) — cache-mediated ------
   // A forced k out of range for (N, device) makes plan_hybrid throw
-  // std::invalid_argument here, before any guard snapshot or launch.
+  // std::invalid_argument here, before any launch.
   const PlanKey plan_key = make_plan_key(dev, m_count, n, sizeof(T), opts);
   const PlanCache::Result planned =
       PlanCache::instance().plan(plan_key, [&]() -> SolvePlan {
@@ -209,11 +204,8 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   // per-solve truth is HybridReport / the plan_* JSONL block.
   obs::gauge("transition.k", k);
 
-  const GuardPolicy& guard = opts.guard;
-  if (guard.detect) report.status.resize(m_count);
-  // LU fallback needs the untouched inputs; the solve below consumes them.
-  std::optional<tridiag::SystemBatch<T>> pristine;
-  if (guard.detect && guard.fallback) pristine.emplace(batch.clone());
+  const bool guard = opts.guard;
+  if (guard) report.status.resize(m_count);
 
   // --- 2. tiled PCR ---------------------------------------------------------
   std::optional<tridiag::SystemBatch<T>> scratch;  // split-system double buffer
@@ -253,11 +245,10 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
       }
     }
 
-    std::vector<tridiag::SolveStatus> window_guard(
-        guard.detect ? work.size() : 0);
+    std::vector<tridiag::SolveStatus> window_guard(guard ? work.size() : 0);
     const auto pcr_stats = tiled_pcr_kernel<T>(
         dev, work, cfg, std::span<tridiag::SolveStatus>(window_guard));
-    if (guard.detect) {
+    if (guard) {
       // Window slots are written in per-block private ranges; merging here
       // in window order keeps the per-system result deterministic.
       for (std::size_t w = 0; w < work.size(); ++w) {
@@ -306,38 +297,24 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
                                          opts.pthomas_block_threads);
     report.timeline.add("thomas-bwd", bwd);
   } else {
-    std::vector<tridiag::SolveStatus> sys_guard(guard.detect ? systems.size()
-                                                             : 0);
+    std::vector<tridiag::SolveStatus> sys_guard(guard ? systems.size() : 0);
     const auto th =
         pthomas_solve<T>(dev, systems, xout, opts.pthomas_block_threads,
                          std::span<tridiag::SolveStatus>(sys_guard));
     report.timeline.add("thomas-fwd", th.forward);
     report.timeline.add("thomas-bwd", th.backward);
-    if (guard.detect) {
+    if (guard) {
       for (std::size_t v = 0; v < systems.size(); ++v) {
         report.status.absorb(owners[v], sys_guard[v]);
       }
     }
   }
 
-  // --- 4. guard policy: growth limit, taxonomy, recovery --------------------
-  if (guard.detect) {
-    report.status.apply_growth_limit(
-        guard.growth_limit > 0.0 ? guard.growth_limit
-                                 : tridiag::default_growth_limit<T>());
+  // --- 4. guard: growth limit and taxonomy --------------------------------
+  if (guard) {
+    report.status.apply_growth_limit(tridiag::default_growth_limit<T>());
     report.flagged = report.status.flagged_count();
     metrics.guard_flagged.add(static_cast<double>(report.flagged));
-    if (guard.fallback && report.flagged > 0) {
-      tridiag::RecoverOptions ropts;
-      ropts.refine = guard.refine;
-      ropts.refine_gate = guard.refine_gate;
-      const auto rstats =
-          tridiag::lu_recover_flagged(*pristine, batch, report.status, ropts);
-      report.fallback_solves = rstats.fallback_solves;
-      report.refine_steps = rstats.refine_steps;
-      metrics.guard_fallback.add(static_cast<double>(rstats.fallback_solves));
-      metrics.guard_refined.add(static_cast<double>(rstats.refine_steps));
-    }
   }
 
   // Split-system scratch: x was routed to batch.d via xout; nothing to copy.

@@ -56,22 +56,6 @@ enum class PlanSource : std::uint8_t {
 /// "calibrated", "autotuned").
 [[nodiscard]] const char* plan_source_name(PlanSource s) noexcept;
 
-/// Guarded-solve policy (see DESIGN.md "Guarded solve path").
-///
-/// Detection piggybacks on the kernels' own elimination values: it records
-/// no simulated costs and changes no arithmetic, so the default policy
-/// (detect only) keeps outputs bit-identical and timing unchanged versus
-/// a guard-free build. Fallback and refinement are opt-in because they do
-/// real extra work (an upfront batch snapshot plus LU solves of flagged
-/// systems) on the host.
-struct GuardPolicy {
-  bool detect = true;    ///< collect per-system SolveStatus (read-only)
-  bool fallback = false; ///< re-solve flagged systems with pivoting LU
-  bool refine = false;   ///< residual-gated iterative refinement after LU
-  double growth_limit = 0.0;  ///< flag ok-but-wild growth; 0 = 1/sqrt(eps_T)
-  double refine_gate = 0.0;   ///< rel-residual trigger; 0 = sqrt(eps_T)
-};
-
 struct HybridOptions {
   int force_k = -1;             ///< >= 0 overrides the heuristic
   bool use_cost_model = false;  ///< Table II model instead of Table III
@@ -81,7 +65,12 @@ struct HybridOptions {
   std::size_t systems_per_block = 0;  ///< 0 = auto (multi_system only)
   bool fuse = false;                  ///< fuse Thomas forward into PCR kernel
   int pthomas_block_threads = 128;
-  GuardPolicy guard;                  ///< pivot guard / recovery policy
+  /// Pivot guard (see DESIGN.md "Guarded solve path"): collect a
+  /// per-system SolveStatus from the kernels' own elimination values.
+  /// Read-only — it records no simulated cost and changes no arithmetic,
+  /// so guarded runs are bit-identical to unguarded ones. Flagged systems
+  /// are recovered by the registry's run_solver_resilient, not here.
+  bool guard = true;
 };
 
 struct HybridReport {
@@ -102,13 +91,9 @@ struct HybridReport {
   std::size_t redundant_loads = 0;   ///< halo loads (split_system only)
   std::size_t pcr_shared_bytes = 0;  ///< window footprint per block
 
-  /// Per-system guard outcome (empty when guard.detect is off). Codes are
-  /// the detection record: a flagged system keeps its code even after a
-  /// successful LU fallback replaced its solution.
+  /// Per-system guard outcome (empty when guard is off).
   tridiag::BatchStatus status;
-  std::size_t flagged = 0;          ///< systems with a non-ok status
-  std::size_t fallback_solves = 0;  ///< flagged systems LU re-solved
-  std::size_t refine_steps = 0;     ///< refinement iterations performed
+  std::size_t flagged = 0;  ///< systems with a non-ok status
 
   /// Throws std::logic_error when the solve ran functional_only (no
   /// recorded costs, hence no meaningful timing) — see Timeline.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -20,7 +18,6 @@
 #include "gpu_solvers/zhang_pcr_thomas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
-#include "tridiag/lu_pivot.hpp"
 #include "tridiag/residual.hpp"
 
 namespace tridsolve::gpu {
@@ -56,35 +53,18 @@ void require_timed(const gpusim::LaunchStats& stats) {
   }
 }
 
-/// Post-hoc guard over a solved batch: flags systems whose solution holds
-/// non-finite entries (zero_pivot at the first bad row) or fails a
-/// relative-residual gate against the pristine inputs (near_singular).
-/// This is solver-agnostic — it catches breakdowns even in kernels that
-/// have no built-in pivot guard (Zhang, CR, Davidson, partition).
+/// Post-hoc guard over a solved batch: every system's solution goes
+/// through tridiag::gate_solution against the pristine inputs. This is
+/// solver-agnostic — it catches breakdowns even in kernels that have no
+/// built-in pivot guard (Zhang, CR, Davidson, partition).
 template <typename T>
 void posthoc_scan(const tridiag::SystemBatch<T>& pristine,
                   const tridiag::SystemBatch<T>& solved,
                   tridiag::BatchStatus& status) {
-  const double gate =
-      std::sqrt(static_cast<double>(std::numeric_limits<T>::epsilon()));
-  const std::size_t n = pristine.system_size();
   for (std::size_t m = 0; m < pristine.num_systems(); ++m) {
-    const tridiag::StridedView<const T> x = solved.system(m).d;
-    bool bad = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(static_cast<double>(x[i]))) {
-        status.absorb(m, {tridiag::SolveCode::zero_pivot, i});
-        bad = true;
-        break;
-      }
-    }
-    if (bad) continue;
-    const double rel = tridiag::relative_residual(pristine.system(m), x);
-    // NaN compares false against the gate both ways; !(rel <= gate) flags
-    // it (a residual that cannot be evaluated is not a clean solve).
-    if (!(rel <= gate)) {
-      status.absorb(m, {tridiag::SolveCode::near_singular, 0});
-    }
+    const tridiag::SolveStatus gated =
+        tridiag::gate_solution(pristine.system(m), solved.system(m).d);
+    if (!gated.ok()) status.absorb(m, gated);
   }
 }
 
@@ -103,18 +83,14 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
                         const SolverRunOptions& run_opts,
                         tridiag::SystemBatch<T>* solution) {
   SolveOutcome out;
-  const bool fallback = run_opts.fallback || run_opts.refine;
-  const bool guarding = run_opts.guard || fallback;
-  // The solve itself completed (outputs in `copy` are valid) even if the
-  // outcome is later demoted to supported == false — which is exactly
-  // what functional_only does when the untimed timeline refuses to
-  // report time_us. Solutions are handed out in either case.
-  bool solved = false;
   auto copy = batch.clone();
   std::optional<gpusim::ScopedInstrumentMode> instrument_guard;
   if (run_opts.instrument) instrument_guard.emplace(*run_opts.instrument);
   std::optional<gpusim::ScopedHazardMode> hazard_guard;
   if (run_opts.hazards) hazard_guard.emplace(*run_opts.hazards);
+  // Each case marks the run solved and fills everything but time_us
+  // first: reading time_us throws for a functional_only run, which stays
+  // solved (statuses, faults and solution handed out) but unsupported.
   try {
     switch (kind) {
       case SolverKind::hybrid:
@@ -127,12 +103,10 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
         }
         if (kind == SolverKind::pthomas_only) opts.force_k = 0;
         // The hybrid's in-kernel guard supplies exact rows and pivot
-        // growth; recovery stays here so all kinds share one LU path.
-        opts.guard.detect = guarding;
+        // growth; the post-hoc scan below covers every kind.
+        opts.guard = run_opts.guard;
         const auto rep = hybrid_solve(dev, copy, opts);
-        solved = true;
-        out.supported = true;
-        out.time_us = rep.total_us();
+        out.solved = true;
         out.launches = rep.timeline.segments().size();
         out.detail = "k=" + std::to_string(rep.k);
         out.status = rep.status;
@@ -141,6 +115,8 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
         out.plan_cached = rep.plan_cached;
         out.faults = timeline_faults(rep.timeline);
         out.timeline = rep.timeline;
+        out.time_us = rep.total_us();
+        out.supported = true;
         break;
       }
       case SolverKind::zhang: {
@@ -149,13 +125,13 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
           return out;
         }
         const auto stats = zhang_solve(dev, copy);
-        solved = true;
-        require_timed(stats);
-        out.supported = true;
-        out.time_us = stats.timing.time_us;
+        out.solved = true;
         out.launches = 1;
         out.faults = stats.faults;
         out.timeline.add("zhang", stats);
+        require_timed(stats);
+        out.time_us = stats.timing.time_us;
+        out.supported = true;
         break;
       }
       case SolverKind::cr: {
@@ -164,34 +140,34 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
           return out;
         }
         const auto stats = cr_kernel_solve(dev, copy);
-        solved = true;
-        require_timed(stats);
-        out.supported = true;
-        out.time_us = stats.timing.time_us;
+        out.solved = true;
         out.launches = 1;
         out.faults = stats.faults;
         out.timeline.add("cr", stats);
+        require_timed(stats);
+        out.time_us = stats.timing.time_us;
+        out.supported = true;
         break;
       }
       case SolverKind::davidson: {
         const auto rep = davidson_solve(dev, copy);
-        solved = true;
-        out.supported = true;
-        out.time_us = rep.total_us();
+        out.solved = true;
         out.launches = rep.timeline.segments().size();
         out.detail = std::to_string(rep.global_steps) + " global steps";
         out.faults = timeline_faults(rep.timeline);
         out.timeline = rep.timeline;
+        out.time_us = rep.total_us();
+        out.supported = true;
         break;
       }
       case SolverKind::partition: {
         const auto rep = partition_solve_gpu(dev, copy, {});
-        solved = true;
-        out.supported = true;
-        out.time_us = rep.total_us();
+        out.solved = true;
         out.launches = rep.timeline.segments().size();
         out.faults = timeline_faults(rep.timeline);
         out.timeline = rep.timeline;
+        out.time_us = rep.total_us();
+        out.supported = true;
         break;
       }
     }
@@ -213,11 +189,8 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
     out.detail = e.what();
   }
 
-  if (out.supported && guarding) {
+  if (out.solved && run_opts.guard) {
     static const auto flagged_ctr = obs::counter_handle("solver.guard.flagged");
-    static const auto fallback_ctr =
-        obs::counter_handle("solver.guard.fallback");
-    static const auto refined_ctr = obs::counter_handle("solver.guard.refined");
     static const auto guard_hist =
         obs::histogram_handle("solver.guard.wall_us");
     const auto guard_t0 = std::chrono::steady_clock::now();
@@ -233,24 +206,12 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
     posthoc_scan(batch, copy, out.status);
     out.flagged = out.status.flagged_count();
     flagged_ctr.add(static_cast<double>(out.flagged - kernel_flagged));
-    if (fallback && out.flagged > 0) {
-      tridiag::RecoverOptions ropts;
-      ropts.refine = run_opts.refine;
-      const auto rstats =
-          tridiag::lu_recover_flagged(batch, copy, out.status, ropts);
-      out.fallback_solves = rstats.fallback_solves;
-      out.refine_steps = rstats.refine_steps;
-      fallback_ctr.add(static_cast<double>(rstats.fallback_solves));
-      refined_ctr.add(static_cast<double>(rstats.refine_steps));
-    }
     guard_hist.record(std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - guard_t0)
                           .count());
   }
 
-  if ((out.supported || solved) && solution != nullptr) {
-    *solution = std::move(copy);
-  }
+  if (out.solved && solution != nullptr) *solution = std::move(copy);
   return out;
 }
 
@@ -376,9 +337,7 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
   }
 
   SolverRunOptions sub_opts = run_opts;
-  sub_opts.guard = true;  // recovery is the resilient pipeline's job
-  sub_opts.fallback = false;
-  sub_opts.refine = false;
+  sub_opts.guard = true;  // detection feeds the retry/fallback decisions
 
   int force_k = run_opts.force_k;
   const std::size_t chunk_cap = std::max<std::size_t>(1, policy.retry_chunk);
@@ -510,10 +469,10 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
         ar.time_us = so.time_us;
         if (so.launch_failed) {
           ar.reason = tridiag::SolveCode::launch_failed;
-        } else if (!so.supported) {
-          // Configuration rejected (size cap, functional_only, bad
-          // caller options, ...): retrying the identical dispatch cannot
-          // succeed — degrade.
+        } else if (!so.solved) {
+          // Configuration rejected (size cap, bad caller options, fatal
+          // hazard, ...): retrying the identical dispatch cannot succeed
+          // — degrade. A functional_only run is solved, so it is kept.
           ar.reason = so.bad_argument ? tridiag::SolveCode::bad_argument
                                       : tridiag::SolveCode::bad_size;
           rejected = true;

@@ -33,36 +33,37 @@ enum class SolverKind {
 /// Outcome of running one solver on one batch.
 struct SolveOutcome {
   bool supported = false;     ///< false: configuration rejected (with why)
+  /// The solver ran to completion: statuses, faults and the timeline are
+  /// filled and the solution is handed out. A functional_only run is
+  /// solved but not supported (its untimed timeline has no time_us).
+  bool solved = false;
   double time_us = 0.0;       ///< simulated execution time
   std::size_t launches = 0;   ///< kernel launches performed
   std::string detail;         ///< rejection reason or extra info
 
   /// Per-phase launch breakdown of the run (labels like "pcr",
   /// "thomas-fwd"; single-launch solvers report one segment named after
-  /// the solver token). Empty when supported == false. This is what the
+  /// the solver token). Empty unless solved. This is what the
   /// roofline profiler (obs::attribute_timeline / bench_profile)
   /// attributes phase by phase.
   gpusim::Timeline timeline;
 
   /// Per-system guard outcome, sized num_systems when guarding was
-  /// requested (empty otherwise). Codes are the detection record: a
-  /// flagged system keeps its code even after LU fallback replaced its
-  /// solution with a good one.
+  /// requested (empty otherwise). A flagged system's solution is left as
+  /// the solver produced it; run_solver_resilient is what recovers it.
   tridiag::BatchStatus status;
-  std::size_t flagged = 0;          ///< systems with a non-ok status
-  std::size_t fallback_solves = 0;  ///< flagged systems LU re-solved
-  std::size_t refine_steps = 0;     ///< refinement iterations performed
+  std::size_t flagged = 0;  ///< systems with a non-ok status
 
   /// Injected-fault tallies summed over every launch of the run (all
   /// zero without an active FaultPlan). `faults.timeouts > 0` means the
   /// run overran its per-block budget — time_us includes the stall and
   /// the resilient pipeline treats the results as suspect.
   gpusim::FaultCounts faults;
-  /// True when supported == false because a kernel launch itself failed
+  /// True when solved == false because a kernel launch itself failed
   /// (injected LaunchFailure) — a *retryable* condition, unlike a
   /// configuration rejection.
   bool launch_failed = false;
-  /// True when supported == false because the caller's options were
+  /// True when solved == false because the caller's options were
   /// invalid for the shape (e.g. a forced 2^k > N) — a structured
   /// bad-argument rejection, never retryable.
   bool bad_argument = false;
@@ -80,7 +81,8 @@ struct SolveOutcome {
 /// Per-run knobs threaded through the registry into the launch engine.
 struct SolverRunOptions {
   /// Instrumentation mode for every launch of the run; empty = engine
-  /// default. functional_only runs report supported = false (no timing).
+  /// default. functional_only runs report solved but not supported (no
+  /// timing).
   std::optional<gpusim::InstrumentMode> instrument{};
   /// Shared-memory hazard detection for every launch of the run; empty =
   /// engine default (off unless --check-hazards). Detection is read-only:
@@ -91,14 +93,9 @@ struct SolverRunOptions {
   /// Collect a per-system SolveStatus: hybrid-family kernels report their
   /// own pivot guards; every solver additionally gets a post-hoc scan
   /// (non-finite solution entries, then a relative-residual gate) so even
-  /// guard-less kernels cannot return silent garbage.
+  /// guard-less kernels cannot return silent garbage. Detection only:
+  /// recovery is run_solver_resilient's job.
   bool guard = false;
-  /// Re-solve flagged systems with partial-pivoting LU from the pristine
-  /// input (implies guard).
-  bool fallback = false;
-  /// Residual-gated iterative refinement after the LU fallback (implies
-  /// fallback).
-  bool refine = false;
   /// Force the hybrid family's PCR step count (ignored by other kinds
   /// and by pthomas_only, which is k = 0 by definition). The resilient
   /// pipeline uses this to make sub-batch retries bit-identical to the
@@ -112,10 +109,11 @@ struct SolverRunOptions {
 /// Run `kind` over a fresh copy of `batch` (the input is not modified).
 /// Unsupported configurations return supported = false instead of
 /// throwing, so sweeps can tabulate applicability. When `solution` is
-/// non-null it receives the solved copy (solution in d), letting callers
-/// compare solver outputs without re-running; functional_only runs —
-/// supported == false only because no timing exists — still hand out
-/// their solution (tests/test_vector_engine.cpp sweeps outputs this way).
+/// non-null it receives the solved copy (solution in d) whenever
+/// `solved` is set, letting callers compare solver outputs without
+/// re-running; functional_only runs — supported == false only because no
+/// timing exists — still hand out their solution
+/// (tests/test_vector_engine.cpp sweeps outputs this way).
 template <typename T>
 SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
                         const tridiag::SystemBatch<T>& batch,

@@ -509,13 +509,20 @@ LaunchOutcome execute_grid(const LaunchRequest& req) {
   }
   im.job = nullptr;
   im.plan = nullptr;
-  // Per-launch LanePool bookkeeping: sum each participant's growth /
-  // warm-serve tallies into gpusim.scratch.{acquires,reuses}. Counter
-  // sums are order-independent, so the totals are worker-count invariant.
+  // Per-launch LanePool bookkeeping: grow every participant's pool to the
+  // launch's largest per-block demand (a worker that ran no block, or a
+  // spilling one, is warm for the next launch however blocks get
+  // scheduled), then sum growth / warm-serve tallies into
+  // gpusim.scratch.{acquires,reuses}.
   {
+    std::size_t peak = 0;
+    for (std::size_t i = 0; i < im.participants; ++i) {
+      peak = std::max(peak, im.scratch[i]->lanes.block_peak());
+    }
     std::size_t acquires = 0;
     std::size_t reuses = 0;
     for (std::size_t i = 0; i < im.participants; ++i) {
+      im.scratch[i]->lanes.reserve(peak);
       im.scratch[i]->lanes.drain(acquires, reuses);
     }
     note_scratch(acquires, reuses);

@@ -30,7 +30,10 @@
 // allocator backing the kernels' per-block lane carries (c', d', x_next,
 // PCR window state). Capacity only grows, so steady-state blocks perform
 // zero heap allocations; growth vs warm-serve tallies feed the
-// gpusim.scratch.{acquires,reuses} metrics.
+// gpusim.scratch.{acquires,reuses} metrics. After every launch the engine
+// grows each participant's pool to the launch's largest per-block demand,
+// so which worker happened to run which block never decides when a pool
+// grows.
 
 #include <algorithm>
 #include <cstddef>
@@ -195,16 +198,24 @@ class LanePool {
   /// Reset for a new block. If the previous block overflowed into spill
   /// chunks, consolidate capacity first so this block runs warm.
   void begin_block() {
-    if (total_needed_ > cap_) {
-      buf_ = std::make_unique<std::byte[]>(total_needed_ + kCacheLine);
-      base_ = aligned_base(buf_.get());
-      cap_ = total_needed_;
-      ++acquires_;
-    }
+    reserve(total_needed_);
     spill_.clear();
     cursor_ = 0;
     total_needed_ = 0;
   }
+
+  /// Grow the warm buffer to at least `bytes` (between blocks only: it
+  /// may move the buffer). Growth counts as an acquire.
+  void reserve(std::size_t bytes) {
+    if (bytes <= cap_) return;
+    buf_ = std::make_unique<std::byte[]>(bytes + kCacheLine);
+    base_ = aligned_base(buf_.get());
+    cap_ = bytes;
+    ++acquires_;
+  }
+
+  /// Largest single-block demand (bytes) since the last drain.
+  [[nodiscard]] std::size_t block_peak() const noexcept { return peak_; }
 
   /// Take n value-initialized Ts (trivially copyable only). Spans start
   /// kCacheLine-aligned (base and sizes are both rounded), so distinct
@@ -214,6 +225,7 @@ class LanePool {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::size_t bytes = align_up(n * sizeof(T));
     total_needed_ += bytes;
+    peak_ = std::max(peak_, total_needed_);
     T* p;
     if (cursor_ + bytes <= cap_) {
       p = reinterpret_cast<T*>(base_ + cursor_);
@@ -237,6 +249,7 @@ class LanePool {
     reuses += reuses_;
     acquires_ = 0;
     reuses_ = 0;
+    peak_ = 0;
   }
 
  private:
@@ -255,6 +268,7 @@ class LanePool {
   std::size_t cap_ = 0;
   std::size_t cursor_ = 0;
   std::size_t total_needed_ = 0;
+  std::size_t peak_ = 0;
   std::size_t acquires_ = 0;
   std::size_t reuses_ = 0;
 };

@@ -3,8 +3,8 @@
 //
 // A 65K-system batch must not be poisoned by one singular member: every
 // batched solve path records one SolveStatus per system here, so callers
-// can tell exactly which systems failed (and why), re-solve just those
-// through the pivoted-LU fallback, and leave the rest untouched.
+// can tell exactly which systems failed (and why), and the resilient
+// pipeline re-solves just those, leaving the rest untouched.
 //
 // Statuses merge via absorb(): a batched pipeline has several stages
 // (tiled PCR, then p-Thomas, then a post-solve scan), each of which may
@@ -142,7 +142,7 @@ class BatchStatus {
   }
 
   /// Upgrade ok systems whose recorded growth exceeds `limit` to
-  /// near_singular (the guard policy step between detection and recovery).
+  /// near_singular (the guard's last detection step).
   void apply_growth_limit(double limit) noexcept {
     if (!(limit > 0.0)) return;
     for (auto& s : sys_) {
@@ -163,15 +163,6 @@ class BatchStatus {
     std::size_t n = 0;
     for (const auto& s : sys_) n += s.ok() ? 0 : 1;
     return n;
-  }
-
-  /// Indices of every non-ok system, in order.
-  [[nodiscard]] std::vector<std::size_t> flagged() const {
-    std::vector<std::size_t> out;
-    for (std::size_t m = 0; m < sys_.size(); ++m) {
-      if (!sys_[m].ok()) out.push_back(m);
-    }
-    return out;
   }
 
  private:

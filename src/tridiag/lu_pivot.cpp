@@ -1,9 +1,5 @@
 #include "tridiag/lu_pivot.hpp"
 
-#include <cmath>
-#include <limits>
-
-#include "tridiag/residual.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace tridsolve::tridiag {
@@ -18,94 +14,7 @@ SolveStatus lu_gtsv(const SystemRef<T>& sys, StridedView<T> x) {
   return lu_gtsv(sys, x, ws);
 }
 
-template <typename T>
-RecoverStats lu_recover_flagged(const SystemBatch<T>& pristine,
-                                SystemBatch<T>& solved, BatchStatus& status,
-                                const RecoverOptions& opts) {
-  RecoverStats stats;
-  const std::size_t m_count = pristine.num_systems();
-  const std::size_t n = pristine.system_size();
-  if (status.size() != m_count || solved.num_systems() != m_count ||
-      solved.system_size() != n || n == 0) {
-    return stats;
-  }
-
-  const double gate =
-      opts.refine_gate > 0.0
-          ? opts.refine_gate
-          : std::sqrt(static_cast<double>(std::numeric_limits<T>::epsilon()));
-
-  // Local mutable copy of one system (LU wants SystemRef<T>, the pristine
-  // batch only hands out SystemRef<const T>), plus LU workspace and a
-  // residual / correction buffer for refinement.
-  util::AlignedBuffer<T> coeffs(4 * n);
-  util::AlignedBuffer<T> lu_ws(4 * n);
-  util::AlignedBuffer<T> delta(2 * n);
-  GtsvWorkspace<T> ws{lu_ws.span().subspan(0, n), lu_ws.span().subspan(n, n),
-                      lu_ws.span().subspan(2 * n, n),
-                      lu_ws.span().subspan(3 * n, n)};
-  const SystemRef<T> local{StridedView<T>(coeffs.data(), n, 1),
-                           StridedView<T>(coeffs.data() + n, n, 1),
-                           StridedView<T>(coeffs.data() + 2 * n, n, 1),
-                           StridedView<T>(coeffs.data() + 3 * n, n, 1)};
-
-  for (std::size_t m = 0; m < m_count; ++m) {
-    const SolveCode code = status[m].code;
-    if (code == SolveCode::ok || code == SolveCode::bad_size) continue;
-
-    const auto src = pristine.system(m);
-    for (std::size_t i = 0; i < n; ++i) {
-      local.a[i] = src.a[i];
-      local.b[i] = src.b[i];
-      local.c[i] = src.c[i];
-      local.d[i] = src.d[i];
-    }
-    StridedView<T> x = solved.system(m).d;
-
-    const auto st = lu_gtsv(local, x, ws);
-    if (!st.ok()) {
-      status.absorb(m, SolveStatus{SolveCode::singular, st.index,
-                                   status[m].pivot_growth});
-      ++stats.unrecovered;
-      continue;
-    }
-    ++stats.fallback_solves;
-
-    if (!opts.refine) continue;
-    // lu_gtsv reads its input non-destructively, so local.d still holds
-    // the original right-hand side for the residual below.
-    for (int it = 0; it < opts.max_refine_steps; ++it) {
-      const double rel = relative_residual(as_const(local), as_const(x));
-      if (!(rel > gate)) break;  // converged (NaN cannot be improved either)
-      // r = d - A x, accumulated in double; then solve A delta = r.
-      for (std::size_t i = 0; i < n; ++i) {
-        double ax = static_cast<double>(local.b[i]) * static_cast<double>(x[i]);
-        if (i > 0) {
-          ax += static_cast<double>(local.a[i]) * static_cast<double>(x[i - 1]);
-        }
-        if (i + 1 < n) {
-          ax += static_cast<double>(local.c[i]) * static_cast<double>(x[i + 1]);
-        }
-        delta[i] = static_cast<T>(static_cast<double>(local.d[i]) - ax);
-      }
-      const SystemRef<T> residual_sys{local.a, local.b, local.c,
-                                      StridedView<T>(delta.data(), n, 1)};
-      StridedView<T> dx(delta.data() + n, n, 1);
-      if (!lu_gtsv(residual_sys, dx, ws).ok()) break;
-      for (std::size_t i = 0; i < n; ++i) x[i] = x[i] + dx[i];
-      ++stats.refine_steps;
-    }
-  }
-  return stats;
-}
-
 template SolveStatus lu_gtsv<float>(const SystemRef<float>&, StridedView<float>);
 template SolveStatus lu_gtsv<double>(const SystemRef<double>&, StridedView<double>);
-template RecoverStats lu_recover_flagged<float>(const SystemBatch<float>&,
-                                                SystemBatch<float>&, BatchStatus&,
-                                                const RecoverOptions&);
-template RecoverStats lu_recover_flagged<double>(const SystemBatch<double>&,
-                                                 SystemBatch<double>&, BatchStatus&,
-                                                 const RecoverOptions&);
 
 }  // namespace tridsolve::tridiag

@@ -9,14 +9,12 @@
 // Contracts: free functions over caller-owned views — stateless,
 // reentrant, safe concurrently on disjoint systems; deterministic
 // (row-interchange decisions depend only on the input values, so repeat
-// solves are bit-identical). lu_recover_flagged re-solves exactly the
-// flagged systems from pristine inputs and leaves every other system's
-// solution untouched bit-for-bit.
+// solves are bit-identical). It is the resilient pipeline's terminal
+// "lu" stage (tridiag/resilient_solve.hpp).
 
 #include <cstddef>
 #include <span>
 
-#include "tridiag/batch_status.hpp"
 #include "tridiag/layout.hpp"
 #include "tridiag/types.hpp"
 
@@ -100,47 +98,7 @@ SolveStatus lu_gtsv(const SystemRef<T>& sys, StridedView<T> x,
 template <typename T>
 SolveStatus lu_gtsv(const SystemRef<T>& sys, StridedView<T> x);
 
-/// Knobs for lu_recover_flagged.
-struct RecoverOptions {
-  bool refine = false;       ///< residual-gated iterative refinement
-  int max_refine_steps = 2;  ///< refinement iterations per system, at most
-  double refine_gate = 0.0;  ///< rel-residual trigger; 0 = sqrt(eps of T)
-};
-
-/// What the recovery pass did (fed into solver.guard.* metrics).
-struct RecoverStats {
-  std::size_t fallback_solves = 0;  ///< flagged systems re-solved with LU
-  std::size_t refine_steps = 0;     ///< refinement iterations, all systems
-  std::size_t unrecovered = 0;      ///< LU itself found the matrix singular
-};
-
-/// Re-solve every flagged system of a batch with partial-pivoting LU.
-///
-/// `pristine` holds the untouched inputs; `solved` is the batch the
-/// (possibly corrupted) solutions were written into, solution in d.
-/// Each system whose status code is not ok (bad_size excepted — there is
-/// no well-formed system to re-solve) is solved from its pristine
-/// coefficients directly into solved.d, replacing the bad values; the
-/// status entry keeps its detection code as a record of what happened.
-/// A system LU itself rejects is upgraded to SolveCode::singular.
-///
-/// With opts.refine set, each recovered solution whose relative residual
-/// still exceeds the gate gets iterative refinement (r = d - Ax, solve
-/// A delta = r, x += delta), up to max_refine_steps rounds.
-template <typename T>
-RecoverStats lu_recover_flagged(const SystemBatch<T>& pristine,
-                                SystemBatch<T>& solved, BatchStatus& status,
-                                const RecoverOptions& opts = {});
-
 extern template SolveStatus lu_gtsv<float>(const SystemRef<float>&, StridedView<float>);
 extern template SolveStatus lu_gtsv<double>(const SystemRef<double>&, StridedView<double>);
-extern template RecoverStats lu_recover_flagged<float>(const SystemBatch<float>&,
-                                                       SystemBatch<float>&,
-                                                       BatchStatus&,
-                                                       const RecoverOptions&);
-extern template RecoverStats lu_recover_flagged<double>(const SystemBatch<double>&,
-                                                        SystemBatch<double>&,
-                                                        BatchStatus&,
-                                                        const RecoverOptions&);
 
 }  // namespace tridsolve::tridiag

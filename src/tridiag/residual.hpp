@@ -10,7 +10,9 @@
 // relative_residual is the dimensionless ||d - Ax||_inf / (||A||_inf
 // ||x||_inf + ||d||_inf).
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "tridiag/types.hpp"
 
@@ -62,5 +64,29 @@ extern template double relative_residual<float>(const SystemRef<const float>&,
                                                 StridedView<const float>);
 extern template double relative_residual<double>(const SystemRef<const double>&,
                                                  StridedView<const double>);
+
+/// The residual gate every guarded solution passes (the registry's
+/// post-hoc scan and the resilient pipeline's host stages): a status that
+/// is already flagged comes back unchanged; otherwise a non-finite x[i]
+/// makes it zero_pivot at row i, and a relative residual that is not
+/// <= sqrt(eps_T) (NaN included) makes it near_singular. Pivot growth is
+/// carried through.
+template <typename T>
+[[nodiscard]] SolveStatus gate_solution(const SystemRef<const T>& sys,
+                                        StridedView<const T> x,
+                                        SolveStatus st = {}) noexcept {
+  if (!st.ok()) return st;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!std::isfinite(static_cast<double>(x[i]))) {
+      return {SolveCode::zero_pivot, i, st.pivot_growth};
+    }
+  }
+  const double gate =
+      std::sqrt(static_cast<double>(std::numeric_limits<T>::epsilon()));
+  if (!(relative_residual(sys, x) <= gate)) {
+    return {SolveCode::near_singular, 0, st.pivot_growth};
+  }
+  return st;
+}
 
 }  // namespace tridsolve::tridiag

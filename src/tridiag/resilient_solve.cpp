@@ -1,7 +1,5 @@
 #include "tridiag/resilient_solve.hpp"
 
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "obs/span_tracer.hpp"
@@ -10,36 +8,6 @@
 #include "tridiag/thomas.hpp"
 
 namespace tridsolve::tridiag {
-
-namespace {
-
-template <typename T>
-[[nodiscard]] double residual_gate() noexcept {
-  // Same gate as the registry's post-hoc scan: half the mantissa.
-  return std::sqrt(static_cast<double>(std::numeric_limits<T>::epsilon()));
-}
-
-/// Residual-gate a host-solved system: non-finite entries or a residual
-/// past the gate downgrade the attempt's status so the taxonomy is honest
-/// even at the last fallback stage.
-template <typename T>
-[[nodiscard]] SolveStatus gate_solution(const SystemRef<const T>& pristine,
-                                        StridedView<const T> x,
-                                        SolveStatus st) noexcept {
-  if (!st.ok()) return st;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (!std::isfinite(static_cast<double>(x[i]))) {
-      return {SolveCode::zero_pivot, i, st.pivot_growth};
-    }
-  }
-  const double rel = relative_residual(pristine, x);
-  if (!(rel <= residual_gate<T>())) {
-    return {SolveCode::near_singular, 0, st.pivot_growth};
-  }
-  return st;
-}
-
-}  // namespace
 
 template <typename T>
 SystemBatch<T> extract_systems(const SystemBatch<T>& batch,
@@ -58,40 +26,35 @@ SystemBatch<T> extract_systems(const SystemBatch<T>& batch,
   return out;
 }
 
-template <typename T>
-void scatter_solutions(const SystemBatch<T>& sub,
-                       std::span<const std::size_t> systems,
-                       SystemBatch<T>& dst) {
-  for (std::size_t j = 0; j < systems.size(); ++j) {
-    const StridedView<const T> x = sub.system(j).d;
-    const StridedView<T> out = dst.system(systems[j]).d;
-    for (std::size_t i = 0; i < sub.system_size(); ++i) out[i] = x[i];
-  }
-}
+namespace {
 
-template <typename T>
-std::size_t host_thomas_stage(const SystemBatch<T>& pristine,
-                              std::span<const std::size_t> systems,
-                              SystemBatch<T>& dst, BatchStatus& status) {
+/// The loop both host stages share: solve each listed system from its
+/// pristine coefficients with `solve_one`, gate the result, record the
+/// attempt, and copy a passing solution into dst.d.
+template <typename T, typename SolveOne>
+std::size_t host_stage(const char* span_name, const SystemBatch<T>& pristine,
+                       std::span<const std::size_t> systems,
+                       SystemBatch<T>& dst, BatchStatus& status,
+                       SolveOne&& solve_one) {
   const std::size_t n = pristine.system_size();
-  obs::SpanScope span("host_thomas");
+  obs::SpanScope span(span_name);
   span.attr("systems", obs::JsonValue(systems.size()));
   std::vector<T> x(n);
-  std::vector<T> cprime(n);
   std::size_t recovered = 0;
   for (const std::size_t m : systems) {
     const SystemRef<const T> sys = pristine.system(m);
-    SolveStatus guard{};
     // thomas_solve/lu_gtsv take mutable views but only read the
     // coefficients when x does not alias d — the const_cast never
     // materializes a write to `pristine`.
-    SolveStatus st = thomas_solve<T>(
-        {StridedView<T>(const_cast<T*>(sys.a.data()), n, sys.a.stride()),
-         StridedView<T>(const_cast<T*>(sys.b.data()), n, sys.b.stride()),
-         StridedView<T>(const_cast<T*>(sys.c.data()), n, sys.c.stride()),
-         StridedView<T>(const_cast<T*>(sys.d.data()), n, sys.d.stride())},
-        StridedView<T>(std::span<T>(x)), cprime, &guard);
-    st = gate_solution(sys, StridedView<const T>(x.data(), n, 1), st);
+    const SolveStatus solved = solve_one(
+        SystemRef<T>{
+            StridedView<T>(const_cast<T*>(sys.a.data()), n, sys.a.stride()),
+            StridedView<T>(const_cast<T*>(sys.b.data()), n, sys.b.stride()),
+            StridedView<T>(const_cast<T*>(sys.c.data()), n, sys.c.stride()),
+            StridedView<T>(const_cast<T*>(sys.d.data()), n, sys.d.stride())},
+        StridedView<T>(std::span<T>(x)));
+    const SolveStatus st =
+        gate_solution(sys, StridedView<const T>(x.data(), n, 1), solved);
     status.record_attempt(m, st);
     if (st.ok()) {
       const StridedView<T> out = dst.system(m).d;
@@ -101,6 +64,20 @@ std::size_t host_thomas_stage(const SystemBatch<T>& pristine,
   }
   span.attr("recovered", obs::JsonValue(recovered));
   return recovered;
+}
+
+}  // namespace
+
+template <typename T>
+std::size_t host_thomas_stage(const SystemBatch<T>& pristine,
+                              std::span<const std::size_t> systems,
+                              SystemBatch<T>& dst, BatchStatus& status) {
+  std::vector<T> cprime(pristine.system_size());
+  return host_stage<T>("host_thomas", pristine, systems, dst, status,
+                       [&](const SystemRef<T>& sys, StridedView<T> x) {
+                         SolveStatus guard{};
+                         return thomas_solve<T>(sys, x, cprime, &guard);
+                       });
 }
 
 template <typename T>
@@ -108,41 +85,18 @@ std::size_t host_lu_stage(const SystemBatch<T>& pristine,
                           std::span<const std::size_t> systems,
                           SystemBatch<T>& dst, BatchStatus& status) {
   const std::size_t n = pristine.system_size();
-  obs::SpanScope span("host_lu");
-  span.attr("systems", obs::JsonValue(systems.size()));
-  std::vector<T> x(n), dl(n), dd(n), du(n), du2(n);
+  std::vector<T> dl(n), dd(n), du(n), du2(n);
   const GtsvWorkspace<T> ws{dl, dd, du, du2};
-  std::size_t recovered = 0;
-  for (const std::size_t m : systems) {
-    const SystemRef<const T> sys = pristine.system(m);
-    const SystemRef<T> mut{
-        StridedView<T>(const_cast<T*>(sys.a.data()), n, sys.a.stride()),
-        StridedView<T>(const_cast<T*>(sys.b.data()), n, sys.b.stride()),
-        StridedView<T>(const_cast<T*>(sys.c.data()), n, sys.c.stride()),
-        StridedView<T>(const_cast<T*>(sys.d.data()), n, sys.d.stride())};
-    SolveStatus st = lu_gtsv<T>(mut, StridedView<T>(std::span<T>(x)), ws);
-    st = gate_solution(sys, StridedView<const T>(x.data(), n, 1), st);
-    status.record_attempt(m, st);
-    if (st.ok()) {
-      const StridedView<T> out = dst.system(m).d;
-      for (std::size_t i = 0; i < n; ++i) out[i] = x[i];
-      ++recovered;
-    }
-  }
-  span.attr("recovered", obs::JsonValue(recovered));
-  return recovered;
+  return host_stage<T>("host_lu", pristine, systems, dst, status,
+                       [&](const SystemRef<T>& sys, StridedView<T> x) {
+                         return lu_gtsv<T>(sys, x, ws);
+                       });
 }
 
 template SystemBatch<float> extract_systems<float>(
     const SystemBatch<float>&, std::span<const std::size_t>);
 template SystemBatch<double> extract_systems<double>(
     const SystemBatch<double>&, std::span<const std::size_t>);
-template void scatter_solutions<float>(const SystemBatch<float>&,
-                                       std::span<const std::size_t>,
-                                       SystemBatch<float>&);
-template void scatter_solutions<double>(const SystemBatch<double>&,
-                                        std::span<const std::size_t>,
-                                        SystemBatch<double>&);
 template std::size_t host_thomas_stage<float>(const SystemBatch<float>&,
                                               std::span<const std::size_t>,
                                               SystemBatch<float>&,

@@ -84,16 +84,9 @@ template <typename T>
 [[nodiscard]] SystemBatch<T> extract_systems(
     const SystemBatch<T>& batch, std::span<const std::size_t> systems);
 
-/// Scatter solved right-hand sides back: sub.system(j).d → dst.system(
-/// systems[j]).d for every j, leaving all other systems untouched.
-template <typename T>
-void scatter_solutions(const SystemBatch<T>& sub,
-                       std::span<const std::size_t> systems,
-                       SystemBatch<T>& dst);
-
 /// Host CPU-Thomas stage: solve each listed system from `pristine` into
-/// `dst.d`, recording one attempt per system (residual-gated like the
-/// registry's post-hoc scan, so it cannot return silent garbage). Returns
+/// `dst.d`, recording one attempt per system (through gate_solution, the
+/// registry's post-hoc gate, so it cannot return silent garbage). Returns
 /// the number of systems recovered (live status ok).
 template <typename T>
 std::size_t host_thomas_stage(const SystemBatch<T>& pristine,
@@ -111,12 +104,6 @@ extern template SystemBatch<float> extract_systems<float>(
     const SystemBatch<float>&, std::span<const std::size_t>);
 extern template SystemBatch<double> extract_systems<double>(
     const SystemBatch<double>&, std::span<const std::size_t>);
-extern template void scatter_solutions<float>(const SystemBatch<float>&,
-                                              std::span<const std::size_t>,
-                                              SystemBatch<float>&);
-extern template void scatter_solutions<double>(const SystemBatch<double>&,
-                                               std::span<const std::size_t>,
-                                               SystemBatch<double>&);
 extern template std::size_t host_thomas_stage<float>(
     const SystemBatch<float>&, std::span<const std::size_t>,
     SystemBatch<float>&, BatchStatus&);

@@ -351,10 +351,10 @@ TEST(GuardedSolve, HybridGuardIsFreeOnHealthyInput) {
                                   td::Layout::contiguous, 16);
   auto b = a.clone();
 
-  gp::HybridOptions guarded_opts;  // guard.detect defaults to true
+  gp::HybridOptions guarded_opts;  // guard defaults to true
   const auto guarded = gp::hybrid_solve(dev, a, guarded_opts);
   gp::HybridOptions plain_opts;
-  plain_opts.guard.detect = false;
+  plain_opts.guard = false;
   const auto plain = gp::hybrid_solve(dev, b, plain_opts);
 
   // Zero-cost contract: bit-identical solution, identical simulated time.
@@ -366,57 +366,6 @@ TEST(GuardedSolve, HybridGuardIsFreeOnHealthyInput) {
   ASSERT_EQ(guarded.status.size(), 4u);
   EXPECT_TRUE(guarded.status.all_ok());
   EXPECT_TRUE(plain.status.empty());
-}
-
-TEST(GuardedSolve, HybridFallbackRecoversOnlyFlaggedSystem) {
-  const auto dev = gs::gtx480();
-  const std::size_t m_count = 6, n = 256, target = 3;
-  auto pristine = broken_batch(m_count, n, target, 17);
-  auto batch = pristine.clone();
-  auto reference = pristine.clone();  // guarded solve, no fallback
-
-  gp::HybridOptions detect_only;
-  const auto det = gp::hybrid_solve(dev, reference, detect_only);
-  ASSERT_EQ(det.flagged, 1u);
-  EXPECT_FALSE(det.status[target].ok());
-
-  gp::HybridOptions opts;
-  opts.guard.fallback = true;
-  const auto rep = gp::hybrid_solve(dev, batch, opts);
-  EXPECT_EQ(rep.flagged, 1u);
-  EXPECT_EQ(rep.fallback_solves, 1u);
-  EXPECT_EQ(rep.refine_steps, 0u);
-  // The code survives recovery as the detection record.
-  EXPECT_FALSE(rep.status[target].ok());
-
-  const auto& cp = pristine;
-  const auto& cb = batch;
-  for (std::size_t m = 0; m < m_count; ++m) {
-    if (m == target) {
-      // Recovered through pivoting LU from the pristine input.
-      EXPECT_LE(td::relative_residual(cp.system(m), cb.system(m).d), 1e-10);
-    } else {
-      EXPECT_TRUE(rep.status[m].ok());
-      // Untouched by recovery: bit-identical to the detect-only solve.
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(batch.d()[batch.index(m, i)],
-                  reference.d()[reference.index(m, i)]);
-      }
-    }
-  }
-}
-
-TEST(GuardedSolve, HybridRefinementRunsWhenGateForcesIt) {
-  const auto dev = gs::gtx480();
-  auto batch = broken_batch(4, 128, 1, 18);
-  gp::HybridOptions opts;
-  opts.guard.refine = true;  // implies fallback in the registry; here both:
-  opts.guard.fallback = true;
-  opts.guard.refine_gate = 1e-300;  // always below any residual: max steps
-  const auto rep = gp::hybrid_solve(dev, batch, opts);
-  EXPECT_EQ(rep.flagged, 1u);
-  EXPECT_EQ(rep.fallback_solves, 1u);
-  EXPECT_EQ(rep.refine_steps, 2u);  // RecoverOptions::max_refine_steps
 }
 
 TEST(GuardedSolve, RegistryFlagsOnlyTheSingularSystem) {
@@ -461,18 +410,30 @@ TEST(GuardedSolve, RegistryFallbackRecoversEverySolverKind) {
   const auto bad = broken_batch(m_count, n, target, 20);
 
   gp::SolverRunOptions ropts;
-  ropts.fallback = true;  // implies guard
+  ropts.guard = true;
+  td::ResiliencePolicy policy;  // straight to pivoting LU, no retries
+  policy.fallback_chain = {"lu"};
+  policy.max_retries = 0;
   for (const auto kind : gp::all_solver_kinds()) {
     SCOPED_TRACE(gp::solver_name(kind));
-    td::SystemBatch<double> sol;
-    const auto out = gp::run_solver(kind, dev, bad, ropts, &sol);
-    if (!out.supported) continue;
-    EXPECT_EQ(out.flagged, 1u);
-    EXPECT_EQ(out.fallback_solves, 1u);
-    EXPECT_FALSE(out.status[target].ok());  // detection record survives
+    td::SystemBatch<double> guarded, sol;
+    if (!gp::run_solver(kind, dev, bad, ropts, &guarded).supported) continue;
+    const auto res =
+        gp::run_solver_resilient(kind, dev, bad, ropts, policy, &sol);
+    EXPECT_EQ(res.report.worst, td::SolveCode::ok);
+    EXPECT_EQ(res.report.fallback_stages, 1u);
+    EXPECT_TRUE(res.outcome.status[target].ok());
+    // The detection record survives recovery.
+    EXPECT_FALSE(res.outcome.status.detected(target).ok());
     const auto& csol = sol;
+    EXPECT_LE(td::relative_residual(bad.system(target), csol.system(target).d),
+              1e-10);
     for (std::size_t m = 0; m < m_count; ++m) {
-      EXPECT_LE(td::relative_residual(bad.system(m), csol.system(m).d), 1e-10);
+      if (m == target) continue;
+      // Untouched by recovery: bit-identical to the guarded solve.
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(sol.d()[sol.index(m, i)], guarded.d()[guarded.index(m, i)]);
+      }
     }
   }
 }
@@ -481,16 +442,14 @@ TEST(GuardedSolve, GuardMetricsCountFlaggedAndRecovered) {
   namespace obs = tridsolve::obs;
   auto& reg = obs::MetricsRegistry::instance();
   const double flagged0 = reg.counter("solver.guard.flagged");
-  const double fallback0 = reg.counter("solver.guard.fallback");
 
   const auto dev = gs::gtx480();
   const auto bad = broken_batch(4, 64, 1, 22);
   gp::SolverRunOptions ropts;
-  ropts.fallback = true;
+  ropts.guard = true;
   const auto out = gp::run_solver(gp::SolverKind::hybrid, dev, bad, ropts);
   ASSERT_TRUE(out.supported);
   ASSERT_EQ(out.flagged, 1u);
 
   EXPECT_EQ(reg.counter("solver.guard.flagged"), flagged0 + 1.0);
-  EXPECT_EQ(reg.counter("solver.guard.fallback"), fallback0 + 1.0);
 }

@@ -463,6 +463,32 @@ TEST(ResilientSolve, PipelineDeterministicAcrossSimThreads) {
 
 // ---- Policy plumbing --------------------------------------------------
 
+TEST(ResilientSolve, FunctionalOnlyDispatchIsOneCleanAttempt) {
+  // A functional_only run is solved but untimed: the pipeline must keep
+  // it, not read it as a rejected configuration and degrade.
+  const auto batch = test_batch();
+  gp::SolverRunOptions exact;
+  exact.instrument = gs::InstrumentMode::exact;
+  td::SystemBatch<double> exact_x, functional_x;
+  (void)gp::run_solver_resilient<double>(gp::SolverKind::hybrid, gs::gtx480(),
+                                         batch, exact, {}, &exact_x);
+  gp::ResilientOutcome res;
+  {
+    const gs::ScopedInstrumentMode functional(
+        gs::InstrumentMode::functional_only);
+    res = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
+                                           gs::gtx480(), batch, {}, {},
+                                           &functional_x);
+  }
+  EXPECT_EQ(res.report.attempts.size(), 1u);
+  EXPECT_EQ(res.report.fallback_stages, 0u);
+  EXPECT_EQ(res.report.retries, 0u);
+  EXPECT_EQ(res.report.worst, td::SolveCode::ok);
+  for (std::size_t m = 0; m < kSystems; ++m) {
+    EXPECT_TRUE(system_bits_equal(exact_x, functional_x, m)) << "system " << m;
+  }
+}
+
 TEST(ResilientSolve, EnginePolicyAndFallbackChain) {
   auto& engine = gs::ExecutionEngine::instance();
   const double prev_deadline = engine.default_deadline_us();

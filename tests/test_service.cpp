@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "gpu_solvers/registry.hpp"
+#include "gpusim/exec_engine.hpp"
+#include "obs/metrics.hpp"
 #include "service/solve_service.hpp"
 #include "workloads/traffic.hpp"
 
@@ -219,6 +221,34 @@ TEST(SolveService, CoalescedBatchBitwiseIdenticalToDirectRunSolver) {
     }
     svc.shutdown();
     EXPECT_EQ(svc.batches_launched(), 1u) << gpu::solver_name(kind);
+  }
+}
+
+TEST(SolveService, FunctionalOnlyDispatchIsOneAttempt) {
+  // An untimed functional_only dispatch still solves: one attempt on the
+  // configured solver, never a retry or a fallback stage.
+  const auto sys = make_system(128, 41);
+  const auto solve = [&](gpusim::InstrumentMode mode) {
+    const gpusim::ScopedInstrumentMode instrument(mode);
+    service::SolveService svc(paused_config());
+    auto fut = svc.submit(request_for(sys));
+    svc.start();
+    const auto r = fut.get();
+    svc.shutdown();
+    EXPECT_EQ(svc.requests_retried(), 0u);
+    return r;
+  };
+  const auto exact = solve(gpusim::InstrumentMode::exact);
+  auto& reg = obs::MetricsRegistry::instance();
+  const double stages0 = reg.counter("solver.resilience.fallback_stages");
+  const auto functional = solve(gpusim::InstrumentMode::functional_only);
+  EXPECT_EQ(reg.counter("solver.resilience.fallback_stages"), stages0);
+  EXPECT_EQ(functional.code, tridiag::SolveCode::ok);
+  EXPECT_EQ(functional.attempts, 1u);
+  EXPECT_FALSE(functional.recovered);
+  ASSERT_EQ(functional.x.size(), exact.x.size());
+  for (std::size_t i = 0; i < exact.x.size(); ++i) {
+    EXPECT_EQ(functional.x[i], exact.x[i]) << "row " << i;
   }
 }
 

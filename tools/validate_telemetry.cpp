@@ -8,11 +8,10 @@
 // are non-empty strings; `m` and `n` are positive numbers; `time_us` is a
 // non-negative number; `phases` (when present) is an object of
 // non-negative numbers whose sum matches `time_us`; the optional guard
-// taxonomy fields (`guard_flagged`, `guard_fallback`, `guard_refined`)
-// are numbers >= 0; the hazard block (present when the producing bench
-// ran with --check-hazards) is all-or-nothing: `hazard_mode` must be
-// "detect" or "fatal" and every `hazard_{raw,war,waw,oob,divergence}`
-// counter must be a number >= 0. The fault block (present when the
+// taxonomy field `guard_flagged` is a number >= 0; the hazard block
+// (present when the producing bench ran with --check-hazards) is
+// all-or-nothing: `hazard_mode` must be "detect" or "fatal" and every
+// `hazard_{raw,war,waw,oob,divergence}` counter must be a number >= 0. The fault block (present when the
 // producer ran with --fault-rate/--fault-seed/--fault-kinds) is likewise
 // all-or-nothing: `fault_seed` >= 0, `fault_rate` in [0,1] and all five
 // `fault_*` counters >= 0. The resilience block (written by the
@@ -171,14 +170,11 @@ std::size_t validate_jsonl(const std::string& path) {
     const double time_us = require_number(rec, "time_us", where);
     if (time_us < 0) fail(where + ": time_us < 0");
 
-    // Guard taxonomy fields are optional (hybrid records carry them);
-    // when present each must be a count >= 0.
-    for (const char* key :
-         {"guard_flagged", "guard_fallback", "guard_refined"}) {
-      if (const JsonValue* v = rec.find(key)) {
-        if (!v->is_number() || v->as_number() < 0) {
-          fail(where + ": \"" + key + "\" is not a number >= 0");
-        }
+    // The guard taxonomy field is optional (hybrid records carry it);
+    // when present it must be a count >= 0.
+    if (const JsonValue* v = rec.find("guard_flagged")) {
+      if (!v->is_number() || v->as_number() < 0) {
+        fail(where + ": \"guard_flagged\" is not a number >= 0");
       }
     }
 
