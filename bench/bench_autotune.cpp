@@ -81,11 +81,8 @@ int main(int argc, char** argv) {
       rec["m"] = m;
       rec["n"] = n;
       rec["time_us"] = r.best_us;
-      rec["plan_source"] = gpu::plan_source_name(r.best.source);
-      rec["plan_cached"] = 0;
-      rec["plan_k"] = r.best.k;
-      rec["plan_variant"] = gpu::window_variant_name(r.best.variant);
-      rec["plan_c"] = r.best.c;
+      bench::put_plan(rec, r.best.source, /*cached=*/false, r.best.k,
+                      r.best.variant, r.best.c);
       rec["heuristic_k"] = r.heuristic_k;
       rec["heuristic_us"] = r.heuristic_us;
       rec["candidates"] = r.candidates.size();

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -21,6 +22,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "obs/record_schema.hpp"
 #include "obs/span_tracer.hpp"
 #include "obs/telemetry.hpp"
 #include "tridiag/layout.hpp"
@@ -128,36 +130,41 @@ inline void emit(const util::Table& table, const util::Cli& cli) {
   }
 }
 
-/// Per-bench observability hub, driven by the shared flags
-/// (util::with_obs_flags): a JSONL record sink (--json), a Chrome trace
-/// accumulating every recorded timeline as its own track (--trace-json)
-/// and a metrics-registry dump (--metrics-json). All three are inert
-/// unless their flag was passed.
+/// The record's plan group (obs/record_schema.hpp): the plan a solve ran
+/// with, or the one the autotuner picked.
+inline void put_plan(obs::JsonValue& rec, gpu::PlanSource source,
+                     bool cached, unsigned k, gpu::WindowVariant variant,
+                     std::size_t c) {
+  rec["plan_source"] = gpu::plan_source_name(source);
+  rec["plan_cached"] = cached ? 1 : 0;
+  rec["plan_k"] = k;
+  rec["plan_variant"] = gpu::window_variant_name(variant);
+  rec["plan_c"] = c;
+}
+
+/// Observability hub of every bench and of quickstart, driven by the
+/// shared flags (util::with_obs_flags): a JSONL record sink (--json), a
+/// Chrome trace accumulating every recorded timeline as its own track
+/// (--trace-json), span tracing (--spans-json) and metrics-registry dumps
+/// (--metrics-json, --metrics-prom). Each is inert unless its flag was
+/// passed.
 class Telemetry {
  public:
   Telemetry(const util::Cli& cli, std::string bench_name)
       : bench_(std::move(bench_name)),
         trace_(bench_),
         last_record_(std::chrono::steady_clock::now()) {
-    // Every bench funnels through here, so this is the one place the
+    // Every binary funnels through here, so this is the one place the
     // shared --sim-threads / --instrument / --check-hazards flags reach
     // the engine, and --plan-file / --autotune reach the plan cache.
     gpusim::configure_engine_from_cli(cli);
     gpu::configure_plan_cache_from_cli(cli);
     hazard_mode_ = gpusim::ExecutionEngine::instance().default_hazards();
     if (hazard_mode_ != gpusim::HazardMode::off) {
-      for (auto& c : hazard_counters_) {
-        c.handle = obs::counter_handle(c.metric);
-        c.last = c.handle.value();
-      }
+      hazard_deltas_ = counter_deltas(obs::hazard_fields);
     }
     fault_plan_ = gpusim::ExecutionEngine::instance().fault_plan();
-    if (fault_plan_.active()) {
-      for (auto& c : fault_counters_) {
-        c.handle = obs::counter_handle(c.metric);
-        c.last = c.handle.value();
-      }
-    }
+    if (fault_plan_.active()) fault_deltas_ = counter_deltas(obs::fault_fields);
     if (const auto path = cli.get("json")) sink_ = obs::JsonlSink(*path);
     trace_path_ = cli.get_string("trace-json", "");
     metrics_path_ = cli.get_string("metrics-json", "");
@@ -264,13 +271,9 @@ class Telemetry {
     extra["k"] = report.k;
     extra["variant"] = gpu::window_variant_name(report.variant);
     // Per-solve plan provenance (the transition.* gauges are only
-    // most-recent; this is the record of truth). All-or-nothing group,
-    // schema-checked by tools/validate_telemetry.
-    extra["plan_source"] = gpu::plan_source_name(report.plan_source);
-    extra["plan_cached"] = report.plan_cached ? 1 : 0;
-    extra["plan_k"] = report.k;
-    extra["plan_variant"] = gpu::window_variant_name(report.variant);
-    extra["plan_c"] = report.plan_c;
+    // most-recent; this is the record of truth).
+    put_plan(extra, report.plan_source, report.plan_cached, report.k,
+             report.variant, report.plan_c);
     extra["reduced_systems"] = report.reduced_systems;
     extra["redundant_loads"] = report.redundant_loads;
     extra["pcr_us"] = report.pcr_us();
@@ -296,33 +299,49 @@ class Telemetry {
   }
 
  private:
-  /// When hazard detection is on (--check-hazards), stamp the record with
-  /// the mode and the per-record deltas of the gpusim.hazard.* counters —
-  /// the findings attributable to the launches since the previous record.
-  /// Schema-checked by tools/validate_telemetry.
+  /// A counter-delta field of the record schema: the change of its
+  /// metrics counter since the previous record.
+  struct CounterDelta {
+    std::string_view field;
+    obs::MetricsRegistry::Counter handle;
+    double last = 0.0;
+  };
+
+  static std::vector<CounterDelta> counter_deltas(
+      std::span<const obs::Field> fields) {
+    std::vector<CounterDelta> out;
+    for (const obs::Field& f : fields) {
+      if (f.counter.empty()) continue;
+      const auto handle = obs::counter_handle(f.counter);
+      out.push_back({f.key, handle, handle.value()});
+    }
+    return out;
+  }
+
+  static void stamp(obs::JsonValue& rec, std::vector<CounterDelta>& deltas) {
+    for (CounterDelta& d : deltas) {
+      const double now = d.handle.value();
+      rec[std::string(d.field)] = now - d.last;
+      d.last = now;
+    }
+  }
+
+  /// When hazard detection is on (--check-hazards), stamp the record's
+  /// hazard group: the mode and the findings attributable to the launches
+  /// since the previous record.
   void annotate_hazards(obs::JsonValue& rec) {
     if (hazard_mode_ == gpusim::HazardMode::off) return;
     rec["hazard_mode"] = std::string(gpusim::hazard_mode_name(hazard_mode_));
-    for (auto& c : hazard_counters_) {
-      const double now = c.handle.value();
-      rec[c.field] = now - c.last;
-      c.last = now;
-    }
+    stamp(rec, hazard_deltas_);
   }
   /// When fault injection is armed (--fault-rate / --fault-seed /
-  /// --fault-kinds), stamp the record with the plan's seed and rate plus
-  /// the per-record deltas of the gpusim.fault.* counters — the
-  /// injections attributable to the launches since the previous record.
-  /// Schema-checked (all-or-nothing) by tools/validate_telemetry.
+  /// --fault-kinds), stamp the record's fault group: the plan's seed and
+  /// rate and the injections since the previous record.
   void annotate_faults(obs::JsonValue& rec) {
     if (!fault_plan_.active()) return;
     rec["fault_seed"] = fault_plan_.seed;
     rec["fault_rate"] = fault_plan_.rate;
-    for (auto& c : fault_counters_) {
-      const double now = c.handle.value();
-      rec[c.field] = now - c.last;
-      c.last = now;
-    }
+    stamp(rec, fault_deltas_);
   }
   /// Microseconds since the previous record (or construction).
   [[nodiscard]] double take_wall_us() noexcept {
@@ -333,13 +352,6 @@ class Telemetry {
     return us;
   }
 
-  struct HazardCounter {
-    const char* metric;
-    const char* field;
-    obs::MetricsRegistry::Counter handle;
-    double last = 0.0;
-  };
-
   std::string bench_;
   obs::JsonlSink sink_;
   obs::ChromeTraceBuilder trace_;
@@ -349,21 +361,9 @@ class Telemetry {
   std::string spans_path_;
   std::chrono::steady_clock::time_point last_record_;
   gpusim::HazardMode hazard_mode_ = gpusim::HazardMode::off;
-  HazardCounter hazard_counters_[5] = {
-      {"gpusim.hazard.raw", "hazard_raw", {}, 0.0},
-      {"gpusim.hazard.war", "hazard_war", {}, 0.0},
-      {"gpusim.hazard.waw", "hazard_waw", {}, 0.0},
-      {"gpusim.hazard.oob", "hazard_oob", {}, 0.0},
-      {"gpusim.hazard.divergence", "hazard_divergence", {}, 0.0},
-  };
+  std::vector<CounterDelta> hazard_deltas_;
   gpusim::FaultPlan fault_plan_;
-  HazardCounter fault_counters_[5] = {
-      {"gpusim.fault.bit_flips", "fault_bit_flips", {}, 0.0},
-      {"gpusim.fault.shared_corruptions", "fault_shared_corruptions", {}, 0.0},
-      {"gpusim.fault.nan_writes", "fault_nan_writes", {}, 0.0},
-      {"gpusim.fault.launch_failures", "fault_launch_failures", {}, 0.0},
-      {"gpusim.fault.timeouts", "fault_timeouts", {}, 0.0},
-  };
+  std::vector<CounterDelta> fault_deltas_;
 };
 
 inline std::string us(double v) { return util::Table::num(v, 1); }

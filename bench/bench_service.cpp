@@ -76,6 +76,98 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+/// `count` random diagonally dominant N-row request systems from `seed`.
+std::vector<tridiag::TridiagSystem<double>> make_population(
+    std::size_t count, std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<tridiag::TridiagSystem<double>> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(workloads::make_request_system(
+        workloads::Kind::random_dominant, n, rng));
+  }
+  return out;
+}
+
+struct PacedRun {
+  std::vector<service::SolveResult> results;
+  obs::JsonValue record;
+};
+
+/// Submit systems[i] to `svc` on `tcfg`'s arrival schedule (priority
+/// i % priorities), wait for every future, then shut `svc` down. The
+/// returned record carries the base fields and the service_* group
+/// (obs/record_schema.hpp), every field measured from this run except
+/// service_solo_sim_us, the caller's solo baseline (0 when it ran none).
+PacedRun run_paced(service::SolveService& svc, const std::string& solver_tok,
+                   const std::vector<tridiag::TridiagSystem<double>>& systems,
+                   const workloads::TrafficConfig& tcfg, double deadline_us,
+                   int priorities, double solo_sim_us) {
+  const auto arrivals = workloads::arrival_times_us(tcfg);
+  std::vector<std::future<service::SolveResult>> futures;
+  futures.reserve(systems.size());
+  const auto base = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < systems.size(); ++i) {
+    std::this_thread::sleep_until(
+        base + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double, std::micro>(arrivals[i])));
+    service::SolveRequest req;
+    req.system = systems[i].clone();
+    req.deadline_us = deadline_us;
+    req.priority = static_cast<int>(i % static_cast<std::size_t>(priorities));
+    futures.push_back(svc.submit(std::move(req)));
+  }
+  PacedRun run;
+  run.results.reserve(futures.size());
+  for (auto& f : futures) run.results.push_back(f.get());
+  const auto done = std::chrono::steady_clock::now();
+  svc.shutdown();
+
+  std::vector<double> latencies;
+  latencies.reserve(run.results.size());
+  std::map<std::uint64_t, std::pair<std::size_t, double>> batches;
+  std::size_t dispatched = 0;  // results that rode a batch
+  for (const auto& r : run.results) {
+    latencies.push_back(r.latency_us);
+    if (r.batch_id == 0) continue;
+    ++dispatched;
+    batches[r.batch_id] = {r.batch_size, r.solve_us};
+  }
+  std::sort(latencies.begin(), latencies.end());
+  double batched_sim_us = 0.0;
+  std::size_t occ_max = 0;
+  for (const auto& [id, info] : batches) {
+    batched_sim_us += info.second;
+    occ_max = std::max(occ_max, info.first);
+  }
+  const double requests = static_cast<double>(systems.size());
+  const double wall_s = std::chrono::duration<double>(done - base).count();
+
+  obs::JsonValue& rec = run.record = obs::JsonValue::object();
+  rec["solver"] = solver_tok;
+  rec["m"] = requests;
+  rec["n"] = systems.front().size();
+  rec["time_us"] = batched_sim_us;
+  rec["service_offered_rps"] = tcfg.rate_rps;
+  rec["service_achieved_rps"] = wall_s > 0.0 ? requests / wall_s : 0.0;
+  rec["service_requests"] = requests;
+  rec["service_expired"] = svc.requests_expired();
+  rec["service_batches"] = svc.batches_launched();
+  rec["service_occupancy_mean"] =
+      batches.empty() ? 0.0
+                      : static_cast<double>(dispatched) /
+                            static_cast<double>(batches.size());
+  rec["service_occupancy_max"] = occ_max;
+  rec["service_p50_us"] = percentile(latencies, 50.0);
+  rec["service_p99_us"] = percentile(latencies, 99.0);
+  rec["service_batched_sim_us"] = batched_sim_us;
+  rec["service_solo_sim_us"] = solo_sim_us;
+  rec["service_shed"] = svc.requests_shed();
+  rec["service_degraded"] = svc.requests_degraded();
+  rec["service_retried"] = svc.requests_retried();
+  return run;
+}
+
 // ---------------------------------------------------------------------------
 // Chaos soak harness (--soak)
 
@@ -126,18 +218,6 @@ struct SoakParams {
   double rate_rps = 50000.0;
   double burst = 4.0;
 };
-
-std::vector<tridiag::TridiagSystem<double>> make_population(
-    std::size_t count, std::size_t n, std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  std::vector<tridiag::TridiagSystem<double>> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(workloads::make_request_system(
-        workloads::Kind::random_dominant, n, rng));
-  }
-  return out;
-}
 
 /// Phase 0: with no faults and no pressure, the service is a pure
 /// gather/scatter around run_solver — coalesced results must be
@@ -403,7 +483,6 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
   tcfg.burst = sp.burst;
   tcfg.requests = sp.requests;
   tcfg.seed = sp.seed;
-  const auto arrivals = workloads::arrival_times_us(tcfg);
 
   service::ServiceConfig scfg;
   scfg.batch_window_us = sp.window_us;
@@ -417,28 +496,14 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
   scfg.breaker.threshold = threshold;
   scfg.breaker.cooldown_us = sp.breaker_cooldown_us;
   service::SolveService svc(scfg);
-
-  std::vector<std::future<service::SolveResult>> futures;
-  futures.reserve(sp.requests);
-  const auto base = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < sp.requests; ++i) {
-    std::this_thread::sleep_until(
-        base + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double, std::micro>(arrivals[i])));
-    service::SolveRequest req;
-    req.system = systems[i].clone();
-    req.deadline_us = sp.deadline_us;
-    req.priority = static_cast<int>(i % 3);
-    futures.push_back(svc.submit(std::move(req)));
-  }
-  std::vector<service::SolveResult> results;
-  results.reserve(sp.requests);
-  for (auto& f : futures) results.push_back(f.get());
-  svc.shutdown();
+  // No solo baseline here: its launches would consume injected faults and
+  // shift the staged phases, so service_solo_sim_us stays 0.
+  PacedRun run = run_paced(svc, sp.solver_tok, systems, tcfg, sp.deadline_us,
+                           /*priorities=*/3, /*solo_sim_us=*/0.0);
 
   std::map<std::string, std::size_t> by_code;
   bool codes_fine = true;
-  for (const auto& r : results) {
+  for (const auto& r : run.results) {
     codes_fine &= structured(r.code);
     ++by_code[tridiag::solve_code_name(r.code)];
   }
@@ -450,7 +515,8 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
               service::breaker_state_name(svc.breaker().state()),
               static_cast<unsigned long long>(svc.breaker().trips()),
               static_cast<unsigned long long>(svc.breaker().resets()));
-  soak_check(results.size() == sp.requests, "every submitted future resolved");
+  soak_check(run.results.size() == sp.requests,
+             "every submitted future resolved");
   soak_check(codes_fine, "only structured codes under live faults");
   soak_check(svc.peak_queue_depth() <= bound,
              "peak queue depth " + std::to_string(svc.peak_queue_depth()) +
@@ -462,27 +528,8 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
                  std::to_string(accounted) + " of " +
                  std::to_string(sp.requests) + ")");
 
-  obs::JsonValue rec = obs::JsonValue::object();
-  rec["solver"] = sp.solver_tok;
-  rec["m"] = sp.requests;
-  rec["n"] = sp.n;
-  rec["time_us"] = 0.0;
-  rec["soak"] = true;
-  rec["service_offered_rps"] = sp.rate_rps;
-  rec["service_achieved_rps"] = sp.rate_rps;
-  rec["service_requests"] = sp.requests;
-  rec["service_expired"] = svc.requests_expired();
-  rec["service_batches"] = svc.batches_launched();
-  rec["service_occupancy_mean"] = 0.0;
-  rec["service_occupancy_max"] = 0.0;
-  rec["service_p50_us"] = 0.0;
-  rec["service_p99_us"] = 0.0;
-  rec["service_batched_sim_us"] = 0.0;
-  rec["service_solo_sim_us"] = 0.0;
-  rec["service_shed"] = svc.requests_shed();
-  rec["service_degraded"] = svc.requests_degraded();
-  rec["service_retried"] = svc.requests_retried();
-  telemetry.record_raw(std::move(rec));
+  run.record["soak"] = true;
+  telemetry.record_raw(std::move(run.record));
 }
 
 int run_soak(const SoakParams& sp, bench::Telemetry& telemetry) {
@@ -530,6 +577,7 @@ int main(int argc, char** argv) {
     n = static_cast<std::size_t>(cli.get_int("n", 64));
   }
   if (const auto v = cli.get("arrival-rate")) rates = parse_rates(*v);
+  if (requests == 0) throw std::invalid_argument("--requests must be >= 1");
 
   const double burst = cli.get_double("burst", soak ? 4.0 : 1.0);
   const double window_us = cli.get_double("batch-window-us", 200.0);
@@ -580,13 +628,7 @@ int main(int argc, char** argv) {
 
   // One deterministic request population per run, shared across every
   // sweep point so the curve varies only in arrival pattern.
-  util::Xoshiro256 rng(seed);
-  std::vector<tridiag::TridiagSystem<double>> systems;
-  systems.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    systems.push_back(workloads::make_request_system(
-        workloads::Kind::random_dominant, n, rng));
-  }
+  const auto systems = make_population(requests, n, seed);
 
   // Solo baseline: the simulated cost of launching every request on its
   // own (the no-service world). Rate-independent, so computed once.
@@ -617,7 +659,6 @@ int main(int argc, char** argv) {
     tcfg.burst = burst;
     tcfg.requests = requests;
     tcfg.seed = seed;
-    const auto arrivals = workloads::arrival_times_us(tcfg);
 
     service::ServiceConfig scfg;
     scfg.batch_window_us = window_us;
@@ -631,87 +672,33 @@ int main(int argc, char** argv) {
     scfg.breaker.threshold = breaker_threshold;
     scfg.breaker.cooldown_us = breaker_cooldown_us;
     service::SolveService svc(scfg);
-
-    std::vector<std::future<service::SolveResult>> futures;
-    futures.reserve(requests);
-    const auto base = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < requests; ++i) {
-      std::this_thread::sleep_until(
-          base + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double, std::micro>(arrivals[i])));
-      service::SolveRequest req;
-      req.system = systems[i].clone();
-      req.deadline_us = deadline_us;
-      futures.push_back(svc.submit(std::move(req)));
-    }
-    std::vector<service::SolveResult> results;
-    results.reserve(requests);
-    for (auto& f : futures) results.push_back(f.get());
-    const auto done = std::chrono::steady_clock::now();
-    svc.shutdown();
-
-    std::vector<double> latencies;
-    latencies.reserve(results.size());
-    std::map<std::uint64_t, std::pair<std::size_t, double>> batches;
-    for (const auto& r : results) {
-      latencies.push_back(r.latency_us);
-      if (r.batch_id != 0) batches[r.batch_id] = {r.batch_size, r.solve_us};
-    }
-    std::sort(latencies.begin(), latencies.end());
-    double batched_sim_us = 0.0;
-    std::size_t occ_max = 0;
-    for (const auto& [id, info] : batches) {
-      batched_sim_us += info.second;
-      occ_max = std::max(occ_max, info.first);
-    }
-    const double occ_mean =
-        batches.empty() ? 0.0
-                        : static_cast<double>(requests - svc.requests_expired()) /
-                              static_cast<double>(batches.size());
-    const double wall_s =
-        std::chrono::duration<double>(done - base).count();
-    const double achieved =
-        wall_s > 0.0 ? static_cast<double>(requests) / wall_s : 0.0;
-    const double p50 = percentile(latencies, 50.0);
-    const double p99 = percentile(latencies, 99.0);
+    PacedRun run = run_paced(svc, solver_tok, systems, tcfg, deadline_us,
+                             /*priorities=*/1, solo_sim_us);
+    const auto field = [&run](const char* key) {
+      return run.record.find(key)->as_number();
+    };
+    const double batched_sim_us = field("service_batched_sim_us");
     const double speedup =
         batched_sim_us > 0.0 ? solo_sim_us / batched_sim_us : 0.0;
 
     table.add_row({util::Table::integer(static_cast<long long>(rate)),
-                   util::Table::integer(static_cast<long long>(achieved)),
+                   util::Table::integer(
+                       static_cast<long long>(field("service_achieved_rps"))),
                    util::Table::integer(static_cast<long long>(requests)),
                    util::Table::integer(
                        static_cast<long long>(svc.batches_launched())),
-                   util::Table::num(occ_mean, 1),
-                   util::Table::integer(static_cast<long long>(occ_max)),
-                   bench::us(p50), bench::us(p99),
+                   util::Table::num(field("service_occupancy_mean"), 1),
+                   util::Table::integer(
+                       static_cast<long long>(field("service_occupancy_max"))),
+                   bench::us(field("service_p50_us")),
+                   bench::us(field("service_p99_us")),
                    util::Table::integer(
                        static_cast<long long>(svc.requests_shed())),
                    util::Table::integer(
                        static_cast<long long>(svc.requests_degraded())),
                    bench::ms(batched_sim_us),
                    bench::ms(solo_sim_us), bench::ratio(speedup)});
-
-    obs::JsonValue rec = obs::JsonValue::object();
-    rec["solver"] = solver_tok;
-    rec["m"] = requests;
-    rec["n"] = n;
-    rec["time_us"] = batched_sim_us;
-    rec["service_offered_rps"] = rate;
-    rec["service_achieved_rps"] = achieved;
-    rec["service_requests"] = requests;
-    rec["service_expired"] = svc.requests_expired();
-    rec["service_batches"] = svc.batches_launched();
-    rec["service_occupancy_mean"] = occ_mean;
-    rec["service_occupancy_max"] = occ_max;
-    rec["service_p50_us"] = p50;
-    rec["service_p99_us"] = p99;
-    rec["service_batched_sim_us"] = batched_sim_us;
-    rec["service_solo_sim_us"] = solo_sim_us;
-    rec["service_shed"] = svc.requests_shed();
-    rec["service_degraded"] = svc.requests_degraded();
-    rec["service_retried"] = svc.requests_retried();
-    telemetry.record_raw(std::move(rec));
+    telemetry.record_raw(std::move(run.record));
   }
   bench::emit(table, cli);
   return 0;

@@ -148,7 +148,8 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv,
                       util::with_obs_flags(
-                          {"quick", "smoke", "m", "n", "modes", "guard"}));
+                          {"quick", "smoke", "m", "n", "modes", "guard",
+                           "repeat"}));
   const auto dev = gpusim::gtx480();
   bench::Telemetry telemetry(cli, "sim_throughput");
 

@@ -4,9 +4,10 @@
 //
 //   ./quickstart [--n 1000] [--trace]   (--trace prints the simulated
 //                                        per-kernel timeline)
-//   --trace-json out.json  writes a Chrome trace (open in Perfetto)
-//   --json out.jsonl       appends one structured telemetry record
-//   --metrics-json out.json dumps the process metrics registry
+//   --json/--trace-json/--spans-json/--metrics-json/--metrics-prom
+//                          the benches' telemetry sinks (bench::Telemetry):
+//                          one JSONL record, a Chrome trace, the span
+//                          tree, and metrics-registry dumps
 //   --break-row R          zeroes diagonal entry R: pivot-free solvers
 //                          break down, the guard flags the system and the
 //                          resilient pipeline's fallback chain recovers it
@@ -33,16 +34,8 @@
 #include <string>
 #include <utility>
 
-#include "cpu_baselines/mkl_like.hpp"
-#include "gpu_solvers/hybrid_solver.hpp"
-#include "gpu_solvers/plan_cache.hpp"
+#include "bench_common.hpp"
 #include "gpu_solvers/registry.hpp"
-#include "gpusim/device_spec.hpp"
-#include "gpusim/exec_engine.hpp"
-#include "gpusim/trace.hpp"
-#include "obs/chrome_trace.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "tridiag/lu_pivot.hpp"
 #include "tridiag/residual.hpp"
 #include "tridiag/thomas.hpp"
@@ -56,10 +49,8 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv,
                       util::with_obs_flags(
                           {"n", "trace", "break-row", "force-k"}));
-  // --sim-threads / --instrument / --check-hazards
-  gpusim::configure_engine_from_cli(cli);
-  // --plan-file / --autotune
-  gpu::configure_plan_cache_from_cli(cli);
+  // Engine and plan-cache flags, and every telemetry sink.
+  bench::Telemetry telemetry(cli, "quickstart");
   const std::size_t n = static_cast<std::size_t>(cli.get_int("n", 1000));
   const long break_row = cli.get_int("break-row", -1);
   const int force_k = static_cast<int>(cli.get_int("force-k", -1));
@@ -222,70 +213,31 @@ int main(int argc, char** argv) {
         stdout);
   }
 
-  // Structured observability outputs (see DESIGN.md "Observability").
-  // Both consume simulated times, so neither exists in functional_only.
-  if (const std::string trace_path = cli.get_string("trace-json", "");
-      !resilient_mode && !trace_path.empty() && report.timeline.timed()) {
-    obs::ChromeTraceBuilder trace("quickstart");
-    trace.add_timeline(dev, report.timeline,
-                       "hybrid N=" + std::to_string(n));
-    trace.write_file(trace_path);
-    std::printf("wrote Chrome trace (%zu events) to %s\n", trace.event_count(),
-                trace_path.c_str());
-  }
-  if (const std::string jsonl_path = cli.get_string("json", "");
-      !jsonl_path.empty() && (resilient_mode || report.timeline.timed())) {
-    obs::JsonlSink sink(jsonl_path);
+  // One telemetry record (DESIGN.md "Observability"). A functional_only
+  // hybrid solve has no simulated time to record.
+  if (resilient_mode) {
+    const auto& rep = resil.report;
+    const auto& out = resil.outcome;
     obs::JsonValue rec = obs::JsonValue::object();
-    rec["bench"] = "quickstart";
-    rec["m"] = 1.0;
-    rec["n"] = static_cast<double>(n);
+    rec["solver"] = "hybrid-resilient";
+    rec["m"] = 1;
+    rec["n"] = n;
+    rec["time_us"] = out.time_us;
+    rec["k"] = out.k;
     rec["residual"] = r_hybrid;
-    if (resilient_mode) {
-      const auto& rep = resil.report;
-      const auto& out = resil.outcome;
-      rec["solver"] = "hybrid-resilient";
-      rec["time_us"] = out.time_us;
-      rec["k"] = static_cast<double>(out.k);
-      rec["guard_flagged"] = static_cast<double>(out.flagged);
-      // fault_* group (all-or-nothing, tools/validate_telemetry): present
-      // exactly when a FaultPlan is armed; counts are this record's own
-      // injections (one record per process here, so totals == deltas).
-      const auto& plan = gpusim::ExecutionEngine::instance().fault_plan();
-      if (plan.active()) {
-        rec["fault_seed"] = static_cast<double>(plan.seed);
-        rec["fault_rate"] = plan.rate;
-        rec["fault_bit_flips"] = static_cast<double>(out.faults.bit_flips);
-        rec["fault_shared_corruptions"] =
-            static_cast<double>(out.faults.shared_corruptions);
-        rec["fault_nan_writes"] = static_cast<double>(out.faults.nan_writes);
-        rec["fault_launch_failures"] =
-            static_cast<double>(out.faults.launch_failures);
-        rec["fault_timeouts"] = static_cast<double>(out.faults.timeouts);
-      }
-      // resilience_* group (all-or-nothing): what the pipeline did.
-      rec["resilience_retries"] = static_cast<double>(rep.retries);
-      rec["resilience_fallbacks"] = static_cast<double>(rep.fallback_stages);
-      rec["resilience_spent_us"] = rep.spent_us;
-      rec["resilience_partial"] = rep.partial ? 1.0 : 0.0;
-      rec["resilience_deadline_exceeded"] = rep.deadline_exceeded ? 1.0 : 0.0;
-      rec["resilience_worst"] = std::string(tridiag::solve_code_name(rep.worst));
-    } else {
-      rec["solver"] = "hybrid";
-      rec["time_us"] = report.total_us();
-      rec["k"] = static_cast<double>(report.k);
-      rec["guard_flagged"] = static_cast<double>(report.flagged);
-    }
-    sink.write(rec);
-  }
-  if (const std::string metrics_path = cli.get_string("metrics-json", "");
-      !metrics_path.empty()) {
-    if (std::FILE* f = std::fopen(metrics_path.c_str(), "w")) {
-      const std::string dump = obs::MetricsRegistry::instance().to_json().dump(1);
-      std::fwrite(dump.data(), 1, dump.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    }
+    rec["guard_flagged"] = out.flagged;
+    // The record's resilience group: what the pipeline did.
+    rec["resilience_retries"] = rep.retries;
+    rec["resilience_fallbacks"] = rep.fallback_stages;
+    rec["resilience_spent_us"] = rep.spent_us;
+    rec["resilience_partial"] = rep.partial ? 1 : 0;
+    rec["resilience_deadline_exceeded"] = rep.deadline_exceeded ? 1 : 0;
+    rec["resilience_worst"] = tridiag::solve_code_name(rep.worst);
+    telemetry.record_raw(std::move(rec));
+  } else if (report.timeline.timed()) {
+    obs::JsonValue extra = obs::JsonValue::object();
+    extra["residual"] = r_hybrid;
+    telemetry.record_hybrid(dev, 1, n, report, "hybrid", std::move(extra));
   }
   return r_hybrid < 1e-10 ? 0 : 2;
 }

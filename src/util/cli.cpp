@@ -84,7 +84,7 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
 std::vector<std::string> with_obs_flags(std::vector<std::string> flags) {
   for (const char* name :
        {"json", "trace-json", "metrics-json", "metrics-prom", "spans-json",
-        "format", "csv", "sim-threads", "instrument", "vector", "repeat",
+        "format", "csv", "sim-threads", "instrument", "vector",
         "check-hazards", "fault-seed", "fault-rate", "fault-kinds",
         "deadline-us", "max-retries", "plan-file", "autotune"}) {
     if (std::find(flags.begin(), flags.end(), name) == flags.end()) {

@@ -53,7 +53,6 @@ class Cli {
 ///   --instrument MODE     exact | sampled | functional_only
 ///   --vector {on,off}     grid-wide vectorized p-Thomas sweep of functional
 ///                         solves (default on; off = per-block kernel bodies)
-///   --repeat N            repetitions per configuration (with warmup)
 ///   --check-hazards [MODE] shared-memory hazard detection: detect | fatal
 ///   --fault-seed N        fault-injection seed (deterministic site choice)
 ///   --fault-rate R        per-site injection probability in [0,1]

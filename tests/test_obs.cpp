@@ -1,22 +1,30 @@
 // Tests for the observability layer: the JSON document model, the
 // process-wide metrics registry, the Chrome trace exporter (re-parsed and
 // structurally checked against a real simulated hybrid solve), the Eq. 8-9
-// redundancy accounting surfaced through metrics, and the JSONL sink.
+// redundancy accounting surfaced through metrics, the JSONL sink, and the
+// declared record schema (obs/record_schema.hpp).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu_solvers/hybrid_solver.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/exec_engine.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/record_schema.hpp"
 #include "obs/telemetry.hpp"
 #include "tridiag/pcr.hpp"
+#include "tridiag/types.hpp"
 #include "workloads/generators.hpp"
 
 namespace gp = tridsolve::gpu;
@@ -294,4 +302,158 @@ TEST(Telemetry, DisabledSinkSwallowsWrites) {
 TEST(Telemetry, SinkThrowsOnUnopenablePath) {
   EXPECT_THROW(obs::JsonlSink("/nonexistent-dir/x/y.jsonl"),
                std::runtime_error);
+}
+
+// ------------------------------------------------------- record schema --
+
+namespace {
+
+/// A value `f`'s rule accepts; 1 also satisfies every declared order.
+obs::JsonValue valid_value(const obs::Field& f) {
+  if (f.rule == obs::Rule::text) return "x";
+  if (f.rule == obs::Rule::name) return f.names.front();
+  return 1;
+}
+
+/// A value of the right type that `f`'s rule rejects (none for number).
+std::optional<obs::JsonValue> out_of_range(const obs::Field& f) {
+  switch (f.rule) {
+    case obs::Rule::number: return std::nullopt;
+    case obs::Rule::non_negative: return -1;
+    case obs::Rule::positive: return 0;
+    case obs::Rule::at_least_one: return 0.5;
+    case obs::Rule::flag: return 0.5;
+    case obs::Rule::unit: return 1.5;
+    case obs::Rule::text: return "";
+    case obs::Rule::name: return "bogus";
+  }
+  return std::nullopt;
+}
+
+void fill(obs::JsonValue& obj, const obs::Group& g) {
+  for (const obs::Field& f : g.fields) obj[std::string(f.key)] = valid_value(f);
+}
+
+/// Every top-level group plus a roofline map entry and a histogram block,
+/// each field at a valid value.
+obs::JsonValue full_record() {
+  obs::JsonValue rec = obs::JsonValue::object();
+  for (const obs::Group& g : obs::record_groups) fill(rec, g);
+  fill(rec["roofline"]["pcr"], obs::roofline_block);
+  fill(rec["hist_launch_us"], obs::hist_launch_block);
+  return rec;
+}
+
+/// A declared group and the object of full_record() that carries it.
+struct Site {
+  const obs::Group* group;
+  obs::JsonValue& (*at)(obs::JsonValue& rec);
+};
+
+std::vector<Site> sites() {
+  std::vector<Site> out;
+  for (const obs::Group& g : obs::record_groups) {
+    out.push_back({&g, [](obs::JsonValue& rec) -> obs::JsonValue& {
+                     return rec;
+                   }});
+  }
+  out.push_back({&obs::roofline_block,
+                 [](obs::JsonValue& rec) -> obs::JsonValue& {
+                   return rec["roofline"]["pcr"];
+                 }});
+  out.push_back({&obs::hist_launch_block,
+                 [](obs::JsonValue& rec) -> obs::JsonValue& {
+                   return rec["hist_launch_us"];
+                 }});
+  return out;
+}
+
+obs::JsonValue without(const obs::JsonValue& obj, std::string_view key) {
+  obs::JsonValue out = obs::JsonValue::object();
+  for (const auto& [k, v] : obj.as_object()) {
+    if (k != key) out[k] = v;
+  }
+  return out;
+}
+
+/// The names `name_of` gives enum values first, first + 1, ... up to its
+/// fallback for a value past the last enumerator.
+template <typename E, typename F>
+std::vector<std::string> enum_names(F name_of, int first = 0) {
+  std::vector<std::string> out;
+  for (int i = first;; ++i) {
+    const std::string name = name_of(static_cast<E>(i));
+    if (name == "?" || name == "unknown") return out;
+    out.push_back(name);
+  }
+}
+
+std::vector<std::string> listed(std::span<const std::string_view> names) {
+  return {names.begin(), names.end()};
+}
+
+}  // namespace
+
+TEST(RecordSchema, DroppingAnyFieldFails) {
+  ASSERT_EQ(obs::check_record(full_record()), std::nullopt)
+      << *obs::check_record(full_record());
+  for (const Site& site : sites()) {
+    for (const obs::Field& f : site.group->fields) {
+      obs::JsonValue rec = full_record();
+      obs::JsonValue& obj = site.at(rec);
+      obj = without(obj, f.key);
+      const auto err = obs::check_record(rec);
+      if (!site.group->required && site.group->fields.size() == 1) {
+        // All-or-nothing with one field: dropping it drops the group.
+        EXPECT_EQ(err, std::nullopt) << f.key << ": " << *err;
+      } else {
+        EXPECT_TRUE(err) << site.group->name << ": dropping " << f.key
+                         << " passed";
+      }
+    }
+  }
+  // The roofline block applies inline once a record has frac_bandwidth.
+  obs::JsonValue rec = full_record();
+  rec["frac_bandwidth"] = 0.5;
+  EXPECT_TRUE(obs::check_record(rec));
+  fill(rec, obs::roofline_block);
+  EXPECT_EQ(obs::check_record(rec), std::nullopt) << *obs::check_record(rec);
+}
+
+TEST(RecordSchema, InvalidValuesAndBrokenOrdersFail) {
+  for (const Site& site : sites()) {
+    const obs::Group& g = *site.group;
+    for (const obs::Field& f : g.fields) {
+      const bool textual =
+          f.rule == obs::Rule::text || f.rule == obs::Rule::name;
+      std::vector<obs::JsonValue> bad{textual ? obs::JsonValue(1)
+                                              : obs::JsonValue("1")};
+      if (const auto v = out_of_range(f)) bad.push_back(*v);
+      for (const obs::JsonValue& v : bad) {
+        obs::JsonValue rec = full_record();
+        site.at(rec)[std::string(f.key)] = v;
+        EXPECT_TRUE(obs::check_record(rec))
+            << g.name << ": " << f.key << " = " << v.dump() << " passed";
+      }
+    }
+    for (const obs::Order& o : g.orders) {
+      obs::JsonValue rec = full_record();
+      site.at(rec)[std::string(o.lo)] = 2;  // above its bound, which is 1
+      EXPECT_TRUE(obs::check_record(rec))
+          << g.name << ": " << o.lo << " > " << o.hi << " passed";
+    }
+  }
+}
+
+TEST(RecordSchema, NameListsMatchEnumNames) {
+  EXPECT_EQ(listed(obs::solve_code_names),
+            enum_names<td::SolveCode>(td::solve_code_name));
+  EXPECT_EQ(listed(obs::plan_source_names),
+            enum_names<gp::PlanSource>(gp::plan_source_name));
+  // Records carry a hazard mode only while detection is on (not "off"),
+  // and plans pin a concrete window variant (not "auto").
+  EXPECT_EQ(listed(obs::hazard_mode_names),
+            enum_names<gs::HazardMode>(gs::hazard_mode_name, 1));
+  EXPECT_EQ(listed(obs::window_variant_names),
+            enum_names<gp::WindowVariant>(gp::window_variant_name, 1));
 }

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "gpu_solvers/hybrid_solver.hpp"
 #include "gpu_solvers/registry.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/exec_engine.hpp"
@@ -85,22 +84,6 @@ void expect_same_status(const td::BatchStatus& want, const td::BatchStatus& got,
   }
 }
 
-/// The kernel guards' per-system statuses of a hybrid-family solve.
-/// run_solver hands out none for functional_only runs (they report
-/// supported == false), so this asks hybrid_solve directly, with the
-/// registry's option mapping.
-td::BatchStatus hybrid_guard_status(gpu::SolverKind kind,
-                                    const td::SystemBatch<double>& batch,
-                                    gs::InstrumentMode mode, bool vector) {
-  gpu::HybridOptions opts;
-  opts.fuse = kind == gpu::SolverKind::hybrid_fused;
-  if (kind == gpu::SolverKind::pthomas_only) opts.force_k = 0;
-  const gs::ScopedInstrumentMode instrument(mode);
-  const gs::ScopedVectorMode vec(vector);
-  auto copy = batch.clone();
-  return gpu::hybrid_solve(gs::gtx480(), copy, opts).status;
-}
-
 }  // namespace
 
 // Every solver kind, both layouts, shapes chosen to stress the lane
@@ -110,10 +93,10 @@ td::BatchStatus hybrid_guard_status(gpu::SolverKind kind,
 // sample_target() blocks; M = 4100 does the same for the k = 0 p-Thomas
 // launches, so sampled runs leave blocks of each unrecorded. Functional
 // runs with the vector path on and off and sampled runs must all match
-// the exact run bitwise. The guarded pass plants a zero pivot and also
-// compares every system's SolveStatus: sampled against exact through
-// run_solver, and for the hybrid family the kernel guards' statuses of
-// functional runs (vector on and off) against exact ones.
+// the exact run bitwise. The guarded pass plants a zero pivot, which
+// every kind must flag, and also compares every system's SolveStatus of
+// the sampled and functional runs (vector on and off) against the exact
+// run's.
 TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
   struct Shape {
     std::size_t m, n;
@@ -129,10 +112,12 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
               wl::Kind::random_dominant, s.m, s.n, layout, /*seed=*/7);
           if (guard) batch.b()[batch.index(s.m / 2, 0)] = 0.0;  // zero pivot
           td::SystemBatch<double> with_vec, without_vec, exact, sampled;
-          (void)solve(kind, batch, gs::InstrumentMode::functional_only,
-                      /*vector=*/true, guard, with_vec);
-          (void)solve(kind, batch, gs::InstrumentMode::functional_only,
-                      /*vector=*/false, guard, without_vec);
+          const auto on =
+              solve(kind, batch, gs::InstrumentMode::functional_only,
+                    /*vector=*/true, guard, with_vec);
+          const auto off =
+              solve(kind, batch, gs::InstrumentMode::functional_only,
+                    /*vector=*/false, guard, without_vec);
           const auto ref = solve(kind, batch, gs::InstrumentMode::exact,
                                  /*vector=*/true, guard, exact);
           const auto smp = solve(kind, batch, gs::InstrumentMode::sampled,
@@ -149,22 +134,14 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
           expect_bitwise(exact, with_vec, what + " exact vs functional");
           expect_bitwise(exact, sampled, what + " exact vs sampled");
           expect_same_status(ref.status, smp.status, what + " sampled");
-          if (guard && (kind == gpu::SolverKind::hybrid ||
-                        kind == gpu::SolverKind::hybrid_fused ||
-                        kind == gpu::SolverKind::pthomas_only)) {
-            const auto want = hybrid_guard_status(
-                kind, batch, gs::InstrumentMode::exact, /*vector=*/true);
-            ASSERT_EQ(want.size(), batch.num_systems()) << what;
-            EXPECT_FALSE(want[s.m / 2].ok())
+          expect_same_status(ref.status, on.status,
+                             what + " functional, vector on");
+          expect_same_status(ref.status, off.status,
+                             what + " functional, vector off");
+          if (guard) {
+            ASSERT_EQ(ref.status.size(), batch.num_systems()) << what;
+            EXPECT_FALSE(ref.status[s.m / 2].ok())
                 << what << ": the planted zero pivot went unflagged";
-            for (const bool vector : {true, false}) {
-              expect_same_status(
-                  want,
-                  hybrid_guard_status(kind, batch,
-                                      gs::InstrumentMode::functional_only,
-                                      vector),
-                  what + " functional, vector " + (vector ? "on" : "off"));
-            }
           }
           for (const auto& seg : smp.timeline.segments()) {
             if (seg.stats.instrumented_blocks < seg.stats.config.grid_blocks) {

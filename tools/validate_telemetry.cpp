@@ -4,20 +4,11 @@
 //   validate_telemetry --jsonl table2.jsonl [--min-records 3]
 //                      [--trace table2.trace.json] [--spans spans.jsonl]
 //
-// JSONL checks, per line: parses as a JSON object; `bench` and `solver`
-// are non-empty strings; `m` and `n` are positive numbers; `time_us` is a
-// non-negative number; `phases` (when present) is an object of
-// non-negative numbers whose sum matches `time_us`; the optional guard
-// taxonomy field `guard_flagged` is a number >= 0; the hazard block
-// (present when the producing bench ran with --check-hazards) is
-// all-or-nothing: `hazard_mode` must be "detect" or "fatal" and every
-// `hazard_{raw,war,waw,oob,divergence}` counter must be a number >= 0. The fault block (present when the
-// producer ran with --fault-rate/--fault-seed/--fault-kinds) is likewise
-// all-or-nothing: `fault_seed` >= 0, `fault_rate` in [0,1] and all five
-// `fault_*` counters >= 0. The resilience block (written by the
-// resilient solve pipeline) is all-or-nothing too: the `resilience_*`
-// numbers >= 0, the two booleans 0/1, and `resilience_worst` a SolveCode
-// name.
+// JSONL checks, per line: parses as a JSON object that obeys the record
+// schema declared in src/obs/record_schema.hpp (obs::check_record), and
+// a `phases` object (when present) holds numbers >= 0 that sum to
+// `time_us` — its keys are phase labels, so the declaration cannot list
+// them.
 //
 // Every JSONL line must additionally be in *canonical form*: parsing it
 // and re-serializing compactly reproduces the input bytes. The JSON
@@ -25,12 +16,6 @@
 // anything the observability layer emits is already canonical — the
 // check pins that byte-stability (diffable telemetry, stable perfdiff
 // keys) against drift.
-//
-// Roofline records (bench_profile --json, marked by a `frac_bandwidth`
-// field or a `roofline` object) must carry the full attribution block:
-// byte/FLOP tallies >= 0, achieved/peak rates >= 0, and `bound` either
-// "bandwidth" or "compute". A `hist_launch_us` object must hold ordered
-// quantiles (p50 <= p90 <= p99 <= max) with a count >= 0.
 //
 // Span checks (--spans, written by --spans-json): every line is an
 // object with a positive numeric `span` id, non-empty `name`, numeric
@@ -41,16 +26,6 @@
 // event has a string `name` and `ph`; "X" (duration) events carry
 // numeric ts/dur/pid/tid with ts, dur >= 0; within each (pid, tid) track,
 // events sorted by ts are non-overlapping (monotonic timeline).
-//
-// The plan block (written by bench::Telemetry for hybrid-family records
-// and by bench_autotune) is all-or-nothing as well: `plan_source` a
-// PlanSource name, `plan_cached` 0/1, `plan_k` >= 0, `plan_variant` a
-// string and `plan_c` >= 1.
-//
-// The service block (written by bench_service, one record per sweep
-// point of the saturation curve) is all-or-nothing too: the eleven
-// `service_*` numbers >= 0, `service_requests` >= 1, expired bounded by
-// requests, mean occupancy <= max occupancy and p50 <= p99.
 //
 // Calibration-file checks (--plan, written by bench_autotune --out):
 // schema tridsolve-plan-v1, device name plus decimal-string fingerprint,
@@ -74,9 +49,11 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/record_schema.hpp"
 #include "util/cli.hpp"
 
-using tridsolve::obs::JsonValue;
+namespace obs = tridsolve::obs;
+using obs::JsonValue;
 
 namespace {
 
@@ -128,26 +105,6 @@ void require_canonical(const JsonValue& rec, const std::string& line,
   }
 }
 
-/// One roofline attribution object (a bench_profile per-phase record, or
-/// one entry of a total record's `roofline` map).
-void validate_roofline(const JsonValue& attr, const std::string& where) {
-  for (const char* key :
-       {"bytes_global", "bytes_shared", "flops_f32", "flops_f64",
-        "achieved_gbps", "achieved_gflops", "frac_bandwidth", "frac_compute",
-        "intensity", "time_us"}) {
-    if (require_number(attr, key, where) < 0) {
-      fail(where + ": \"" + std::string(key) + "\" < 0");
-    }
-  }
-  if (require_number(attr, "peak_gbps", where) <= 0) {
-    fail(where + ": peak_gbps <= 0");
-  }
-  const std::string bound = require_string(attr, "bound", where);
-  if (bound != "bandwidth" && bound != "compute") {
-    fail(where + ": bound \"" + bound + "\" is not bandwidth|compute");
-  }
-}
-
 std::size_t validate_jsonl(const std::string& path) {
   std::ifstream in(path);
   if (!in) fail("cannot open " + path);
@@ -163,232 +120,8 @@ std::size_t validate_jsonl(const std::string& path) {
     const JsonValue& rec = *parsed;
     require_canonical(rec, line, where);
 
-    require_string(rec, "bench", where);
-    require_string(rec, "solver", where);
-    if (require_number(rec, "m", where) <= 0) fail(where + ": m <= 0");
-    if (require_number(rec, "n", where) <= 0) fail(where + ": n <= 0");
-    const double time_us = require_number(rec, "time_us", where);
-    if (time_us < 0) fail(where + ": time_us < 0");
-
-    // The guard taxonomy field is optional (hybrid records carry it);
-    // when present it must be a count >= 0.
-    if (const JsonValue* v = rec.find("guard_flagged")) {
-      if (!v->is_number() || v->as_number() < 0) {
-        fail(where + ": \"guard_flagged\" is not a number >= 0");
-      }
-    }
-
-    // Hazard block: written together by bench::Telemetry, so a partial
-    // block means the producer (or the schema) drifted.
-    static constexpr const char* hazard_keys[] = {
-        "hazard_raw", "hazard_war", "hazard_waw", "hazard_oob",
-        "hazard_divergence"};
-    const bool has_mode = rec.find("hazard_mode") != nullptr;
-    bool has_any_count = false, has_all_counts = true;
-    for (const char* key : hazard_keys) {
-      if (rec.find(key)) has_any_count = true;
-      else has_all_counts = false;
-    }
-    if (has_mode || has_any_count) {
-      if (!has_mode || !has_all_counts) {
-        fail(where + ": partial hazard block (need hazard_mode plus all five"
-             " hazard_{raw,war,waw,oob,divergence} counters)");
-      }
-      const std::string mode = require_string(rec, "hazard_mode", where);
-      if (mode != "detect" && mode != "fatal") {
-        fail(where + ": hazard_mode \"" + mode +
-             "\" is not \"detect\" or \"fatal\"");
-      }
-      for (const char* key : hazard_keys) {
-        if (require_number(rec, key, where) < 0) {
-          fail(where + ": \"" + std::string(key) + "\" < 0");
-        }
-      }
-    }
-
-    // Fault block: written together (bench::Telemetry or quickstart) when
-    // a FaultPlan is armed — all-or-nothing like the hazard block.
-    static constexpr const char* fault_keys[] = {
-        "fault_bit_flips", "fault_shared_corruptions", "fault_nan_writes",
-        "fault_launch_failures", "fault_timeouts"};
-    bool has_fault_any = rec.find("fault_seed") || rec.find("fault_rate");
-    bool has_fault_all =
-        rec.find("fault_seed") != nullptr && rec.find("fault_rate") != nullptr;
-    for (const char* key : fault_keys) {
-      if (rec.find(key)) has_fault_any = true;
-      else has_fault_all = false;
-    }
-    if (has_fault_any) {
-      if (!has_fault_all) {
-        fail(where + ": partial fault block (need fault_seed, fault_rate and"
-             " all five fault_{bit_flips,shared_corruptions,nan_writes,"
-             "launch_failures,timeouts} counters)");
-      }
-      if (require_number(rec, "fault_seed", where) < 0) {
-        fail(where + ": fault_seed < 0");
-      }
-      const double rate = require_number(rec, "fault_rate", where);
-      if (rate < 0 || rate > 1) fail(where + ": fault_rate outside [0,1]");
-      for (const char* key : fault_keys) {
-        if (require_number(rec, key, where) < 0) {
-          fail(where + ": \"" + std::string(key) + "\" < 0");
-        }
-      }
-    }
-
-    // Resilience block: written by the resilient solve pipeline —
-    // all-or-nothing, with a severity code name in resilience_worst.
-    static constexpr const char* resilience_counts[] = {
-        "resilience_retries", "resilience_fallbacks", "resilience_spent_us",
-        "resilience_partial", "resilience_deadline_exceeded"};
-    bool has_res_any = rec.find("resilience_worst") != nullptr;
-    bool has_res_all = has_res_any;
-    for (const char* key : resilience_counts) {
-      if (rec.find(key)) has_res_any = true;
-      else has_res_all = false;
-    }
-    if (has_res_any) {
-      if (!has_res_all) {
-        fail(where + ": partial resilience block (need resilience_worst plus"
-             " resilience_{retries,fallbacks,spent_us,partial,"
-             "deadline_exceeded})");
-      }
-      for (const char* key : resilience_counts) {
-        if (require_number(rec, key, where) < 0) {
-          fail(where + ": \"" + std::string(key) + "\" < 0");
-        }
-      }
-      for (const char* key :
-           {"resilience_partial", "resilience_deadline_exceeded"}) {
-        const double v = require_number(rec, key, where);
-        if (v != 0.0 && v != 1.0) {
-          fail(where + ": \"" + std::string(key) + "\" is not 0 or 1");
-        }
-      }
-      static constexpr const char* codes[] = {
-          "ok", "near_singular", "zero_pivot", "timed_out", "launch_failed",
-          "singular", "deadline", "overloaded", "bad_size", "bad_argument"};
-      const std::string worst = require_string(rec, "resilience_worst", where);
-      if (std::find_if(std::begin(codes), std::end(codes),
-                       [&worst](const char* c) { return worst == c; }) ==
-          std::end(codes)) {
-        fail(where + ": resilience_worst \"" + worst +
-             "\" is not a SolveCode name");
-      }
-    }
-
-    // Plan provenance block (hybrid and autotune records): written
-    // together by bench::Telemetry / bench_autotune — all-or-nothing.
-    static constexpr const char* plan_keys[] = {
-        "plan_source", "plan_cached", "plan_k", "plan_variant", "plan_c"};
-    bool has_plan_any = false, has_plan_all = true;
-    for (const char* key : plan_keys) {
-      if (rec.find(key)) has_plan_any = true;
-      else has_plan_all = false;
-    }
-    if (has_plan_any) {
-      if (!has_plan_all) {
-        fail(where + ": partial plan block (need all of plan_{source,cached,"
-             "k,variant,c})");
-      }
-      static constexpr const char* sources[] = {
-          "heuristic", "cost_model", "forced", "calibrated", "autotuned"};
-      const std::string source = require_string(rec, "plan_source", where);
-      if (std::find_if(std::begin(sources), std::end(sources),
-                       [&source](const char* s) { return source == s; }) ==
-          std::end(sources)) {
-        fail(where + ": plan_source \"" + source +
-             "\" is not a PlanSource name");
-      }
-      const double cached = require_number(rec, "plan_cached", where);
-      if (cached != 0.0 && cached != 1.0) {
-        fail(where + ": plan_cached is not 0 or 1");
-      }
-      if (require_number(rec, "plan_k", where) < 0) fail(where + ": plan_k < 0");
-      require_string(rec, "plan_variant", where);
-      if (require_number(rec, "plan_c", where) < 1) fail(where + ": plan_c < 1");
-    }
-
-    // Service saturation block (bench_service records): written together
-    // per sweep point — all-or-nothing like the other blocks, with
-    // internal consistency (expired bounded by requests, ordered
-    // occupancy and latency quantiles).
-    static constexpr const char* service_keys[] = {
-        "service_offered_rps",    "service_achieved_rps",
-        "service_requests",       "service_expired",
-        "service_batches",        "service_occupancy_mean",
-        "service_occupancy_max",  "service_p50_us",
-        "service_p99_us",         "service_batched_sim_us",
-        "service_solo_sim_us",    "service_shed",
-        "service_degraded",       "service_retried"};
-    bool has_svc_any = false, has_svc_all = true;
-    for (const char* key : service_keys) {
-      if (rec.find(key)) has_svc_any = true;
-      else has_svc_all = false;
-    }
-    if (has_svc_any) {
-      if (!has_svc_all) {
-        fail(where + ": partial service block (need all of service_{offered_"
-             "rps,achieved_rps,requests,expired,batches,occupancy_mean,"
-             "occupancy_max,p50_us,p99_us,batched_sim_us,solo_sim_us,shed,"
-             "degraded,retried})");
-      }
-      for (const char* key : service_keys) {
-        if (require_number(rec, key, where) < 0) {
-          fail(where + ": \"" + std::string(key) + "\" < 0");
-        }
-      }
-      const double requests = require_number(rec, "service_requests", where);
-      if (requests < 1) fail(where + ": service_requests < 1");
-      if (require_number(rec, "service_expired", where) > requests) {
-        fail(where + ": service_expired > service_requests");
-      }
-      // Shed/degraded/retried are per-request tallies: each request is
-      // shed or dispatched (possibly degraded/retried), never both more
-      // than once — so none can exceed the request count.
-      for (const char* key :
-           {"service_shed", "service_degraded", "service_retried"}) {
-        if (require_number(rec, key, where) > requests) {
-          fail(where + ": \"" + std::string(key) + "\" > service_requests");
-        }
-      }
-      if (require_number(rec, "service_occupancy_mean", where) >
-          require_number(rec, "service_occupancy_max", where)) {
-        fail(where + ": service_occupancy_mean > service_occupancy_max");
-      }
-      if (require_number(rec, "service_p50_us", where) >
-          require_number(rec, "service_p99_us", where)) {
-        fail(where + ": service_p50_us > service_p99_us");
-      }
-    }
-
-    // Roofline attribution: a bench_profile per-phase record carries the
-    // block inline; a total record maps phase label -> block.
-    if (rec.find("frac_bandwidth")) validate_roofline(rec, where);
-    if (const JsonValue* roof = rec.find("roofline")) {
-      if (!roof->is_object()) fail(where + ": roofline is not an object");
-      for (const auto& [phase, attr] : roof->as_object()) {
-        if (!attr.is_object()) {
-          fail(where + ": roofline[\"" + phase + "\"] is not an object");
-        }
-        validate_roofline(attr, where + " roofline[\"" + phase + "\"]");
-      }
-    }
-
-    // Latency-histogram quantiles: ordered, with a sane count.
-    if (const JsonValue* hist = rec.find("hist_launch_us")) {
-      const std::string hw = where + " hist_launch_us";
-      if (!hist->is_object()) fail(hw + ": not an object");
-      const double count = require_number(*hist, "count", hw);
-      if (count < 0) fail(hw + ": count < 0");
-      const double p50 = require_number(*hist, "p50", hw);
-      const double p90 = require_number(*hist, "p90", hw);
-      const double p99 = require_number(*hist, "p99", hw);
-      const double mx = require_number(*hist, "max", hw);
-      if (count > 0 && !(p50 <= p90 && p90 <= p99 && p99 <= mx)) {
-        fail(hw + ": quantiles out of order (need p50 <= p90 <= p99 <= max)");
-      }
-    }
+    if (const auto err = obs::check_record(rec)) fail(where + ": " + *err);
+    const double time_us = rec.find("time_us")->as_number();
 
     if (const JsonValue* phases = rec.find("phases")) {
       if (!phases->is_object()) fail(where + ": phases is not an object");
@@ -541,11 +274,9 @@ std::size_t validate_plan_file(const std::string& path) {
       fail(where + ": 2^k exceeds n (plan cannot fit its shape)");
     }
     const std::string variant = require_string(entry, "variant", where);
-    static constexpr const char* variants[] = {
-        "one_block_per_system", "split_system", "multi_system_per_block"};
-    if (std::find_if(std::begin(variants), std::end(variants),
-                     [&variant](const char* v) { return variant == v; }) ==
-        std::end(variants)) {
+    if (std::find(std::begin(obs::window_variant_names),
+                  std::end(obs::window_variant_names),
+                  variant) == std::end(obs::window_variant_names)) {
       fail(where + ": variant \"" + variant +
            "\" is not a concrete window variant");
     }
