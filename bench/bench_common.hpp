@@ -32,21 +32,14 @@
 
 namespace tridsolve::bench {
 
-/// Layout the hybrid wants for a given batch shape (the paper's setup):
-/// interleaved when it will run pure p-Thomas (k = 0), contiguous when
-/// tiled PCR leads.
-inline tridiag::Layout preferred_layout(std::size_t m, std::size_t n) {
-  return gpu::heuristic_k(m, n) == 0 ? tridiag::Layout::interleaved
-                                     : tridiag::Layout::contiguous;
-}
-
 /// Run the full hybrid solve on a fresh random diagonally-dominant batch
 /// and return the report (timings are simulated; the numerics are real).
 template <typename T>
 gpu::HybridReport run_ours(const gpusim::DeviceSpec& dev, std::size_t m,
                            std::size_t n, const gpu::HybridOptions& opts = {}) {
-  auto batch = workloads::make_batch<T>(workloads::Kind::random_dominant, m, n,
-                                        preferred_layout(m, n), /*seed=*/42);
+  auto batch =
+      workloads::make_batch<T>(workloads::Kind::random_dominant, m, n,
+                               gpu::preferred_layout(m, n), /*seed=*/42);
   return gpu::hybrid_solve<T>(dev, batch, opts);
 }
 

@@ -54,7 +54,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
                     "frac_bw", "frac_comp", "bound"});
 
   const auto batch = workloads::make_batch<double>(
-      workloads::Kind::random_dominant, m, n, bench::preferred_layout(m, n),
+      workloads::Kind::random_dominant, m, n, gpu::preferred_layout(m, n),
       /*seed=*/42);
   const std::string solver_filter = cli.get_string("solvers", "");
 

@@ -241,15 +241,9 @@ void soak_phase_identity(const SoakParams& sp) {
   }
   const auto results = drain(svc, futures);
 
-  tridiag::SystemBatch<double> twin(m, sp.n, service::coalesced_layout(m, sp.n));
+  tridiag::SystemBatch<double> twin(m, sp.n, gpu::preferred_layout(m, sp.n));
   for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t i = 0; i < sp.n; ++i) {
-      const std::size_t at = twin.index(j, i);
-      twin.a()[at] = systems[j].a()[i];
-      twin.b()[at] = systems[j].b()[i];
-      twin.c()[at] = systems[j].c()[i];
-      twin.d()[at] = systems[j].d()[i];
-    }
+    tridiag::copy_system(systems[j].ref(), twin.system(j));
   }
   gpu::SolverRunOptions opts;
   opts.guard = true;
@@ -636,13 +630,8 @@ int main(int argc, char** argv) {
   solo_opts.guard = true;
   double solo_sim_us = 0.0;
   for (const auto& sys : systems) {
-    tridiag::SystemBatch<double> one(1, n, service::coalesced_layout(1, n));
-    for (std::size_t i = 0; i < n; ++i) {
-      one.a()[i] = sys.a()[i];
-      one.b()[i] = sys.b()[i];
-      one.c()[i] = sys.c()[i];
-      one.d()[i] = sys.d()[i];
-    }
+    tridiag::SystemBatch<double> one(1, n, gpu::preferred_layout(1, n));
+    tridiag::copy_system(sys.ref(), one.system(0));
     solo_sim_us += gpu::run_solver(solver, dev, one, solo_opts).time_us;
   }
 

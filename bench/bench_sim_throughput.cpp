@@ -66,7 +66,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
                     "blocks/s", "speedup"});
 
   const auto batch = workloads::make_batch<double>(
-      workloads::Kind::random_dominant, m, n, bench::preferred_layout(m, n),
+      workloads::Kind::random_dominant, m, n, gpu::preferred_layout(m, n),
       /*seed=*/42);
   auto scratch = batch.clone();
   const auto restore = [&] {

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     for (const auto& dev : devices) {
       const auto batch = workloads::make_batch<double>(
           workloads::Kind::random_dominant, cfg.m, cfg.n,
-          bench::preferred_layout(cfg.m, cfg.n), 42);
+          gpu::preferred_layout(cfg.m, cfg.n), 42);
       const auto hybrid = gpu::run_solver(gpu::SolverKind::hybrid, dev, batch);
       const auto zhang = gpu::run_solver(gpu::SolverKind::zhang, dev, batch);
       const auto dav = gpu::run_solver(gpu::SolverKind::davidson, dev, batch);

@@ -89,10 +89,8 @@ void zebra_line_sweep(Grid& g, const gpusim::DeviceSpec& dev,
     for (std::size_t ix = static_cast<std::size_t>(parity); ix < g.n; ix += 2) {
       cols.push_back(ix);
     }
-    const auto layout = gpu::heuristic_k(cols.size(), g.n) == 0
-                            ? tridiag::Layout::interleaved
-                            : tridiag::Layout::contiguous;
-    tridiag::SystemBatch<double> batch(cols.size(), g.n, layout);
+    tridiag::SystemBatch<double> batch(
+        cols.size(), g.n, gpu::preferred_layout(cols.size(), g.n));
     for (std::size_t m = 0; m < cols.size(); ++m) {
       const auto ix = static_cast<std::ptrdiff_t>(cols[m]);
       auto sys = batch.system(m);

@@ -54,10 +54,8 @@ int main(int argc, char** argv) {
   //   h/6 s_{i-1} + 2h/3 s_i + h/6 s_{i+1} = (y_{i+1}-2y_i+y_{i-1})/h,
   // i = 1..knots-2; s_0 = s_{knots-1} = 0. One system per curve.
   const std::size_t n = knots - 2;
-  const auto layout = gpu::heuristic_k(curves, n) == 0
-                          ? tridiag::Layout::interleaved
-                          : tridiag::Layout::contiguous;
-  tridiag::SystemBatch<double> batch(curves, n, layout);
+  tridiag::SystemBatch<double> batch(curves, n,
+                                     gpu::preferred_layout(curves, n));
   for (std::size_t cvi = 0; cvi < curves; ++cvi) {
     auto sys = batch.system(cvi);
     for (std::size_t i = 0; i < n; ++i) {

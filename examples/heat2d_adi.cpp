@@ -112,11 +112,8 @@ int main(int argc, char** argv) {
     for (bool row_sweep : {true, false}) {
       const std::size_t m_count = row_sweep ? ny : nx;
       const std::size_t n = row_sweep ? nx : ny;
-      const auto layout = gpu::heuristic_k(m_count, n) == 0
-                              ? tridiag::Layout::interleaved
-                              : tridiag::Layout::contiguous;
-
-      tridiag::SystemBatch<double> gpu_batch(m_count, n, layout);
+      tridiag::SystemBatch<double> gpu_batch(
+          m_count, n, gpu::preferred_layout(m_count, n));
       build_sweep(gpu_batch, u_gpu, nx, ny, r, row_sweep);
       const auto rep = gpu::hybrid_solve(dev, gpu_batch);
       sim_gpu_us += rep.total_us();

@@ -95,15 +95,7 @@ int main(int argc, char** argv) {
   // 3. The paper's hybrid tiled-PCR + p-Thomas on the simulated GTX480.
   //    (Batch of one system; the transition heuristic picks k = 8.)
   tridiag::SystemBatch<double> batch(1, n, tridiag::Layout::contiguous);
-  {
-    auto dst = batch.system(0);
-    for (std::size_t i = 0; i < n; ++i) {
-      dst.a[i] = sys.a()[i];
-      dst.b[i] = sys.b()[i];
-      dst.c[i] = sys.c()[i];
-      dst.d[i] = sys.d()[i];
-    }
-  }
+  tridiag::copy_system(sys.ref(), batch.system(0));
   const auto dev = gpusim::gtx480();
   // Fault injection, a broken row or an explicit deadline/retry budget
   // switches the solve onto the resilient pipeline (DESIGN.md "Fault
@@ -118,11 +110,10 @@ int main(int argc, char** argv) {
     gpu::SolverRunOptions ropts;
     ropts.guard = true;
     ropts.force_k = force_k;
-    tridiag::SystemBatch<double> solved;
-    resil = gpu::run_solver_resilient<double>(
-        gpu::SolverKind::hybrid, dev, batch, ropts,
-        gpu::engine_resilience_policy(), &solved);
-    batch = std::move(solved);  // recovered solutions (or pristine d)
+    // Solved in place: recovered solutions (or pristine d) land in batch.
+    resil = gpu::run_solver_resilient<double>(gpu::SolverKind::hybrid, dev,
+                                              batch, ropts,
+                                              gpu::engine_resilience_policy());
   } else {
     gpu::HybridOptions hopts;  // guard detection is on by default (free)
     hopts.force_k = force_k;

@@ -51,8 +51,7 @@ namespace {
 bool is_tunable_request(const HybridOptions& opts) noexcept {
   return opts.force_k < 0 && !opts.use_cost_model &&
          opts.variant == WindowVariant::auto_select && opts.sub_tile_c <= 1 &&
-         opts.blocks_per_system == 0 && opts.systems_per_block == 0 &&
-         !opts.fuse && opts.pthomas_block_threads == 128;
+         !opts.fuse;
 }
 
 /// Views of the 2^k interleaved reduced systems inside `batch`-shaped
@@ -293,13 +292,11 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   if (opts.fuse && k >= 1) {
     // The forward sweep (and its pivot detection) already ran inside the
     // fused PCR kernel; the backward pass has no divisions to guard.
-    const auto bwd = pthomas_backward<T>(dev, systems, xout,
-                                         opts.pthomas_block_threads);
-    report.timeline.add("thomas-bwd", bwd);
+    report.timeline.add("thomas-bwd", pthomas_backward<T>(dev, systems, xout));
   } else {
     std::vector<tridiag::SolveStatus> sys_guard(guard ? systems.size() : 0);
     const auto th =
-        pthomas_solve<T>(dev, systems, xout, opts.pthomas_block_threads,
+        pthomas_solve<T>(dev, systems, xout, /*block_threads=*/128,
                          std::span<tridiag::SolveStatus>(sys_guard));
     report.timeline.add("thomas-fwd", th.forward);
     report.timeline.add("thomas-bwd", th.backward);

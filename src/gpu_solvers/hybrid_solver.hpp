@@ -61,10 +61,7 @@ struct HybridOptions {
   bool use_cost_model = false;  ///< Table II model instead of Table III
   std::size_t sub_tile_c = 1;   ///< S = c * 2^k
   WindowVariant variant = WindowVariant::auto_select;
-  std::size_t blocks_per_system = 0;  ///< 0 = auto (split_system only)
-  std::size_t systems_per_block = 0;  ///< 0 = auto (multi_system only)
-  bool fuse = false;                  ///< fuse Thomas forward into PCR kernel
-  int pthomas_block_threads = 128;
+  bool fuse = false;            ///< fuse Thomas forward into PCR kernel
   /// Pivot guard (see DESIGN.md "Guarded solve path"): collect a
   /// per-system SolveStatus from the kernels' own elimination values.
   /// Read-only — it records no simulated cost and changes no arithmetic,

@@ -34,11 +34,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
   fnv_mix(h, k.n);
   fnv_mix(h, k.elem_size);
   fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(k.force_k)));
-  fnv_mix(h, static_cast<std::uint64_t>(
-                 static_cast<std::int64_t>(k.pthomas_threads)));
   fnv_mix(h, k.sub_tile_c);
-  fnv_mix(h, k.blocks_per_system);
-  fnv_mix(h, k.systems_per_block);
   fnv_mix(h, (std::uint64_t{k.variant} << 16) |
                  (std::uint64_t{k.use_cost_model} << 8) | k.fuse);
   return h;
@@ -92,10 +88,7 @@ PlanKey make_plan_key(const gpusim::DeviceSpec& dev, std::size_t m,
   key.n = n;
   key.elem_size = static_cast<std::uint32_t>(elem_size);
   key.force_k = opts.force_k;
-  key.pthomas_threads = opts.pthomas_block_threads;
   key.sub_tile_c = std::max<std::uint64_t>(1, opts.sub_tile_c);
-  key.blocks_per_system = opts.blocks_per_system;
-  key.systems_per_block = opts.systems_per_block;
   key.variant = static_cast<std::uint8_t>(opts.variant);
   key.use_cost_model = opts.use_cost_model ? 1 : 0;
   key.fuse = opts.fuse ? 1 : 0;
@@ -108,7 +101,6 @@ SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
   (void)elem_size;  // planning is shape-driven; elem_size only keys the cache
   SolvePlan plan;
   plan.c = std::max<std::size_t>(1, opts.sub_tile_c);
-  plan.pthomas_block_threads = opts.pthomas_block_threads;
   if (opts.force_k >= 0) {
     plan.source = PlanSource::forced;
   } else if (opts.use_cost_model) {
@@ -156,21 +148,14 @@ SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
   plan.variant = variant;
 
   if (variant == WindowVariant::split_system) {
-    std::size_t regions = opts.blocks_per_system;
-    if (regions == 0) {
-      const std::size_t sub_tile = plan.c << k;
-      const std::size_t target_blocks =
-          static_cast<std::size_t>(4 * dev.num_sms);
-      const std::size_t max_regions =
-          std::max<std::size_t>(1, n / std::max<std::size_t>(1, 4 * sub_tile));
-      regions = std::clamp<std::size_t>((target_blocks + m - 1) / m, 1,
-                                        max_regions);
-    }
-    plan.blocks_per_system = regions;
+    const std::size_t sub_tile = plan.c << k;
+    const std::size_t target_blocks = static_cast<std::size_t>(4 * dev.num_sms);
+    const std::size_t max_regions =
+        std::max<std::size_t>(1, n / std::max<std::size_t>(1, 4 * sub_tile));
+    plan.blocks_per_system = std::clamp<std::size_t>(
+        (target_blocks + m - 1) / m, 1, max_regions);
   } else if (variant == WindowVariant::multi_system_per_block) {
-    plan.systems_per_block = opts.systems_per_block == 0
-                                 ? std::min<std::size_t>(4, m)
-                                 : opts.systems_per_block;
+    plan.systems_per_block = std::min<std::size_t>(4, m);
   }
   return plan;
 }

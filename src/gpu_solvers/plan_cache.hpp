@@ -60,10 +60,7 @@ struct PlanKey {
 
   // Request signature (every HybridOptions field that can change a plan).
   std::int32_t force_k = -1;
-  std::int32_t pthomas_threads = 128;
   std::uint64_t sub_tile_c = 1;
-  std::uint64_t blocks_per_system = 0;
-  std::uint64_t systems_per_block = 0;
   std::uint8_t variant = 0;  ///< WindowVariant as an integer
   std::uint8_t use_cost_model = 0;
   std::uint8_t fuse = 0;
@@ -83,7 +80,6 @@ struct SolvePlan {
   std::size_t c = 1;                  ///< sub-tile multiplier, S = c * 2^k
   std::size_t blocks_per_system = 0;  ///< split_system region count (else 0)
   std::size_t systems_per_block = 1;  ///< windows per block (multi variant)
-  int pthomas_block_threads = 128;
   PlanSource source = PlanSource::heuristic;
   double tuned_us = 0.0;  ///< autotuner's measured simulated time (0 = n/a)
 

@@ -4,9 +4,11 @@
 #include <bit>
 #include <chrono>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "gpu_solvers/cr_kernel.hpp"
 #include "gpusim/launch.hpp"
@@ -43,31 +45,6 @@ std::vector<SolverKind> all_solver_kinds() {
 
 namespace {
 
-/// Solvers that report a single launch's timing directly (no Timeline)
-/// get the same functional_only protection Timeline::total_us provides.
-void require_timed(const gpusim::LaunchStats& stats) {
-  if (!stats.timed) {
-    throw std::logic_error(
-        "solver ran functional_only (no recorded costs); re-run with "
-        "--instrument exact|sampled for timing");
-  }
-}
-
-/// Post-hoc guard over a solved batch: every system's solution goes
-/// through tridiag::gate_solution against the pristine inputs. This is
-/// solver-agnostic — it catches breakdowns even in kernels that have no
-/// built-in pivot guard (Zhang, CR, Davidson, partition).
-template <typename T>
-void posthoc_scan(const tridiag::SystemBatch<T>& pristine,
-                  const tridiag::SystemBatch<T>& solved,
-                  tridiag::BatchStatus& status) {
-  for (std::size_t m = 0; m < pristine.num_systems(); ++m) {
-    const tridiag::SolveStatus gated =
-        tridiag::gate_solution(pristine.system(m), solved.system(m).d);
-    if (!gated.ok()) status.absorb(m, gated);
-  }
-}
-
 /// Sum injected-fault tallies across every launch of a timeline.
 [[nodiscard]] gpusim::FaultCounts timeline_faults(const gpusim::Timeline& tl) {
   gpusim::FaultCounts f;
@@ -75,102 +52,71 @@ void posthoc_scan(const tridiag::SystemBatch<T>& pristine,
   return f;
 }
 
-}  // namespace
-
+/// Run `kind` over `work` in place (solution in d). Each case keeps only
+/// what differs between kinds and leaves its launches in out.timeline;
+/// one tail fills the rest. Failures come back as structured outcomes.
 template <typename T>
-SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
-                        const tridiag::SystemBatch<T>& batch,
-                        const SolverRunOptions& run_opts,
-                        tridiag::SystemBatch<T>* solution) {
+SolveOutcome solve_in_place(SolverKind kind, const gpusim::DeviceSpec& dev,
+                            tridiag::SystemBatch<T>& work,
+                            const SolverRunOptions& run_opts) {
   SolveOutcome out;
-  auto copy = batch.clone();
   std::optional<gpusim::ScopedInstrumentMode> instrument_guard;
   if (run_opts.instrument) instrument_guard.emplace(*run_opts.instrument);
   std::optional<gpusim::ScopedHazardMode> hazard_guard;
   if (run_opts.hazards) hazard_guard.emplace(*run_opts.hazards);
-  // Each case marks the run solved and fills everything but time_us
-  // first: reading time_us throws for a functional_only run, which stays
-  // solved (statuses, faults and solution handed out) but unsupported.
   try {
     switch (kind) {
       case SolverKind::hybrid:
       case SolverKind::hybrid_fused:
       case SolverKind::pthomas_only: {
         HybridOptions opts;
-        if (kind == SolverKind::hybrid_fused) opts.fuse = true;
-        if (kind != SolverKind::pthomas_only && run_opts.force_k >= 0) {
-          opts.force_k = run_opts.force_k;
-        }
+        opts.fuse = kind == SolverKind::hybrid_fused;
+        if (run_opts.force_k >= 0) opts.force_k = run_opts.force_k;
         if (kind == SolverKind::pthomas_only) opts.force_k = 0;
         // The hybrid's in-kernel guard supplies exact rows and pivot
-        // growth; the post-hoc scan below covers every kind.
+        // growth; guard_scan covers every kind.
         opts.guard = run_opts.guard;
-        const auto rep = hybrid_solve(dev, copy, opts);
-        out.solved = true;
-        out.launches = rep.timeline.segments().size();
+        HybridReport rep = hybrid_solve(dev, work, opts);
+        out.timeline = std::move(rep.timeline);
+        out.status = std::move(rep.status);
         out.detail = "k=" + std::to_string(rep.k);
-        out.status = rep.status;
         out.k = static_cast<int>(rep.k);
         out.plan_source = plan_source_name(rep.plan_source);
         out.plan_cached = rep.plan_cached;
-        out.faults = timeline_faults(rep.timeline);
-        out.timeline = rep.timeline;
-        out.time_us = rep.total_us();
-        out.supported = true;
         break;
       }
-      case SolverKind::zhang: {
-        if (!zhang_fits(dev, batch.system_size(), sizeof(T))) {
+      case SolverKind::zhang:
+        if (!zhang_fits(dev, work.system_size(), sizeof(T))) {
           out.detail = "system exceeds shared memory";
           return out;
         }
-        const auto stats = zhang_solve(dev, copy);
-        out.solved = true;
-        out.launches = 1;
-        out.faults = stats.faults;
-        out.timeline.add("zhang", stats);
-        require_timed(stats);
-        out.time_us = stats.timing.time_us;
-        out.supported = true;
+        out.timeline.add("zhang", zhang_solve(dev, work));
         break;
-      }
-      case SolverKind::cr: {
-        if (!zhang_fits(dev, std::bit_ceil(batch.system_size()), sizeof(T))) {
+      case SolverKind::cr:
+        if (!zhang_fits(dev, std::bit_ceil(work.system_size()), sizeof(T))) {
           out.detail = "padded system exceeds shared memory";
           return out;
         }
-        const auto stats = cr_kernel_solve(dev, copy);
-        out.solved = true;
-        out.launches = 1;
-        out.faults = stats.faults;
-        out.timeline.add("cr", stats);
-        require_timed(stats);
-        out.time_us = stats.timing.time_us;
-        out.supported = true;
+        out.timeline.add("cr", cr_kernel_solve(dev, work));
         break;
-      }
       case SolverKind::davidson: {
-        const auto rep = davidson_solve(dev, copy);
-        out.solved = true;
-        out.launches = rep.timeline.segments().size();
+        DavidsonReport rep = davidson_solve(dev, work);
+        out.timeline = std::move(rep.timeline);
         out.detail = std::to_string(rep.global_steps) + " global steps";
-        out.faults = timeline_faults(rep.timeline);
-        out.timeline = rep.timeline;
-        out.time_us = rep.total_us();
-        out.supported = true;
         break;
       }
-      case SolverKind::partition: {
-        const auto rep = partition_solve_gpu(dev, copy, {});
-        out.solved = true;
-        out.launches = rep.timeline.segments().size();
-        out.faults = timeline_faults(rep.timeline);
-        out.timeline = rep.timeline;
-        out.time_us = rep.total_us();
-        out.supported = true;
+      case SolverKind::partition:
+        out.timeline = partition_solve_gpu(dev, work, {}).timeline;
         break;
-      }
     }
+    // Everything but time_us first: reading it throws for a
+    // functional_only run, which stays solved (statuses, faults and
+    // solution handed out) but unsupported.
+    out.solved = true;
+    out.launches = out.timeline.segments().size();
+    out.faults = timeline_faults(out.timeline);
+    out.time_us = out.timeline.total_us();
+    out.supported = true;
   } catch (const gpusim::LaunchFailure& e) {
     // Retryable: the launch never ran. The resilient pipeline re-dispatches
     // instead of degrading straight down the fallback chain.
@@ -188,30 +134,53 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
     out.supported = false;
     out.detail = e.what();
   }
+  return out;
+}
 
-  if (out.solved && run_opts.guard) {
-    static const auto flagged_ctr = obs::counter_handle("solver.guard.flagged");
-    static const auto guard_hist =
-        obs::histogram_handle("solver.guard.wall_us");
-    const auto guard_t0 = std::chrono::steady_clock::now();
-    // resize() wipes to fresh statuses — only size up guard-less kinds,
-    // never the hybrid family's kernel-reported rows and pivot growth.
-    if (out.status.size() != batch.num_systems()) {
-      out.status.resize(batch.num_systems());
-    }
-    // The hybrid family already counted its kernel-reported flags in
-    // solver.guard.flagged; only the scan's *new* flags are added here so
-    // the taxonomy counters stay exact per system.
-    const std::size_t kernel_flagged = out.status.flagged_count();
-    posthoc_scan(batch, copy, out.status);
-    out.flagged = out.status.flagged_count();
-    flagged_ctr.add(static_cast<double>(out.flagged - kernel_flagged));
-    guard_hist.record(std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - guard_t0)
-                          .count());
+/// Post-hoc guard over a solved batch: each system j of `solved` goes
+/// through tridiag::gate_solution against its pristine rows,
+/// `pristine_of(j)`. This is solver-agnostic — it catches breakdowns
+/// even in kernels that have no built-in pivot guard (Zhang, CR,
+/// Davidson, partition).
+template <typename T, typename PristineOf>
+void guard_scan(SolveOutcome& out, const tridiag::SystemBatch<T>& solved,
+                const PristineOf& pristine_of) {
+  static const auto flagged_ctr = obs::counter_handle("solver.guard.flagged");
+  static const auto guard_hist = obs::histogram_handle("solver.guard.wall_us");
+  const auto guard_t0 = std::chrono::steady_clock::now();
+  const std::size_t count = solved.num_systems();
+  // resize() wipes to fresh statuses — only size up guard-less kinds,
+  // never the hybrid family's kernel-reported rows and pivot growth.
+  if (out.status.size() != count) out.status.resize(count);
+  // The hybrid family already counted its kernel-reported flags in
+  // solver.guard.flagged; only the scan's *new* flags are added here so
+  // the taxonomy counters stay exact per system.
+  const std::size_t kernel_flagged = out.status.flagged_count();
+  for (std::size_t j = 0; j < count; ++j) {
+    const tridiag::SolveStatus gated =
+        tridiag::gate_solution(pristine_of(j), solved.system(j).d);
+    if (!gated.ok()) out.status.absorb(j, gated);
   }
+  out.flagged = out.status.flagged_count();
+  flagged_ctr.add(static_cast<double>(out.flagged - kernel_flagged));
+  guard_hist.record(std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - guard_t0)
+                        .count());
+}
 
-  if (out.solved && solution != nullptr) *solution = std::move(copy);
+}  // namespace
+
+template <typename T>
+SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
+                        const tridiag::SystemBatch<T>& batch,
+                        const SolverRunOptions& run_opts,
+                        tridiag::SystemBatch<T>* solution) {
+  tridiag::SystemBatch<T> work = batch.clone();
+  SolveOutcome out = solve_in_place(kind, dev, work, run_opts);
+  if (out.solved && run_opts.guard) {
+    guard_scan(out, work, [&](std::size_t m) { return batch.system(m); });
+  }
+  if (out.solved && solution != nullptr) *solution = std::move(work);
   return out;
 }
 
@@ -259,6 +228,18 @@ struct StageSpec {
       "\" (expected a solver token or cpu-thomas|lu)");
 }
 
+/// Systems per retry or fallback re-dispatch, so one poisoned system
+/// cannot force full-batch re-solves.
+constexpr std::size_t kRetryChunk = 32;
+
+/// Attach an attempt's outcome (SolveCode cause, recovery counts) to its
+/// span before the scope closes.
+void tag_attempt(obs::SpanScope& span, const tridiag::AttemptRecord& a) {
+  span.attr("code", obs::JsonValue(tridiag::solve_code_name(a.reason)));
+  span.attr("recovered", obs::JsonValue(a.recovered));
+  span.attr("still_flagged", obs::JsonValue(a.still_flagged));
+}
+
 }  // namespace
 
 std::vector<std::string> default_fallback_chain(SolverKind entry) {
@@ -290,10 +271,9 @@ tridiag::ResiliencePolicy engine_resilience_policy() {
 template <typename T>
 ResilientOutcome run_solver_resilient(SolverKind kind,
                                       const gpusim::DeviceSpec& dev,
-                                      const tridiag::SystemBatch<T>& batch,
+                                      tridiag::SystemBatch<T>& batch,
                                       const SolverRunOptions& run_opts,
-                                      const tridiag::ResiliencePolicy& policy,
-                                      tridiag::SystemBatch<T>* solution) {
+                                      const tridiag::ResiliencePolicy& policy) {
   static const auto retries_ctr =
       obs::counter_handle("solver.resilience.retries");
   static const auto fallback_ctr =
@@ -318,11 +298,6 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
   tridiag::ResilienceReport& rep = ro.report;
   const std::size_t num_systems = batch.num_systems();
   const std::size_t n = batch.system_size();
-  // The assembled result: pristine inputs, d overwritten per recovered
-  // system. Unrecovered systems keep their pristine d (never garbage).
-  tridiag::SystemBatch<T> work = batch.clone();
-  out.status.resize(num_systems);
-  out.supported = true;
 
   // Stage list: the entry solver, then the fallback chain (resolved up
   // front so an unknown stage name fails before any work is done).
@@ -336,11 +311,13 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
     if (st.name != stages.back().name) stages.push_back(std::move(st));
   }
 
-  SolverRunOptions sub_opts = run_opts;
-  sub_opts.guard = true;  // detection feeds the retry/fallback decisions
+  // The one copy: pristine inputs for every residual gate, retry chunk
+  // and host stage. `batch` itself is solved in place.
+  const tridiag::SystemBatch<T> pristine = batch.clone();
+  out.status.resize(num_systems);
+  out.supported = true;
 
   int force_k = run_opts.force_k;
-  const std::size_t chunk_cap = std::max<std::size_t>(1, policy.retry_chunk);
   std::vector<std::size_t> pending(num_systems);
   std::iota(pending.begin(), pending.end(), std::size_t{0});
 
@@ -371,6 +348,10 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
                                        plan_opts); });
       force_k = static_cast<int>(planned.plan.k);
     }
+    SolverRunOptions stage_opts = run_opts;
+    stage_opts.guard = true;  // detection feeds the retry/fallback decisions
+    if (hybrid_family && force_k >= 0) stage_opts.force_k = force_k;
+
     bool entered = false;
     // Host stages are deterministic and fault-immune: one pass is enough.
     const int max_attempts = st.host ? 1 : policy.max_retries + 1;
@@ -381,131 +362,98 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
         break;
       }
       if (attempt > 0) {
-        rep.spent_us += policy.backoff_us;
         ++rep.retries;
         retries_ctr.add();
       }
       entered = true;
 
-      if (st.host) {
-        tridiag::AttemptRecord ar;
-        ar.stage = st.name;
-        ar.attempt = attempt;
-        ar.systems = pending.size();
-        std::vector<std::size_t> still;
-        {
-          obs::SpanScope attempt_span("attempt");
-          attempt_span.attr("stage", obs::JsonValue(st.name));
-          attempt_span.attr("attempt", obs::JsonValue(attempt));
-          attempt_span.attr("systems", obs::JsonValue(ar.systems));
-          ar.recovered = st.is_lu ? tridiag::host_lu_stage<T>(batch, pending,
-                                                              work, out.status)
-                                  : tridiag::host_thomas_stage<T>(
-                                        batch, pending, work, out.status);
-          for (const std::size_t m : pending) {
-            if (!out.status[m].ok()) still.push_back(m);
-          }
-          ar.still_flagged = still.size();
-          attempt_span.attr(
-              "code", obs::JsonValue(tridiag::solve_code_name(ar.reason)));
-          attempt_span.attr("recovered", obs::JsonValue(ar.recovered));
-          attempt_span.attr("still_flagged", obs::JsonValue(ar.still_flagged));
-        }
-        rep.attempts.push_back(std::move(ar));
-        pending.swap(still);
-        break;
-      }
-
-      // GPU stage: chunked re-dispatch from pristine inputs. The entry
-      // stage's first dispatch runs the whole batch in one go; retries
-      // and fallback stages go chunk by chunk so one poisoned system
-      // cannot force full-batch re-solves.
+      // The entry stage's first dispatch solves the whole batch where it
+      // lies, and a host stage takes every pending system in one pass.
+      // Retries and fallback GPU stages go chunk by chunk, each solved in
+      // its own extract of the pristine copy.
+      const bool in_place = si == 0 && attempt == 0;
       const std::size_t chunk =
-          (si == 0 && attempt == 0) ? pending.size() : chunk_cap;
+          in_place || st.host ? pending.size() : kRetryChunk;
       std::vector<std::size_t> still;
       bool rejected = false;
       for (std::size_t first = 0; first < pending.size(); first += chunk) {
         if (out_of_budget()) {
           budget_hit = true;
-          for (std::size_t r = first; r < pending.size(); ++r) {
-            still.push_back(pending[r]);
-          }
+          still.insert(still.end(), pending.begin() + first, pending.end());
           break;
         }
         const std::size_t count = std::min(chunk, pending.size() - first);
         const std::span<const std::size_t> systems(pending.data() + first,
                                                    count);
-        const tridiag::SystemBatch<T> sub =
-            tridiag::extract_systems<T>(batch, systems);
-        SolverRunOptions chunk_opts = sub_opts;
-        if (hybrid_family && force_k >= 0) chunk_opts.force_k = force_k;
-        tridiag::SystemBatch<T> subsol;
-        // Child span per dispatch: the launches run_solver performs parent
-        // under it via the thread-local span stack, and the attempt's
-        // outcome (SolveCode cause, recovery counts) is attached before
-        // the scope closes — including on the early-discard path.
+        // Child span per dispatch: the launches it performs parent under
+        // it via the thread-local span stack.
         obs::SpanScope attempt_span("attempt");
         attempt_span.attr("stage", obs::JsonValue(st.name));
         attempt_span.attr("attempt", obs::JsonValue(attempt));
         attempt_span.attr("systems", obs::JsonValue(count));
-        const SolveOutcome so = run_solver<T>(st.kind, dev, sub, chunk_opts,
-                                              &subsol);
-        rep.spent_us += so.time_us;
-        out.launches += so.launches;
-        out.faults.merge(so.faults);
-        attempt_hist.record(so.time_us);
-        const auto tag_attempt = [&attempt_span](
-                                     const tridiag::AttemptRecord& a) {
-          attempt_span.attr(
-              "code", obs::JsonValue(tridiag::solve_code_name(a.reason)));
-          attempt_span.attr("recovered", obs::JsonValue(a.recovered));
-          attempt_span.attr("still_flagged", obs::JsonValue(a.still_flagged));
-        };
-
         tridiag::AttemptRecord ar;
         ar.stage = st.name;
         ar.attempt = attempt;
         ar.systems = count;
-        ar.time_us = so.time_us;
-        if (so.launch_failed) {
-          ar.reason = tridiag::SolveCode::launch_failed;
-        } else if (!so.solved) {
-          // Configuration rejected (size cap, bad caller options, fatal
-          // hazard, ...): retrying the identical dispatch cannot succeed
-          // — degrade. A functional_only run is solved, so it is kept.
-          ar.reason = so.bad_argument ? tridiag::SolveCode::bad_argument
-                                      : tridiag::SolveCode::bad_size;
-          rejected = true;
-        } else if (so.faults.timeouts > 0) {
-          ar.reason = tridiag::SolveCode::timed_out;
-        }
-        if (ar.reason != tridiag::SolveCode::ok) {
-          // The whole dispatch is discarded; its systems stay pending.
-          const tridiag::SolveStatus fail{ar.reason, 0};
-          for (const std::size_t m : systems) {
-            out.status.record_attempt(m, fail);
-            still.push_back(m);
+        if (st.host) {
+          // Records one attempt per system and writes each recovered
+          // solution into batch.d.
+          if (st.is_lu) {
+            tridiag::host_lu_stage<T>(pristine, systems, batch, out.status);
+          } else {
+            tridiag::host_thomas_stage<T>(pristine, systems, batch,
+                                          out.status);
           }
-          ar.still_flagged = count;
-          tag_attempt(ar);
-          rep.attempts.push_back(std::move(ar));
-          continue;
+        } else {
+          std::optional<tridiag::SystemBatch<T>> sub;
+          if (!in_place) sub = tridiag::extract_systems<T>(pristine, systems);
+          tridiag::SystemBatch<T>& work = in_place ? batch : *sub;
+          SolveOutcome so = solve_in_place<T>(st.kind, dev, work, stage_opts);
+          if (so.solved) {
+            guard_scan(so, work, [&](std::size_t j) {
+              return pristine.system(systems[j]);
+            });
+          }
+          rep.spent_us += so.time_us;
+          out.launches += so.launches;
+          out.faults.merge(so.faults);
+          attempt_hist.record(so.time_us);
+          ar.time_us = so.time_us;
+          if (so.launch_failed) {
+            ar.reason = tridiag::SolveCode::launch_failed;
+          } else if (!so.solved) {
+            // Configuration rejected (size cap, bad caller options, fatal
+            // hazard, ...): retrying the identical dispatch cannot succeed
+            // — degrade. A functional_only run is solved, so it is kept.
+            ar.reason = so.bad_argument ? tridiag::SolveCode::bad_argument
+                                        : tridiag::SolveCode::bad_size;
+            rejected = true;
+          } else if (so.faults.timeouts > 0) {
+            ar.reason = tridiag::SolveCode::timed_out;
+          }
+          // A discarded dispatch (reason not ok) fails all its systems.
+          for (std::size_t j = 0; j < count; ++j) {
+            const tridiag::SolveStatus verdict =
+                ar.reason == tridiag::SolveCode::ok
+                    ? so.status[j]
+                    : tridiag::SolveStatus{ar.reason, 0};
+            out.status.record_attempt(systems[j], verdict);
+            if (verdict.ok() && sub) {
+              tridiag::copy_view(sub->system(j).d, batch.system(systems[j]).d);
+            }
+          }
         }
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t m = systems[j];
-          const tridiag::SolveStatus verdict = so.status[j];
-          out.status.record_attempt(m, verdict);
-          if (verdict.ok()) {
-            const tridiag::StridedView<T> x = subsol.system(j).d;
-            const tridiag::StridedView<T> dst = work.system(m).d;
-            for (std::size_t i = 0; i < n; ++i) dst[i] = x[i];
+        // GPU and host stages alike: a system is recovered iff the
+        // attempt just recorded for it is ok.
+        for (const std::size_t m : systems) {
+          if (out.status[m].ok()) {
             ++ar.recovered;
           } else {
             still.push_back(m);
             ++ar.still_flagged;
           }
         }
-        tag_attempt(ar);
+        tag_attempt(attempt_span, ar);
         rep.attempts.push_back(std::move(ar));
       }
       pending.swap(still);
@@ -517,6 +465,11 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
     }
   }
 
+  // No stage recovered these: hand back their pristine rhs, never the
+  // garbage a failed solve left in place.
+  for (const std::size_t m : pending) {
+    tridiag::copy_view(pristine.system(m).d, batch.system(m).d);
+  }
   if (!pending.empty()) {
     if (budget_hit) {
       rep.deadline_exceeded = true;
@@ -542,17 +495,14 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
   out.detail = std::to_string(rep.attempts.size()) + " attempts, " +
                std::to_string(rep.fallback_stages) + " fallback stages, " +
                std::to_string(rep.retries) + " retries";
-  if (solution != nullptr) *solution = std::move(work);
   return ro;
 }
 
 template ResilientOutcome run_solver_resilient<float>(
-    SolverKind, const gpusim::DeviceSpec&, const tridiag::SystemBatch<float>&,
-    const SolverRunOptions&, const tridiag::ResiliencePolicy&,
-    tridiag::SystemBatch<float>*);
+    SolverKind, const gpusim::DeviceSpec&, tridiag::SystemBatch<float>&,
+    const SolverRunOptions&, const tridiag::ResiliencePolicy&);
 template ResilientOutcome run_solver_resilient<double>(
-    SolverKind, const gpusim::DeviceSpec&, const tridiag::SystemBatch<double>&,
-    const SolverRunOptions&, const tridiag::ResiliencePolicy&,
-    tridiag::SystemBatch<double>*);
+    SolverKind, const gpusim::DeviceSpec&, tridiag::SystemBatch<double>&,
+    const SolverRunOptions&, const tridiag::ResiliencePolicy&);
 
 }  // namespace tridsolve::gpu

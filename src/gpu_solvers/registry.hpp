@@ -154,28 +154,27 @@ struct ResilientOutcome {
 /// --max-retries CLI defaults (everything else at its default).
 [[nodiscard]] tridiag::ResiliencePolicy engine_resilience_policy();
 
-/// Run `kind` over `batch` under a resilience policy: guarded solve,
-/// chunked sub-batch retries from pristine inputs, degradation down the
-/// fallback chain, and a deadline budget — returning a partial result
-/// with a severity-ordered taxonomy (never throwing, never silent
+/// Run `kind` over `batch` in place under a resilience policy: guarded
+/// solve, chunked sub-batch retries from pristine inputs, degradation
+/// down the fallback chain, and a deadline budget — returning a partial
+/// result with a severity-ordered taxonomy (never throwing, never silent
 /// garbage). Recovered systems are bit-identical to a fault-free run of
-/// the stage that recovered them. `opts.guard` is implied; `solution`
-/// receives the assembled batch (solution in d for every recovered
-/// system, pristine d for unrecovered ones).
+/// the stage that recovered them. `opts.guard` is implied. The entry
+/// stage's first dispatch solves `batch` itself, and one pristine copy
+/// feeds every residual gate, retry and host stage. On return d holds
+/// the solution of each recovered system and the pristine rhs of every
+/// other; a, b and c are consumed.
 template <typename T>
 ResilientOutcome run_solver_resilient(
     SolverKind kind, const gpusim::DeviceSpec& dev,
-    const tridiag::SystemBatch<T>& batch, const SolverRunOptions& opts = {},
-    const tridiag::ResiliencePolicy& policy = {},
-    tridiag::SystemBatch<T>* solution = nullptr);
+    tridiag::SystemBatch<T>& batch, const SolverRunOptions& opts = {},
+    const tridiag::ResiliencePolicy& policy = {});
 
 extern template ResilientOutcome run_solver_resilient<float>(
-    SolverKind, const gpusim::DeviceSpec&, const tridiag::SystemBatch<float>&,
-    const SolverRunOptions&, const tridiag::ResiliencePolicy&,
-    tridiag::SystemBatch<float>*);
+    SolverKind, const gpusim::DeviceSpec&, tridiag::SystemBatch<float>&,
+    const SolverRunOptions&, const tridiag::ResiliencePolicy&);
 extern template ResilientOutcome run_solver_resilient<double>(
-    SolverKind, const gpusim::DeviceSpec&, const tridiag::SystemBatch<double>&,
-    const SolverRunOptions&, const tridiag::ResiliencePolicy&,
-    tridiag::SystemBatch<double>*);
+    SolverKind, const gpusim::DeviceSpec&, tridiag::SystemBatch<double>&,
+    const SolverRunOptions&, const tridiag::ResiliencePolicy&);
 
 }  // namespace tridsolve::gpu

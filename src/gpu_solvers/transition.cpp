@@ -94,6 +94,12 @@ unsigned heuristic_k(std::size_t m, std::size_t system_size) noexcept {
   return k;
 }
 
+tridiag::Layout preferred_layout(std::size_t m,
+                                 std::size_t system_size) noexcept {
+  return heuristic_k(m, system_size) == 0 ? tridiag::Layout::interleaved
+                                          : tridiag::Layout::contiguous;
+}
+
 double machine_parallelism(const gpusim::DeviceSpec& dev) noexcept {
   return static_cast<double>(dev.num_sms) *
          static_cast<double>(dev.max_threads_per_sm);

@@ -24,6 +24,7 @@
 #include <cstddef>
 
 #include "gpusim/device_spec.hpp"
+#include "tridiag/layout.hpp"
 
 namespace tridsolve::gpu {
 
@@ -47,6 +48,12 @@ namespace tridsolve::gpu {
 ///   512 <= M < 1024 -> 5, M >= 1024 -> 0.
 /// k is additionally clamped so 2^k does not exceed the system size.
 [[nodiscard]] unsigned heuristic_k(std::size_t m, std::size_t system_size) noexcept;
+
+/// The layout the hybrid wants for an M x N batch (the paper's setup):
+/// interleaved when heuristic_k is 0 (pure p-Thomas wants coalesced
+/// columns), contiguous when tiled PCR leads.
+[[nodiscard]] tridiag::Layout preferred_layout(
+    std::size_t m, std::size_t system_size) noexcept;
 
 /// An estimate of the machine's usable thread parallelism P for the cost
 /// model (resident warps x warp width across SMs).

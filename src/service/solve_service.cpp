@@ -42,15 +42,6 @@ constexpr auto kDeadlineDispatchMargin = std::chrono::microseconds(1000);
 
 }  // namespace
 
-tridiag::Layout coalesced_layout(std::size_t m, std::size_t n) {
-  // Same rule the paper-reproduction benches use (bench_common):
-  // heuristic k = 0 means pure p-Thomas leads, which wants the
-  // coalescing-friendly interleaved columns; any tiled-PCR prefix works
-  // on contiguous systems.
-  return gpu::heuristic_k(m, n) == 0 ? tridiag::Layout::interleaved
-                                     : tridiag::Layout::contiguous;
-}
-
 /// One accepted request waiting for (or riding) a batch.
 struct SolveService::Pending {
   std::uint64_t seq = 0;
@@ -433,34 +424,25 @@ void SolveService::dispatch(std::vector<Pending> group) {
   if (degraded) batch_span.attr("degraded", obs::JsonValue(true));
 
   const auto admit = Clock::now();
-  const tridiag::Layout layout = coalesced_layout(m, n);
-  tridiag::SystemBatch<double> batch(m, n, layout);
+  tridiag::SystemBatch<double> batch(m, n, gpu::preferred_layout(m, n));
   for (std::size_t j = 0; j < m; ++j) {
-    const auto& sys = group[j].req.system;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t at = batch.index(j, i);
-      batch.a()[at] = sys.a()[i];
-      batch.b()[at] = sys.b()[i];
-      batch.c()[at] = sys.c()[i];
-      batch.d()[at] = sys.d()[i];
-    }
+    tridiag::copy_system(group[j].req.system.ref(), batch.system(j));
   }
 
-  // Either stage hands back the assembled batch (solved d per recovered
-  // system, pristine d otherwise) and one status row with attempts per
-  // member.
-  tridiag::SystemBatch<double> solution;
+  // Either stage solves the gathered batch in place (solved d per
+  // recovered member, pristine d otherwise) and hands back one status
+  // row with attempts per member.
   tridiag::BatchStatus status;
   double solve_us = 0.0;
   if (degraded) {
     // Open breaker: the simulated GPU is presumed down, so solve on the
     // host-Thomas stage — fault-immune, residual-gated, zero simulated
-    // time.
-    solution = batch.clone();
+    // time. It reads each member in full before writing that member's
+    // d, so the batch is its own pristine source.
     status.resize(m);
     std::vector<std::size_t> all(m);
     std::iota(all.begin(), all.end(), std::size_t{0});
-    tridiag::host_thomas_stage<double>(batch, all, solution, status);
+    tridiag::host_thomas_stage<double>(batch, all, batch, status);
   } else {
     tridiag::ResiliencePolicy policy = gpu::engine_resilience_policy();
     if (cfg_.max_retries >= 0) policy.max_retries = cfg_.max_retries;
@@ -479,7 +461,7 @@ void SolveService::dispatch(std::vector<Pending> group) {
       }
     }
     auto res = gpu::run_solver_resilient(cfg_.solver, cfg_.device, batch, {},
-                                         policy, &solution);
+                                         policy);
     solve_us = res.outcome.time_us;
     status = std::move(res.outcome.status);
     bool launch_failed = false;
@@ -535,7 +517,7 @@ void SolveService::dispatch(std::vector<Pending> group) {
                    tridiag::solve_code_severity(status.detected(j).code) >
                        tridiag::solve_code_severity(live.code));
     r.degraded = degraded;
-    const auto x = solution.system(j).d;
+    const auto x = batch.system(j).d;
     r.x.resize(n);
     for (std::size_t i = 0; i < n; ++i) r.x[i] = x[i];
     if (r.code == tridiag::SolveCode::launch_failed) {

@@ -187,13 +187,6 @@ struct SolveResult {
   bool degraded = false;
 };
 
-/// Layout the batcher assembles a coalesced M x N batch in: interleaved
-/// when the planned transition point is k = 0 (pure p-Thomas wants
-/// coalesced columns), contiguous when tiled PCR leads — the same rule
-/// the paper-reproduction benches use. Exposed so tests can build the
-/// exact twin batch for bitwise comparison.
-[[nodiscard]] tridiag::Layout coalesced_layout(std::size_t m, std::size_t n);
-
 class SolveService {
  public:
   explicit SolveService(ServiceConfig cfg = {});

@@ -42,16 +42,6 @@ struct ScratchSystem {
   std::size_t n_;
 };
 
-template <typename T>
-void copy_system(const SystemRef<T>& from, const SystemRef<T>& to) {
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    to.a[i] = from.a[i];
-    to.b[i] = from.b[i];
-    to.c[i] = from.c[i];
-    to.d[i] = from.d[i];
-  }
-}
-
 }  // namespace
 
 template <typename T>

@@ -14,14 +14,7 @@ SystemBatch<T> extract_systems(const SystemBatch<T>& batch,
                                std::span<const std::size_t> systems) {
   SystemBatch<T> out(systems.size(), batch.system_size(), batch.layout());
   for (std::size_t j = 0; j < systems.size(); ++j) {
-    const SystemRef<const T> src = batch.system(systems[j]);
-    const SystemRef<T> dst = out.system(j);
-    for (std::size_t i = 0; i < batch.system_size(); ++i) {
-      dst.a[i] = src.a[i];
-      dst.b[i] = src.b[i];
-      dst.c[i] = src.c[i];
-      dst.d[i] = src.d[i];
-    }
+    copy_system(batch.system(systems[j]), out.system(j));
   }
   return out;
 }
@@ -30,7 +23,8 @@ namespace {
 
 /// The loop both host stages share: solve each listed system from its
 /// pristine coefficients with `solve_one`, gate the result, record the
-/// attempt, and copy a passing solution into dst.d.
+/// attempt, and copy a passing solution into dst.d. A system is read in
+/// full before its own d is written, so `dst` may be `pristine` itself.
 template <typename T, typename SolveOne>
 std::size_t host_stage(const char* span_name, const SystemBatch<T>& pristine,
                        std::span<const std::size_t> systems,
@@ -53,12 +47,11 @@ std::size_t host_stage(const char* span_name, const SystemBatch<T>& pristine,
             StridedView<T>(const_cast<T*>(sys.c.data()), n, sys.c.stride()),
             StridedView<T>(const_cast<T*>(sys.d.data()), n, sys.d.stride())},
         StridedView<T>(std::span<T>(x)));
-    const SolveStatus st =
-        gate_solution(sys, StridedView<const T>(x.data(), n, 1), solved);
+    const StridedView<const T> xc(x.data(), n, 1);
+    const SolveStatus st = gate_solution(sys, xc, solved);
     status.record_attempt(m, st);
     if (st.ok()) {
-      const StridedView<T> out = dst.system(m).d;
-      for (std::size_t i = 0; i < n; ++i) out[i] = x[i];
+      copy_view(xc, dst.system(m).d);
       ++recovered;
     }
   }

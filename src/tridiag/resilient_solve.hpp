@@ -6,8 +6,8 @@
 // order:
 //   1. retry — a flagged / failed / timed-out dispatch is re-run from
 //      pristine inputs, restricted to the affected sub-batch and split
-//      into retry_chunk-sized chunks so one poisoned system cannot force
-//      a full-batch re-solve;
+//      into chunks of 32 systems so one poisoned system cannot force a
+//      full-batch re-solve;
 //   2. fallback chain — after max_retries the pipeline degrades to the
 //      next stage (default: tiled-PCR hybrid → p-Thomas → CPU Thomas →
 //      pivoting LU), each stage attempting only the still-unrecovered
@@ -21,6 +21,10 @@
 // so the final report is a severity-ordered taxonomy, never silence.
 //
 // Contracts:
+//  * In place: the caller's batch is solved where it lies, next to one
+//    pristine copy that feeds every residual gate, retry and host stage.
+//    On return d holds the solution of each recovered system and the
+//    pristine rhs of every other; a, b and c are consumed.
 //  * Determinism: every stage re-solves from pristine inputs with
 //    per-system arithmetic that does not depend on chunk size (the
 //    registry pins the hybrid's k across retries), so a recovered system
@@ -44,9 +48,7 @@ namespace tridsolve::tridiag {
 /// Retry / fallback / deadline knobs for one resilient solve.
 struct ResiliencePolicy {
   int max_retries = 2;        ///< re-dispatches per stage after the first try
-  double backoff_us = 0.0;    ///< simulated pause charged before each retry
   double deadline_us = 0.0;   ///< total simulated-time budget; 0 = unlimited
-  std::size_t retry_chunk = 32;  ///< systems per retry re-dispatch
   /// Stage names tried after the entry solver ("hybrid", "hybrid-fused",
   /// "pthomas", "zhang", "cr", "davidson", "partition", "cpu-thomas",
   /// "lu"). Empty = the default chain pthomas → cpu-thomas → lu.
@@ -62,7 +64,8 @@ struct AttemptRecord {
   std::size_t still_flagged = 0;  ///< systems still pending afterwards
   /// Attempt-level failure: ok when the dispatch ran to completion (even
   /// if some systems stayed flagged), launch_failed / timed_out /
-  /// bad_size (config rejected) when the whole dispatch was discarded.
+  /// bad_size (config rejected) / bad_argument (caller options invalid
+  /// for the shape) when the whole dispatch was discarded.
   SolveCode reason = SolveCode::ok;
   double time_us = 0.0;        ///< simulated time charged (0 for host stages)
 };
@@ -72,7 +75,7 @@ struct ResilienceReport {
   std::vector<AttemptRecord> attempts;  ///< every dispatch, in order
   std::size_t retries = 0;          ///< re-dispatches past each stage's first
   std::size_t fallback_stages = 0;  ///< stages entered past the entry solver
-  double spent_us = 0.0;            ///< simulated time incl. backoff/overruns
+  double spent_us = 0.0;            ///< simulated time incl. overruns
   bool deadline_exceeded = false;   ///< budget ran out with systems pending
   bool partial = false;             ///< some systems have no clean solution
   SolveCode worst = SolveCode::ok;  ///< most severe live code in the batch
@@ -87,7 +90,10 @@ template <typename T>
 /// Host CPU-Thomas stage: solve each listed system from `pristine` into
 /// `dst.d`, recording one attempt per system (through gate_solution, the
 /// registry's post-hoc gate, so it cannot return silent garbage). Returns
-/// the number of systems recovered (live status ok).
+/// the number of systems recovered (live status ok). Each system is read
+/// in full before its own d is written, so a batch may be its own
+/// pristine source (`dst` the same object as `pristine`): the service's
+/// degraded execute stage solves its gathered batch that way.
 template <typename T>
 std::size_t host_thomas_stage(const SystemBatch<T>& pristine,
                               std::span<const std::size_t> systems,

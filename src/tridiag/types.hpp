@@ -127,6 +127,22 @@ struct SystemRef {
   [[nodiscard]] std::size_t size() const noexcept { return b.size(); }
 };
 
+/// Copy every element of `src` into `dst` (equal sizes; the strides may
+/// differ, so this also gathers between layouts). `S` is T or const T.
+template <typename S, typename T>
+void copy_view(const StridedView<S>& src, const StridedView<T>& dst) noexcept {
+  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i];
+}
+
+/// Copy all four coefficient arrays of `src` into `dst`.
+template <typename S, typename T>
+void copy_system(const SystemRef<S>& src, const SystemRef<T>& dst) noexcept {
+  copy_view(src.a, dst.a);
+  copy_view(src.b, dst.b);
+  copy_view(src.c, dst.c);
+  copy_view(src.d, dst.d);
+}
+
 /// One owning tridiagonal system in SoA form.
 template <typename T>
 class TridiagSystem {
@@ -148,6 +164,10 @@ class TridiagSystem {
   [[nodiscard]] SystemRef<T> ref() noexcept {
     return {StridedView<T>(a_.span()), StridedView<T>(b_.span()),
             StridedView<T>(c_.span()), StridedView<T>(d_.span())};
+  }
+  [[nodiscard]] SystemRef<const T> ref() const noexcept {
+    return {StridedView<const T>(a_.span()), StridedView<const T>(b_.span()),
+            StridedView<const T>(c_.span()), StridedView<const T>(d_.span())};
   }
 
   /// Deep copy (the solvers are destructive; tests copy before solving).

@@ -416,10 +416,9 @@ TEST(GuardedSolve, RegistryFallbackRecoversEverySolverKind) {
   policy.max_retries = 0;
   for (const auto kind : gp::all_solver_kinds()) {
     SCOPED_TRACE(gp::solver_name(kind));
-    td::SystemBatch<double> guarded, sol;
+    td::SystemBatch<double> guarded, sol = bad.clone();
     if (!gp::run_solver(kind, dev, bad, ropts, &guarded).supported) continue;
-    const auto res =
-        gp::run_solver_resilient(kind, dev, bad, ropts, policy, &sol);
+    const auto res = gp::run_solver_resilient(kind, dev, sol, ropts, policy);
     EXPECT_EQ(res.report.worst, td::SolveCode::ok);
     EXPECT_EQ(res.report.fallback_stages, 1u);
     EXPECT_TRUE(res.outcome.status[target].ok());

@@ -94,10 +94,8 @@ class HybridShapes
 TEST_P(HybridShapes, SolvesDominantBatch) {
   const auto [m, n] = GetParam();
   const auto dev = gs::gtx480();
-  const auto layout = gp::heuristic_k(m, n) == 0 ? td::Layout::interleaved
-                                                 : td::Layout::contiguous;
-  auto batch = wl::make_batch<double>(wl::Kind::random_dominant, m, n, layout,
-                                      m * 1000 + n);
+  auto batch = wl::make_batch<double>(wl::Kind::random_dominant, m, n,
+                                      gp::preferred_layout(m, n), m * 1000 + n);
   const auto orig = batch.clone();
   const auto report = gp::hybrid_solve(dev, batch);
   EXPECT_EQ(report.k, gp::heuristic_k(m, n));

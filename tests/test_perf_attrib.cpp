@@ -417,9 +417,8 @@ TEST(ReadOnly, TracingOnVsOffIsBitIdentical) {
 // ---- Resilient pipeline span tree ------------------------------------
 
 TEST(ResilientSpans, AttemptsAreChildrenTaggedWithSolveCode) {
-  const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 12, 128,
-                                            td::Layout::contiguous,
-                                            /*seed=*/2026);
+  auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 12, 128,
+                                      td::Layout::contiguous, /*seed=*/2026);
   gs::FaultPlan plan;
   plan.pinpoint = true;
   plan.at_launch = 0;

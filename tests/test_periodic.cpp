@@ -120,14 +120,7 @@ TEST(PeriodicGpu, BatchedSolveMatchesHost) {
   std::vector<gp::PeriodicCorners<double>> corners;
   for (std::size_t m = 0; m < m_count; ++m) {
     problems.push_back(make_problem(n, 100 + m));
-    auto dst = batch.system(m);
-    const auto& src = problems.back().sys;
-    for (std::size_t i = 0; i < n; ++i) {
-      dst.a[i] = src.a()[i];
-      dst.b[i] = src.b()[i];
-      dst.c[i] = src.c()[i];
-      dst.d[i] = src.d()[i];
-    }
+    td::copy_system(problems.back().sys.ref(), batch.system(m));
     corners.push_back({problems.back().alpha, problems.back().beta});
   }
 

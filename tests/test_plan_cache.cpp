@@ -168,8 +168,9 @@ TEST(PlanCache, OutOfRangeForcedKIsStructuredRejection) {
 
   // Layer 3: the resilient pipeline records the bad_argument attempt and
   // degrades down the fallback chain to a full recovery.
+  auto work = batch.clone();
   const auto ro = gp::run_solver_resilient<double>(gp::SolverKind::hybrid, dev,
-                                                   batch, run);
+                                                   work, run);
   EXPECT_TRUE(ro.outcome.supported);
   EXPECT_FALSE(ro.report.partial) << "fallback chain must recover all systems";
   ASSERT_FALSE(ro.report.attempts.empty());
@@ -244,11 +245,11 @@ TEST(PlanCache, ResilientRetriesBitIdenticalColdVsCached) {
   const auto batch = make_batch(24, 128, 11);
 
   gp::PlanCache::instance().clear();
-  td::SystemBatch<double> cold_sol, hit_sol;
-  const auto cold = gp::run_solver_resilient<double>(
-      gp::SolverKind::hybrid, dev, batch, {}, {}, &cold_sol);
-  const auto hit = gp::run_solver_resilient<double>(
-      gp::SolverKind::hybrid, dev, batch, {}, {}, &hit_sol);
+  td::SystemBatch<double> cold_sol = batch.clone(), hit_sol = batch.clone();
+  const auto cold = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
+                                                     dev, cold_sol);
+  const auto hit = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
+                                                    dev, hit_sol);
   ASSERT_TRUE(cold.outcome.supported);
   ASSERT_TRUE(hit.outcome.supported);
   EXPECT_TRUE(bitwise_equal(cold_sol, hit_sol))

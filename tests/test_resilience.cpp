@@ -210,10 +210,10 @@ TEST(ResilientSolve, SingleCorruptionRecoveredOrSurfacedEveryKind) {
     plan.pinpoint_kind = gs::kFaultGlobalFlip;
     gs::ScopedFaultPlan fp(plan);
 
-    td::SystemBatch<double> sol;
+    td::SystemBatch<double> sol = batch.clone();
     gp::ResilientOutcome ro;
-    ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(
-                        kind, gs::gtx480(), batch, {}, {}, &sol))
+    ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(kind, gs::gtx480(),
+                                                          sol))
         << gp::solver_name(kind);
     EXPECT_EQ(ro.outcome.faults.total(), 1u)
         << gp::solver_name(kind) << ": exactly one injected corruption";
@@ -262,11 +262,10 @@ TEST(ResilientSolve, ChaosSweepBitIdenticalUpToThreshold) {
                  gs::kFaultSharedFlip;
     gs::ScopedFaultPlan fp(plan);
 
-    td::SystemBatch<double> sol;
+    td::SystemBatch<double> sol = batch.clone();
     gp::ResilientOutcome ro;
     ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(
-                        gp::SolverKind::hybrid, gs::gtx480(), batch, {}, {},
-                        &sol))
+                        gp::SolverKind::hybrid, gs::gtx480(), sol))
         << "rate " << rate;
     injected_total += ro.outcome.faults.total();
 
@@ -292,11 +291,10 @@ TEST(ResilientSolve, AboveThresholdStructuredNeverSilent) {
   plan.kinds = gs::kFaultAll;  // including launch failures and timeouts
   gs::ScopedFaultPlan fp(plan);
 
-  td::SystemBatch<double> sol;
+  td::SystemBatch<double> sol = batch.clone();
   gp::ResilientOutcome ro;
   ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(
-                      gp::SolverKind::hybrid, gs::gtx480(), batch, {}, {},
-                      &sol));
+                      gp::SolverKind::hybrid, gs::gtx480(), sol));
   EXPECT_GT(ro.outcome.faults.total(), 0u);
 
   // Whatever happened, the contract holds: live-ok systems solve the
@@ -331,11 +329,10 @@ TEST(ResilientSolve, InjectedLaunchFailureIsRetriedBitIdentical) {
   plan.pinpoint_kind = gs::kFaultLaunchFail;
   gs::ScopedFaultPlan fp(plan);
 
-  td::SystemBatch<double> sol;
+  td::SystemBatch<double> sol = batch.clone();
   gp::ResilientOutcome ro;
   ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(
-                      gp::SolverKind::hybrid, gs::gtx480(), batch, {}, {},
-                      &sol));
+                      gp::SolverKind::hybrid, gs::gtx480(), sol));
   ASSERT_FALSE(ro.report.attempts.empty());
   EXPECT_EQ(ro.report.attempts[0].reason, td::SolveCode::launch_failed);
   EXPECT_EQ(ro.outcome.faults.launch_failures, 1u);
@@ -362,11 +359,10 @@ TEST(ResilientSolve, DeadlineYieldsPartialPristineResult) {
   policy.max_retries = 1;
   policy.deadline_us = 100.0;  // far less than one timed-out dispatch costs
 
-  td::SystemBatch<double> sol;
+  td::SystemBatch<double> sol = batch.clone();
   gp::ResilientOutcome ro;
   ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(
-                      gp::SolverKind::hybrid, gs::gtx480(), batch, {}, policy,
-                      &sol));
+                      gp::SolverKind::hybrid, gs::gtx480(), sol, {}, policy));
   EXPECT_TRUE(ro.report.deadline_exceeded);
   EXPECT_TRUE(ro.report.partial);
   EXPECT_EQ(ro.report.worst, td::SolveCode::deadline);
@@ -380,6 +376,37 @@ TEST(ResilientSolve, DeadlineYieldsPartialPristineResult) {
   }
 }
 
+TEST(ResilientSolve, UnrecoveredSystemHandsBackPristineRhsInPlace) {
+  // The batch is solved where it lies, so a system no stage recovers
+  // must get its pristine rhs back from the pipeline's copy instead of
+  // keeping what the failed solve wrote over it.
+  constexpr std::size_t kBroken = 5;
+  auto batch = test_batch();
+  batch.system(kBroken).b[0] = 0.0;  // zero pivot: pivot-free stages fail
+  td::SystemBatch<double> ref_sol;
+  ASSERT_TRUE(reference_solve(gp::SolverKind::hybrid, batch, &ref_sol)
+                  .supported);
+
+  td::ResiliencePolicy policy;
+  policy.max_retries = 0;
+  policy.fallback_chain = {"hybrid"};  // entry token elided: entry-only
+  td::SystemBatch<double> sol = batch.clone();
+  const gp::ResilientOutcome ro = gp::run_solver_resilient<double>(
+      gp::SolverKind::hybrid, gs::gtx480(), sol, {}, policy);
+  EXPECT_TRUE(ro.report.partial);
+  EXPECT_EQ(ro.report.attempts.size(), 1u);
+  EXPECT_FALSE(ro.outcome.status[kBroken].ok());
+  for (std::size_t m = 0; m < kSystems; ++m) {
+    if (m == kBroken) {
+      EXPECT_TRUE(system_bits_equal(sol, batch, m))
+          << "the unrecovered system's d must be its pristine rhs";
+    } else {
+      EXPECT_TRUE(ro.outcome.status[m].ok()) << "system " << m;
+      EXPECT_TRUE(system_bits_equal(sol, ref_sol, m)) << "system " << m;
+    }
+  }
+}
+
 TEST(ResilientSolve, FallbackChainRecoversUnderTotalLaunchFailure) {
   // Every GPU launch fails: the pipeline must walk the chain down to the
   // fault-immune host stages and still produce a fully-recovered result.
@@ -390,11 +417,10 @@ TEST(ResilientSolve, FallbackChainRecoversUnderTotalLaunchFailure) {
   plan.kinds = gs::kFaultLaunchFail;
   gs::ScopedFaultPlan fp(plan);
 
-  td::SystemBatch<double> sol;
+  td::SystemBatch<double> sol = batch.clone();
   gp::ResilientOutcome ro;
   ASSERT_NO_THROW(ro = gp::run_solver_resilient<double>(
-                      gp::SolverKind::hybrid, gs::gtx480(), batch, {}, {},
-                      &sol));
+                      gp::SolverKind::hybrid, gs::gtx480(), sol));
   EXPECT_EQ(ro.report.worst, td::SolveCode::ok);
   EXPECT_FALSE(ro.report.partial);
   EXPECT_GE(ro.report.fallback_stages, 1u);
@@ -425,9 +451,9 @@ TEST(ResilientSolve, PipelineDeterministicAcrossSimThreads) {
     gs::ScopedSimThreads st(threads);
     gs::ScopedFaultPlan fp(plan);
     Run r;
+    r.sol = batch.clone();
     r.ro = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
-                                            gs::gtx480(), batch, {}, {},
-                                            &r.sol);
+                                            gs::gtx480(), r.sol);
     return r;
   };
 
@@ -469,16 +495,16 @@ TEST(ResilientSolve, FunctionalOnlyDispatchIsOneCleanAttempt) {
   const auto batch = test_batch();
   gp::SolverRunOptions exact;
   exact.instrument = gs::InstrumentMode::exact;
-  td::SystemBatch<double> exact_x, functional_x;
+  td::SystemBatch<double> exact_x = batch.clone();
+  td::SystemBatch<double> functional_x = batch.clone();
   (void)gp::run_solver_resilient<double>(gp::SolverKind::hybrid, gs::gtx480(),
-                                         batch, exact, {}, &exact_x);
+                                         exact_x, exact);
   gp::ResilientOutcome res;
   {
     const gs::ScopedInstrumentMode functional(
         gs::InstrumentMode::functional_only);
     res = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
-                                           gs::gtx480(), batch, {}, {},
-                                           &functional_x);
+                                           gs::gtx480(), functional_x);
   }
   EXPECT_EQ(res.report.attempts.size(), 1u);
   EXPECT_EQ(res.report.fallback_stages, 0u);
@@ -514,9 +540,8 @@ TEST(ResilientSolve, EnginePolicyAndFallbackChain) {
   // Unknown stage names in a custom chain are rejected up front.
   td::ResiliencePolicy bad;
   bad.fallback_chain = {"warp-shuffle-9000"};
-  const auto batch = test_batch();
+  auto batch = test_batch();
   EXPECT_THROW((void)gp::run_solver_resilient<double>(
-                   gp::SolverKind::hybrid, gs::gtx480(), batch, {}, bad,
-                   nullptr),
+                   gp::SolverKind::hybrid, gs::gtx480(), batch, {}, bad),
                std::invalid_argument);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gpu_solvers/registry.hpp"
+#include "gpu_solvers/transition.hpp"
 #include "gpusim/exec_engine.hpp"
 #include "obs/metrics.hpp"
 #include "service/solve_service.hpp"
@@ -138,14 +139,8 @@ TEST(SolveService, SoloBatchBitwiseIdenticalToDirectRunSolver) {
   const auto dev = gpusim::gtx480();
   for (const gpu::SolverKind kind : gpu::all_solver_kinds()) {
     const auto sys = make_system(n, 11);
-    tridiag::SystemBatch<double> direct(1, n,
-                                        service::coalesced_layout(1, n));
-    for (std::size_t i = 0; i < n; ++i) {
-      direct.a()[i] = sys.a()[i];
-      direct.b()[i] = sys.b()[i];
-      direct.c()[i] = sys.c()[i];
-      direct.d()[i] = sys.d()[i];
-    }
+    tridiag::SystemBatch<double> direct(1, n, gpu::preferred_layout(1, n));
+    tridiag::copy_system(sys.ref(), direct.system(0));
     gpu::SolverRunOptions opts;
     opts.guard = true;
     tridiag::SystemBatch<double> expected;
@@ -184,16 +179,9 @@ TEST(SolveService, CoalescedBatchBitwiseIdenticalToDirectRunSolver) {
     for (std::size_t j = 0; j < m; ++j) {
       systems.push_back(make_system(n, 300 + j));
     }
-    tridiag::SystemBatch<double> direct(m, n,
-                                        service::coalesced_layout(m, n));
+    tridiag::SystemBatch<double> direct(m, n, gpu::preferred_layout(m, n));
     for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t at = direct.index(j, i);
-        direct.a()[at] = systems[j].a()[i];
-        direct.b()[at] = systems[j].b()[i];
-        direct.c()[at] = systems[j].c()[i];
-        direct.d()[at] = systems[j].d()[i];
-      }
+      tridiag::copy_system(systems[j].ref(), direct.system(j));
     }
     gpu::SolverRunOptions opts;
     opts.guard = true;
@@ -274,19 +262,9 @@ TEST(SolveService, PriorityOrdersAdmissionWithinABatch) {
   const auto dev = gpusim::gtx480();
   auto sys_high = make_system(n, 2);
   auto sys_low = make_system(n, 1);
-  tridiag::SystemBatch<double> direct(2, n, service::coalesced_layout(2, n));
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t hi = direct.index(0, i);
-    direct.a()[hi] = sys_high.a()[i];
-    direct.b()[hi] = sys_high.b()[i];
-    direct.c()[hi] = sys_high.c()[i];
-    direct.d()[hi] = sys_high.d()[i];
-    const std::size_t lo = direct.index(1, i);
-    direct.a()[lo] = sys_low.a()[i];
-    direct.b()[lo] = sys_low.b()[i];
-    direct.c()[lo] = sys_low.c()[i];
-    direct.d()[lo] = sys_low.d()[i];
-  }
+  tridiag::SystemBatch<double> direct(2, n, gpu::preferred_layout(2, n));
+  tridiag::copy_system(sys_high.ref(), direct.system(0));
+  tridiag::copy_system(sys_low.ref(), direct.system(1));
   gpu::SolverRunOptions opts;
   opts.guard = true;
   tridiag::SystemBatch<double> expected;

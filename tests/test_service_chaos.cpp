@@ -356,6 +356,31 @@ TEST(ServiceResilience, PersistentFailuresQuarantineSolosWithPristineRhs) {
   EXPECT_GE(svc.batches_bisected(), 1u);
 }
 
+// A request that no stage recovers comes back with its code and its
+// pristine rhs (docs/SERVICE.md), while its co-batched rider still
+// solves. The execute stage solves the gathered batch in place, so the
+// broken member's d must be handed back from the pipeline's pristine
+// copy, not left as the failed solve wrote it.
+TEST(ServiceResilience, UnrecoveredRequestHandsBackPristineRhs) {
+  service::SolveService svc(entry_only_config());
+  auto broken = make_system(64, 380);
+  broken.b()[0] = 0.0;  // zero pivot: no pivot-free stage can solve it
+  auto f_broken = svc.submit(request_for(broken));
+  auto f_rider = svc.submit(request_for(make_system(64, 381)));
+  svc.shutdown();
+
+  const auto r = f_broken.get();
+  EXPECT_EQ(r.code, tridiag::SolveCode::zero_pivot);
+  EXPECT_EQ(r.batch_size, 2u);
+  ASSERT_EQ(r.x.size(), broken.size());
+  for (std::size_t i = 0; i < r.x.size(); ++i) {
+    EXPECT_EQ(r.x[i], broken.d()[i]) << "row " << i;
+  }
+  const auto rider = f_rider.get();
+  EXPECT_EQ(rider.code, tridiag::SolveCode::ok);
+  EXPECT_EQ(rider.batch_id, r.batch_id);
+}
+
 // --- circuit breaker --------------------------------------------------------
 
 TEST(ServiceBreaker, TripsOpenDegradesThenProbesAndResets) {
