@@ -3,8 +3,9 @@
 // plans through the full simulated hybrid and keep the fastest, next to
 // what the static Table III heuristic would have chosen. With --out the
 // winners are written as a tridsolve-plan-v1 calibration file that any
-// bench/example preloads via --plan-file (or TRIDSOLVE_PLAN_FILE), so
-// production solves start from measured plans instead of the heuristic.
+// bench/example preloads via --plan-file, so production solves start from
+// measured plans instead of the heuristic. Tuning is offline only: a
+// solve never measures candidates itself.
 
 #include <cstdio>
 #include <fstream>

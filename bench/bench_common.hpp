@@ -149,7 +149,7 @@ class Telemetry {
         last_record_(std::chrono::steady_clock::now()) {
     // Every binary funnels through here, so this is the one place the
     // shared --sim-threads / --instrument / --check-hazards flags reach
-    // the engine, and --plan-file / --autotune reach the plan cache.
+    // the engine, and --plan-file reaches the plan cache.
     gpusim::configure_engine_from_cli(cli);
     gpu::configure_plan_cache_from_cli(cli);
     hazard_mode_ = gpusim::ExecutionEngine::instance().default_hazards();

@@ -13,7 +13,6 @@
 #include "tridiag/recursive_doubling.hpp"
 #include "tridiag/residual.hpp"
 #include "tridiag/thomas.hpp"
-#include "tridiag/thomas_plan.hpp"
 #include "tridiag/tiled_pcr.hpp"
 #include "util/aligned_buffer.hpp"
 #include "workloads/generators.hpp"
@@ -105,32 +104,6 @@ void BM_RdSolve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_RdSolve)->Arg(4096)->Arg(16384);
-
-void BM_ThomasPlanFactor(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto s = make_system(n);
-  for (auto _ : state) {
-    td::ThomasPlan<double> plan(td::as_const(s.ref()));
-    benchmark::DoNotOptimize(plan.ok());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_ThomasPlanFactor)->Arg(4096)->Arg(65536);
-
-void BM_ThomasPlanSolve(benchmark::State& state) {
-  // The division-free repeated-solve path: compare against BM_Thomas to
-  // see what factoring once buys per time step.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto s = make_system(n);
-  const td::ThomasPlan<double> plan(td::as_const(s.ref()));
-  AlignedBuffer<double> x(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.solve(
-        td::as_const(s.ref()).d, td::StridedView<double>(x.span())));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_ThomasPlanSolve)->Arg(4096)->Arg(65536);
 
 void BM_PeriodicSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -380,7 +380,6 @@ void soak_phase_breaker(const SoakParams& sp) {
   scfg.fallback_chain = {"pthomas"};  // entry-only: no recovery stages
   scfg.breaker.threshold = 2;
   scfg.breaker.cooldown_us = 60e6;  // stays open for the whole drain
-  scfg.breaker.degrade = true;
   service::SolveService svc(scfg);
 
   std::vector<std::future<service::SolveResult>> futures;

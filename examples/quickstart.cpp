@@ -26,8 +26,8 @@
 //   --force-k K            pin the hybrid's PCR transition point; values
 //                          out of range for the shape (2^k > N) are a
 //                          structured bad-argument error (exit 2)
-//   --plan-file/--autotune plan-cache knobs (see DESIGN.md "Plan cache &
-//                          autotuning")
+//   --plan-file FILE       preload a calibration file (see DESIGN.md "Plan
+//                          cache & autotuning")
 
 #include <cstdio>
 #include <stdexcept>

@@ -1,7 +1,11 @@
 #include "apps/adi.hpp"
 
-#include <chrono>
 #include <stdexcept>
+#include <string>
+
+#include "gpu_solvers/hybrid_solver.hpp"
+#include "gpu_solvers/transpose_kernel.hpp"
+#include "tridiag/layout.hpp"
 
 namespace tridsolve::apps {
 
@@ -15,45 +19,37 @@ AdiIntegrator<T>::AdiIntegrator(gpusim::DeviceSpec dev, std::size_t nx,
 }
 
 template <typename T>
-void AdiIntegrator<T>::build_sweep_rhs(std::span<const T> field, bool x_sweep,
-                                       tridiag::SystemBatch<T>& batch) const {
-  // `field` is row-major (lines x line_len) in the sweep's own
-  // orientation: lines are the systems, the cross direction supplies the
-  // explicit half (I + r D2) with zero Dirichlet boundaries.
+void AdiIntegrator<T>::sweep(bool x_sweep, std::span<T> field,
+                             AdiStepReport& report) const {
+  // Lines are the systems; the cross direction supplies the explicit half
+  // (I + r D2) of the right-hand side, with zero Dirichlet boundaries.
   const std::size_t lines = x_sweep ? ny_ : nx_;
   const std::size_t len = x_sweep ? nx_ : ny_;
   const T r = static_cast<T>(opts_.r);
+  tridiag::SystemBatch<T> batch(lines, len, tridiag::Layout::contiguous);
   for (std::size_t line = 0; line < lines; ++line) {
     auto sys = batch.system(line);
     for (std::size_t i = 0; i < len; ++i) {
+      sys.a[i] = i == 0 ? T(0) : -r;
+      sys.b[i] = T(1) + T(2) * r;
+      sys.c[i] = i + 1 == len ? T(0) : -r;
       const T u_c = field[line * len + i];
       const T u_lo = line > 0 ? field[(line - 1) * len + i] : T(0);
       const T u_hi = line + 1 < lines ? field[(line + 1) * len + i] : T(0);
       sys.d[i] = u_c + r * (u_lo - T(2) * u_c + u_hi);
     }
   }
-}
 
-template <typename T>
-void AdiIntegrator<T>::plan_sweep(bool x_sweep, std::span<const T> in,
-                                  std::span<T> out, AdiStepReport& report) {
-  auto& batch = x_sweep ? xbatch_ : ybatch_;
-  const auto& plan = x_sweep ? xplan_ : yplan_;
-  const std::size_t lines = x_sweep ? ny_ : nx_;
-  const std::size_t len = x_sweep ? nx_ : ny_;
-  const auto t0 = std::chrono::steady_clock::now();
-  build_sweep_rhs(in, x_sweep, batch);
-  plan.solve(batch.d(), batch.d());
-  for (std::size_t m = 0; m < lines; ++m) {
+  const auto rep = gpu::hybrid_solve(dev_, batch);
+  const std::string prefix = x_sweep ? "sweep-x:" : "sweep-y:";
+  for (const auto& seg : rep.timeline.segments()) {
+    report.timeline.add(prefix + seg.label, seg.stats);
+  }
+  for (std::size_t line = 0; line < lines; ++line) {
     for (std::size_t i = 0; i < len; ++i) {
-      out[m * len + i] = batch.d()[batch.index(m, i)];
+      field[line * len + i] = batch.d()[batch.index(line, i)];
     }
   }
-  const double us =
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
-  report.timeline.add_fixed(x_sweep ? "sweep-x:plan" : "sweep-y:plan", us);
 }
 
 template <typename T>
@@ -62,84 +58,16 @@ AdiStepReport AdiIntegrator<T>::step(std::vector<T>& field) {
     throw std::invalid_argument("AdiIntegrator::step: field size mismatch");
   }
   AdiStepReport report;
-  const T r = static_cast<T>(opts_.r);
-
-  auto make_batch = [&](std::size_t lines, std::size_t len,
-                        tridiag::Layout layout) {
-    tridiag::SystemBatch<T> batch(lines, len, layout);
-    for (std::size_t m = 0; m < lines; ++m) {
-      auto sys = batch.system(m);
-      for (std::size_t i = 0; i < len; ++i) {
-        sys.a[i] = i == 0 ? T(0) : -r;
-        sys.b[i] = T(1) + T(2) * r;
-        sys.c[i] = i + 1 == len ? T(0) : -r;
-      }
-    }
-    return batch;
-  };
-
-  if (opts_.reuse_plans && !plans_ready_) {
-    // The sweep matrices never change: factor both once, interleaved so
-    // the plan's batched sweeps run lane-contiguous. Later steps only
-    // rebuild d — tridiag.plan.batch_factors stays flat while
-    // tridiag.plan.batch_solves climbs two per step.
-    xbatch_ = make_batch(ny_, nx_, tridiag::Layout::interleaved);
-    ybatch_ = make_batch(nx_, ny_, tridiag::Layout::interleaved);
-    xplan_.factor(xbatch_);
-    yplan_.factor(ybatch_);
-    if (!xplan_.ok() || !yplan_.ok()) {
-      throw std::runtime_error("AdiIntegrator: sweep matrix factoring failed");
-    }
-    plans_ready_ = true;
-  }
-
-  // --- x sweep: one system per row -----------------------------------
-  if (opts_.reuse_plans) {
-    plan_sweep(/*x_sweep=*/true, field, field, report);
-  } else {
-    auto batch = make_batch(ny_, nx_, tridiag::Layout::contiguous);
-    build_sweep_rhs(field, /*x_sweep=*/true, batch);
-    auto rep = gpu::hybrid_solve(dev_, batch, opts_.solver);
-    for (const auto& seg : rep.timeline.segments()) {
-      report.timeline.add("sweep-x:" + seg.label, seg.stats);
-    }
-    for (std::size_t m = 0; m < ny_; ++m) {
-      for (std::size_t i = 0; i < nx_; ++i) {
-        field[m * nx_ + i] = batch.d()[batch.index(m, i)];
-      }
-    }
-  }
-
-  // --- transpose so the y sweep's systems are contiguous too ----------
-  report.timeline.add(
-      "transpose:fwd",
-      gpu::transpose<T>(dev_, field.data(), scratch_.data(), ny_, nx_,
-                        opts_.transpose));
-
-  // --- y sweep on the transposed field (nx lines of ny cells) ---------
-  if (opts_.reuse_plans) {
-    plan_sweep(/*x_sweep=*/false,
-               std::span<const T>(scratch_.data(), nx_ * ny_),
-               std::span<T>(scratch_.data(), nx_ * ny_), report);
-  } else {
-    auto batch = make_batch(nx_, ny_, tridiag::Layout::contiguous);
-    build_sweep_rhs(std::span<const T>(scratch_.data(), nx_ * ny_),
-                    /*x_sweep=*/false, batch);
-    auto rep = gpu::hybrid_solve(dev_, batch, opts_.solver);
-    for (const auto& seg : rep.timeline.segments()) {
-      report.timeline.add("sweep-y:" + seg.label, seg.stats);
-    }
-    for (std::size_t m = 0; m < nx_; ++m) {
-      for (std::size_t i = 0; i < ny_; ++i) {
-        scratch_[m * ny_ + i] = batch.d()[batch.index(m, i)];
-      }
-    }
-  }
-
-  report.timeline.add(
-      "transpose:back",
-      gpu::transpose<T>(dev_, scratch_.data(), field.data(), nx_, ny_,
-                        opts_.transpose));
+  // x sweep (one system per row), transpose so the y sweep's systems are
+  // contiguous too, y sweep, transpose back.
+  sweep(/*x_sweep=*/true, field, report);
+  report.timeline.add("transpose:fwd",
+                      gpu::transpose<T>(dev_, field.data(), scratch_.data(),
+                                        ny_, nx_));
+  sweep(/*x_sweep=*/false, std::span<T>(scratch_.data(), nx_ * ny_), report);
+  report.timeline.add("transpose:back",
+                      gpu::transpose<T>(dev_, scratch_.data(), field.data(),
+                                        nx_, ny_));
   return report;
 }
 

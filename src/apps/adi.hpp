@@ -19,24 +19,14 @@
 #include <span>
 #include <vector>
 
-#include "gpu_solvers/hybrid_solver.hpp"
-#include "gpu_solvers/transpose_kernel.hpp"
 #include "gpusim/device_spec.hpp"
-#include "tridiag/thomas_plan.hpp"
+#include "gpusim/launch.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace tridsolve::apps {
 
 struct AdiOptions {
   double r = 0.4;  ///< alpha * dt / h^2 (same spacing both directions)
-  gpu::HybridOptions solver;
-  gpu::TransposeOptions transpose;
-  /// Factor the two sweep matrices once (they are constant across steps)
-  /// and run every subsequent sweep through the cached BatchThomasPlan
-  /// host path instead of re-eliminating on the device: each step then
-  /// only rebuilds right-hand sides. Sweep segments appear as host
-  /// (`add_fixed`) timeline entries; transposes still run on the device.
-  bool reuse_plans = false;
 };
 
 struct AdiStepReport {
@@ -65,20 +55,15 @@ class AdiIntegrator {
   [[nodiscard]] std::size_t ny() const noexcept { return ny_; }
 
  private:
-  void build_sweep_rhs(std::span<const T> field, bool x_sweep,
-                       tridiag::SystemBatch<T>& batch) const;
-  void plan_sweep(bool x_sweep, std::span<const T> in, std::span<T> out,
-                  AdiStepReport& report);
+  /// One implicit half-step in place on `field`, row-major (lines x
+  /// line_len) in the sweep's own orientation: one hybrid solve over the
+  /// lines, its segments added to `report` as "sweep-x:" / "sweep-y:".
+  void sweep(bool x_sweep, std::span<T> field, AdiStepReport& report) const;
 
   gpusim::DeviceSpec dev_;
   std::size_t nx_, ny_;
   AdiOptions opts_;
   util::AlignedBuffer<T> scratch_;  ///< transposed field staging
-  // Plan-reuse cache (reuse_plans): constant-matrix batches factored once
-  // on first step; later steps only rebuild d and run the cached sweeps.
-  tridiag::SystemBatch<T> xbatch_, ybatch_;
-  tridiag::BatchThomasPlan<T> xplan_, yplan_;
-  bool plans_ready_ = false;
 };
 
 extern template class AdiIntegrator<float>;

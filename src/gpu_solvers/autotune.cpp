@@ -63,11 +63,8 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
   // auto-pick), measured on the layout that request would use — every
   // candidate shares the layout so comparisons are apples to apples.
   const HybridOptions default_opts;
-  SolvePlan heuristic_plan;
-  {
-    PlanCache::ScopedBypass bypass;
-    heuristic_plan = plan_hybrid(dev, m, n, sizeof(T), default_opts);
-  }
+  const SolvePlan heuristic_plan =
+      plan_hybrid(dev, m, n, sizeof(T), default_opts);
   const tridiag::Layout layout = heuristic_plan.k >= 1
                                      ? tridiag::Layout::contiguous
                                      : tridiag::Layout::interleaved;
@@ -98,10 +95,7 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
     SolvePlan plan;
     double us = 0.0;
     try {
-      {
-        PlanCache::ScopedBypass bypass;
-        plan = plan_hybrid(dev, m, n, sizeof(T), opts);
-      }
+      plan = plan_hybrid(dev, m, n, sizeof(T), opts);
       us = measure_candidate<T>(dev, m, n, layout, opts);
     } catch (const std::exception&) {
       return;  // infeasible candidate (shared memory, block limits, ...)

@@ -14,10 +14,9 @@
 // replaces the incumbent on strictly smaller simulated time, making the
 // winner deterministic.
 //
-// Consumers: bench_autotune sweeps cells offline and writes a
-// tridsolve-plan-v1 calibration JSON for PlanCache::load_calibration;
-// `--autotune` lets hybrid_solve run one cell sweep online at first
-// sight of a cold default-request shape.
+// Consumer: bench_autotune sweeps cells offline and writes a
+// tridsolve-plan-v1 calibration JSON for PlanCache::load_calibration
+// (--plan-file on any bench/example).
 
 #include <cstddef>
 #include <vector>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "gpu_solvers/autotune.hpp"
 #include "gpu_solvers/plan_cache.hpp"
 #include "gpu_solvers/pthomas_kernel.hpp"
 #include "gpu_solvers/transition.hpp"
@@ -36,7 +35,6 @@ std::optional<WindowVariant> window_variant_from_name(
 const char* plan_source_name(PlanSource s) noexcept {
   switch (s) {
     case PlanSource::heuristic: return "heuristic";
-    case PlanSource::cost_model: return "cost_model";
     case PlanSource::forced: return "forced";
     case PlanSource::calibrated: return "calibrated";
     case PlanSource::autotuned: return "autotuned";
@@ -45,14 +43,6 @@ const char* plan_source_name(PlanSource s) noexcept {
 }
 
 namespace {
-
-/// A request the autotuner may answer: nothing pinned by the caller, so
-/// swapping the plan is legal and the calibration-file key matches.
-bool is_tunable_request(const HybridOptions& opts) noexcept {
-  return opts.force_k < 0 && !opts.use_cost_model &&
-         opts.variant == WindowVariant::auto_select && opts.sub_tile_c <= 1 &&
-         !opts.fuse;
-}
 
 /// Views of the 2^k interleaved reduced systems inside `batch`-shaped
 /// arrays (which may be a scratch copy), ordered so that consecutive
@@ -109,14 +99,10 @@ struct HybridMetrics {
   obs::MetricsRegistry::Counter solves = obs::counter_handle("hybrid.solves");
   obs::MetricsRegistry::Counter source_forced =
       obs::counter_handle("transition.source.forced");
-  obs::MetricsRegistry::Counter source_model =
-      obs::counter_handle("transition.source.model");
   obs::MetricsRegistry::Counter source_heuristic =
       obs::counter_handle("transition.source.heuristic");
   obs::MetricsRegistry::Counter source_calibrated =
       obs::counter_handle("transition.source.calibrated");
-  obs::MetricsRegistry::Counter source_autotuned =
-      obs::counter_handle("transition.source.autotuned");
   obs::MetricsRegistry::Counter pcr_windows =
       obs::counter_handle("pcr.windows");
   obs::MetricsRegistry::Counter pcr_boundaries =
@@ -176,24 +162,16 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   // std::invalid_argument here, before any launch.
   const PlanKey plan_key = make_plan_key(dev, m_count, n, sizeof(T), opts);
   const PlanCache::Result planned =
-      PlanCache::instance().plan(plan_key, [&]() -> SolvePlan {
-        if (!PlanCache::ScopedBypass::active() &&
-            PlanCache::instance().autotune_enabled() &&
-            is_tunable_request(opts)) {
-          // Online autotune: first sight of this shape pays one candidate
-          // sweep; every later solve hits the cached winner.
-          return autotune_cell<T>(dev, m_count, n).best;
-        }
+      PlanCache::instance().plan(plan_key, [&] {
         return plan_hybrid(dev, m_count, n, sizeof(T), opts);
       });
   const SolvePlan& plan = planned.plan;
   const unsigned k = plan.k;
   switch (plan.source) {
     case PlanSource::forced: metrics.source_forced.add(); break;
-    case PlanSource::cost_model: metrics.source_model.add(); break;
     case PlanSource::heuristic: metrics.source_heuristic.add(); break;
     case PlanSource::calibrated: metrics.source_calibrated.add(); break;
-    case PlanSource::autotuned: metrics.source_autotuned.add(); break;
+    case PlanSource::autotuned: break;  // tuned plans load as calibrated
   }
   report.k = k;
   report.plan_source = plan.source;

@@ -3,8 +3,8 @@
 // tridiagonal solver (§III), orchestrated over the simulated GPU.
 //
 // Pipeline:
-//   1. choose the transition point k from (M, N, hardware) — Table III
-//      heuristic by default, Table II cost model or a forced k on request;
+//   1. choose the transition point k from (M, N) — the Table III
+//      heuristic, a forced k, or a --plan-file calibration entry;
 //   2. k >= 1: run the tiled PCR kernel, which rewrites each system as
 //      2^k independent interleaved systems (window variant per Fig. 11);
 //   3. run p-Thomas over the 2^k * M reduced systems (or only its
@@ -42,23 +42,21 @@ enum class WindowVariant {
 
 /// Where a solve's plan (k, variant, c, geometry) came from. Reported
 /// per solve via HybridReport::plan_source and the plan_* JSONL block —
-/// unlike the transition.* gauges, which only hold the most recent
+/// unlike the transition.k gauge, which only holds the most recent
 /// planning event (see transition.hpp).
 enum class PlanSource : std::uint8_t {
   heuristic,   ///< Table III heuristic (the default)
-  cost_model,  ///< Table II argmin (HybridOptions::use_cost_model)
   forced,      ///< HybridOptions::force_k / explicit variant request
   calibrated,  ///< preloaded from a --plan-file calibration file
-  autotuned,   ///< measured online by the --autotune candidate sweep
+  autotuned,   ///< measured by autotune_cell (bench_autotune's records)
 };
 
-/// Stable name for telemetry ("heuristic", "cost_model", "forced",
-/// "calibrated", "autotuned").
+/// Stable name for telemetry ("heuristic", "forced", "calibrated",
+/// "autotuned").
 [[nodiscard]] const char* plan_source_name(PlanSource s) noexcept;
 
 struct HybridOptions {
   int force_k = -1;             ///< >= 0 overrides the heuristic
-  bool use_cost_model = false;  ///< Table II model instead of Table III
   std::size_t sub_tile_c = 1;   ///< S = c * 2^k
   WindowVariant variant = WindowVariant::auto_select;
   bool fuse = false;            ///< fuse Thomas forward into PCR kernel

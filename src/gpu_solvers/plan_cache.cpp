@@ -1,8 +1,8 @@
 #include "gpu_solvers/plan_cache.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -35,8 +35,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
   fnv_mix(h, k.elem_size);
   fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(k.force_k)));
   fnv_mix(h, k.sub_tile_c);
-  fnv_mix(h, (std::uint64_t{k.variant} << 16) |
-                 (std::uint64_t{k.use_cost_model} << 8) | k.fuse);
+  fnv_mix(h, (std::uint64_t{k.variant} << 16) | k.fuse);
   return h;
 }
 
@@ -90,7 +89,6 @@ PlanKey make_plan_key(const gpusim::DeviceSpec& dev, std::size_t m,
   key.force_k = opts.force_k;
   key.sub_tile_c = std::max<std::uint64_t>(1, opts.sub_tile_c);
   key.variant = static_cast<std::uint8_t>(opts.variant);
-  key.use_cost_model = opts.use_cost_model ? 1 : 0;
   key.fuse = opts.fuse ? 1 : 0;
   return key;
 }
@@ -101,32 +99,19 @@ SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
   (void)elem_size;  // planning is shape-driven; elem_size only keys the cache
   SolvePlan plan;
   plan.c = std::max<std::size_t>(1, opts.sub_tile_c);
-  if (opts.force_k >= 0) {
-    plan.source = PlanSource::forced;
-  } else if (opts.use_cost_model) {
-    plan.source = PlanSource::cost_model;
-  } else {
-    plan.source = PlanSource::heuristic;
-  }
+  plan.source =
+      opts.force_k >= 0 ? PlanSource::forced : PlanSource::heuristic;
   if (m == 0 || n == 0) return plan;  // degenerate batch: nothing to plan
 
-  // --- transition point (Table III / Table II / forced) --------------------
+  // --- transition point (Table III / forced) -------------------------------
   unsigned k = 0;
   if (opts.force_k >= 0) {
     validate_forced_k(opts.force_k, n, dev);
     k = static_cast<unsigned>(opts.force_k);
-  } else if (opts.use_cost_model) {
-    k = model_best_k(m, n, dev);
   } else {
     k = heuristic_k(m, n);
-  }
-  if (opts.force_k < 0) {
-    // Non-forced sources clamp instead of throwing: the model can pick
-    // 2^k > N for non-power-of-two N (bit_width rounds n up).
-    unsigned fitted = k;
-    while (fitted > 0 && (std::size_t{1} << fitted) > n) --fitted;
-    if (fitted != k) PlanMetrics::instance().clamped.add();
-    k = fitted;
+    // Unbounded n gives the Table III row itself: a difference is a clamp.
+    if (k != heuristic_k(m, SIZE_MAX)) PlanMetrics::instance().clamped.add();
   }
   plan.k = k;
 
@@ -165,17 +150,6 @@ PlanCache& PlanCache::instance() {
   return cache;
 }
 
-PlanCache::PlanCache() {
-  if (const char* path = std::getenv("TRIDSOLVE_PLAN_FILE")) {
-    try {
-      load_calibration(path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "warning: TRIDSOLVE_PLAN_FILE ignored: %s\n",
-                   e.what());
-    }
-  }
-}
-
 PlanCache::Shard& PlanCache::shard_for(const PlanKey& key) const noexcept {
   return shards_[key_hash(key) % kShards];
 }
@@ -198,9 +172,8 @@ PlanCache::Result PlanCache::plan(const PlanKey& key,
     }
   }
   misses_.add();
-  // Compute outside the lock: planning (and under --autotune, a candidate
-  // measurement sweep) can be slow. Two threads racing on the same cold
-  // key both compute the deterministic plan; one insert wins.
+  // Compute outside the lock. Two threads racing on the same cold key
+  // both compute the deterministic plan; one insert wins.
   const SolvePlan computed = make();
   insert(key, computed);
   return {computed, false};
@@ -307,20 +280,28 @@ std::size_t PlanCache::load_calibration(const std::string& path) {
       throw std::runtime_error("plan cache: calibration entry is not an "
                                "object: " + path);
     }
+    // Integer fields must be whole numbers in [0, 2^31) before the casts
+    // below: a negative c or region count would otherwise wrap into a
+    // huge value that passes the shape check.
+    bool whole = true;
+    const auto count = [&](const char* field, double fallback, bool required) {
+      const double v = num(entry, field, fallback, required);
+      whole = whole && v >= 0.0 && v < 2147483648.0 && v == std::floor(v);
+      return whole ? v : 0.0;
+    };
     PlanKey key;  // calibration plans answer the *default* plan request
     key.device = fingerprint;
-    key.m = static_cast<std::uint64_t>(num(entry, "m", 0, true));
-    key.n = static_cast<std::uint64_t>(num(entry, "n", 0, true));
-    key.elem_size =
-        static_cast<std::uint32_t>(num(entry, "elem_size", 8, false));
+    key.m = static_cast<std::uint64_t>(count("m", 0, true));
+    key.n = static_cast<std::uint64_t>(count("n", 0, true));
+    key.elem_size = static_cast<std::uint32_t>(count("elem_size", 8, false));
 
     SolvePlan plan;
-    plan.k = static_cast<unsigned>(num(entry, "k", 0, true));
-    plan.c = static_cast<std::size_t>(num(entry, "c", 1, false));
+    plan.k = static_cast<unsigned>(count("k", 0, true));
+    plan.c = static_cast<std::size_t>(count("c", 1, false));
     plan.blocks_per_system =
-        static_cast<std::size_t>(num(entry, "blocks_per_system", 0, false));
+        static_cast<std::size_t>(count("blocks_per_system", 0, false));
     plan.systems_per_block =
-        static_cast<std::size_t>(num(entry, "systems_per_block", 1, false));
+        static_cast<std::size_t>(count("systems_per_block", 1, false));
     plan.source = PlanSource::calibrated;
     plan.tuned_us = num(entry, "tuned_us", 0.0, false);
 
@@ -328,8 +309,10 @@ std::size_t PlanCache::load_calibration(const std::string& path) {
     const auto parsed = variant && variant->is_string()
                             ? window_variant_from_name(variant->as_string())
                             : std::nullopt;
-    if (!parsed || *parsed == WindowVariant::auto_select) {
-      rejected_.add();  // unknown/auto variant: entry cannot pin a plan
+    if (!whole || !parsed || *parsed == WindowVariant::auto_select) {
+      // A non-whole number, or an unknown/auto variant: the entry cannot
+      // pin a plan.
+      rejected_.add();
       continue;
     }
     plan.variant = *parsed;
@@ -359,9 +342,6 @@ std::size_t PlanCache::size() const {
 void configure_plan_cache_from_cli(const util::Cli& cli) {
   if (const auto path = cli.get("plan-file")) {
     PlanCache::instance().load_calibration(*path);
-  }
-  if (cli.has("autotune")) {
-    PlanCache::instance().set_autotune(cli.get_bool("autotune", true));
   }
 }
 

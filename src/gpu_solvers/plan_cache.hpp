@@ -26,9 +26,8 @@
 // Calibration files (written by bench_autotune --out, schema-checked by
 // tools/validate_telemetry --plan) preload plans for the *default*
 // request (no forced k, no explicit variant/c) via --plan-file on any
-// bench/example or the TRIDSOLVE_PLAN_FILE environment variable.
+// bench/example.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -62,7 +61,6 @@ struct PlanKey {
   std::int32_t force_k = -1;
   std::uint64_t sub_tile_c = 1;
   std::uint8_t variant = 0;  ///< WindowVariant as an integer
-  std::uint8_t use_cost_model = 0;
   std::uint8_t fuse = 0;
 
   [[nodiscard]] bool operator==(const PlanKey&) const noexcept = default;
@@ -84,9 +82,11 @@ struct SolvePlan {
   double tuned_us = 0.0;  ///< autotuner's measured simulated time (0 = n/a)
 
   /// Shape check: can this plan legally solve an (m, n) batch? 2^k
-  /// reduced systems need at least one row each.
+  /// reduced systems need at least one row each, the sub-tile S = c * 2^k
+  /// needs c >= 1, and a split_system plan needs at least one region.
   [[nodiscard]] bool fits(std::uint64_t n) const noexcept {
-    return k < 31 && (n >> k) >= 1;
+    return k < 31 && (n >> k) >= 1 && c >= 1 &&
+           (variant != WindowVariant::split_system || blocks_per_system >= 1);
   }
 };
 
@@ -96,12 +96,12 @@ struct SolvePlan {
                                     std::size_t elem_size,
                                     const HybridOptions& opts);
 
-/// Pure planning function: replicates exactly what hybrid_solve used to
-/// derive inline (Table III heuristic / Table II model / forced k, the
-/// Fig. 11 variant pick, split-system region count, multi-system windows
-/// per block). Throws std::invalid_argument when a *forced* k is out of
-/// range for the shape or device (2^k > N, or 2^k threads exceed a
-/// block); non-forced sources clamp instead (transition.clamped counts).
+/// Cold planning: the transition point (Table III heuristic or forced
+/// k), the Fig. 11 variant pick, split-system region count and
+/// multi-system windows per block. Throws std::invalid_argument when a
+/// forced k is out of range for the shape or device (2^k > N, or 2^k
+/// threads exceed a block); the heuristic clamps instead, and each plan
+/// it clamps counts once in transition.clamped.
 [[nodiscard]] SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev,
                                     std::size_t m, std::size_t n,
                                     std::size_t elem_size,
@@ -119,7 +119,7 @@ class PlanCache {
 
   /// The steady-state entry point: return the cached plan for `key`, or
   /// compute one with `make`, insert it, and return it. Under an active
-  /// ScopedBypass the cache is not consulted or touched (the autotuner
+  /// ScopedBypass the cache is not consulted or touched (autotune_cell
   /// measures candidates without polluting steady-state metrics).
   Result plan(const PlanKey& key, const std::function<SolvePlan()>& make);
 
@@ -141,15 +141,6 @@ class PlanCache {
   void clear();
   [[nodiscard]] std::size_t size() const;
 
-  /// --autotune: plan cold tunable shapes by measuring candidates in the
-  /// simulator instead of trusting the Table III heuristic.
-  void set_autotune(bool on) noexcept {
-    autotune_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool autotune_enabled() const noexcept {
-    return autotune_.load(std::memory_order_relaxed);
-  }
-
   /// While alive on this thread, plan() computes without reading or
   /// writing the cache. The autotuner wraps candidate measurements in
   /// this so they neither hit preloaded plans nor count as misses.
@@ -170,7 +161,7 @@ class PlanCache {
   };
 
  private:
-  PlanCache();
+  PlanCache() = default;
 
   struct Entry {
     SolvePlan plan;
@@ -189,7 +180,6 @@ class PlanCache {
   void publish_size() const noexcept;
 
   mutable Shard shards_[kShards];
-  std::atomic<bool> autotune_{false};
 
   obs::MetricsRegistry::Counter hits_ =
       obs::counter_handle("gpu.plan_cache.hits");
@@ -203,10 +193,9 @@ class PlanCache {
       obs::counter_handle("gpu.plan_cache.rejected");
 };
 
-/// Apply the shared plan flags: --plan-file PATH preloads a calibration
-/// file into the PlanCache; --autotune {on,off} switches online
-/// autotuning for cold tunable shapes. Called by bench::Telemetry and
-/// quickstart alongside gpusim::configure_engine_from_cli.
+/// Apply the shared plan flag: --plan-file PATH preloads a calibration
+/// file into the PlanCache. Called by bench::Telemetry alongside
+/// gpusim::configure_engine_from_cli.
 void configure_plan_cache_from_cli(const util::Cli& cli);
 
 }  // namespace tridsolve::gpu

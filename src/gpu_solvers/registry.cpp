@@ -62,8 +62,6 @@ SolveOutcome solve_in_place(SolverKind kind, const gpusim::DeviceSpec& dev,
   SolveOutcome out;
   std::optional<gpusim::ScopedInstrumentMode> instrument_guard;
   if (run_opts.instrument) instrument_guard.emplace(*run_opts.instrument);
-  std::optional<gpusim::ScopedHazardMode> hazard_guard;
-  if (run_opts.hazards) hazard_guard.emplace(*run_opts.hazards);
   try {
     switch (kind) {
       case SolverKind::hybrid:

@@ -71,25 +71,22 @@ struct SolveOutcome {
   /// kinds). Retries pin this via SolverRunOptions::force_k so chunked
   /// re-dispatches repeat the exact arithmetic of the first attempt.
   int k = -1;
-  /// Where the hybrid family's plan came from ("heuristic", "cost_model",
-  /// "forced", "calibrated", "autotuned"; empty for other kinds) and
-  /// whether it was a PlanCache hit.
+  /// Where the hybrid family's plan came from ("heuristic", "forced" or
+  /// "calibrated"; empty for other kinds) and whether it was a PlanCache
+  /// hit.
   std::string plan_source;
   bool plan_cached = false;
 };
 
 /// Per-run knobs threaded through the registry into the launch engine.
+/// Hazard detection follows the engine default (--check-hazards /
+/// ScopedHazardMode); in fatal mode a flagged launch surfaces as
+/// supported = false with the finding in `detail`.
 struct SolverRunOptions {
   /// Instrumentation mode for every launch of the run; empty = engine
   /// default. functional_only runs report solved but not supported (no
   /// timing).
   std::optional<gpusim::InstrumentMode> instrument{};
-  /// Shared-memory hazard detection for every launch of the run; empty =
-  /// engine default (off unless --check-hazards). Detection is read-only:
-  /// outputs and simulated time are bit-identical with it on. In fatal
-  /// mode a flagged launch surfaces as supported = false with the finding
-  /// in `detail`.
-  std::optional<gpusim::HazardMode> hazards{};
   /// Collect a per-system SolveStatus: hybrid-family kernels report their
   /// own pivot guards; every solver additionally gets a post-hoc scan
   /// (non-finite solution entries, then a relative-residual gate) so even

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "obs/metrics.hpp"
-
 namespace tridsolve::gpu {
 
 namespace {
@@ -65,7 +63,6 @@ unsigned model_best_k(std::size_t m, std::size_t system_size,
       best = k;
     }
   }
-  obs::gauge("transition.model_k", best);
   return best;
 }
 
@@ -84,13 +81,7 @@ unsigned heuristic_k(std::size_t m, std::size_t system_size) noexcept {
   }
   // A system must still have at least a couple of rows per reduced system
   // for the split to pay off; clamp 2^k <= system_size / 2.
-  const unsigned table_k = k;
   while (k > 0 && (std::size_t{1} << k) > system_size / 2) --k;
-  if (k != table_k) {
-    static const auto clamped = obs::counter_handle("transition.clamped");
-    clamped.add();
-  }
-  obs::gauge("transition.heuristic_k", k);
   return k;
 }
 

@@ -6,20 +6,24 @@
 //
 //  * the analytic elimination-step cost model of Table II, parameterized
 //    by M (number of systems), n (log2 of system size) and P (the
-//    machine's usable parallelism) — used by `model_best_k`;
-//  * the empirical GTX480 heuristic of Table III — used by `heuristic_k`
-//    and as the default in the hybrid solver, exactly as in the paper
+//    machine's usable parallelism) — the `cost_*` terms and
+//    `model_best_k`, which the Table II, Table III and what-if-device
+//    benches tabulate next to the heuristic;
+//  * the empirical GTX480 heuristic of Table III — `heuristic_k`, which
+//    the hybrid solver plans with at run time, exactly as in the paper
 //    ("the closed-form solution cannot easily be expressed and found
 //    during runtime. Instead, we present empirical heuristic values").
+//    Offline tuning (bench_autotune --out, replayed with --plan-file) is
+//    the only other source of non-forced plans.
 //
-// Gauge contract: `transition.k` / `transition.heuristic_k` /
-// `transition.model_k` are process-wide *most-recent-planning-event*
-// gauges, nothing more — concurrent solves and chunked retries overwrite
-// them last-writer-wins, so they are fine for "what did planning just
-// decide" eyeballing but must never be read as per-solve truth. The
+// Every function here is pure: no metrics, no state. Planning metrics
+// belong to the planner (plan_hybrid counts `transition.clamped` once per
+// cold plan whose Table III k had to shrink to fit the system), and
+// hybrid_solve sets the `transition.k` gauge — a process-wide
+// most-recent-planning-event value, overwritten last-writer-wins by
+// concurrent solves and chunked retries, never per-solve truth. The
 // per-solve record is HybridReport::{k, plan_source, plan_cached} and the
-// plan_* JSONL block. `transition.clamped` counts every time a heuristic
-// or cost-model k had to be reduced to fit the system size.
+// plan_* JSONL block.
 
 #include <cstddef>
 

@@ -536,8 +536,8 @@ LaunchOutcome execute_grid(const LaunchRequest& req) {
       out.faults.merge(im.fault_counts[i]);
     }
     if (out.faults.timeouts > 0) {
-      out.fault_overrun_us = im.job_fault_plan.timeout_overrun_us *
-                             static_cast<double>(out.faults.timeouts);
+      out.fault_overrun_us =
+          kFaultTimeoutOverrunUs * static_cast<double>(out.faults.timeouts);
     }
     note_faults(out.faults);
   }

@@ -11,7 +11,8 @@
 // counters are sums of small exactly-representable values, so any
 // association of the same per-block sums is bit-identical.
 //
-// Instrumentation level is selected per launch (InstrumentMode):
+// Instrumentation level (InstrumentMode) is the engine default each launch
+// reads (--instrument / ScopedInstrumentMode):
 //   exact           every block records; per-launch self-check verifies
 //                   the sampling estimator against ground truth
 //   sampled         only a deterministic subset of blocks (first, last,

@@ -14,13 +14,13 @@
 //                   boundary (transient scratchpad upset)
 //   * launch_fail — the whole launch aborts with a LaunchFailure
 //   * timeout     — a block overruns its time budget; the launch completes
-//                   but its simulated time is inflated by timeout_overrun_us
-//                   per overrunning block and the results are suspect
-// By default a value flip targets the top exponent bit (bit 62 for
-// 8-byte, bit 30 for 4-byte payloads): the corruption is loud — orders of
-// magnitude, infinities — so detection layers are exercised rather than
-// quietly perturbing low mantissa bits (set flip_bit for silent-upset
-// studies).
+//                   but its simulated time is inflated by
+//                   kFaultTimeoutOverrunUs per overrunning block and the
+//                   results are suspect
+// A value flip targets the top exponent bit (bit 62 for 8-byte, bit 30
+// for 4-byte payloads and shared-arena words): the corruption is loud —
+// orders of magnitude, infinities — so detection layers are exercised
+// rather than quietly perturbing low mantissa bits.
 //
 // Contracts:
 //  * Thread-safety: FaultPlan is a value snapshot; FaultSession belongs
@@ -46,6 +46,9 @@
 #include "gpusim/shared_memory.hpp"
 
 namespace tridsolve::gpusim {
+
+/// Simulated stall added to a launch per block that overran its budget.
+inline constexpr double kFaultTimeoutOverrunUs = 50.0;
 
 /// Bitmask of injectable fault kinds (FaultPlan::kinds).
 enum FaultKind : unsigned {
@@ -148,9 +151,6 @@ struct FaultPlan {
   std::uint64_t seed = 0;
   double rate = 0.0;        ///< per-site probability in [0, 1]
   unsigned kinds = kFaultAll;
-  std::int64_t target_block = -1;  ///< restrict to one block id; -1 = all
-  double timeout_overrun_us = 50.0;  ///< stall added per overrunning block
-  int flip_bit = -1;  ///< bit index to flip; -1 = top exponent bit
 
   bool pinpoint = false;
   std::uint64_t at_launch = 0;
@@ -199,29 +199,26 @@ inline constexpr std::uint64_t kSaltTimeout = 0x66617573696d3034ull;
              : static_cast<std::uint64_t>(scaled);
 }
 
-/// Flip one bit of an arbitrary trivially-copyable payload. bit < 0 picks
-/// the top exponent bit of an IEEE float of that width (62 / 30), or the
-/// next-to-top bit of the widest word otherwise.
+/// Flip the top exponent bit of an IEEE float of that width (62 / 30), or
+/// the next-to-top bit of the widest word of any other payload.
 template <typename T>
-[[nodiscard]] T flip_value_bit(T v, int bit) noexcept {
+[[nodiscard]] T flip_value_bit(T v) noexcept {
   static_assert(std::is_trivially_copyable_v<T>);
   if constexpr (sizeof(T) == 8) {
     std::uint64_t u;
     std::memcpy(&u, &v, 8);
-    u ^= 1ull << ((bit >= 0 && bit < 64) ? bit : 62);
+    u ^= 1ull << 62;
     std::memcpy(&v, &u, 8);
   } else if constexpr (sizeof(T) == 4) {
     std::uint32_t u;
     std::memcpy(&u, &v, 4);
-    u ^= 1u << ((bit >= 0 && bit < 32) ? bit : 30);
+    u ^= 1u << 30;
     std::memcpy(&v, &u, 4);
   } else {
     unsigned char bytes[sizeof(T)];
     std::memcpy(bytes, &v, sizeof(T));
-    const int nbits = static_cast<int>(8 * sizeof(T));
-    const int b = (bit >= 0 && bit < nbits) ? bit : nbits - 2;
-    bytes[static_cast<std::size_t>(b) / 8] ^=
-        static_cast<unsigned char>(1u << (static_cast<unsigned>(b) % 8));
+    constexpr std::size_t b = 8 * sizeof(T) - 2;
+    bytes[b / 8] ^= static_cast<unsigned char>(1u << (b % 8));
     std::memcpy(&v, bytes, sizeof(T));
   }
   return v;
@@ -247,11 +244,7 @@ class FaultSession {
   FaultSession(const FaultPlan& plan, std::uint64_t launch, std::uint64_t block,
                FaultCounts& sink) noexcept
       : plan_(plan), launch_(launch), block_(block), sink_(sink) {
-    targeted_ = plan_.target_block < 0 ||
-                static_cast<std::uint64_t>(plan_.target_block) == block_;
-    if (targeted_ && timeout_hit()) {
-      ++sink_.timeouts;
-    }
+    if (timeout_hit()) ++sink_.timeouts;
   }
 
   /// Filter one global load/store value. Loads are candidates for bit
@@ -260,7 +253,6 @@ class FaultSession {
   template <typename T>
   [[nodiscard]] T filter_data(T v, bool is_store) noexcept {
     const std::uint64_t site = data_site_++;
-    if (!targeted_) return v;
     unsigned kind = 0;
     if (plan_.pinpoint) {
       if (launch_ == plan_.at_launch && block_ == plan_.at_block &&
@@ -294,18 +286,17 @@ class FaultSession {
     }
     if (kind == kFaultGlobalFlip) {
       ++sink_.bit_flips;
-      return fault_detail::flip_value_bit(v, plan_.flip_bit);
+      return fault_detail::flip_value_bit(v);
     }
     return v;
   }
 
   /// Phase-boundary shared-memory upset: corrupt one live arena word
-  /// (XOR of one bit of a 32-bit word chosen by hash). Called by
+  /// (bit 30 of a 32-bit word chosen by hash). Called by
   /// BlockContext at the end of every phase; advances the phase ordinal
   /// regardless of whether a fault fires.
   void end_phase(SharedArena& arena) noexcept {
     const std::uint64_t phase = phase_++;
-    if (!targeted_) return;
     std::uint64_t h;
     if (plan_.pinpoint) {
       if (plan_.pinpoint_kind != kFaultSharedFlip ||
@@ -324,13 +315,10 @@ class FaultSession {
     const std::size_t words = arena.used() / 4;
     if (words == 0) return;  // no live shared memory to corrupt
     const std::size_t word = fault_detail::mix64(h) % words;
-    const unsigned bit = (plan_.flip_bit >= 0 && plan_.flip_bit < 32)
-                             ? static_cast<unsigned>(plan_.flip_bit)
-                             : 30u;
     std::uint32_t u;
     std::byte* p = arena.mutable_data() + word * 4;
     std::memcpy(&u, p, 4);
-    u ^= 1u << bit;
+    u = fault_detail::flip_value_bit(u);
     std::memcpy(p, &u, 4);
     ++sink_.shared_corruptions;
   }
@@ -351,7 +339,6 @@ class FaultSession {
   std::uint64_t launch_;
   std::uint64_t block_;
   FaultCounts& sink_;
-  bool targeted_ = true;
   std::uint64_t data_site_ = 0;
   std::uint64_t phase_ = 0;
 };

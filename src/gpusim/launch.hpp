@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -22,15 +21,12 @@
 
 namespace tridsolve::gpusim {
 
+/// Grid geometry of one launch. Instrumentation and hazard detection
+/// follow the engine's defaults (--instrument / ScopedInstrumentMode,
+/// --check-hazards / ScopedHazardMode).
 struct LaunchConfig {
   std::size_t grid_blocks = 1;
   int block_threads = 1;
-  /// Per-launch instrumentation override; empty = the engine's default
-  /// (exact unless --instrument / ScopedInstrumentMode says otherwise).
-  std::optional<InstrumentMode> instrument{};
-  /// Per-launch hazard-detection override; empty = the engine's default
-  /// (off unless --check-hazards / ScopedHazardMode says otherwise).
-  std::optional<HazardMode> hazards{};
 };
 
 /// Result of one simulated launch.
@@ -65,11 +61,8 @@ LaunchStats launch(const DeviceSpec& dev, LaunchConfig cfg, KernelFn&& body) {
     throw std::invalid_argument("launch: invalid block size " +
                                 std::to_string(cfg.block_threads));
   }
-  const InstrumentMode mode = cfg.instrument
-                                  ? *cfg.instrument
-                                  : ExecutionEngine::instance().default_instrument();
-  const HazardMode hazards =
-      cfg.hazards ? *cfg.hazards : ExecutionEngine::instance().default_hazards();
+  const InstrumentMode mode = ExecutionEngine::instance().default_instrument();
+  const HazardMode hazards = ExecutionEngine::instance().default_hazards();
 
   using Fn = std::remove_reference_t<KernelFn>;
   detail::LaunchRequest req;

@@ -38,7 +38,7 @@ std::string prometheus_name(const std::string& name) {
       out += '_';
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out += '_';
   return out;
 }
 

@@ -65,7 +65,7 @@ inline constexpr std::string_view solve_code_names[] = {
     "launch_failed", "deadline", "overloaded", "bad_size", "bad_argument"};
 /// gpu::PlanSource (plan_source_name).
 inline constexpr std::string_view plan_source_names[] = {
-    "heuristic", "cost_model", "forced", "calibrated", "autotuned"};
+    "heuristic", "forced", "calibrated", "autotuned"};
 /// gpusim::HazardMode (hazard_mode_name) as records carry it: the mode is
 /// written only while detection is on, so "off" is not a record value.
 inline constexpr std::string_view hazard_mode_names[] = {"detect", "fatal"};

@@ -56,9 +56,9 @@ void AdmissionController::release(std::size_t bytes) noexcept {
 
 void AdmissionController::observe_batch_latency(double us) noexcept {
   if (!(us >= 0.0)) return;
-  const double alpha = std::clamp(cfg_.ewma_alpha, 0.0, 1.0);
   const double prev = ewma_us_.load(std::memory_order_relaxed);
-  const double next = prev <= 0.0 ? us : alpha * us + (1.0 - alpha) * prev;
+  const double next =
+      prev <= 0.0 ? us : kEwmaAlpha * us + (1.0 - kEwmaAlpha) * prev;
   // The batcher is the only writer; a plain store is race-free and keeps
   // concurrent submit-side readers tear-free.
   ewma_us_.store(next, std::memory_order_relaxed);

@@ -67,9 +67,6 @@ struct AdmissionConfig {
   /// Max queued bytes (4 coefficient arrays per request); 0 = unbounded.
   std::size_t max_queue_bytes = 0;
   ShedPolicy policy = ShedPolicy::reject_newest;
-  /// EWMA smoothing for the batch-latency estimate in (0, 1]: weight of
-  /// the newest sample. 1.0 = last batch only.
-  double ewma_alpha = 0.2;
 };
 
 class AdmissionController {
@@ -115,6 +112,9 @@ class AdmissionController {
   }
 
  private:
+  /// Weight of the newest sample in the batch-latency EWMA.
+  static constexpr double kEwmaAlpha = 0.2;
+
   AdmissionConfig cfg_;
   std::atomic<std::size_t> depth_{0};
   std::atomic<std::size_t> bytes_{0};

@@ -44,7 +44,7 @@ CircuitBreaker::Gate CircuitBreaker::admit(Clock::time_point now) {
         set_state_locked(BreakerState::half_open);
         return Gate::pass;
       }
-      return cfg_.degrade ? Gate::degrade : Gate::shed;
+      return Gate::degrade;
   }
   return Gate::pass;
 }

@@ -13,12 +13,11 @@
 //     └──(probe succeeds)── half_open ◄────────────┘
 //              │ probe fails: back to open, fresh cooldown
 //
-// While open, batches never reach the simulated GPU: they are either
-// degraded to the host-Thomas fallback stage (degrade = true, the
-// default — answers keep flowing at host speed, marked `degraded`) or
-// shed with SolveCode::overloaded and pristine inputs (degrade = false).
-// When the cooldown expires the next batch is admitted as a half-open
-// probe; one success closes the breaker, one failure re-opens it.
+// While open, batches never reach the simulated GPU: they are degraded
+// to the host-Thomas fallback stage, so answers keep flowing at host
+// speed, marked `degraded`. When the cooldown expires the next batch is
+// admitted as a half-open probe; one success closes the breaker, one
+// failure re-opens it.
 //
 // Observability: gauge `service.breaker.state` (0 = closed, 1 =
 // half_open, 2 = open) updated on every transition, counters
@@ -42,10 +41,6 @@ struct BreakerConfig {
   int threshold = 0;
   /// Wall-clock cooldown in the open state before a half-open probe.
   double cooldown_us = 5000.0;
-  /// Open-state behavior: true = degrade batches to the host-Thomas
-  /// fallback (fault-immune, no simulated launches), false = shed them
-  /// with SolveCode::overloaded.
-  bool degrade = true;
 };
 
 enum class BreakerState { closed, half_open, open };
@@ -66,13 +61,13 @@ class CircuitBreaker {
 
   explicit CircuitBreaker(BreakerConfig cfg);
 
-  /// What the dispatcher should do with the next batch.
-  enum class Gate { pass, degrade, shed };
+  /// What the dispatcher should do with the next batch: run it on the
+  /// simulated GPU, or degrade it to the host-Thomas stage.
+  enum class Gate { pass, degrade };
 
   /// Consult the breaker before a dispatch. In the open state this
   /// transitions to half_open once the cooldown has elapsed (the caller's
-  /// batch becomes the probe); otherwise it returns the configured
-  /// open-state action.
+  /// batch becomes the probe); otherwise it returns Gate::degrade.
   [[nodiscard]] Gate admit(Clock::time_point now);
 
   /// Outcome of a dispatch that admit() passed. A success closes a

@@ -97,9 +97,6 @@ SolveService::SolveService(ServiceConfig cfg)
     config_error_ = "ServiceConfig.max_batch must be >= 1";
   } else if (!(cfg_.batch_window_us >= 0.0)) {
     config_error_ = "ServiceConfig.batch_window_us must be >= 0";
-  } else if (!(cfg_.admission.ewma_alpha > 0.0) ||
-             cfg_.admission.ewma_alpha > 1.0) {
-    config_error_ = "AdmissionConfig.ewma_alpha must be in (0, 1]";
   } else if (const std::string chain_error =
                  gpu::fallback_chain_error(cfg_.fallback_chain);
              !chain_error.empty()) {
@@ -396,14 +393,9 @@ void SolveService::expire_overdue(std::vector<Pending>& backlog,
 void SolveService::dispatch(std::vector<Pending> group) {
   // The breaker gate picks the execute stage. Bisection halves re-enter
   // here too, so a fault storm that trips the breaker mid-recovery
-  // degrades (or sheds) the remaining halves instead of hammering a
-  // failing engine — bounded work, structured results either way.
-  const CircuitBreaker::Gate gate = breaker_.admit(Clock::now());
-  if (gate == CircuitBreaker::Gate::shed) {
-    for (Pending& p : group) shed(p);
-    return;
-  }
-  const bool degraded = gate == CircuitBreaker::Gate::degrade;
+  // degrades the remaining halves instead of hammering a failing engine.
+  const bool degraded =
+      breaker_.admit(Clock::now()) == CircuitBreaker::Gate::degrade;
 
   const std::size_t m = group.size();
   const std::size_t n = group.front().req.system.size();

@@ -15,7 +15,7 @@
 //                                        gather one SystemBatch
 //                                                            │
 //      execute — the breaker gate picks the stage: pass = resilient
-//      solve (registry, PlanCache), degrade = host Thomas, shed = overloaded
+//      solve (registry, PlanCache), degrade = host Thomas
 //                                                            │
 //   future<SolveResult> ◄── scatter per-request code/latency/provenance
 //                           (launch-failed members bisect, re-dispatch)
@@ -45,8 +45,8 @@
 // riders; a request still failing alone is quarantined with its own
 // launch_failed code. Consecutive dispatch failures trip the circuit
 // breaker (cfg.breaker), which degrades whole batches to the
-// fault-immune host-Thomas stage (or sheds them) for a cooldown before
-// half-open probing. Per-request provenance lands on SolveResult:
+// fault-immune host-Thomas stage for a cooldown before half-open
+// probing. Per-request provenance lands on SolveResult:
 // attempts, recovered, degraded.
 //
 // Deadline semantics (per request, wall time from submit; 0 = none):

@@ -53,8 +53,8 @@ SolveStatus thomas_solve(SystemRef<T> sys, StridedView<T> x, std::span<T> cprime
   // Forward reduction: c'_1 = c_1/b_1, d'_1 = d_1/b_1, then
   // c'_i = c_i / (b_i - c'_{i-1} a_i), d'_i = (d_i - d'_{i-1} a_i) / same.
   // d' is accumulated directly in x. The reciprocal form below is the
-  // exact arithmetic of the p-Thomas GPU kernel and of ThomasPlan, so all
-  // three agree bitwise (rows with a_0 = 0 make i = 0 a plain b pivot).
+  // exact arithmetic of the p-Thomas GPU kernel, so the two agree bitwise
+  // (rows with a_0 = 0 make i = 0 a plain b pivot).
   T cp = T(0);
   T dp = T(0);
   double growth = 1.0;

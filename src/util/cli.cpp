@@ -86,7 +86,7 @@ std::vector<std::string> with_obs_flags(std::vector<std::string> flags) {
        {"json", "trace-json", "metrics-json", "metrics-prom", "spans-json",
         "format", "csv", "sim-threads", "instrument", "vector",
         "check-hazards", "fault-seed", "fault-rate", "fault-kinds",
-        "deadline-us", "max-retries", "plan-file", "autotune"}) {
+        "deadline-us", "max-retries", "plan-file"}) {
     if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
       flags.emplace_back(name);
     }

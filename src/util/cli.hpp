@@ -61,8 +61,6 @@ class Cli {
 ///   --max-retries N       resilient-solve re-dispatches per stage
 ///   --plan-file FILE      preload a plan-cache calibration file
 ///                         (bench_autotune --out format)
-///   --autotune [on|off]   measure candidate plans for cold shapes
-///                         instead of trusting the Table III heuristic
 /// Returns `flags` with those names appended, for the Cli constructor.
 [[nodiscard]] std::vector<std::string> with_obs_flags(
     std::vector<std::string> flags);

@@ -45,10 +45,10 @@ template <typename F>
 gs::LaunchStats run_hazard_kernel(gs::HazardMode mode, F&& body,
                                   std::size_t grid = 1) {
   const auto dev = gs::gtx480();
+  const gs::ScopedHazardMode scoped(mode);
   gs::LaunchConfig cfg;
   cfg.grid_blocks = grid;
   cfg.block_threads = kThreads;
-  cfg.hazards = mode;
   // Wrap so plain function references work (launch passes the callable
   // through a void* user pointer, which function pointers cannot use).
   return gs::launch(dev, cfg,
@@ -266,9 +266,8 @@ TEST(HazardFatal, RegistrySurfacesFindingAsUnsupported) {
   const auto dev = gs::gtx480();
   const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 8, 256,
                                             td::Layout::contiguous, 5);
-  gp::SolverRunOptions opts;
-  opts.hazards = gs::HazardMode::fatal;
-  const auto outcome = gp::run_solver(gp::SolverKind::hybrid, dev, batch, opts);
+  const gs::ScopedHazardMode fatal(gs::HazardMode::fatal);
+  const auto outcome = gp::run_solver(gp::SolverKind::hybrid, dev, batch);
   EXPECT_TRUE(outcome.supported) << outcome.detail;
 }
 
@@ -297,9 +296,8 @@ TEST(HazardReadOnly, RegistrySweepCleanAndBitIdenticalUnderDetect) {
     gp::SolveOutcome off_outcome;
     td::SystemBatch<double> off_solution;
     {
-      gp::SolverRunOptions opts;
-      opts.hazards = gs::HazardMode::off;
-      off_outcome = gp::run_solver(kind, dev, batch, opts, &off_solution);
+      const gs::ScopedHazardMode off(gs::HazardMode::off);
+      off_outcome = gp::run_solver(kind, dev, batch, {}, &off_solution);
     }
     ASSERT_TRUE(off_outcome.supported) << what << ": " << off_outcome.detail;
 
@@ -313,9 +311,8 @@ TEST(HazardReadOnly, RegistrySweepCleanAndBitIdenticalUnderDetect) {
     gp::SolveOutcome det_outcome;
     td::SystemBatch<double> det_solution;
     {
-      gp::SolverRunOptions opts;
-      opts.hazards = gs::HazardMode::detect;
-      det_outcome = gp::run_solver(kind, dev, batch, opts, &det_solution);
+      const gs::ScopedHazardMode detect(gs::HazardMode::detect);
+      det_outcome = gp::run_solver(kind, dev, batch, {}, &det_solution);
     }
     ASSERT_TRUE(det_outcome.supported) << what << ": " << det_outcome.detail;
 
@@ -371,7 +368,7 @@ TEST(HazardReadOnly, DetectionPreservesStatsOnSampledRuns) {
   {
     gp::SolverRunOptions opts;
     opts.instrument = gs::InstrumentMode::sampled;
-    opts.hazards = gs::HazardMode::detect;
+    const gs::ScopedHazardMode detect(gs::HazardMode::detect);
     checked = gp::run_solver(gp::SolverKind::pthomas_only, dev, batch, opts,
                              &checked_sol);
   }

@@ -14,6 +14,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -146,10 +147,10 @@ TEST(PlanCache, OutOfRangeForcedKIsStructuredRejection) {
   // Layer 1: plan_hybrid throws invalid_argument.
   gp::HybridOptions opts;
   opts.force_k = 9;  // 512 > N = 64
-  EXPECT_THROW(gp::plan_hybrid(dev, 4, 64, sizeof(double), opts),
+  EXPECT_THROW((void)gp::plan_hybrid(dev, 4, 64, sizeof(double), opts),
                std::invalid_argument);
   opts.force_k = 17;  // over the kernel cap
-  EXPECT_THROW(gp::plan_hybrid(dev, 4, 1 << 20, sizeof(double), opts),
+  EXPECT_THROW((void)gp::plan_hybrid(dev, 4, 1 << 20, sizeof(double), opts),
                std::invalid_argument);
   opts.force_k = 0;  // k = 0 is always legal (pure p-Thomas)
   EXPECT_EQ(gp::plan_hybrid(dev, 4, 64, sizeof(double), opts).k, 0u);
@@ -225,7 +226,11 @@ TEST(PlanCache, CalibrationRejectsWrongSchemaAndUnfitPlans) {
   EXPECT_THROW(cache.load_calibration(dir + "does_not_exist.json"),
                std::runtime_error);
 
-  // One fit entry, one whose k cannot fit its n: only the first loads.
+  // One fit entry, then five that cannot run: a k that cannot fit its
+  // n, a sub-tile multiplier c = 0 (S = c * 2^k would divide by zero), a
+  // split_system plan without its region count, and negative c and
+  // region counts (which a cast would wrap into huge values). Only the
+  // first loads; the other shapes solve on their heuristic plans.
   {
     std::ofstream f(dir + "mixed.json");
     f << "{\"schema\":\"tridsolve-plan-v1\",\"device\":\"" << dev.name
@@ -233,10 +238,29 @@ TEST(PlanCache, CalibrationRejectsWrongSchemaAndUnfitPlans) {
       << "{\"m\":8,\"n\":64,\"k\":5,\"variant\":\"one_block_per_system\","
       << "\"c\":1,\"tuned_us\":1.0},"
       << "{\"m\":8,\"n\":64,\"k\":9,\"variant\":\"one_block_per_system\","
-      << "\"c\":1,\"tuned_us\":1.0}]}";
+      << "\"c\":1,\"tuned_us\":1.0},"
+      << "{\"m\":16,\"n\":64,\"k\":5,\"variant\":\"one_block_per_system\","
+      << "\"c\":0,\"tuned_us\":1.0},"
+      << "{\"m\":8,\"n\":128,\"k\":6,\"variant\":\"split_system\","
+      << "\"c\":1,\"tuned_us\":1.0},"
+      << "{\"m\":32,\"n\":64,\"k\":5,\"variant\":\"one_block_per_system\","
+      << "\"c\":-1,\"tuned_us\":1.0},"
+      << "{\"m\":4,\"n\":256,\"k\":5,\"variant\":\"split_system\","
+      << "\"c\":1,\"blocks_per_system\":-1,\"tuned_us\":1.0}]}";
   }
+  const double rejected0 = counter("gpu.plan_cache.rejected");
   EXPECT_EQ(cache.load_calibration(dir + "mixed.json"), 1u);
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(counter("gpu.plan_cache.rejected") - rejected0, 5.0);
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{16, 64},
+                             std::pair<std::size_t, std::size_t>{8, 128},
+                             std::pair<std::size_t, std::size_t>{32, 64},
+                             std::pair<std::size_t, std::size_t>{4, 256}}) {
+    const auto out =
+        gp::run_solver<double>(gp::SolverKind::hybrid, dev, make_batch(m, n));
+    EXPECT_TRUE(out.supported) << "m=" << m << " n=" << n << ": " << out.detail;
+    EXPECT_EQ(out.plan_source, "heuristic") << "m=" << m << " n=" << n;
+  }
   cache.clear();
 }
 
@@ -256,27 +280,6 @@ TEST(PlanCache, ResilientRetriesBitIdenticalColdVsCached) {
       << "resilient solve with a warm cache drifted from the cold run";
   EXPECT_DOUBLE_EQ(cold.outcome.time_us, hit.outcome.time_us);
   EXPECT_EQ(cold.outcome.k, hit.outcome.k);
-}
-
-TEST(PlanCache, OnlineAutotunePlansServeRepeatSolves) {
-  const auto dev = gs::gtx480();
-  auto& cache = gp::PlanCache::instance();
-  cache.clear();
-  cache.set_autotune(true);
-  const auto batch = make_batch(16, 64, 13);
-  const auto first =
-      gp::run_solver<double>(gp::SolverKind::hybrid, dev, batch);
-  const auto second =
-      gp::run_solver<double>(gp::SolverKind::hybrid, dev, batch);
-  cache.set_autotune(false);
-  cache.clear();
-  ASSERT_TRUE(first.supported);
-  ASSERT_TRUE(second.supported);
-  EXPECT_EQ(first.plan_source, "autotuned");
-  EXPECT_FALSE(first.plan_cached);
-  EXPECT_TRUE(second.plan_cached);
-  EXPECT_EQ(second.plan_source, "autotuned");
-  EXPECT_DOUBLE_EQ(first.time_us, second.time_us);
 }
 
 TEST(PlanCache, AutotunerNeverLosesToHeuristic) {
@@ -299,17 +302,13 @@ TEST(PlanProperties, PlansAlwaysFitAdversarialShapes) {
   const std::size_t Ns[] = {1, 2, 3, 5, 100, 127, 129, 1000};
   for (const std::size_t m : Ms) {
     for (const std::size_t n : Ns) {
-      for (const bool model : {false, true}) {
-        gp::HybridOptions o;
-        o.use_cost_model = model;
-        const auto plan = gp::plan_hybrid(dev, m, n, sizeof(double), o);
-        EXPECT_TRUE(plan.fits(n)) << "m=" << m << " n=" << n;
-        EXPECT_LE(std::size_t{1} << plan.k, n)
-            << "m=" << m << " n=" << n << " model=" << model
-            << ": 2^k must never exceed the system size";
-        EXPECT_NE(plan.variant, gp::WindowVariant::auto_select);
-        EXPECT_GE(plan.c, 1u);
-      }
+      const auto plan = gp::plan_hybrid(dev, m, n, sizeof(double), {});
+      EXPECT_TRUE(plan.fits(n)) << "m=" << m << " n=" << n;
+      EXPECT_LE(std::size_t{1} << plan.k, n)
+          << "m=" << m << " n=" << n
+          << ": 2^k must never exceed the system size";
+      EXPECT_NE(plan.variant, gp::WindowVariant::auto_select);
+      EXPECT_GE(plan.c, 1u);
     }
   }
 }
@@ -327,12 +326,34 @@ TEST(PlanProperties, HeuristicKRespectsItsOwnClamp) {
 }
 
 TEST(PlanProperties, ClampEventsAreCounted) {
-  // heuristic_k(1, 100): Table III says k = 8, but 256 > 100/2 — the
-  // fit clamp must fire and be observable.
+  // A cold plan for (1, 100): Table III says k = 8, but 256 > 100/2 —
+  // the fit clamp must fire and be observable.
   const double before = counter("transition.clamped");
-  const unsigned k = gp::heuristic_k(1, 100);
+  const unsigned k =
+      gp::plan_hybrid(gs::gtx480(), 1, 100, sizeof(double), {}).k;
   EXPECT_LT(k, 8u);
   EXPECT_GE(counter("transition.clamped") - before, 1.0);
+}
+
+TEST(PlanProperties, PreferredLayoutWritesNoPlanningMetrics) {
+  // Layout choice runs on every service gather, cache hit or not: it
+  // must leave the planner's transition.* metrics alone, even for a
+  // shape whose Table III k clamps (4, 64).
+  const auto transition_metrics = [] {
+    std::map<std::string, double> out;
+    const auto& registry = obs::MetricsRegistry::instance();
+    for (const auto& group : {registry.counters(), registry.gauges()}) {
+      for (const auto& [name, value] : group) {
+        if (name.rfind("transition.", 0) == 0) out[name] = value;
+      }
+    }
+    return out;
+  };
+  const auto before = transition_metrics();
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(gp::preferred_layout(4, 64), td::Layout::contiguous);
+  }
+  EXPECT_EQ(transition_metrics(), before);
 }
 
 TEST(PlanProperties, ForcedKRoundTripsOrThrows) {
@@ -351,7 +372,7 @@ TEST(PlanProperties, ForcedKRoundTripsOrThrows) {
         EXPECT_EQ(gp::plan_hybrid(dev, 4, n, sizeof(double), o).k,
                   static_cast<unsigned>(k));
       } else {
-        EXPECT_THROW(gp::plan_hybrid(dev, 4, n, sizeof(double), o),
+        EXPECT_THROW((void)gp::plan_hybrid(dev, 4, n, sizeof(double), o),
                      std::invalid_argument)
             << "n=" << n << " k=" << k;
       }

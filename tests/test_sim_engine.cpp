@@ -71,12 +71,11 @@ void expect_stats_identical(const gs::LaunchStats& a, const gs::LaunchStats& b,
 /// sampling estimator is specified for.
 gs::LaunchStats run_stream_kernel(const gs::DeviceSpec& dev,
                                   std::vector<double>& data, std::size_t grid,
-                                  int threads,
-                                  std::optional<gs::InstrumentMode> mode) {
+                                  int threads, gs::InstrumentMode mode) {
+  const gs::ScopedInstrumentMode scoped(mode);
   gs::LaunchConfig cfg;
   cfg.grid_blocks = grid;
   cfg.block_threads = threads;
-  cfg.instrument = mode;
   return gs::launch(dev, cfg, [&](gs::BlockContext& ctx) {
     auto tile =
         ctx.shared<double>(static_cast<std::size_t>(ctx.block_threads()));

@@ -212,11 +212,10 @@ TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
 
   // Hazard detection: needs per-access shared-memory tracking.
   {
-    auto opts = functional;
-    opts.hazards = gs::HazardMode::detect;
+    const gs::ScopedHazardMode detect(gs::HazardMode::detect);
     const double before = counter("gpusim.vector.blocks");
-    (void)gpu::run_solver<double>(gpu::SolverKind::hybrid, dev, batch, opts,
-                                  &solution);
+    (void)gpu::run_solver<double>(gpu::SolverKind::hybrid, dev, batch,
+                                  functional, &solution);
     EXPECT_EQ(counter("gpusim.vector.blocks"), before)
         << "hazard-checked run must stay scalar";
   }

@@ -29,8 +29,9 @@
 //
 // Calibration-file checks (--plan, written by bench_autotune --out):
 // schema tridsolve-plan-v1, device name plus decimal-string fingerprint,
-// and per-plan shape/variant sanity (2^k must fit n, concrete variant,
-// c >= 1). Counter assertions (--metrics FILE --require-counters
+// and per-plan shape/variant sanity (whole-number counts, 2^k must fit n,
+// concrete variant, c >= 1, blocks_per_system >= 1 for split_system).
+// Counter assertions (--metrics FILE --require-counters
 // "a>=1,b<=0,c==2"): each comma term checks one counter of a
 // --metrics-json dump; counters the registry never touched read as 0.
 //
@@ -82,6 +83,17 @@ double require_number(const JsonValue& obj, const std::string& key,
   const JsonValue& v = require(obj, key, where);
   if (!v.is_number()) fail(where + ": \"" + key + "\" is not a number");
   return v.as_number();
+}
+
+/// A count field of a calibration entry: PlanCache::load_calibration
+/// rejects any entry whose counts are not whole numbers in [0, 2^31).
+double require_whole(const JsonValue& obj, const std::string& key,
+                     const std::string& where) {
+  const double v = require_number(obj, key, where);
+  if (!(v >= 0.0 && v < 2147483648.0) || v != std::floor(v)) {
+    fail(where + ": \"" + key + "\" is not a whole number in [0, 2^31)");
+  }
+  return v;
 }
 
 std::string require_string(const JsonValue& obj, const std::string& key,
@@ -242,8 +254,10 @@ void validate_trace(const std::string& path) {
 
 /// Calibration-file checks (bench_autotune --out): schema tag, device
 /// identity (name + decimal-string fingerprint) and per-plan sanity —
-/// positive shape, k that fits it, a concrete (non-auto) window variant
-/// and c >= 1. Returns the number of plans.
+/// positive whole shape, a whole k that fits it, a concrete (non-auto)
+/// window variant, a whole c >= 1 and, for split_system, a whole
+/// blocks_per_system >= 1 (the rules PlanCache::load_calibration
+/// applies). Returns the number of plans.
 std::size_t validate_plan_file(const std::string& path) {
   const auto parsed = JsonValue::parse(read_file(path));
   if (!parsed) fail(path + ": not valid JSON");
@@ -264,11 +278,11 @@ std::size_t validate_plan_file(const std::string& path) {
   for (const JsonValue& entry : plans.as_array()) {
     const std::string where = path + " plans[" + std::to_string(idx++) + "]";
     if (!entry.is_object()) fail(where + ": entry is not an object");
-    const double m = require_number(entry, "m", where);
-    const double n = require_number(entry, "n", where);
+    const double m = require_whole(entry, "m", where);
+    const double n = require_whole(entry, "n", where);
     if (m < 1) fail(where + ": m < 1");
     if (n < 1) fail(where + ": n < 1");
-    const double k = require_number(entry, "k", where);
+    const double k = require_whole(entry, "k", where);
     if (k < 0 || k > 30) fail(where + ": k outside [0, 30]");
     if (std::ldexp(1.0, static_cast<int>(k)) > n) {
       fail(where + ": 2^k exceeds n (plan cannot fit its shape)");
@@ -280,7 +294,11 @@ std::size_t validate_plan_file(const std::string& path) {
       fail(where + ": variant \"" + variant +
            "\" is not a concrete window variant");
     }
-    if (require_number(entry, "c", where) < 1) fail(where + ": c < 1");
+    if (require_whole(entry, "c", where) < 1) fail(where + ": c < 1");
+    if (variant == "split_system" &&
+        require_whole(entry, "blocks_per_system", where) < 1) {
+      fail(where + ": split_system plan with blocks_per_system < 1");
+    }
     if (require_number(entry, "tuned_us", where) < 0) {
       fail(where + ": tuned_us < 0");
     }
