@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "gpu_solvers/autotune.hpp"
-#include "gpu_solvers/plan_cache.hpp"
 
 using namespace tridsolve;
 
@@ -82,8 +81,8 @@ int main(int argc, char** argv) {
       rec["m"] = m;
       rec["n"] = n;
       rec["time_us"] = r.best_us;
-      bench::put_plan(rec, r.best.source, /*cached=*/false, r.best.k,
-                      r.best.variant, r.best.c);
+      bench::put_plan(rec, r.best.source, r.best.k, r.best.variant,
+                      r.best.c);
       rec["heuristic_k"] = r.heuristic_k;
       rec["heuristic_us"] = r.heuristic_us;
       rec["candidates"] = r.candidates.size();
@@ -101,12 +100,6 @@ int main(int argc, char** argv) {
       entry["tuned_us"] = r.best_us;
       entry["heuristic_us"] = r.heuristic_us;
       plans.push_back(std::move(entry));
-
-      // Warm this process's cache too, so a bench run that continues
-      // after the sweep already solves with the measured plans.
-      gpu::HybridOptions defaults;
-      gpu::PlanCache::instance().insert(
-          gpu::make_plan_key(dev, m, n, sizeof(double), defaults), r.best);
     }
   }
   bench::emit(table, cli);

@@ -126,10 +126,8 @@ inline void emit(const util::Table& table, const util::Cli& cli) {
 /// The record's plan group (obs/record_schema.hpp): the plan a solve ran
 /// with, or the one the autotuner picked.
 inline void put_plan(obs::JsonValue& rec, gpu::PlanSource source,
-                     bool cached, unsigned k, gpu::WindowVariant variant,
-                     std::size_t c) {
+                     unsigned k, gpu::WindowVariant variant, std::size_t c) {
   rec["plan_source"] = gpu::plan_source_name(source);
-  rec["plan_cached"] = cached ? 1 : 0;
   rec["plan_k"] = k;
   rec["plan_variant"] = gpu::window_variant_name(variant);
   rec["plan_c"] = c;
@@ -149,7 +147,7 @@ class Telemetry {
         last_record_(std::chrono::steady_clock::now()) {
     // Every binary funnels through here, so this is the one place the
     // shared --sim-threads / --instrument / --check-hazards flags reach
-    // the engine, and --plan-file reaches the plan cache.
+    // the engine, and --plan-file reaches the calibration table.
     gpusim::configure_engine_from_cli(cli);
     gpu::configure_plan_cache_from_cli(cli);
     hazard_mode_ = gpusim::ExecutionEngine::instance().default_hazards();
@@ -244,7 +242,6 @@ class Telemetry {
 
     const auto totals = gpusim::summarize_timeline(dev, timeline);
     rec["kernel_us"] = totals.kernel_us;
-    rec["host_us"] = totals.host_us;
     rec["overhead_us"] = totals.overhead_us;
     rec["launches"] = totals.launches;
     rec["transactions"] = totals.transactions;
@@ -265,8 +262,8 @@ class Telemetry {
     extra["variant"] = gpu::window_variant_name(report.variant);
     // Per-solve plan provenance (the transition.* gauges are only
     // most-recent; this is the record of truth).
-    put_plan(extra, report.plan_source, report.plan_cached, report.k,
-             report.variant, report.plan_c);
+    put_plan(extra, report.plan_source, report.k, report.variant,
+             report.plan_c);
     extra["reduced_systems"] = report.reduced_systems;
     extra["redundant_loads"] = report.redundant_loads;
     extra["pcr_us"] = report.pcr_us();

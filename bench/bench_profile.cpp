@@ -32,7 +32,7 @@ namespace {
 obs::JsonValue launch_hist_json(const gpusim::Timeline& timeline) {
   obs::LogHistogram hist;
   for (const auto& seg : timeline.segments()) {
-    if (seg.is_host() || !seg.stats.timed) continue;
+    if (!seg.stats.timed) continue;
     hist.record(seg.stats.timing.time_us);
   }
   const obs::HistogramSnapshot snap = hist.snapshot();

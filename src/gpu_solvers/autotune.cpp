@@ -33,19 +33,18 @@ tridiag::SystemBatch<T> make_cell_batch(std::size_t m, std::size_t n,
   return batch;
 }
 
-/// Simulated time of one candidate on a fresh batch, with every
+/// Simulated time of one candidate plan on a fresh batch, with every
 /// nondeterminism source pinned: exact instrumentation, faults and hazard
-/// checking off, PlanCache bypassed.
+/// checking off.
 template <typename T>
 double measure_candidate(const gpusim::DeviceSpec& dev, std::size_t m,
                          std::size_t n, tridiag::Layout layout,
-                         const HybridOptions& opts) {
+                         const SolvePlan& plan) {
   gpusim::ScopedInstrumentMode instrument(gpusim::InstrumentMode::exact);
   gpusim::ScopedHazardMode hazards(gpusim::HazardMode::off);
   gpusim::ScopedFaultPlan faults(gpusim::FaultPlan{});
-  PlanCache::ScopedBypass bypass;
   auto batch = make_cell_batch<T>(m, n, layout);
-  const HybridReport report = hybrid_solve<T>(dev, batch, opts);
+  const HybridReport report = hybrid_solve<T>(dev, batch, {}, plan);
   return report.total_us();
 }
 
@@ -59,23 +58,21 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
   }
   AutotuneResult result;
 
-  // The plan the default request would get today (Table III + Fig. 11
-  // auto-pick), measured on the layout that request would use — every
-  // candidate shares the layout so comparisons are apples to apples.
-  const HybridOptions default_opts;
-  const SolvePlan heuristic_plan =
-      plan_hybrid(dev, m, n, sizeof(T), default_opts);
+  // The Table III plan (heuristic k + Fig. 11 auto-pick), measured on the
+  // layout the default request would use — every candidate shares the
+  // layout so comparisons are apples to apples.
+  const SolvePlan heuristic_plan = plan_from_request(dev, m, n, {});
   const tridiag::Layout layout = heuristic_plan.k >= 1
                                      ? tridiag::Layout::contiguous
                                      : tridiag::Layout::interleaved;
   result.heuristic_k = heuristic_plan.k;
-  result.heuristic_us = measure_candidate<T>(dev, m, n, layout, default_opts);
+  result.heuristic_us =
+      measure_candidate<T>(dev, m, n, layout, heuristic_plan);
 
   // Seed the incumbent with the heuristic plan so best_us <= heuristic_us
   // by construction; candidates only win on strictly smaller time.
   result.best = heuristic_plan;
   result.best.source = PlanSource::autotuned;
-  result.best.tuned_us = result.heuristic_us;
   result.best_us = result.heuristic_us;
   result.candidates.push_back({result.best, result.heuristic_us});
 
@@ -95,13 +92,12 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
     SolvePlan plan;
     double us = 0.0;
     try {
-      plan = plan_hybrid(dev, m, n, sizeof(T), opts);
-      us = measure_candidate<T>(dev, m, n, layout, opts);
+      plan = plan_from_request(dev, m, n, opts);
+      us = measure_candidate<T>(dev, m, n, layout, plan);
     } catch (const std::exception&) {
       return;  // infeasible candidate (shared memory, block limits, ...)
     }
     plan.source = PlanSource::autotuned;
-    plan.tuned_us = us;
     result.candidates.push_back({plan, us});
     if (us < result.best_us) {
       result.best = plan;
@@ -125,7 +121,6 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
       }
     }
   }
-  result.best.tuned_us = result.best_us;
   return result;
 }
 

@@ -6,13 +6,12 @@
 //
 // Measurement discipline: every candidate runs on a freshly synthesized
 // deterministic diagonally-dominant batch under exact instrumentation
-// with faults and hazard checking off and the PlanCache bypassed
-// (PlanCache::ScopedBypass), so simulated times are reproducible and the
-// sweep leaves no cache/metric residue on the steady-state path. The
-// default-request (heuristic) plan is always in the candidate set, so
-// `best_us <= heuristic_us` holds by construction; a candidate only
-// replaces the incumbent on strictly smaller simulated time, making the
-// winner deterministic.
+// with faults and hazard checking off, so simulated times are
+// reproducible. Candidates are planned by plan_from_request and executed
+// as planned, so a loaded calibration never reaches the sweep. The Table
+// III plan is always in the candidate set, so `best_us <= heuristic_us`
+// holds by construction; a candidate only replaces the incumbent on
+// strictly smaller simulated time, making the winner deterministic.
 //
 // Consumer: bench_autotune sweeps cells offline and writes a
 // tridsolve-plan-v1 calibration JSON for PlanCache::load_calibration
@@ -33,7 +32,7 @@ struct AutotuneCandidate {
 };
 
 struct AutotuneResult {
-  /// Fastest plan found; source = PlanSource::autotuned, tuned_us set.
+  /// Fastest plan found; source = PlanSource::autotuned.
   SolvePlan best;
   double best_us = 0.0;
   unsigned heuristic_k = 0;     ///< what Table III would have chosen

@@ -148,6 +148,15 @@ template <typename T>
 HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
                           tridiag::SystemBatch<T>& batch,
                           const HybridOptions& opts) {
+  return hybrid_solve(dev, batch, opts,
+                      plan_hybrid(dev, batch.num_systems(), batch.system_size(),
+                                  sizeof(T), opts));
+}
+
+template <typename T>
+HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
+                          tridiag::SystemBatch<T>& batch,
+                          const HybridOptions& opts, const SolvePlan& plan) {
   HybridReport report;
   const std::size_t m_count = batch.num_systems();
   const std::size_t n = batch.system_size();
@@ -157,15 +166,7 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   const obs::ScopedTimer host_timer(metrics.solve_time_us, metrics.solve_calls);
   metrics.solves.add();
 
-  // --- 1. plan (transition point, variant, geometry) — cache-mediated ------
-  // A forced k out of range for (N, device) makes plan_hybrid throw
-  // std::invalid_argument here, before any launch.
-  const PlanKey plan_key = make_plan_key(dev, m_count, n, sizeof(T), opts);
-  const PlanCache::Result planned =
-      PlanCache::instance().plan(plan_key, [&] {
-        return plan_hybrid(dev, m_count, n, sizeof(T), opts);
-      });
-  const SolvePlan& plan = planned.plan;
+  // --- 1. the plan (transition point, variant, geometry) -------------------
   const unsigned k = plan.k;
   switch (plan.source) {
     case PlanSource::forced: metrics.source_forced.add(); break;
@@ -175,7 +176,6 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   }
   report.k = k;
   report.plan_source = plan.source;
-  report.plan_cached = planned.hit;
   report.plan_c = plan.c;
   // Most-recent-planning-event gauge only — see transition.hpp; the
   // per-solve truth is HybridReport / the plan_* JSONL block.
@@ -189,8 +189,8 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   tridiag::SystemBatch<T>* reduced = &batch;
 
   if (k >= 1) {
-    // Everything below comes from the plan, never recomputed: a cache hit
-    // therefore executes bit-identically to the cold solve that planned.
+    // Everything below comes from the plan, never recomputed: a retry
+    // chunk run on its full batch's plan repeats that batch's arithmetic.
     TiledPcrConfig cfg;
     cfg.k = k;
     cfg.c = plan.c;
@@ -302,5 +302,13 @@ template HybridReport hybrid_solve<float>(const gpusim::DeviceSpec&,
 template HybridReport hybrid_solve<double>(const gpusim::DeviceSpec&,
                                            tridiag::SystemBatch<double>&,
                                            const HybridOptions&);
+template HybridReport hybrid_solve<float>(const gpusim::DeviceSpec&,
+                                          tridiag::SystemBatch<float>&,
+                                          const HybridOptions&,
+                                          const SolvePlan&);
+template HybridReport hybrid_solve<double>(const gpusim::DeviceSpec&,
+                                           tridiag::SystemBatch<double>&,
+                                           const HybridOptions&,
+                                           const SolvePlan&);
 
 }  // namespace tridsolve::gpu

@@ -3,8 +3,10 @@
 // tridiagonal solver (§III), orchestrated over the simulated GPU.
 //
 // Pipeline:
-//   1. choose the transition point k from (M, N) — the Table III
-//      heuristic, a forced k, or a --plan-file calibration entry;
+//   1. plan (gpu_solvers/plan_cache.hpp, plan_hybrid, on every call):
+//      the transition point k from (M, N) — the Table III heuristic, a
+//      forced k, or a --plan-file calibration entry — plus the window
+//      variant, sub-tile c and launch geometry;
 //   2. k >= 1: run the tiled PCR kernel, which rewrites each system as
 //      2^k independent interleaved systems (window variant per Fig. 11);
 //   3. run p-Thomas over the 2^k * M reduced systems (or only its
@@ -47,7 +49,7 @@ enum class WindowVariant {
 enum class PlanSource : std::uint8_t {
   heuristic,   ///< Table III heuristic (the default)
   forced,      ///< HybridOptions::force_k / explicit variant request
-  calibrated,  ///< preloaded from a --plan-file calibration file
+  calibrated,  ///< loaded from a --plan-file calibration file
   autotuned,   ///< measured by autotune_cell (bench_autotune's records)
 };
 
@@ -68,17 +70,32 @@ struct HybridOptions {
   bool guard = true;
 };
 
+/// A fully resolved plan: everything hybrid_solve derives before touching
+/// the batch. `variant` is never auto_select here.
+struct SolvePlan {
+  unsigned k = 0;
+  WindowVariant variant = WindowVariant::one_block_per_system;
+  std::size_t c = 1;                  ///< sub-tile multiplier, S = c * 2^k
+  std::size_t blocks_per_system = 0;  ///< split_system region count (else 0)
+  std::size_t systems_per_block = 1;  ///< windows per block (multi variant)
+  PlanSource source = PlanSource::heuristic;
+
+  /// Shape check: can this plan legally solve an (m, n) batch? 2^k
+  /// reduced systems need at least one row each, the sub-tile S = c * 2^k
+  /// needs c >= 1, and a split_system plan needs at least one region.
+  [[nodiscard]] bool fits(std::uint64_t n) const noexcept {
+    return k < 31 && (n >> k) >= 1 && c >= 1 &&
+           (variant != WindowVariant::split_system || blocks_per_system >= 1);
+  }
+};
+
 struct HybridReport {
   unsigned k = 0;
   WindowVariant variant = WindowVariant::one_block_per_system;
   gpusim::Timeline timeline;
 
-  /// How the plan (k, variant, c, launch geometry) was chosen, and
-  /// whether it came out of the PlanCache instead of being computed for
-  /// this solve. Cache hits are bit-identical to cold solves — the plan
-  /// pins exactly what cold planning would compute.
+  /// How the plan (k, variant, c, launch geometry) was chosen.
   PlanSource plan_source = PlanSource::heuristic;
-  bool plan_cached = false;
   std::size_t plan_c = 1;  ///< sub-tile multiplier the plan selected
 
   std::size_t reduced_systems = 0;
@@ -105,14 +122,26 @@ struct HybridReport {
 };
 
 /// Solve every system of `batch` in place (solution in d) on the simulated
-/// device. The batch layout determines the memory addresses the kernels
-/// touch: use contiguous for k >= 1 (PCR interleaves in place, feeding
-/// p-Thomas coalesced accesses) and interleaved for the k = 0 fast path,
-/// as the paper's setup does.
+/// device, with the plan plan_hybrid gives `opts` for this batch's shape.
+/// The batch layout determines the memory addresses the kernels touch:
+/// use contiguous for k >= 1 (PCR interleaves in place, feeding p-Thomas
+/// coalesced accesses) and interleaved for the k = 0 fast path, as the
+/// paper's setup does. Throws std::invalid_argument, before any launch,
+/// for a forced k out of range for the shape or device.
 template <typename T>
 HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
                           tridiag::SystemBatch<T>& batch,
                           const HybridOptions& opts = {});
+
+/// Execute `plan` as given: it fixes k, variant, c and geometry, and
+/// `opts` supplies only fuse and guard. The plan must come from
+/// plan_hybrid (or plan_from_request) for these options and this N; it
+/// may have been made for a larger batch, which is how the resilient
+/// pipeline runs every retry chunk on its full batch's plan.
+template <typename T>
+HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
+                          tridiag::SystemBatch<T>& batch,
+                          const HybridOptions& opts, const SolvePlan& plan);
 
 extern template HybridReport hybrid_solve<float>(const gpusim::DeviceSpec&,
                                                  tridiag::SystemBatch<float>&,
@@ -120,5 +149,13 @@ extern template HybridReport hybrid_solve<float>(const gpusim::DeviceSpec&,
 extern template HybridReport hybrid_solve<double>(const gpusim::DeviceSpec&,
                                                   tridiag::SystemBatch<double>&,
                                                   const HybridOptions&);
+extern template HybridReport hybrid_solve<float>(const gpusim::DeviceSpec&,
+                                                 tridiag::SystemBatch<float>&,
+                                                 const HybridOptions&,
+                                                 const SolvePlan&);
+extern template HybridReport hybrid_solve<double>(const gpusim::DeviceSpec&,
+                                                  tridiag::SystemBatch<double>&,
+                                                  const HybridOptions&,
+                                                  const SolvePlan&);
 
 }  // namespace tridsolve::gpu

@@ -15,30 +15,6 @@ namespace tridsolve::gpu {
 
 namespace {
 
-// FNV-1a over the key's fields, byte by byte — field-wise so struct
-// padding never leaks into the hash.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-[[nodiscard]] std::uint64_t key_hash(const PlanKey& k) noexcept {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, k.device);
-  fnv_mix(h, k.m);
-  fnv_mix(h, k.n);
-  fnv_mix(h, k.elem_size);
-  fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(k.force_k)));
-  fnv_mix(h, k.sub_tile_c);
-  fnv_mix(h, (std::uint64_t{k.variant} << 16) | k.fuse);
-  return h;
-}
-
 /// The kernel's own hard cap (tiled_pcr_kernel.cpp kMaxK), re-stated here
 /// so a forced k is rejected at plan time with a structured error instead
 /// of deep inside the launch path.
@@ -74,29 +50,8 @@ struct PlanMetrics {
 
 }  // namespace
 
-std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
-  return static_cast<std::size_t>(key_hash(k));
-}
-
-PlanKey make_plan_key(const gpusim::DeviceSpec& dev, std::size_t m,
-                      std::size_t n, std::size_t elem_size,
-                      const HybridOptions& opts) {
-  PlanKey key;
-  key.device = dev.fingerprint();
-  key.m = m;
-  key.n = n;
-  key.elem_size = static_cast<std::uint32_t>(elem_size);
-  key.force_k = opts.force_k;
-  key.sub_tile_c = std::max<std::uint64_t>(1, opts.sub_tile_c);
-  key.variant = static_cast<std::uint8_t>(opts.variant);
-  key.fuse = opts.fuse ? 1 : 0;
-  return key;
-}
-
-SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
-                      std::size_t n, std::size_t elem_size,
-                      const HybridOptions& opts) {
-  (void)elem_size;  // planning is shape-driven; elem_size only keys the cache
+SolvePlan plan_from_request(const gpusim::DeviceSpec& dev, std::size_t m,
+                            std::size_t n, const HybridOptions& opts) {
   SolvePlan plan;
   plan.c = std::max<std::size_t>(1, opts.sub_tile_c);
   plan.source =
@@ -145,84 +100,34 @@ SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
   return plan;
 }
 
+SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
+                      std::size_t n, std::size_t elem_size,
+                      const HybridOptions& opts) {
+  const bool default_request = opts.force_k < 0 && opts.sub_tile_c <= 1 &&
+                               opts.variant == WindowVariant::auto_select &&
+                               !opts.fuse;
+  if (default_request) {
+    if (auto calibrated = PlanCache::instance().find(dev, m, n, elem_size)) {
+      return *calibrated;
+    }
+  }
+  return plan_from_request(dev, m, n, opts);
+}
+
 PlanCache& PlanCache::instance() {
   static PlanCache cache;
   return cache;
 }
 
-PlanCache::Shard& PlanCache::shard_for(const PlanKey& key) const noexcept {
-  return shards_[key_hash(key) % kShards];
-}
-
-void PlanCache::publish_size() const noexcept {
-  obs::gauge("gpu.plan_cache.size", static_cast<double>(size()));
-}
-
-PlanCache::Result PlanCache::plan(const PlanKey& key,
-                                  const std::function<SolvePlan()>& make) {
-  if (ScopedBypass::active()) return {make(), false};
-  {
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      it->second.last_use = ++sh.tick;
-      hits_.add();
-      return {it->second.plan, true};
-    }
-  }
-  misses_.add();
-  // Compute outside the lock. Two threads racing on the same cold key
-  // both compute the deterministic plan; one insert wins.
-  const SolvePlan computed = make();
-  insert(key, computed);
-  return {computed, false};
-}
-
-std::optional<SolvePlan> PlanCache::lookup(const PlanKey& key) const {
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  auto it = sh.map.find(key);
-  if (it == sh.map.end()) return std::nullopt;
-  if (!it->second.plan.fits(key.n)) {
-    // Should be unreachable (insert shape-checks) — defense against a
-    // future mutation path handing out a plan that cannot run.
-    sh.map.erase(it);
-    rejected_.add();
-    return std::nullopt;
-  }
-  it->second.last_use = ++sh.tick;
-  return it->second.plan;
-}
-
-bool PlanCache::insert(const PlanKey& key, const SolvePlan& plan) {
-  if (!plan.fits(key.n) ||
-      (key.force_k >= 0 && plan.k != static_cast<unsigned>(key.force_k))) {
-    rejected_.add();
-    return false;
-  }
-  {
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      it->second.plan = plan;
-      it->second.last_use = ++sh.tick;
-      return true;
-    }
-    if (sh.map.size() >= kCapacityPerShard) {
-      auto victim = sh.map.begin();
-      for (auto cand = sh.map.begin(); cand != sh.map.end(); ++cand) {
-        if (cand->second.last_use < victim->second.last_use) victim = cand;
-      }
-      sh.map.erase(victim);
-      evictions_.add();
-    }
-    sh.map.emplace(key, Entry{plan, ++sh.tick});
-    insertions_.add();
-  }
-  publish_size();
-  return true;
+std::optional<SolvePlan> PlanCache::find(const gpusim::DeviceSpec& dev,
+                                         std::size_t m, std::size_t n,
+                                         std::size_t elem_size) const {
+  if (!loaded_.load(std::memory_order_acquire)) return std::nullopt;
+  const Key key{dev.fingerprint(), m, n, elem_size};
+  const std::lock_guard<std::mutex> lk(mu_);
+  const auto it = plans_.find(key);
+  if (it == plans_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::size_t PlanCache::load_calibration(const std::string& path) {
@@ -289,11 +194,10 @@ std::size_t PlanCache::load_calibration(const std::string& path) {
       whole = whole && v >= 0.0 && v < 2147483648.0 && v == std::floor(v);
       return whole ? v : 0.0;
     };
-    PlanKey key;  // calibration plans answer the *default* plan request
-    key.device = fingerprint;
-    key.m = static_cast<std::uint64_t>(count("m", 0, true));
-    key.n = static_cast<std::uint64_t>(count("n", 0, true));
-    key.elem_size = static_cast<std::uint32_t>(count("elem_size", 8, false));
+    // Calibration plans answer the *default* plan request.
+    const Key key{fingerprint, static_cast<std::uint64_t>(count("m", 0, true)),
+                  static_cast<std::uint64_t>(count("n", 0, true)),
+                  static_cast<std::uint64_t>(count("elem_size", 8, false))};
 
     SolvePlan plan;
     plan.k = static_cast<unsigned>(count("k", 0, true));
@@ -303,40 +207,31 @@ std::size_t PlanCache::load_calibration(const std::string& path) {
     plan.systems_per_block =
         static_cast<std::size_t>(count("systems_per_block", 1, false));
     plan.source = PlanSource::calibrated;
-    plan.tuned_us = num(entry, "tuned_us", 0.0, false);
 
     const auto* variant = entry.find("variant");
     const auto parsed = variant && variant->is_string()
                             ? window_variant_from_name(variant->as_string())
                             : std::nullopt;
-    if (!whole || !parsed || *parsed == WindowVariant::auto_select) {
-      // A non-whole number, or an unknown/auto variant: the entry cannot
-      // pin a plan.
+    if (parsed) plan.variant = *parsed;
+    if (!whole || !parsed || *parsed == WindowVariant::auto_select ||
+        !plan.fits(std::get<2>(key))) {
+      // A non-whole number, an unknown/auto variant, or a plan that cannot
+      // solve its own shape: the entry cannot pin a plan.
       rejected_.add();
       continue;
     }
-    plan.variant = *parsed;
-    if (insert(key, plan)) ++accepted;  // insert() rejects unfit shapes
+    const std::lock_guard<std::mutex> lk(mu_);
+    plans_.insert_or_assign(key, plan);
+    loaded_.store(true, std::memory_order_release);
+    ++accepted;
   }
   return accepted;
 }
 
 void PlanCache::clear() {
-  for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.map.clear();
-    sh.tick = 0;
-  }
-  publish_size();
-}
-
-std::size_t PlanCache::size() const {
-  std::size_t total = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    total += sh.map.size();
-  }
-  return total;
+  const std::lock_guard<std::mutex> lk(mu_);
+  plans_.clear();
+  loaded_.store(false, std::memory_order_release);
 }
 
 void configure_plan_cache_from_cli(const util::Cli& cli) {

@@ -16,7 +16,6 @@
 #include "gpu_solvers/hybrid_solver.hpp"
 #include "gpu_solvers/partition_kernel.hpp"
 #include "gpu_solvers/plan_cache.hpp"
-#include "gpu_solvers/transition.hpp"
 #include "gpu_solvers/zhang_pcr_thomas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
@@ -55,10 +54,14 @@ namespace {
 /// Run `kind` over `work` in place (solution in d). Each case keeps only
 /// what differs between kinds and leaves its launches in out.timeline;
 /// one tail fills the rest. Failures come back as structured outcomes.
+/// The hybrid family plans for a batch of `plan_systems` systems of
+/// work's N: run_solver passes work's own count, the resilient pipeline
+/// its full batch's, so every chunk it dispatches runs that batch's plan.
 template <typename T>
 SolveOutcome solve_in_place(SolverKind kind, const gpusim::DeviceSpec& dev,
                             tridiag::SystemBatch<T>& work,
-                            const SolverRunOptions& run_opts) {
+                            const SolverRunOptions& run_opts,
+                            std::size_t plan_systems) {
   SolveOutcome out;
   std::optional<gpusim::ScopedInstrumentMode> instrument_guard;
   if (run_opts.instrument) instrument_guard.emplace(*run_opts.instrument);
@@ -74,13 +77,14 @@ SolveOutcome solve_in_place(SolverKind kind, const gpusim::DeviceSpec& dev,
         // The hybrid's in-kernel guard supplies exact rows and pivot
         // growth; guard_scan covers every kind.
         opts.guard = run_opts.guard;
-        HybridReport rep = hybrid_solve(dev, work, opts);
+        const SolvePlan plan = plan_hybrid(dev, plan_systems,
+                                           work.system_size(), sizeof(T), opts);
+        out.k = static_cast<int>(plan.k);
+        out.plan_source = plan_source_name(plan.source);
+        HybridReport rep = hybrid_solve(dev, work, opts, plan);
         out.timeline = std::move(rep.timeline);
         out.status = std::move(rep.status);
         out.detail = "k=" + std::to_string(rep.k);
-        out.k = static_cast<int>(rep.k);
-        out.plan_source = plan_source_name(rep.plan_source);
-        out.plan_cached = rep.plan_cached;
         break;
       }
       case SolverKind::zhang:
@@ -174,7 +178,8 @@ SolveOutcome run_solver(SolverKind kind, const gpusim::DeviceSpec& dev,
                         const SolverRunOptions& run_opts,
                         tridiag::SystemBatch<T>* solution) {
   tridiag::SystemBatch<T> work = batch.clone();
-  SolveOutcome out = solve_in_place(kind, dev, work, run_opts);
+  SolveOutcome out =
+      solve_in_place(kind, dev, work, run_opts, work.num_systems());
   if (out.solved && run_opts.guard) {
     guard_scan(out, work, [&](std::size_t m) { return batch.system(m); });
   }
@@ -295,7 +300,6 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
   SolveOutcome& out = ro.outcome;
   tridiag::ResilienceReport& rep = ro.report;
   const std::size_t num_systems = batch.num_systems();
-  const std::size_t n = batch.system_size();
 
   // Stage list: the entry solver, then the fallback chain (resolved up
   // front so an unknown stage name fails before any work is done).
@@ -315,7 +319,6 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
   out.status.resize(num_systems);
   out.supported = true;
 
-  int force_k = run_opts.force_k;
   std::vector<std::size_t> pending(num_systems);
   std::iota(pending.begin(), pending.end(), std::size_t{0});
 
@@ -330,25 +333,8 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
     const bool hybrid_family =
         !st.host &&
         (st.kind == SolverKind::hybrid || st.kind == SolverKind::hybrid_fused);
-    // Pin the hybrid's PCR depth to what a fault-free run over the *full*
-    // batch would plan, so chunked retries and fallback re-dispatches
-    // repeat that run's exact arithmetic (planned k depends on batch
-    // size, and a retry chunk is smaller than the original batch). Going
-    // through the PlanCache means a calibrated/autotuned plan pins its k
-    // here too, and repeated resilient solves of one shape plan once.
-    if (hybrid_family && force_k < 0) {
-      HybridOptions plan_opts;
-      plan_opts.fuse = st.kind == SolverKind::hybrid_fused;
-      const PlanKey pk =
-          make_plan_key(dev, num_systems, n, sizeof(T), plan_opts);
-      const PlanCache::Result planned = PlanCache::instance().plan(
-          pk, [&] { return plan_hybrid(dev, num_systems, n, sizeof(T),
-                                       plan_opts); });
-      force_k = static_cast<int>(planned.plan.k);
-    }
     SolverRunOptions stage_opts = run_opts;
     stage_opts.guard = true;  // detection feeds the retry/fallback decisions
-    if (hybrid_family && force_k >= 0) stage_opts.force_k = force_k;
 
     bool entered = false;
     // Host stages are deterministic and fault-immune: one pass is enough.
@@ -406,7 +392,16 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
           std::optional<tridiag::SystemBatch<T>> sub;
           if (!in_place) sub = tridiag::extract_systems<T>(pristine, systems);
           tridiag::SystemBatch<T>& work = in_place ? batch : *sub;
-          SolveOutcome so = solve_in_place<T>(st.kind, dev, work, stage_opts);
+          // Every hybrid dispatch runs the plan of the *full* batch (k,
+          // variant, c and geometry), so chunked retries and fallback
+          // re-dispatches repeat a fault-free full-batch run's arithmetic:
+          // planning depends on batch size, and a chunk is smaller.
+          SolveOutcome so =
+              solve_in_place<T>(st.kind, dev, work, stage_opts, num_systems);
+          if (hybrid_family && out.plan_source.empty()) {
+            out.k = so.k;
+            out.plan_source = so.plan_source;
+          }
           if (so.solved) {
             guard_scan(so, work, [&](std::size_t j) {
               return pristine.system(systems[j]);
@@ -489,7 +484,6 @@ ResilientOutcome run_solver_resilient(SolverKind kind,
     }
   }
   out.time_us = rep.spent_us;
-  out.k = force_k;
   out.detail = std::to_string(rep.attempts.size()) + " attempts, " +
                std::to_string(rep.fallback_stages) + " fallback stages, " +
                std::to_string(rep.retries) + " retries";

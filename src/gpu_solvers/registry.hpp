@@ -67,15 +67,13 @@ struct SolveOutcome {
   /// invalid for the shape (e.g. a forced 2^k > N) — a structured
   /// bad-argument rejection, never retryable.
   bool bad_argument = false;
-  /// PCR step count the hybrid family actually used (-1 for other
-  /// kinds). Retries pin this via SolverRunOptions::force_k so chunked
-  /// re-dispatches repeat the exact arithmetic of the first attempt.
+  /// PCR step count of the hybrid family's plan (-1 for other kinds).
+  /// run_solver_resilient reports its first hybrid-family stage's
+  /// full-batch plan, which every dispatch of that stage ran.
   int k = -1;
-  /// Where the hybrid family's plan came from ("heuristic", "forced" or
-  /// "calibrated"; empty for other kinds) and whether it was a PlanCache
-  /// hit.
+  /// Where that plan came from ("heuristic", "forced" or "calibrated";
+  /// empty for other kinds).
   std::string plan_source;
-  bool plan_cached = false;
 };
 
 /// Per-run knobs threaded through the registry into the launch engine.
@@ -94,12 +92,10 @@ struct SolverRunOptions {
   /// recovery is run_solver_resilient's job.
   bool guard = false;
   /// Force the hybrid family's PCR step count (ignored by other kinds
-  /// and by pthomas_only, which is k = 0 by definition). The resilient
-  /// pipeline uses this to make sub-batch retries bit-identical to the
-  /// full-batch first attempt, whose planned k depends on batch size.
-  /// Out-of-range values (2^k > N, or 2^k threads over the device block
-  /// limit) are rejected up front: run_solver returns supported = false
-  /// with bad_argument = true instead of reaching the kernels.
+  /// and by pthomas_only, which is k = 0 by definition). Out-of-range
+  /// values (2^k > N, or 2^k threads over the device block limit) are
+  /// rejected up front: run_solver returns supported = false with
+  /// bad_argument = true instead of reaching the kernels.
   int force_k = -1;
 };
 
@@ -156,7 +152,9 @@ struct ResilientOutcome {
 /// down the fallback chain, and a deadline budget — returning a partial
 /// result with a severity-ordered taxonomy (never throwing, never silent
 /// garbage). Recovered systems are bit-identical to a fault-free run of
-/// the stage that recovered them. `opts.guard` is implied. The entry
+/// the stage that recovered them: every dispatch of a hybrid-family stage
+/// runs the plan plan_hybrid gives the full batch (k, variant, c and
+/// geometry), retry chunks included. `opts.guard` is implied. The entry
 /// stage's first dispatch solves `batch` itself, and one pristine copy
 /// feeds every residual gate, retry and host stage. On return d holds
 /// the solution of each recovered system and the pristine rhs of every

@@ -17,13 +17,13 @@
 //    the only other source of non-forced plans.
 //
 // Every function here is pure: no metrics, no state. Planning metrics
-// belong to the planner (plan_hybrid counts `transition.clamped` once per
-// cold plan whose Table III k had to shrink to fit the system), and
-// hybrid_solve sets the `transition.k` gauge — a process-wide
-// most-recent-planning-event value, overwritten last-writer-wins by
-// concurrent solves and chunked retries, never per-solve truth. The
-// per-solve record is HybridReport::{k, plan_source, plan_cached} and the
-// plan_* JSONL block.
+// belong to the planner (plan_from_request, which every uncalibrated
+// plan_hybrid call runs, counts `transition.clamped` once per plan whose
+// Table III k had to shrink to fit the system), and hybrid_solve sets the
+// `transition.k` gauge — a process-wide most-recent-planning-event value,
+// overwritten last-writer-wins by concurrent solves and chunked retries,
+// never per-solve truth. The per-solve record is
+// HybridReport::{k, plan_source} and the plan_* JSONL block.
 
 #include <cstddef>
 

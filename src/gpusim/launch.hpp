@@ -142,24 +142,10 @@ LaunchStats launch(const DeviceSpec& dev, LaunchConfig cfg, KernelFn&& body) {
 /// time is 6.25% and 36.2% ...").
 class Timeline {
  public:
-  /// What a segment represents: a simulated kernel launch, or a fixed
-  /// host-side cost (no grid/block, no occupancy — reports must not
-  /// render it as a real `<<<g,b>>>` launch).
-  enum class SegmentKind { kernel, host };
-
   void add(std::string label, const LaunchStats& stats) {
     total_us_ += stats.timing.time_us;
     if (!stats.timed) ++untimed_segments_;
-    segments_.push_back({std::move(label), stats, SegmentKind::kernel});
-  }
-
-  /// Add a host-side cost (e.g. layout conversion charged to the GPU
-  /// timeline as an extra segment in ablations).
-  void add_fixed(std::string label, double time_us) {
-    total_us_ += time_us;
-    LaunchStats s;
-    s.timing.time_us = time_us;
-    segments_.push_back({std::move(label), s, SegmentKind::host});
+    segments_.push_back({std::move(label), stats});
   }
 
   /// Total simulated time. Throws std::logic_error when any segment ran
@@ -169,14 +155,15 @@ class Timeline {
     return total_us_;
   }
 
+  /// One kernel launch of the solve.
   struct Segment {
     std::string label;
     LaunchStats stats;
-    SegmentKind kind = SegmentKind::kernel;
 
-    [[nodiscard]] bool is_host() const noexcept {
-      return kind == SegmentKind::host;
-    }
+    /// Always false: every segment is a kernel launch. Kept only for its
+    /// last caller, TimelineCosts::add in perfbench/workloads.cpp; delete
+    /// it together with that call.
+    [[nodiscard]] bool is_host() const noexcept { return false; }
   };
   [[nodiscard]] const std::vector<Segment>& segments() const noexcept {
     return segments_;

@@ -16,16 +16,6 @@ std::string describe_launch(const DeviceSpec& dev, const LaunchStats& stats) {
   return buf;
 }
 
-std::string describe_segment(const DeviceSpec& dev,
-                             const Timeline::Segment& seg) {
-  if (seg.is_host()) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "host %.1fus", seg.stats.timing.time_us);
-    return seg.label + ": " + buf;
-  }
-  return seg.label + ": " + describe_launch(dev, seg.stats);
-}
-
 util::Table timeline_table(const DeviceSpec& dev, const Timeline& timeline,
                            std::string title) {
   util::Table table(std::move(title));
@@ -35,14 +25,6 @@ util::Table timeline_table(const DeviceSpec& dev, const Timeline& timeline,
     const auto& s = seg.stats;
     const double share =
         timeline.total_us() > 0.0 ? s.timing.time_us / timeline.total_us() : 0.0;
-    if (seg.is_host()) {
-      // Fixed host-side cost: it has no real launch configuration, so
-      // grid/block/occupancy render as "-" instead of a fake <<<1,1>>>.
-      table.add_row({seg.label, "-", "-", util::Table::num(s.timing.time_us, 1),
-                     util::Table::num(100.0 * share, 1) + "%", "host", "-", "-",
-                     "-"});
-      continue;
-    }
     table.add_row(
         {seg.label,
          std::to_string(s.config.grid_blocks),
@@ -66,11 +48,6 @@ TimelineTotals summarize_timeline(const DeviceSpec& dev,
   TimelineTotals totals;
   totals.time_us = timeline.total_us();
   for (const auto& seg : timeline.segments()) {
-    if (seg.is_host()) {
-      ++totals.host_segments;
-      totals.host_us += seg.stats.timing.time_us;
-      continue;
-    }
     ++totals.launches;
     totals.kernel_us += seg.stats.timing.time_us;
     totals.overhead_us += seg.stats.timing.overhead_us;

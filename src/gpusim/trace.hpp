@@ -21,13 +21,6 @@ namespace tridsolve::gpusim {
 [[nodiscard]] std::string describe_launch(const DeviceSpec& dev,
                                           const LaunchStats& stats);
 
-/// One-line summary of a timeline segment. Kernel segments render as
-/// describe_launch; host segments render as "host <time>us" — they have
-/// no grid/block/occupancy, so printing them as a `<<<1,1>>>` launch
-/// would be a lie.
-[[nodiscard]] std::string describe_segment(const DeviceSpec& dev,
-                                           const Timeline::Segment& seg);
-
 /// Table over all segments of a timeline: label, grid x block, time,
 /// binding resource, occupancy, transactions, coalescing efficiency and
 /// each segment's share of the total.
@@ -35,16 +28,12 @@ namespace tridsolve::gpusim {
                                          const Timeline& timeline,
                                          std::string title = "timeline");
 
-/// Aggregate counters over a whole timeline, with kernel and host-side
-/// (add_fixed) segments classified explicitly: time_us = kernel_us +
-/// host_us always holds, and `launches` counts only real kernel launches.
+/// Aggregate counters over a whole timeline.
 struct TimelineTotals {
-  double time_us = 0.0;    ///< kernel_us + host_us
-  double kernel_us = 0.0;  ///< simulated kernel segments
-  double host_us = 0.0;    ///< fixed host-side segments
-  double overhead_us = 0.0;  ///< launch overhead inside kernel segments
-  std::size_t launches = 0;       ///< kernel segments only
-  std::size_t host_segments = 0;  ///< add_fixed segments
+  double time_us = 0.0;    ///< Timeline::total_us
+  double kernel_us = 0.0;  ///< sum of the segments' simulated time
+  double overhead_us = 0.0;  ///< launch overhead inside the segments
+  std::size_t launches = 0;  ///< one per segment
   std::size_t transactions = 0;
   std::size_t bytes_requested = 0;
   double bytes_moved = 0.0;  ///< transactions x transaction size

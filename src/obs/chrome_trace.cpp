@@ -44,31 +44,26 @@ int ChromeTraceBuilder::add_timeline(const gpusim::DeviceSpec& dev,
     ev["tid"] = tid;
     ev["ts"] = cursor_us;
     ev["dur"] = s.timing.time_us;
+    ev["cat"] = "kernel";
     JsonValue& args = ev["args"] = JsonValue::object();
-    if (seg.is_host()) {
-      ev["cat"] = "host";
-      args["kind"] = "host";
-    } else {
-      ev["cat"] = "kernel";
-      args["grid"] = s.config.grid_blocks;
-      args["block"] = s.config.block_threads;
-      args["occupancy"] = s.timing.occupancy.fraction;
-      args["limiter"] = s.timing.occupancy.limiter;
-      args["bound"] = s.timing.bound();
-      args["compute_us"] = s.timing.compute_us;
-      args["latency_us"] = s.timing.latency_us;
-      args["bandwidth_us"] = s.timing.bandwidth_us;
-      args["overhead_us"] = s.timing.overhead_us;
-      args["transactions"] = s.costs.transactions;
-      args["bytes_requested"] = s.costs.bytes_requested;
-      args["coalescing_efficiency"] =
-          s.costs.coalescing_efficiency(dev.transaction_bytes);
-      args["bank_conflict_replays"] = s.costs.shared_serializations;
-      args["barriers"] = s.costs.barriers;
-      args["warps"] = s.costs.warps;
-      args["shared_bytes"] = s.costs.shared_bytes;
-      args["shared_peak_bytes"] = s.costs.shared_peak_bytes;
-    }
+    args["grid"] = s.config.grid_blocks;
+    args["block"] = s.config.block_threads;
+    args["occupancy"] = s.timing.occupancy.fraction;
+    args["limiter"] = s.timing.occupancy.limiter;
+    args["bound"] = s.timing.bound();
+    args["compute_us"] = s.timing.compute_us;
+    args["latency_us"] = s.timing.latency_us;
+    args["bandwidth_us"] = s.timing.bandwidth_us;
+    args["overhead_us"] = s.timing.overhead_us;
+    args["transactions"] = s.costs.transactions;
+    args["bytes_requested"] = s.costs.bytes_requested;
+    args["coalescing_efficiency"] =
+        s.costs.coalescing_efficiency(dev.transaction_bytes);
+    args["bank_conflict_replays"] = s.costs.shared_serializations;
+    args["barriers"] = s.costs.barriers;
+    args["warps"] = s.costs.warps;
+    args["shared_bytes"] = s.costs.shared_bytes;
+    args["shared_peak_bytes"] = s.costs.shared_peak_bytes;
     trace_events_.push_back(std::move(ev));
     ++events_;
     cursor_us += s.timing.time_us;

@@ -7,10 +7,8 @@
 // becomes one complete duration event ("ph":"X") laid out back-to-back
 // in simulated time, carrying the launch's full stats as args: grid x
 // block, occupancy + limiting resource, binding bound, transactions,
-// coalescing efficiency, bank-conflict replays and barriers. Host-side
-// segments (Timeline::add_fixed) are exported in a "host" category with
-// no launch-shaped args. Timestamps are microseconds, which is exactly
-// the Chrome trace `ts`/`dur` unit.
+// coalescing efficiency, bank-conflict replays and barriers. Timestamps
+// are microseconds, which is exactly the Chrome trace `ts`/`dur` unit.
 
 #include <cstddef>
 #include <string>

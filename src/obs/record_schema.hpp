@@ -127,7 +127,6 @@ inline constexpr Field resilience_fields[] = {
 /// The plan a hybrid solve ran with, or the autotuner's pick.
 inline constexpr Field plan_fields[] = {
     {"plan_source", Rule::name, plan_source_names},
-    {"plan_cached", Rule::flag},
     {"plan_k", Rule::non_negative},
     {"plan_variant", Rule::text},
     {"plan_c", Rule::at_least_one},

@@ -57,7 +57,7 @@ std::map<std::string, RooflineAttribution> attribute_timeline(
   };
   std::map<std::string, Acc> by_label;
   for (const auto& seg : timeline.segments()) {
-    if (seg.is_host() || !seg.stats.timed) continue;
+    if (!seg.stats.timed) continue;
     Acc& acc = by_label[seg.label];
     acc.costs.merge(seg.stats.costs);
     acc.time_us += seg.stats.timing.time_us;

@@ -15,7 +15,7 @@
 //                                        gather one SystemBatch
 //                                                            │
 //      execute — the breaker gate picks the stage: pass = resilient
-//      solve (registry, PlanCache), degrade = host Thomas
+//      solve (registry, plan_hybrid), degrade = host Thomas
 //                                                            │
 //   future<SolveResult> ◄── scatter per-request code/latency/provenance
 //                           (launch-failed members bisect, re-dispatch)
@@ -62,10 +62,10 @@
 // Determinism contract: a batch assembled from requests r_0..r_{M-1} (in
 // admission order) solves bit-identically to a direct run_solver call on
 // the same M x N batch with the same options — the service adds gather/
-// scatter copies and no arithmetic (the resilient entry dispatch pins
-// the hybrid's k through the same PlanCache key a direct call plans
-// with). Pinned by tests/test_service.cpp for every solver kind, solo
-// and coalesced.
+// scatter copies and no arithmetic (every resilient dispatch runs the
+// plan plan_hybrid gives the whole coalesced batch, the plan a direct
+// call makes). Pinned by tests/test_service.cpp for every solver kind,
+// solo and coalesced.
 //
 // Thread-safety: submit() is safe from any thread; one batcher thread
 // owns admission-to-batch and dispatch. shutdown() (and the destructor)
@@ -125,8 +125,8 @@ struct ServiceConfig {
   /// Submission queue shards (submit() round-robins across them so
   /// concurrent clients do not serialize on one mutex). Clamped to >= 1.
   std::size_t shards = 8;
-  /// Solver every batch is dispatched through (the registry picks the
-  /// plan per coalesced shape via the PlanCache).
+  /// Solver every batch is dispatched through (the registry plans each
+  /// coalesced shape with plan_hybrid).
   gpu::SolverKind solver = gpu::SolverKind::hybrid;
   /// Start the batcher thread in the constructor. Tests set false and
   /// call start() after staging requests, making admission

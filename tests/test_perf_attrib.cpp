@@ -373,7 +373,6 @@ TEST(Roofline, TimelineMergesLabelsAndSkipsHostSegments) {
   tl.add("pcr", seg);
   tl.add("pcr", seg);  // same label: must merge
   tl.add("thomas", seg);
-  tl.add_fixed("host-convert", 5.0);  // host: must be skipped
 
   const auto roofs = obs::attribute_timeline(dev, tl);
   ASSERT_EQ(roofs.size(), 2u);

@@ -1,12 +1,13 @@
-// Plan cache + autotuner contracts (see plan_cache.hpp):
-//  * repeated-shape workloads plan once (hits == R - 1, misses == 1);
-//  * cache-hit and calibration-file solves are bitwise-identical to cold
-//    solves with identical simulated time, for every solver kind;
+// Planning + calibration table + autotuner contracts (see plan_cache.hpp):
+//  * calibration-file solves are bitwise-identical to heuristic solves
+//    of the same plan, with identical simulated time;
+//  * the resilient pipeline runs the full batch's whole calibrated plan
+//    (k, variant, c, geometry) and reports its source;
 //  * out-of-range forced k is a structured bad-argument rejection at
 //    every layer (plan_hybrid throw, run_solver outcome, resilient
 //    degradation) instead of reaching the kernels;
-//  * insert()/lookup() shape-check, so a SolvePlan can never apply to a
-//    mismatched PlanKey;
+//  * calibration entries are shape-checked on load;
+//  * the autotuner's incumbent is Table III, calibration loaded or not;
 //  * planning properties over adversarial shapes (non-power-of-two N,
 //    N in {1, 2}, M = 0, huge M).
 
@@ -26,6 +27,7 @@
 #include "gpu_solvers/registry.hpp"
 #include "gpu_solvers/transition.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/fault_injector.hpp"
 #include "obs/metrics.hpp"
 #include "tridiag/layout.hpp"
 #include "workloads/generators.hpp"
@@ -56,51 +58,25 @@ bool bitwise_equal(const td::SystemBatch<double>& a,
                      a.d().size() * sizeof(double)) == 0;
 }
 
+/// Write a one-entry calibration file pinning `plan` for the (m, n)
+/// double batch on `dev`; returns its path.
+std::string write_calibration(const std::string& name,
+                              const gs::DeviceSpec& dev, std::size_t m,
+                              std::size_t n, const gp::SolvePlan& plan) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream f(path);
+  f << "{\"schema\":\"tridsolve-plan-v1\",\"device\":\"" << dev.name
+    << "\",\"fingerprint\":\"" << dev.fingerprint() << "\",\"plans\":[{"
+    << "\"m\":" << m << ",\"n\":" << n << ",\"elem_size\":8,"
+    << "\"k\":" << plan.k << ",\"variant\":\""
+    << gp::window_variant_name(plan.variant) << "\",\"c\":" << plan.c
+    << ",\"blocks_per_system\":" << plan.blocks_per_system
+    << ",\"systems_per_block\":" << plan.systems_per_block
+    << ",\"tuned_us\":1.0,\"heuristic_us\":1.0}]}";
+  return path;
+}
+
 }  // namespace
-
-TEST(PlanCache, RepeatedShapePlansOnce) {
-  const auto dev = gs::gtx480();
-  gp::PlanCache::instance().clear();
-  const auto batch = make_batch(16, 256);
-  const double hits0 = counter("gpu.plan_cache.hits");
-  const double misses0 = counter("gpu.plan_cache.misses");
-
-  constexpr int kRepeats = 16;
-  gp::SolveOutcome first;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto out =
-        gp::run_solver<double>(gp::SolverKind::hybrid, dev, batch);
-    ASSERT_TRUE(out.supported);
-    if (r == 0) {
-      first = out;
-      EXPECT_FALSE(out.plan_cached) << "first solve of a shape must be cold";
-    } else {
-      EXPECT_TRUE(out.plan_cached);
-      EXPECT_DOUBLE_EQ(out.time_us, first.time_us)
-          << "cache-hit solve must repeat the cold solve's simulated time";
-    }
-  }
-  EXPECT_EQ(counter("gpu.plan_cache.misses") - misses0, 1.0);
-  EXPECT_EQ(counter("gpu.plan_cache.hits") - hits0, kRepeats - 1.0);
-}
-
-TEST(PlanCache, CacheHitSolvesBitIdenticalAcrossRegistry) {
-  const auto dev = gs::gtx480();
-  const auto batch = make_batch(8, 64, 7);
-  for (const gp::SolverKind kind : gp::all_solver_kinds()) {
-    gp::PlanCache::instance().clear();
-    td::SystemBatch<double> cold_sol, hit_sol;
-    const auto cold =
-        gp::run_solver<double>(kind, dev, batch, {}, &cold_sol);
-    if (!cold.supported) continue;  // size cap etc. — nothing to compare
-    const auto hit = gp::run_solver<double>(kind, dev, batch, {}, &hit_sol);
-    ASSERT_TRUE(hit.supported) << gp::solver_name(kind);
-    EXPECT_TRUE(bitwise_equal(cold_sol, hit_sol))
-        << gp::solver_name(kind) << ": cache-hit solution drifted";
-    EXPECT_DOUBLE_EQ(cold.time_us, hit.time_us) << gp::solver_name(kind);
-    EXPECT_EQ(cold.k, hit.k) << gp::solver_name(kind);
-  }
-}
 
 TEST(PlanCache, CalibrationFileSolvesBitIdenticalToCold) {
   const auto dev = gs::gtx480();
@@ -116,19 +92,8 @@ TEST(PlanCache, CalibrationFileSolvesBitIdenticalToCold) {
   const gp::SolvePlan plan = gp::plan_hybrid(dev, m, n, sizeof(double), {});
 
   // A calibration file pinning exactly that plan.
-  const std::string path = testing::TempDir() + "plan_cache_test.json";
-  {
-    std::ofstream f(path);
-    ASSERT_TRUE(f.good());
-    f << "{\"schema\":\"tridsolve-plan-v1\",\"device\":\"" << dev.name
-      << "\",\"fingerprint\":\"" << dev.fingerprint() << "\",\"plans\":[{"
-      << "\"m\":" << m << ",\"n\":" << n << ",\"elem_size\":8,"
-      << "\"k\":" << plan.k << ",\"variant\":\""
-      << gp::window_variant_name(plan.variant) << "\",\"c\":" << plan.c
-      << ",\"blocks_per_system\":" << plan.blocks_per_system
-      << ",\"systems_per_block\":" << plan.systems_per_block
-      << ",\"tuned_us\":1.0,\"heuristic_us\":1.0}]}";
-  }
+  const std::string path =
+      write_calibration("plan_cache_test.json", dev, m, n, plan);
 
   gp::PlanCache::instance().clear();
   ASSERT_EQ(gp::PlanCache::instance().load_calibration(path), 1u);
@@ -136,10 +101,71 @@ TEST(PlanCache, CalibrationFileSolvesBitIdenticalToCold) {
   const auto cal = gp::run_solver<double>(gp::SolverKind::hybrid, dev, batch,
                                           {}, &cal_sol);
   ASSERT_TRUE(cal.supported);
-  EXPECT_TRUE(cal.plan_cached) << "calibration entry must serve the solve";
   EXPECT_EQ(cal.plan_source, "calibrated");
   EXPECT_TRUE(bitwise_equal(cold_sol, cal_sol));
   EXPECT_DOUBLE_EQ(cold.time_us, cal.time_us);
+  gp::PlanCache::instance().clear();
+}
+
+TEST(PlanCache, ResilientPipelineRunsTheWholeCalibratedPlan) {
+  // A calibrated plan whose variant and sub-tile differ from what the
+  // heuristic picks at its k: the resilient pipeline must run all of it,
+  // not just its k, and say where it came from — on the whole batch, and
+  // on retry chunks of 32 and 8 systems, which would plan differently on
+  // their own (Table III gives 8 systems k = 8).
+  const auto dev = gs::gtx480();
+  const std::size_t m = 40, n = 512;
+  const auto batch = make_batch(m, n, 13);
+  gp::SolvePlan plan = gp::plan_from_request(dev, m, n, {});
+  ASSERT_EQ(plan.variant, gp::WindowVariant::one_block_per_system);
+  plan.variant = gp::WindowVariant::multi_system_per_block;
+  plan.systems_per_block = 4;
+  plan.c = 2;
+
+  gp::PlanCache::instance().clear();
+  ASSERT_EQ(gp::PlanCache::instance().load_calibration(write_calibration(
+                "plan_cache_resilient.json", dev, m, n, plan)),
+            1u);
+  td::SystemBatch<double> direct_sol;
+  const auto direct = gp::run_solver<double>(gp::SolverKind::hybrid, dev,
+                                             batch, {}, &direct_sol);
+  td::SystemBatch<double> resilient_sol = batch.clone();
+  const auto resilient = gp::run_solver_resilient<double>(
+      gp::SolverKind::hybrid, dev, resilient_sol);
+  // A failed first launch sends every system to the chunked retries.
+  td::SystemBatch<double> retried_sol = batch.clone();
+  gp::ResilientOutcome retried;
+  {
+    gs::FaultPlan fault;
+    fault.pinpoint = true;
+    fault.at_launch = 0;
+    fault.pinpoint_kind = gs::kFaultLaunchFail;
+    const gs::ScopedFaultPlan scoped(fault);
+    retried = gp::run_solver_resilient<double>(gp::SolverKind::hybrid, dev,
+                                               retried_sol);
+  }
+  gp::PlanCache::instance().clear();
+
+  ASSERT_TRUE(direct.supported);
+  ASSERT_TRUE(resilient.outcome.supported);
+  EXPECT_EQ(direct.plan_source, "calibrated");
+  EXPECT_EQ(resilient.outcome.plan_source, "calibrated");
+  EXPECT_EQ(resilient.outcome.k, static_cast<int>(plan.k));
+  EXPECT_EQ(resilient.report.attempts.size(), 1u);
+  EXPECT_DOUBLE_EQ(resilient.outcome.time_us, direct.time_us);
+  EXPECT_TRUE(bitwise_equal(resilient_sol, direct_sol));
+
+  ASSERT_EQ(retried.report.attempts.size(), 3u) << "failed launch + 2 chunks";
+  EXPECT_EQ(retried.report.worst, td::SolveCode::ok);
+  EXPECT_EQ(retried.outcome.plan_source, "calibrated");
+  EXPECT_TRUE(bitwise_equal(retried_sol, direct_sol));
+  for (std::size_t i = 1; i < 3; ++i) {
+    const auto& chunk = retried.report.attempts[i];
+    auto fresh = make_batch(chunk.systems, n);
+    EXPECT_DOUBLE_EQ(chunk.time_us,
+                     gp::hybrid_solve<double>(dev, fresh, {}, plan).total_us())
+        << "a " << chunk.systems << "-system retry chunk ran its own plan";
+  }
 }
 
 TEST(PlanCache, OutOfRangeForcedKIsStructuredRejection) {
@@ -177,38 +203,6 @@ TEST(PlanCache, OutOfRangeForcedKIsStructuredRejection) {
   ASSERT_FALSE(ro.report.attempts.empty());
   EXPECT_EQ(ro.report.attempts.front().reason, td::SolveCode::bad_argument);
   EXPECT_GE(ro.report.fallback_stages, 1u);
-}
-
-TEST(PlanCache, InsertRejectsMismatchedShapes) {
-  auto& cache = gp::PlanCache::instance();
-  cache.clear();
-  const auto dev = gs::gtx480();
-  const double rejected0 = counter("gpu.plan_cache.rejected");
-
-  gp::PlanKey key = gp::make_plan_key(dev, 8, 64, sizeof(double), {});
-  gp::SolvePlan plan;
-  plan.k = 9;  // 512 > 64: cannot fit the key's shape
-  plan.variant = gp::WindowVariant::one_block_per_system;
-  EXPECT_FALSE(cache.insert(key, plan));
-  EXPECT_EQ(cache.size(), 0u);
-
-  // A forced-k key can only cache a plan honoring that k.
-  gp::HybridOptions forced;
-  forced.force_k = 4;
-  gp::PlanKey fkey = gp::make_plan_key(dev, 8, 64, sizeof(double), forced);
-  gp::SolvePlan other;
-  other.k = 5;
-  other.variant = gp::WindowVariant::one_block_per_system;
-  EXPECT_FALSE(cache.insert(fkey, other));
-
-  plan.k = 5;  // 32 <= 64: fits
-  EXPECT_TRUE(cache.insert(key, plan));
-  EXPECT_EQ(cache.size(), 1u);
-  const auto back = cache.lookup(key);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->k, 5u);
-  EXPECT_EQ(counter("gpu.plan_cache.rejected") - rejected0, 2.0);
-  cache.clear();
 }
 
 TEST(PlanCache, CalibrationRejectsWrongSchemaAndUnfitPlans) {
@@ -250,7 +244,9 @@ TEST(PlanCache, CalibrationRejectsWrongSchemaAndUnfitPlans) {
   }
   const double rejected0 = counter("gpu.plan_cache.rejected");
   EXPECT_EQ(cache.load_calibration(dir + "mixed.json"), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  const auto loaded = cache.find(dev, 8, 64, sizeof(double));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->k, 5u) << "the unfit k = 9 entry must not replace k = 5";
   EXPECT_EQ(counter("gpu.plan_cache.rejected") - rejected0, 5.0);
   for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{16, 64},
                              std::pair<std::size_t, std::size_t>{8, 128},
@@ -264,36 +260,36 @@ TEST(PlanCache, CalibrationRejectsWrongSchemaAndUnfitPlans) {
   cache.clear();
 }
 
-TEST(PlanCache, ResilientRetriesBitIdenticalColdVsCached) {
-  const auto dev = gs::gtx480();
-  const auto batch = make_batch(24, 128, 11);
-
-  gp::PlanCache::instance().clear();
-  td::SystemBatch<double> cold_sol = batch.clone(), hit_sol = batch.clone();
-  const auto cold = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
-                                                     dev, cold_sol);
-  const auto hit = gp::run_solver_resilient<double>(gp::SolverKind::hybrid,
-                                                    dev, hit_sol);
-  ASSERT_TRUE(cold.outcome.supported);
-  ASSERT_TRUE(hit.outcome.supported);
-  EXPECT_TRUE(bitwise_equal(cold_sol, hit_sol))
-      << "resilient solve with a warm cache drifted from the cold run";
-  EXPECT_DOUBLE_EQ(cold.outcome.time_us, hit.outcome.time_us);
-  EXPECT_EQ(cold.outcome.k, hit.outcome.k);
-}
-
 TEST(PlanCache, AutotunerNeverLosesToHeuristic) {
   const auto dev = gs::gtx480();
   const std::vector<std::pair<std::size_t, std::size_t>> cells{
       {1, 512}, {16, 256}, {100, 100}, {1024, 128}};
+  gp::PlanCache::instance().clear();
+  std::map<std::pair<std::size_t, std::size_t>, gp::AutotuneResult> tuned;
   for (const auto& [m, n] : cells) {
     const auto r = gp::autotune_cell<double>(dev, m, n);
     EXPECT_LE(r.best_us, r.heuristic_us) << "m=" << m << " n=" << n;
     EXPECT_GE(r.candidates.size(), 1u);
     EXPECT_EQ(r.best.source, gp::PlanSource::autotuned);
     EXPECT_TRUE(r.best.fits(n));
+    tuned.emplace(std::pair{m, n}, r);
   }
   EXPECT_THROW(gp::autotune_cell<double>(dev, 0, 64), std::invalid_argument);
+
+  // With the cell's own tuned plan loaded, the incumbent is still Table
+  // III: a default-request solve would now take the tuned plan, the
+  // autotuner's heuristic measurement must not.
+  const std::size_t m = 16, n = 256;
+  const gp::AutotuneResult& unloaded = tuned.at({m, n});
+  ASSERT_NE(unloaded.best.k, unloaded.heuristic_k)
+      << "the cell must tune away from Table III to tell the runs apart";
+  ASSERT_EQ(gp::PlanCache::instance().load_calibration(write_calibration(
+                "plan_cache_autotune.json", dev, m, n, unloaded.best)),
+            1u);
+  const auto loaded = gp::autotune_cell<double>(dev, m, n);
+  gp::PlanCache::instance().clear();
+  EXPECT_EQ(loaded.heuristic_k, unloaded.heuristic_k);
+  EXPECT_DOUBLE_EQ(loaded.heuristic_us, unloaded.heuristic_us);
 }
 
 TEST(PlanProperties, PlansAlwaysFitAdversarialShapes) {
@@ -326,7 +322,7 @@ TEST(PlanProperties, HeuristicKRespectsItsOwnClamp) {
 }
 
 TEST(PlanProperties, ClampEventsAreCounted) {
-  // A cold plan for (1, 100): Table III says k = 8, but 256 > 100/2 —
+  // A plan for (1, 100): Table III says k = 8, but 256 > 100/2 —
   // the fit clamp must fire and be observable.
   const double before = counter("transition.clamped");
   const unsigned k =
@@ -336,7 +332,7 @@ TEST(PlanProperties, ClampEventsAreCounted) {
 }
 
 TEST(PlanProperties, PreferredLayoutWritesNoPlanningMetrics) {
-  // Layout choice runs on every service gather, cache hit or not: it
+  // Layout choice runs on every service gather, not only when planning: it
   // must leave the planner's transition.* metrics alone, even for a
   // shape whose Table III k clamps (4, 64).
   const auto transition_metrics = [] {

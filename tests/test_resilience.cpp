@@ -339,8 +339,10 @@ TEST(ResilientSolve, InjectedLaunchFailureIsRetriedBitIdentical) {
   EXPECT_GE(ro.report.retries, 1u);
   EXPECT_EQ(ro.report.worst, td::SolveCode::ok);
   for (std::size_t m = 0; m < kSystems; ++m) {
-    // The retry runs in chunks smaller than the batch; the pinned PCR
-    // depth keeps its arithmetic bit-identical to the full-batch run.
+    // The retry runs the full batch's plan, so its arithmetic is the
+    // full-batch run's (these 12 systems retry as one chunk; chunks
+    // smaller than their batch are pinned by
+    // PlanCache.ResilientPipelineRunsTheWholeCalibratedPlan).
     EXPECT_TRUE(system_bits_equal(sol, ref_sol, m)) << "system " << m;
     EXPECT_EQ(ro.outcome.status.detected(m).code, td::SolveCode::launch_failed)
         << "provenance must remember the failed attempt";

@@ -126,9 +126,6 @@ std::map<std::string, double> strategy_invariant_metric_delta(
     // (more workers -> more pool warm-ups; exact mode takes no sweep).
     if (name.rfind("gpusim.scratch.", 0) == 0) continue;
     if (name.rfind("gpusim.vector.", 0) == 0) continue;
-    // Plan-cache tallies track process-wide cache warmth, not the strategy
-    // under test: the first solve of a shape misses and inserts, repeats hit.
-    if (name.rfind("gpu.plan_cache.", 0) == 0) continue;
     if (value != 0.0) delta[name] = value;
   }
   return delta;

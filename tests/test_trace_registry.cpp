@@ -23,7 +23,6 @@ gs::Timeline sample_timeline(const gs::DeviceSpec& dev) {
     });
   });
   tl.add("loader", stats);
-  tl.add_fixed("host-combine", 3.5);
   return tl;
 }
 
@@ -42,10 +41,9 @@ TEST(Trace, TimelineTableHasAllSegmentsPlusTotal) {
   const auto dev = gs::gtx480();
   const auto tl = sample_timeline(dev);
   const auto table = gs::timeline_table(dev, tl);
-  EXPECT_EQ(table.row_count(), 3u);  // loader + host-combine + total
+  EXPECT_EQ(table.row_count(), 2u);  // loader + total
   const auto text = table.to_ascii();
   EXPECT_NE(text.find("loader"), std::string::npos);
-  EXPECT_NE(text.find("host-combine"), std::string::npos);
   EXPECT_NE(text.find("total"), std::string::npos);
 }
 
@@ -53,28 +51,12 @@ TEST(Trace, TotalsAggregate) {
   const auto dev = gs::gtx480();
   const auto tl = sample_timeline(dev);
   const auto totals = gs::summarize_timeline(dev, tl);
-  // The fixed segment is a host-side step, not a kernel launch.
   EXPECT_EQ(totals.launches, 1u);
-  EXPECT_EQ(totals.host_segments, 1u);
-  EXPECT_DOUBLE_EQ(totals.host_us, 3.5);
-  EXPECT_DOUBLE_EQ(totals.kernel_us + totals.host_us, totals.time_us);
+  EXPECT_DOUBLE_EQ(totals.kernel_us, totals.time_us);
   EXPECT_DOUBLE_EQ(totals.time_us, tl.total_us());
   EXPECT_GT(totals.transactions, 0u);
   EXPECT_GT(totals.coalescing_efficiency(), 0.3);
   EXPECT_LE(totals.coalescing_efficiency(), 1.0);
-}
-
-TEST(Trace, HostSegmentsRenderAsHostNotFakeLaunch) {
-  const auto dev = gs::gtx480();
-  const auto tl = sample_timeline(dev);
-  const auto table = gs::timeline_table(dev, tl);
-  const auto json = table.to_json();
-  // The host-combine row must not pretend to be a <<<1,1>>> kernel.
-  EXPECT_EQ(json.find("<<<1,1>>>"), std::string::npos);
-  EXPECT_NE(json.find("host"), std::string::npos);
-  const auto desc = gs::describe_segment(dev, tl.segments()[1]);
-  EXPECT_NE(desc.find("host"), std::string::npos);
-  EXPECT_EQ(desc.find("<<<"), std::string::npos);
 }
 
 TEST(Registry, NamesAreDistinct) {
