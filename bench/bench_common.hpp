@@ -241,7 +241,6 @@ class Telemetry {
     for (const auto& [label, us] : by_label) phases[label] = us;
 
     const auto totals = gpusim::summarize_timeline(dev, timeline);
-    rec["kernel_us"] = totals.kernel_us;
     rec["overhead_us"] = totals.overhead_us;
     rec["launches"] = totals.launches;
     rec["transactions"] = totals.transactions;

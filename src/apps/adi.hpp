@@ -4,13 +4,18 @@
 // ([2][4][5]) run per time step:
 //
 //   1. implicit x-sweep: M = ny batched tridiagonal systems of nx
-//      unknowns, rows contiguous -> hybrid solver;
-//   2. tiled transpose of the field (keeps step 3's systems contiguous
-//      and its solves coalesced);
-//   3. implicit y-sweep: M = nx systems of ny unknowns;
-//   4. transpose back.
+//      unknowns -> hybrid solver;
+//   2. implicit y-sweep: M = nx systems of ny unknowns.
 //
-// The per-step timeline charges every kernel (two batched solves + two
+// Each sweep hands the planner its systems in the layout the row-major
+// field already gives them: x rows contiguous, y columns interleaved.
+// When the plan pairs its k with that layout (gpu::paired_layout) the
+// sweep solves in place; otherwise a tiled transpose re-lays the field
+// before the solve and another one restores it. So 384^2 solves its y
+// columns in place with p-Thomas, 64^2 transposes around a tiled-PCR
+// y-sweep, and 1024^2 transposes around an interleaved p-Thomas x-sweep.
+//
+// The per-step timeline charges every kernel (the batched solves and any
 // transposes), so the bench/example level can report where ADI time
 // actually goes. Matrices are constant across steps; the right-hand
 // sides are rebuilt on the host (they depend on the current field).
@@ -19,8 +24,10 @@
 #include <span>
 #include <vector>
 
+#include "gpu_solvers/hybrid_solver.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/launch.hpp"
+#include "tridiag/layout.hpp"
 #include "util/aligned_buffer.hpp"
 
 namespace tridsolve::apps {
@@ -31,6 +38,8 @@ struct AdiOptions {
 
 struct AdiStepReport {
   gpusim::Timeline timeline;
+  unsigned x_k = 0;  ///< transition point the x-sweep's plan chose
+  unsigned y_k = 0;  ///< transition point the y-sweep's plan chose
   /// Throws std::logic_error when the step ran functional_only — see
   /// Timeline.
   [[nodiscard]] double total_us() const { return timeline.total_us(); }
@@ -55,15 +64,24 @@ class AdiIntegrator {
   [[nodiscard]] std::size_t ny() const noexcept { return ny_; }
 
  private:
-  /// One implicit half-step in place on `field`, row-major (lines x
-  /// line_len) in the sweep's own orientation: one hybrid solve over the
-  /// lines, its segments added to `report` as "sweep-x:" / "sweep-y:".
-  void sweep(bool x_sweep, std::span<T> field, AdiStepReport& report) const;
+  /// One implicit half-step on the row-major field: plan the sweep for
+  /// the layout its lines have in the field, solve there or between two
+  /// transposes, and return the plan's k.
+  unsigned half_step(bool x_sweep, std::vector<T>& field,
+                     AdiStepReport& report);
+
+  /// One hybrid solve over the sweep's lines, which `u` holds in
+  /// `layout` (line l's point i at SystemBatch index (l, i)); the
+  /// solution replaces u, and the segments go to `report` as "sweep-x:" /
+  /// "sweep-y:".
+  void sweep(bool x_sweep, std::span<T> u, tridiag::Layout layout,
+             const gpu::SolvePlan& plan, AdiStepReport& report) const;
 
   gpusim::DeviceSpec dev_;
   std::size_t nx_, ny_;
   AdiOptions opts_;
-  util::AlignedBuffer<T> scratch_;  ///< transposed field staging
+  /// Transposed field staging, allocated by the first sweep that re-lays.
+  util::AlignedBuffer<T> scratch_;
 };
 
 extern template class AdiIntegrator<float>;

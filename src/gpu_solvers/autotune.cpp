@@ -58,13 +58,12 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
   }
   AutotuneResult result;
 
-  // The Table III plan (heuristic k + Fig. 11 auto-pick), measured on the
-  // layout the default request would use — every candidate shares the
-  // layout so comparisons are apples to apples.
-  const SolvePlan heuristic_plan = plan_from_request(dev, m, n, {});
-  const tridiag::Layout layout = heuristic_plan.k >= 1
-                                     ? tridiag::Layout::contiguous
-                                     : tridiag::Layout::interleaved;
+  // The Table III plan (heuristic k + Fig. 11 auto-pick), measured in the
+  // layout it pairs with — every candidate shares the layout so
+  // comparisons are apples to apples, and a calibration entry applies
+  // only to a batch in that layout.
+  const tridiag::Layout layout = preferred_layout(m, n);
+  const SolvePlan heuristic_plan = plan_from_request(dev, m, n, layout, {});
   result.heuristic_k = heuristic_plan.k;
   result.heuristic_us =
       measure_candidate<T>(dev, m, n, layout, heuristic_plan);
@@ -92,7 +91,7 @@ AutotuneResult autotune_cell(const gpusim::DeviceSpec& dev, std::size_t m,
     SolvePlan plan;
     double us = 0.0;
     try {
-      plan = plan_from_request(dev, m, n, opts);
+      plan = plan_from_request(dev, m, n, layout, opts);
       us = measure_candidate<T>(dev, m, n, layout, plan);
     } catch (const std::exception&) {
       return;  // infeasible candidate (shared memory, block limits, ...)

@@ -150,7 +150,7 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
                           const HybridOptions& opts) {
   return hybrid_solve(dev, batch, opts,
                       plan_hybrid(dev, batch.num_systems(), batch.system_size(),
-                                  sizeof(T), opts));
+                                  sizeof(T), batch.layout(), opts));
 }
 
 template <typename T>
@@ -274,7 +274,7 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   } else {
     std::vector<tridiag::SolveStatus> sys_guard(guard ? systems.size() : 0);
     const auto th =
-        pthomas_solve<T>(dev, systems, xout, /*block_threads=*/128,
+        pthomas_solve<T>(dev, systems, xout, kPthomasBlockSystems,
                          std::span<tridiag::SolveStatus>(sys_guard));
     report.timeline.add("thomas-fwd", th.forward);
     report.timeline.add("thomas-bwd", th.backward);

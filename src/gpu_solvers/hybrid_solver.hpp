@@ -4,9 +4,9 @@
 //
 // Pipeline:
 //   1. plan (gpu_solvers/plan_cache.hpp, plan_hybrid, on every call):
-//      the transition point k from (M, N) — the Table III heuristic, a
-//      forced k, or a --plan-file calibration entry — plus the window
-//      variant, sub-tile c and launch geometry;
+//      the transition point k from (M, N) and the batch's layout — the
+//      Table III heuristic, a forced k, or a --plan-file calibration
+//      entry — plus the window variant, sub-tile c and launch geometry;
 //   2. k >= 1: run the tiled PCR kernel, which rewrites each system as
 //      2^k independent interleaved systems (window variant per Fig. 11);
 //   3. run p-Thomas over the 2^k * M reduced systems (or only its
@@ -122,12 +122,13 @@ struct HybridReport {
 };
 
 /// Solve every system of `batch` in place (solution in d) on the simulated
-/// device, with the plan plan_hybrid gives `opts` for this batch's shape.
-/// The batch layout determines the memory addresses the kernels touch:
-/// use contiguous for k >= 1 (PCR interleaves in place, feeding p-Thomas
-/// coalesced accesses) and interleaved for the k = 0 fast path, as the
-/// paper's setup does. Throws std::invalid_argument, before any launch,
-/// for a forced k out of range for the shape or device.
+/// device, with the plan plan_hybrid gives `opts` for this batch's shape
+/// and layout. The layout determines the memory addresses the kernels
+/// touch, so the plan reads it: a batch in preferred_layout plans from
+/// Table III, and an interleaved batch that p-Thomas serves better where
+/// it lies plans k = 0 (transition.hpp heuristic_k with a layout). Throws
+/// std::invalid_argument, before any launch, for a forced k out of range
+/// for the shape or device.
 template <typename T>
 HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
                           tridiag::SystemBatch<T>& batch,

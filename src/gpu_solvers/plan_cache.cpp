@@ -51,7 +51,8 @@ struct PlanMetrics {
 }  // namespace
 
 SolvePlan plan_from_request(const gpusim::DeviceSpec& dev, std::size_t m,
-                            std::size_t n, const HybridOptions& opts) {
+                            std::size_t n, tridiag::Layout layout,
+                            const HybridOptions& opts) {
   SolvePlan plan;
   plan.c = std::max<std::size_t>(1, opts.sub_tile_c);
   plan.source =
@@ -64,9 +65,12 @@ SolvePlan plan_from_request(const gpusim::DeviceSpec& dev, std::size_t m,
     validate_forced_k(opts.force_k, n, dev);
     k = static_cast<unsigned>(opts.force_k);
   } else {
-    k = heuristic_k(m, n);
-    // Unbounded n gives the Table III row itself: a difference is a clamp.
-    if (k != heuristic_k(m, SIZE_MAX)) PlanMetrics::instance().clamped.add();
+    k = heuristic_k(m, n, layout);
+    // Unbounded n gives the Table III row itself: a plan running Table
+    // III's k (not the layout rule's k = 0) below that row is a clamp.
+    if (k == heuristic_k(m, n) && k != heuristic_k(m, SIZE_MAX)) {
+      PlanMetrics::instance().clamped.add();
+    }
   }
   plan.k = k;
 
@@ -102,16 +106,16 @@ SolvePlan plan_from_request(const gpusim::DeviceSpec& dev, std::size_t m,
 
 SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev, std::size_t m,
                       std::size_t n, std::size_t elem_size,
-                      const HybridOptions& opts) {
+                      tridiag::Layout layout, const HybridOptions& opts) {
   const bool default_request = opts.force_k < 0 && opts.sub_tile_c <= 1 &&
                                opts.variant == WindowVariant::auto_select &&
                                !opts.fuse;
-  if (default_request) {
+  if (default_request && layout == preferred_layout(m, n)) {
     if (auto calibrated = PlanCache::instance().find(dev, m, n, elem_size)) {
       return *calibrated;
     }
   }
-  return plan_from_request(dev, m, n, opts);
+  return plan_from_request(dev, m, n, layout, opts);
 }
 
 PlanCache& PlanCache::instance() {

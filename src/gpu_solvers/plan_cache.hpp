@@ -2,11 +2,14 @@
 // Planning for the hybrid solver, and the calibration table.
 //
 // Every hybrid solve plans on every call through plan_hybrid, as the
-// paper does when it looks k up in Table III at run time. A forced
+// paper does when it looks k up in Table III at run time. Planning sees
+// the batch's layout (hybrid_solve passes batch.layout()). A forced
 // request plans from its forced k; a default request takes the loaded
 // calibration entry for its (device fingerprint, m, n, elem_size) if one
-// exists, else the Table III heuristic. Planning costs nanoseconds (a
-// table lookup and the Fig. 11 variant pick), so nothing memoizes it.
+// exists and the batch is in preferred_layout(m, n), else the Table III
+// heuristic as that layout reads it (transition.hpp heuristic_k with a
+// layout). Planning costs nanoseconds (a table lookup and the Fig. 11
+// variant pick), so nothing memoizes it.
 //
 // PlanCache is the calibration table: plans an offline autotuner
 // (gpu_solvers/autotune.hpp, bench_autotune --out) measured, loaded from
@@ -22,6 +25,8 @@
 //    heuristic.
 //  * Bit-transparent: an entry pinning exactly what the heuristic plans
 //    solves bit-identically to it, in solution and in simulated time.
+//  * Layout-bound: autotune_cell measures an entry in preferred_layout(m,
+//    n), so only a batch in that layout runs it.
 
 #include <atomic>
 #include <cstddef>
@@ -33,8 +38,10 @@
 #include <tuple>
 
 #include "gpu_solvers/hybrid_solver.hpp"
+#include "gpu_solvers/transition.hpp"
 #include "gpusim/device_spec.hpp"
 #include "obs/metrics.hpp"
+#include "tridiag/layout.hpp"
 
 namespace tridsolve::util {
 class Cli;
@@ -42,27 +49,40 @@ class Cli;
 
 namespace tridsolve::gpu {
 
-/// The plan a request gets from itself alone: the transition point (the
-/// Table III heuristic or a forced k), the Fig. 11 variant pick,
-/// split-system region count and multi-system windows per block. Never
-/// reads the calibration table; the autotuner measures its Table III
-/// incumbent with this. Throws std::invalid_argument when a forced k is
-/// out of range for the shape or device (2^k > N, or 2^k threads exceed a
-/// block); the heuristic clamps instead, and each plan it clamps counts
-/// once in transition.clamped.
+/// The plan a request gets from itself alone for an (m, n) batch laid
+/// out in `layout`: the transition point (heuristic_k(m, n, layout) or a
+/// forced k), the Fig. 11 variant pick, split-system region count and
+/// multi-system windows per block. Never reads the calibration table;
+/// the autotuner measures its Table III incumbent with this. Throws
+/// std::invalid_argument when a forced k is out of range for the shape or
+/// device (2^k > N, or 2^k threads exceed a block); the heuristic clamps
+/// instead, and each plan that runs a clamped Table III k counts once in
+/// transition.clamped.
 [[nodiscard]] SolvePlan plan_from_request(const gpusim::DeviceSpec& dev,
                                           std::size_t m, std::size_t n,
+                                          tridiag::Layout layout,
                                           const HybridOptions& opts);
 
-/// Every hybrid solve's planner. A default request (no forced k, variant,
-/// sub-tile or fusion) takes the loaded calibration entry for
-/// (dev.fingerprint(), m, n, elem_size) when one exists; every other
-/// request, and a default one without an entry, plans as
+/// Every hybrid solve's planner, for an (m, n) batch laid out in
+/// `layout`. A default request (no forced k, variant, sub-tile or fusion)
+/// on a batch in preferred_layout(m, n) takes the loaded calibration
+/// entry for (dev.fingerprint(), m, n, elem_size) when one exists; every
+/// other request, and a default one without an entry, plans as
 /// plan_from_request.
 [[nodiscard]] SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev,
                                     std::size_t m, std::size_t n,
                                     std::size_t elem_size,
+                                    tridiag::Layout layout,
                                     const HybridOptions& opts);
+
+/// plan_hybrid for a batch in preferred_layout(m, n), where the layout
+/// never moves the plan off Table III.
+[[nodiscard]] inline SolvePlan plan_hybrid(const gpusim::DeviceSpec& dev,
+                                           std::size_t m, std::size_t n,
+                                           std::size_t elem_size,
+                                           const HybridOptions& opts) {
+  return plan_hybrid(dev, m, n, elem_size, preferred_layout(m, n), opts);
+}
 
 /// Process-wide calibration table. See the file header for contracts.
 class PlanCache {

@@ -77,8 +77,9 @@ SolveOutcome solve_in_place(SolverKind kind, const gpusim::DeviceSpec& dev,
         // The hybrid's in-kernel guard supplies exact rows and pivot
         // growth; guard_scan covers every kind.
         opts.guard = run_opts.guard;
-        const SolvePlan plan = plan_hybrid(dev, plan_systems,
-                                           work.system_size(), sizeof(T), opts);
+        const SolvePlan plan =
+            plan_hybrid(dev, plan_systems, work.system_size(), sizeof(T),
+                        work.layout(), opts);
         out.k = static_cast<int>(plan.k);
         out.plan_source = plan_source_name(plan.source);
         HybridReport rep = hybrid_solve(dev, work, opts, plan);

@@ -85,10 +85,20 @@ unsigned heuristic_k(std::size_t m, std::size_t system_size) noexcept {
   return k;
 }
 
+unsigned heuristic_k(std::size_t m, std::size_t system_size,
+                     tridiag::Layout layout) noexcept {
+  const bool in_place = layout == tridiag::Layout::interleaved &&
+                        m > kPthomasBlockSystems && 2 * m >= system_size;
+  return in_place ? 0 : heuristic_k(m, system_size);
+}
+
+tridiag::Layout paired_layout(unsigned k) noexcept {
+  return k == 0 ? tridiag::Layout::interleaved : tridiag::Layout::contiguous;
+}
+
 tridiag::Layout preferred_layout(std::size_t m,
                                  std::size_t system_size) noexcept {
-  return heuristic_k(m, system_size) == 0 ? tridiag::Layout::interleaved
-                                          : tridiag::Layout::contiguous;
+  return paired_layout(heuristic_k(m, system_size));
 }
 
 double machine_parallelism(const gpusim::DeviceSpec& dev) noexcept {

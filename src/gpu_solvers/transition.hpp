@@ -12,9 +12,13 @@
 //  * the empirical GTX480 heuristic of Table III — `heuristic_k`, which
 //    the hybrid solver plans with at run time, exactly as in the paper
 //    ("the closed-form solution cannot easily be expressed and found
-//    during runtime. Instead, we present empirical heuristic values").
-//    Offline tuning (bench_autotune --out, replayed with --plan-file) is
-//    the only other source of non-forced plans.
+//    during runtime. Instead, we present empirical heuristic values"),
+//    read through the batch's layout: the paper pairs k >= 1 with
+//    contiguous systems and k = 0 with interleaved ones
+//    (`paired_layout`), and a batch that arrives interleaved is
+//    planned for where it lies. Offline tuning (bench_autotune --out,
+//    replayed with --plan-file) is the only other source of non-forced
+//    plans.
 //
 // Every function here is pure: no metrics, no state. Planning metrics
 // belong to the planner (plan_from_request, which every uncalibrated
@@ -53,11 +57,32 @@ namespace tridsolve::gpu {
 /// k is additionally clamped so 2^k does not exceed the system size.
 [[nodiscard]] unsigned heuristic_k(std::size_t m, std::size_t system_size) noexcept;
 
-/// The layout the hybrid wants for an M x N batch (the paper's setup):
-/// interleaved when heuristic_k is 0 (pure p-Thomas wants coalesced
-/// columns), contiguous when tiled PCR leads.
+/// The layout a transition point k pairs with (the paper's setup,
+/// §III.B): contiguous for k >= 1, where each tiled-PCR window reads one
+/// system's rows and leaves 2^k interleaved reduced systems in place for
+/// p-Thomas; interleaved for k = 0, where consecutive p-Thomas threads
+/// read consecutive systems, perfectly coalesced. The one home of this
+/// pairing: preferred_layout, autotune_cell and apps::AdiIntegrator all
+/// ask it.
+[[nodiscard]] tridiag::Layout paired_layout(unsigned k) noexcept;
+
+/// The layout the hybrid wants for an M x N batch:
+/// paired_layout(heuristic_k(m, system_size)).
 [[nodiscard]] tridiag::Layout preferred_layout(
     std::size_t m, std::size_t system_size) noexcept;
+
+/// Systems one p-Thomas block solves (its threads per block).
+inline constexpr std::size_t kPthomasBlockSystems = 128;
+
+/// The transition point for an M x N batch that arrives laid out in
+/// `layout` (DESIGN.md "Layout-aware planning"). It is heuristic_k(m,
+/// system_size), except that an interleaved batch with more systems than
+/// one p-Thomas block (M > 128) and 2M >= N gets k = 0: p-Thomas solves
+/// the systems where they lie, coalesced, instead of tiled PCR reading
+/// them strided. A batch in preferred_layout(m, system_size) always gets
+/// heuristic_k(m, system_size).
+[[nodiscard]] unsigned heuristic_k(std::size_t m, std::size_t system_size,
+                                   tridiag::Layout layout) noexcept;
 
 /// An estimate of the machine's usable thread parallelism P for the cost
 /// model (resident warps x warp width across SMs).

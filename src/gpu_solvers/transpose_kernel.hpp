@@ -1,10 +1,10 @@
 #pragma once
 // Tiled matrix transpose on the simulated GPU.
 //
-// ADI integrators alternate row sweeps and column sweeps; keeping the
-// batched tridiagonal solves coalesced in both directions requires
-// transposing the field between half-steps (the standard alternative to
-// strided solves). The kernel is the canonical shared-memory tiled
+// ADI integrators alternate row sweeps and column sweeps. When a sweep's
+// plan pairs its k with the layout the field does not give its systems,
+// apps/adi re-lays the field with this kernel before the solve and
+// restores it after. The kernel is the canonical shared-memory tiled
 // transpose: each block stages a TILE x TILE patch in shared memory so
 // both the global read and the global write are unit-stride. Without the
 // +1 padding column the shared stores/loads hit the same bank TILE ways —

@@ -49,7 +49,6 @@ TimelineTotals summarize_timeline(const DeviceSpec& dev,
   totals.time_us = timeline.total_us();
   for (const auto& seg : timeline.segments()) {
     ++totals.launches;
-    totals.kernel_us += seg.stats.timing.time_us;
     totals.overhead_us += seg.stats.timing.overhead_us;
     totals.transactions += seg.stats.costs.transactions;
     totals.bytes_requested += seg.stats.costs.bytes_requested;

@@ -30,8 +30,7 @@ namespace tridsolve::gpusim {
 
 /// Aggregate counters over a whole timeline.
 struct TimelineTotals {
-  double time_us = 0.0;    ///< Timeline::total_us
-  double kernel_us = 0.0;  ///< sum of the segments' simulated time
+  double time_us = 0.0;      ///< Timeline::total_us
   double overhead_us = 0.0;  ///< launch overhead inside the segments
   std::size_t launches = 0;  ///< one per segment
   std::size_t transactions = 0;

@@ -14,11 +14,13 @@
 
 #include "apps/adi.hpp"
 #include "cpu_baselines/mkl_like.hpp"
+#include "gpu_solvers/hybrid_solver.hpp"
 #include "gpusim/device_spec.hpp"
 
 namespace apps = tridsolve::apps;
 namespace td = tridsolve::tridiag;
 namespace cb = tridsolve::cpu;
+namespace gp = tridsolve::gpu;
 namespace gs = tridsolve::gpusim;
 
 namespace {
@@ -76,6 +78,13 @@ void reference_step(std::vector<double>& u, std::size_t nx, std::size_t ny,
   auto t = transpose(u, ny, nx);
   sweep(t, nx, ny);
   u = transpose(t, nx, ny);
+}
+
+/// Segment labels of a step's timeline, in order.
+std::vector<std::string> labels_of(const apps::AdiStepReport& rep) {
+  std::vector<std::string> out;
+  for (const auto& seg : rep.timeline.segments()) out.push_back(seg.label);
+  return out;
 }
 
 /// 64-bit FNV-1a over the field's bytes: one number that pins every bit.
@@ -227,5 +236,102 @@ TEST(AdiIntegrator, GoldenStepsPinLabelsSweepTimesAndBits) {
       EXPECT_EQ(got_sweep_us, g.sweep_us) << where;
       EXPECT_EQ(field_digest(u), g.digests[step]) << where;
     }
+  }
+}
+
+// ny >= 1024 rows: Table III plans the x-sweep k = 0, which pairs with the
+// interleaved layout, so the sweep transposes the rows into it and runs
+// p-Thomas coalesced there instead of on contiguous rows.
+TEST(AdiIntegrator, WideXSweepRunsPThomasOnInterleavedRows) {
+  const std::size_t nx = 16, ny = 1024;
+  const apps::AdiOptions opts;
+  apps::AdiIntegrator<double> adi(gs::gtx480(), nx, ny, opts);
+  auto u = sine_mode(nx, ny);
+  auto u_ref = u;
+  const auto rep = adi.step(u);
+  reference_step(u_ref, nx, ny, opts.r);
+
+  EXPECT_EQ(rep.x_k, 0u);
+  const auto labels = labels_of(rep);
+  ASSERT_GE(labels.size(), 4u);
+  const std::vector<std::string> x_route(labels.begin(), labels.begin() + 4);
+  EXPECT_EQ(x_route,
+            (std::vector<std::string>{"transpose:fwd", "sweep-x:thomas-fwd",
+                                      "sweep-x:thomas-bwd", "transpose:back"}));
+
+  // The x-sweep's solve costs what an interleaved 1024 x 16 batch costs.
+  td::SystemBatch<double> batch(ny, nx, td::Layout::interleaved);
+  for (std::size_t m = 0; m < ny; ++m) {
+    auto sys = batch.system(m);
+    for (std::size_t i = 0; i < nx; ++i) {
+      sys.a[i] = i == 0 ? 0.0 : -opts.r;
+      sys.b[i] = 1.0 + 2.0 * opts.r;
+      sys.c[i] = i + 1 == nx ? 0.0 : -opts.r;
+      sys.d[i] = 1.0;
+    }
+  }
+  const auto direct = gp::hybrid_solve(gs::gtx480(), batch, {});
+  EXPECT_EQ(direct.k, 0u);
+  EXPECT_EQ(rep.timeline.time_with_prefix("sweep-x:"), direct.total_us());
+
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    ASSERT_NEAR(u[i], u_ref[i], 1e-11) << i;
+  }
+}
+
+// More than one p-Thomas block of y columns (nx = 160 > 128) with
+// 2 nx >= ny: the y-sweep plans k = 0 for the interleaved columns and
+// solves them where they lie in the field, so the step runs no transpose.
+TEST(AdiIntegrator, InPlaceYSweepRunsNoTransposeAndMatchesHostReference) {
+  const std::size_t nx = 160, ny = 64;
+  apps::AdiOptions opts;
+  opts.r = 0.35;
+  apps::AdiIntegrator<double> adi(gs::gtx480(), nx, ny, opts);
+  auto u_gpu = sine_mode(nx, ny);
+  auto u_ref = u_gpu;
+  for (int s = 0; s < 3; ++s) {
+    const auto rep = adi.step(u_gpu);
+    reference_step(u_ref, nx, ny, opts.r);
+    EXPECT_EQ(rep.y_k, 0u);
+    for (const auto& label : labels_of(rep)) {
+      EXPECT_EQ(label.rfind("transpose", 0), std::string::npos) << label;
+    }
+  }
+  for (std::size_t i = 0; i < u_gpu.size(); ++i) {
+    ASSERT_NEAR(u_gpu[i], u_ref[i], 1e-11) << i;
+  }
+}
+
+// Exact golden of the in-place route over three steps, in the style of
+// GoldenStepsPinLabelsSweepTimesAndBits: every segment label, each sweep
+// segment's simulated time, and the field's bits (with and without fused
+// multiply-add).
+TEST(AdiIntegrator, GoldenInPlaceStepsPinLabelsSweepTimesAndBits) {
+#ifdef __FP_FAST_FMA
+  const std::vector<std::uint64_t> digests{
+      0x5a1b6c4f0aa3124full, 0x1e27b5ceb9e891adull, 0x1c78eeb1e24e8f50ull};
+#else
+  const std::vector<std::uint64_t> digests{
+      0x556d0d651b9f2c97ull, 0x399cb0de7afdfe30ull, 0x85707db375f7010eull};
+#endif
+  const std::vector<std::string> labels{
+      "sweep-x:pcr", "sweep-x:thomas-fwd", "sweep-x:thomas-bwd",
+      "sweep-y:thomas-fwd", "sweep-y:thomas-bwd"};
+  const std::vector<double> sweep_us{
+      0x1.97693d04bd1c2p+5, 0x1.18a979467ab7ep+3, 0x1.ccd724d6ae9f6p+2,
+      0x1.72170607acad4p+4, 0x1.72170607acad4p+4};
+  const std::size_t nx = 160, ny = 64;
+  apps::AdiIntegrator<double> adi(gs::gtx480(), nx, ny, {});
+  auto u = sine_mode(nx, ny);
+  for (std::size_t step = 0; step < digests.size(); ++step) {
+    const auto rep = adi.step(u);
+    const std::string where = "step " + std::to_string(step + 1);
+    std::vector<double> got_sweep_us;
+    for (const auto& seg : rep.timeline.segments()) {
+      got_sweep_us.push_back(seg.stats.timing.time_us);
+    }
+    EXPECT_EQ(labels_of(rep), labels) << where;
+    EXPECT_EQ(got_sweep_us, sweep_us) << where;
+    EXPECT_EQ(field_digest(u), digests[step]) << where;
   }
 }

@@ -1,14 +1,17 @@
 // Hybrid solver tests: end-to-end correctness across (M, N) shapes,
 // precisions, layouts, window variants, fusion, and the transition logic
-// (Table II cost model + Table III heuristic).
+// (Table II cost model + Table III heuristic read through the layout).
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "gpu_solvers/hybrid_solver.hpp"
+#include "gpu_solvers/plan_cache.hpp"
 #include "gpu_solvers/transition.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/exec_engine.hpp"
 #include "tridiag/lu_pivot.hpp"
 #include "workloads/generators.hpp"
 
@@ -84,6 +87,71 @@ TEST(Transition, ModelPrefersLargeKForFewSystems) {
     EXPECT_LE(k, prev) << "M=" << m;
     prev = k;
   }
+}
+
+TEST(Transition, PairedLayoutIsThePapersPairing) {
+  EXPECT_EQ(gp::paired_layout(0), td::Layout::interleaved);
+  for (unsigned k = 1; k <= 8; ++k) {
+    EXPECT_EQ(gp::paired_layout(k), td::Layout::contiguous) << k;
+  }
+  EXPECT_EQ(gp::preferred_layout(4096, 512), td::Layout::interleaved);
+  EXPECT_EQ(gp::preferred_layout(384, 384), td::Layout::contiguous);
+}
+
+// The layout-aware plan over N in {64..1024} x M/N in {1/8..2}, M < 1024.
+// A contiguous batch plans exactly the Table III plan: its k is
+// heuristic_k(m, n), and variant and geometry are what a request forced
+// to that k gets. An interleaved batch solves in no more simulated time
+// than the Table III plan on the same batch, and in strictly less where
+// the rule moves it to k = 0 (M > 128 and 2M >= N).
+TEST(Transition, LayoutAwarePlanNeverLosesToTableIII) {
+  const auto dev = gs::gtx480();
+  const gs::ScopedInstrumentMode exact(gs::InstrumentMode::exact);
+  struct Ratio {
+    std::size_t num, den;
+  };
+  const Ratio ratios[] = {{1, 8}, {1, 4}, {1, 2}, {1, 1}, {2, 1}};
+  int fired = 0;
+  for (const std::size_t n : {64u, 128u, 256u, 512u, 1024u}) {
+    for (const Ratio ratio : ratios) {
+      const std::size_t m = n * ratio.num / ratio.den;
+      if (m >= 1024) continue;
+      const std::string where =
+          "m=" + std::to_string(m) + " n=" + std::to_string(n);
+
+      const gp::SolvePlan table3 = gp::plan_hybrid(
+          dev, m, n, sizeof(double), td::Layout::contiguous, {});
+      gp::HybridOptions forced;
+      forced.force_k = static_cast<int>(gp::heuristic_k(m, n));
+      const gp::SolvePlan at_k =
+          gp::plan_hybrid(dev, m, n, sizeof(double), forced);
+      EXPECT_EQ(table3.k, gp::heuristic_k(m, n)) << where;
+      EXPECT_EQ(table3.source, gp::PlanSource::heuristic) << where;
+      EXPECT_EQ(table3.variant, at_k.variant) << where;
+      EXPECT_EQ(table3.c, at_k.c) << where;
+      EXPECT_EQ(table3.blocks_per_system, at_k.blocks_per_system) << where;
+      EXPECT_EQ(table3.systems_per_block, at_k.systems_per_block) << where;
+
+      const bool rule = m > 128 && 2 * m >= n;
+      const gp::SolvePlan plan = gp::plan_hybrid(
+          dev, m, n, sizeof(double), td::Layout::interleaved, {});
+      EXPECT_EQ(plan.k, rule ? 0u : table3.k) << where;
+      const auto batch = wl::make_batch<double>(
+          wl::Kind::random_dominant, m, n, td::Layout::interleaved, m + n);
+      auto planned = batch.clone();
+      auto paper = batch.clone();
+      const double planned_us = gp::hybrid_solve(dev, planned).total_us();
+      const double table3_us =
+          gp::hybrid_solve(dev, paper, {}, table3).total_us();
+      if (rule) {
+        ++fired;
+        EXPECT_LT(planned_us, table3_us) << where;
+      } else {
+        EXPECT_EQ(planned_us, table3_us) << where;
+      }
+    }
+  }
+  EXPECT_EQ(fired, 6);
 }
 
 // ---- Hybrid end-to-end ----------------------------------------------------

@@ -362,7 +362,7 @@ TEST(Roofline, HandComputedAttribution) {
   }
 }
 
-TEST(Roofline, TimelineMergesLabelsAndSkipsHostSegments) {
+TEST(Roofline, TimelineMergesSegmentsThatShareALabel) {
   const gs::DeviceSpec dev = gs::gtx480();
   gs::Timeline tl;
   gs::LaunchStats seg;

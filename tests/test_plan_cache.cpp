@@ -6,7 +6,8 @@
 //  * out-of-range forced k is a structured bad-argument rejection at
 //    every layer (plan_hybrid throw, run_solver outcome, resilient
 //    degradation) instead of reaching the kernels;
-//  * calibration entries are shape-checked on load;
+//  * calibration entries are shape-checked on load, and apply only to a
+//    batch in the layout the autotuner measured them in;
 //  * the autotuner's incumbent is Table III, calibration loaded or not;
 //  * planning properties over adversarial shapes (non-power-of-two N,
 //    N in {1, 2}, M = 0, huge M).
@@ -116,7 +117,8 @@ TEST(PlanCache, ResilientPipelineRunsTheWholeCalibratedPlan) {
   const auto dev = gs::gtx480();
   const std::size_t m = 40, n = 512;
   const auto batch = make_batch(m, n, 13);
-  gp::SolvePlan plan = gp::plan_from_request(dev, m, n, {});
+  gp::SolvePlan plan =
+      gp::plan_from_request(dev, m, n, td::Layout::contiguous, {});
   ASSERT_EQ(plan.variant, gp::WindowVariant::one_block_per_system);
   plan.variant = gp::WindowVariant::multi_system_per_block;
   plan.systems_per_block = 4;
@@ -166,6 +168,39 @@ TEST(PlanCache, ResilientPipelineRunsTheWholeCalibratedPlan) {
                      gp::hybrid_solve<double>(dev, fresh, {}, plan).total_us())
         << "a " << chunk.systems << "-system retry chunk ran its own plan";
   }
+}
+
+TEST(PlanCache, CalibrationAppliesOnlyInTheLayoutItWasMeasuredIn) {
+  // autotune_cell measures a 384 x 384 entry in preferred_layout, which is
+  // contiguous there (Table III k = 6). A contiguous batch runs the entry;
+  // an interleaved batch plans k = 0 by the layout rule instead.
+  const auto dev = gs::gtx480();
+  const std::size_t m = 384, n = 384;
+  ASSERT_EQ(gp::preferred_layout(m, n), td::Layout::contiguous);
+  gp::HybridOptions forced;
+  forced.force_k = 4;
+  const gp::SolvePlan entry = gp::plan_hybrid(dev, m, n, sizeof(double), forced);
+
+  gp::PlanCache::instance().clear();
+  ASSERT_EQ(gp::PlanCache::instance().load_calibration(write_calibration(
+                "plan_cache_layout.json", dev, m, n, entry)),
+            1u);
+  gp::SolverRunOptions functional;
+  functional.instrument = gs::InstrumentMode::functional_only;
+  const auto rows = make_batch(m, n, 5);
+  const auto on_rows =
+      gp::run_solver<double>(gp::SolverKind::hybrid, dev, rows, functional);
+  const auto on_columns = gp::run_solver<double>(
+      gp::SolverKind::hybrid, dev,
+      td::convert_layout(rows, td::Layout::interleaved), functional);
+  gp::PlanCache::instance().clear();
+
+  ASSERT_TRUE(on_rows.solved) << on_rows.detail;
+  EXPECT_EQ(on_rows.plan_source, "calibrated");
+  EXPECT_EQ(on_rows.k, 4);
+  ASSERT_TRUE(on_columns.solved) << on_columns.detail;
+  EXPECT_EQ(on_columns.plan_source, "heuristic");
+  EXPECT_EQ(on_columns.k, 0);
 }
 
 TEST(PlanCache, OutOfRangeForcedKIsStructuredRejection) {
