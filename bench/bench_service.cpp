@@ -207,7 +207,6 @@ struct SoakParams {
   // Live-phase knobs (CLI-driven).
   double window_us = 200.0;
   std::size_t max_batch = 4096;
-  std::size_t shards = 8;
   std::size_t max_queue = 0;        ///< 0 → soak default (256)
   std::size_t max_queue_bytes = 0;
   service::ShedPolicy policy = service::ShedPolicy::reject_newest;
@@ -480,7 +479,6 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
   service::ServiceConfig scfg;
   scfg.batch_window_us = sp.window_us;
   scfg.max_batch = sp.max_batch;
-  scfg.shards = sp.shards;
   scfg.solver = sp.solver;
   scfg.device = sp.dev;
   scfg.admission.max_queue = bound;
@@ -548,7 +546,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(
       argc, argv,
       util::with_obs_flags({"arrival-rate", "requests", "burst",
-                            "batch-window-us", "max-batch", "shards", "n",
+                            "batch-window-us", "max-batch", "n",
                             "solver", "seed", "quick", "smoke", "soak",
                             "max-queue", "max-queue-bytes", "shed-policy",
                             "breaker-threshold", "breaker-cooldown-us"}));
@@ -576,8 +574,6 @@ int main(int argc, char** argv) {
   const double window_us = cli.get_double("batch-window-us", 200.0);
   const std::size_t max_batch =
       static_cast<std::size_t>(cli.get_int("max-batch", 4096));
-  const std::size_t shards =
-      static_cast<std::size_t>(cli.get_int("shards", 8));
   const std::string solver_tok = cli.get_string("solver", "hybrid");
   const gpu::SolverKind solver = solver_from_token(solver_tok);
   const std::uint64_t seed =
@@ -606,7 +602,6 @@ int main(int argc, char** argv) {
     sp.dev = dev;
     sp.window_us = window_us;
     sp.max_batch = max_batch;
-    sp.shards = shards;
     sp.max_queue = max_queue;
     sp.max_queue_bytes = max_queue_bytes;
     sp.policy = policy;
@@ -651,7 +646,6 @@ int main(int argc, char** argv) {
     service::ServiceConfig scfg;
     scfg.batch_window_us = window_us;
     scfg.max_batch = max_batch;
-    scfg.shards = shards;
     scfg.solver = solver;
     scfg.device = dev;
     scfg.admission.max_queue = max_queue;

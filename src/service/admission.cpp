@@ -16,42 +16,25 @@ ShedPolicy parse_shed_policy(std::string_view tok) {
 }
 
 bool AdmissionController::try_reserve(std::size_t bytes) noexcept {
-  if (cfg_.max_queue > 0) {
-    const std::size_t prev = depth_.fetch_add(1, std::memory_order_acq_rel);
-    if (prev >= cfg_.max_queue) {
-      depth_.fetch_sub(1, std::memory_order_acq_rel);
-      return false;
-    }
-    // prev + 1 counts only admitted requests, so the recorded peak is a
-    // proof the depth bound held (transient fetch_add overshoot from
-    // concurrent losers never lands here).
-    std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
-    while (prev + 1 > peak && !peak_depth_.compare_exchange_weak(
-                                  peak, prev + 1, std::memory_order_relaxed)) {
-    }
-  } else {
-    const std::size_t now = depth_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
-    while (now > peak && !peak_depth_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
+  const std::size_t depth = depth_.load(std::memory_order_relaxed) + 1;
+  const std::size_t total = bytes_.load(std::memory_order_relaxed) + bytes;
+  if ((cfg_.max_queue > 0 && depth > cfg_.max_queue) ||
+      (cfg_.max_queue_bytes > 0 && total > cfg_.max_queue_bytes)) {
+    return false;
   }
-  if (cfg_.max_queue_bytes > 0) {
-    const std::size_t prev = bytes_.fetch_add(bytes, std::memory_order_acq_rel);
-    if (prev + bytes > cfg_.max_queue_bytes) {
-      bytes_.fetch_sub(bytes, std::memory_order_acq_rel);
-      depth_.fetch_sub(1, std::memory_order_acq_rel);
-      return false;
-    }
-  } else {
-    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  depth_.store(depth, std::memory_order_relaxed);
+  bytes_.store(total, std::memory_order_relaxed);
+  if (depth > peak_depth_.load(std::memory_order_relaxed)) {
+    peak_depth_.store(depth, std::memory_order_relaxed);
   }
   return true;
 }
 
 void AdmissionController::release(std::size_t bytes) noexcept {
-  depth_.fetch_sub(1, std::memory_order_acq_rel);
-  bytes_.fetch_sub(bytes, std::memory_order_acq_rel);
+  depth_.store(depth_.load(std::memory_order_relaxed) - 1,
+               std::memory_order_relaxed);
+  bytes_.store(bytes_.load(std::memory_order_relaxed) - bytes,
+               std::memory_order_relaxed);
 }
 
 void AdmissionController::observe_batch_latency(double us) noexcept {

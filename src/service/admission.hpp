@@ -27,8 +27,10 @@
 // Accounting contract: try_reserve() / release() form a strict
 // reservation protocol — depth/bytes count *admitted* requests only, so
 // the configured bounds are hard: the queue never holds more than
-// max_queue requests (peak_depth() proves it). Thread-safe; lock-free on
-// the admit path (one fetch_add per bound).
+// max_queue requests (peak_depth() proves it). Writers are serialized by
+// the caller: SolveService reserves and releases under its queue lock,
+// and its batcher is the only EWMA writer. Every accessor reads an
+// atomic, so readers on other threads never see a torn value.
 
 #include <atomic>
 #include <cstddef>
@@ -79,8 +81,8 @@ class AdmissionController {
   }
 
   /// Reserve one queue slot (+ `bytes`) for an incoming request. Returns
-  /// false — with the reservation fully rolled back — when either bound
-  /// would be exceeded; the caller then applies the shed policy.
+  /// false, reserving nothing, when either bound would be exceeded; the
+  /// caller then applies the shed policy.
   [[nodiscard]] bool try_reserve(std::size_t bytes) noexcept;
 
   /// Release one slot (+ `bytes`): the request left the queue (drained

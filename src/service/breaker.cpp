@@ -17,6 +17,22 @@ namespace {
 
 }  // namespace
 
+std::optional<std::chrono::steady_clock::time_point> after_wall_us(
+    std::chrono::steady_clock::time_point t, double us) noexcept {
+  using Clock = std::chrono::steady_clock;
+  // The tick count duration_cast would truncate to Clock::rep.
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::micro>(us))
+                           .count();
+  if (!(ticks >= 0.0 &&
+        ticks < static_cast<double>(Clock::duration::max().count()))) {
+    return std::nullopt;
+  }
+  const Clock::duration d(static_cast<Clock::rep>(ticks));
+  if (d > Clock::time_point::max() - t) return std::nullopt;
+  return t + d;
+}
+
 CircuitBreaker::CircuitBreaker(BreakerConfig cfg)
     : cfg_(cfg),
       m_trips_(obs::counter_handle("service.breaker.trips")),
@@ -67,9 +83,8 @@ void CircuitBreaker::record_failure(Clock::time_point now) {
   const bool trip = state_ == BreakerState::half_open ||  // failed probe
                     consecutive_ >= cfg_.threshold;
   if (!trip) return;
-  open_until_ = now + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double, std::micro>(
-                              cfg_.cooldown_us));
+  open_until_ =
+      after_wall_us(now, cfg_.cooldown_us).value_or(Clock::time_point::max());
   if (state_ != BreakerState::open) {
     ++trips_;
     m_trips_.add();

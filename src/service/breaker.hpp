@@ -30,16 +30,25 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 
 #include "obs/metrics.hpp"
 
 namespace tridsolve::service {
+
+/// `t` plus `us` wall microseconds, or std::nullopt when `us` is not a
+/// finite value >= 0 or the sum passes the steady clock's range. Every
+/// wall-time knob goes through here: a bare duration_cast of such a value
+/// overflows the clock's integer ticks, which is undefined behaviour.
+[[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+after_wall_us(std::chrono::steady_clock::time_point t, double us) noexcept;
 
 struct BreakerConfig {
   /// Consecutive dispatch failures that trip the breaker; 0 disables it
   /// (admit() always passes).
   int threshold = 0;
   /// Wall-clock cooldown in the open state before a half-open probe.
+  /// SolveService rejects a value after_wall_us() cannot add to the clock.
   double cooldown_us = 5000.0;
 };
 

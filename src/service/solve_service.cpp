@@ -1,8 +1,9 @@
 #include "service/solve_service.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <iterator>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "gpu_solvers/transition.hpp"
@@ -26,7 +27,7 @@ using Clock = std::chrono::steady_clock;
 /// before the admission check ever runs, so the request that shrank the
 /// window is deterministically returned SolveCode::deadline even under
 /// zero load. The margin must cover condition-variable wake latency plus
-/// one drain/expire pass — including on a loaded machine under
+/// one take/expire pass — including on a loaded machine under
 /// sanitizer instrumentation, where a wake can take well over 200us to
 /// reach the expiry check; requests whose whole deadline is shorter
 /// than the margin simply dispatch on the first iteration that sees
@@ -50,9 +51,9 @@ struct SolveService::Pending {
   Clock::time_point arrival{};
   Clock::time_point deadline{};  ///< meaningful only when has_deadline
   bool has_deadline = false;
-  /// Admission reservation held (released at dispatch extraction,
-  /// expiry, or eviction — never while still queued, so the depth bound
-  /// also covers the batcher's backlog).
+  /// Admission reservation held (released under the queue lock at
+  /// dispatch extraction, expiry, or eviction — never while still queued,
+  /// so the depth bound also covers the batcher's backlog).
   std::size_t bytes = 0;
   /// Provenance carried across bisection re-dispatches: attempts and
   /// simulated time already spent on this request by earlier failed
@@ -64,11 +65,6 @@ struct SolveService::Pending {
   /// Submit timestamp on the tracer's wall clock; < 0 when tracing was
   /// off at submit time (child spans then start at batch start).
   double wall_submit_us = -1.0;
-};
-
-struct SolveService::Shard {
-  std::mutex mu;
-  std::deque<Pending> q;
 };
 
 SolveService::SolveService(ServiceConfig cfg)
@@ -90,24 +86,25 @@ SolveService::SolveService(ServiceConfig cfg)
       h_queue_(obs::histogram_handle("service.request.queue_us")),
       h_batch_size_(obs::histogram_handle("service.batch.size")),
       h_solve_us_(obs::histogram_handle("service.batch.solve_us")) {
-  if (cfg_.shards == 0) cfg_.shards = 1;
   // Structural validation: a nonsensical knob must reject loudly, not be
   // silently rewritten into a service the operator did not configure.
   if (cfg_.max_batch == 0) {
     config_error_ = "ServiceConfig.max_batch must be >= 1";
-  } else if (!(cfg_.batch_window_us >= 0.0)) {
-    config_error_ = "ServiceConfig.batch_window_us must be >= 0";
+  } else if (!after_wall_us(Clock::time_point{}, cfg_.batch_window_us)) {
+    config_error_ =
+        "ServiceConfig.batch_window_us must be finite, >= 0 and inside the "
+        "steady clock's range";
+  } else if (!after_wall_us(Clock::time_point{}, cfg_.breaker.cooldown_us)) {
+    config_error_ =
+        "ServiceConfig.breaker.cooldown_us must be finite, >= 0 and inside "
+        "the steady clock's range";
   } else if (const std::string chain_error =
                  gpu::fallback_chain_error(cfg_.fallback_chain);
              !chain_error.empty()) {
     config_error_ = "ServiceConfig.fallback_chain: " + chain_error;
   }
-  shards_.reserve(cfg_.shards);
-  for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (!config_error_.empty()) return;  // rejecting state: never accepts
-  accepting_.store(true, std::memory_order_release);
+  accepting_ = true;
   if (cfg_.auto_start) start();
 }
 
@@ -117,15 +114,9 @@ std::future<SolveResult> SolveService::submit(SolveRequest req) {
   std::promise<SolveResult> promise;
   auto future = promise.get_future();
 
-  if (!config_error_.empty()) {
-    m_rejected_.add();
-    SolveResult r;
-    r.code = tridiag::SolveCode::bad_argument;
-    r.x.assign(req.system.d().begin(), req.system.d().end());
-    promise.set_value(std::move(r));
-    return future;
-  }
-  if (req.system.size() == 0) {
+  // A rejecting config never accepts: such a request, empty or not, is
+  // answered bad_argument below like any request after shutdown().
+  if (config_error_.empty() && req.system.size() == 0) {
     m_rejected_.add();
     SolveResult r;
     r.code = tridiag::SolveCode::bad_size;
@@ -138,104 +129,96 @@ std::future<SolveResult> SolveService::submit(SolveRequest req) {
   p.promise = std::move(promise);
   p.arrival = Clock::now();
   p.bytes = queued_bytes(p.req.system.size());
-  if (p.req.deadline_us > 0.0) {
+  if (const auto deadline = after_wall_us(p.arrival, p.req.deadline_us);
+      deadline && p.req.deadline_us > 0.0) {
     p.has_deadline = true;
-    p.deadline = p.arrival + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double, std::micro>(
-                                     p.req.deadline_us));
+    p.deadline = *deadline;
   }
   auto& tracer = obs::SpanTracer::instance();
   if (tracer.enabled()) p.wall_submit_us = tracer.now_wall_us();
 
-  // Admission (docs/SERVICE.md § Overload & degradation). Brownout sheds
-  // up front when the estimated queue delay already eats the whole
-  // deadline: the request could only expire in-queue, and refusing it now
-  // is honest about that (and free).
-  if (cfg_.admission.policy == ShedPolicy::brownout && p.has_deadline &&
-      admission_.estimated_delay_us(cfg_.max_batch) > p.req.deadline_us) {
-    shed(p);
-    return future;
-  }
-  if (!admission_.try_reserve(p.bytes)) {
-    bool evicted = false;
-    switch (cfg_.admission.policy) {
-      case ShedPolicy::reject_newest:
-        break;
-      case ShedPolicy::reject_lowest_priority:
-        evicted = evict_lowest_priority(p.req.priority);
-        break;
-      case ShedPolicy::brownout:
-        evicted = evict_doomed(p.arrival);
-        break;
-    }
-    // The freed slot races against concurrent submitters; losing that
-    // race counts as a full queue again (bounds stay hard).
-    if (!evicted || !admission_.try_reserve(p.bytes)) {
-      p.bytes = 0;  // no reservation held
-      shed(p);
-      return future;
-    }
-  }
-
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  p.seq = seq;
-  Shard& shard = *shards_[seq % shards_.size()];
+  // Admission (docs/SERVICE.md § Overload & degradation) runs under mu_
+  // with the push, so the bounds hold without any rollback; shed futures
+  // resolve after unlocking.
+  enum class Verdict { queued, shed, rejected };
+  Verdict verdict = Verdict::queued;
+  std::optional<Pending> evictee;
   {
-    std::lock_guard lk(shard.mu);
-    // accepting_ is checked under the shard lock; shutdown() flips it and
-    // then passes through every shard lock, so after that barrier no
-    // submit can still be mid-push — the drain loop sees everything.
-    if (!accepting_.load(std::memory_order_acquire)) {
-      admission_.release(p.bytes);
+    std::lock_guard lk(mu_);
+    if (!accepting_) {
+      verdict = Verdict::rejected;
+    } else if (cfg_.admission.policy == ShedPolicy::brownout &&
+               p.has_deadline &&
+               admission_.estimated_delay_us(cfg_.max_batch) >
+                   p.req.deadline_us) {
+      // Brownout sheds up front when the estimated queue delay already
+      // eats the whole deadline: the request could only expire in-queue,
+      // and refusing it now is honest about that (and free).
+      verdict = Verdict::shed;
+    } else if (!admission_.try_reserve(p.bytes)) {
+      const Pending* victim = nullptr;
+      switch (cfg_.admission.policy) {
+        case ShedPolicy::reject_newest:
+          break;
+        case ShedPolicy::reject_lowest_priority:
+          victim = lowest_priority_victim(p.req.priority);
+          break;
+        case ShedPolicy::brownout:
+          victim = doomed_victim(p.arrival);
+          break;
+      }
+      if (victim != nullptr) evictee = evict(*victim);
+      // A byte bound can still refuse a request larger than its evictee.
+      if (victim == nullptr || !admission_.try_reserve(p.bytes)) {
+        verdict = Verdict::shed;
+      }
+    }
+    if (verdict == Verdict::queued) {
+      p.seq = next_seq_++;
+      queue_.push_back(std::move(p));
+    }
+  }
+  if (evictee) shed(*evictee);
+  switch (verdict) {
+    case Verdict::queued:
+      m_submitted_.add();
+      cv_.notify_one();
+      break;
+    case Verdict::shed:
+      shed(p);
+      break;
+    case Verdict::rejected: {
       m_rejected_.add();
       SolveResult r;
       r.code = tridiag::SolveCode::bad_argument;
       r.x.assign(p.req.system.d().begin(), p.req.system.d().end());
       p.promise.set_value(std::move(r));
-      return future;
+      break;
     }
-    shard.q.push_back(std::move(p));
   }
-  queued_.fetch_add(1, std::memory_order_release);
-  m_submitted_.add();
-  {
-    // Pass through wake_mu_ between the queued_ update and the notify so
-    // the increment cannot slip between the batcher's predicate check and
-    // its block — without this the notify can be missed and a lone
-    // request waits for the next submit (lost wakeup).
-    std::lock_guard wake_lk(wake_mu_);
-  }
-  wake_cv_.notify_one();
   return future;
 }
 
 void SolveService::start() {
   std::lock_guard lk(lifecycle_mu_);
-  if (!config_error_.empty()) return;
-  if (batcher_.joinable() || stop_.load(std::memory_order_acquire)) return;
+  std::lock_guard queue_lk(mu_);
+  // Not accepting: a rejected config, or shut down already.
+  if (!accepting_ || batcher_.joinable()) return;
   batcher_ = std::thread([this] { batcher_main(); });
 }
 
 void SolveService::shutdown() {
   std::lock_guard lk(lifecycle_mu_);
-  if (!accepting_.exchange(false, std::memory_order_acq_rel) &&
-      !batcher_.joinable()) {
-    return;  // already shut down (or never accepted: rejected config)
-  }
-  // Barrier: any submit that saw accepting_ == true holds a shard lock
-  // until its push lands; passing through every lock here means the
-  // queues are final before the drain begins.
-  for (auto& s : shards_) {
-    std::lock_guard shard_lk(s->mu);
-  }
-  stop_.store(true, std::memory_order_release);
   {
-    // Same lost-wakeup guard as submit(): the stop_ store must not land
-    // between the batcher's predicate check and its (untimed) block, or
-    // join() below hangs forever.
-    std::lock_guard wake_lk(wake_mu_);
+    std::lock_guard queue_lk(mu_);
+    if (!accepting_ && !batcher_.joinable()) {
+      return;  // already shut down (or never accepted: rejected config)
+    }
+    // Under mu_, so no submit can push after the batcher's last take.
+    accepting_ = false;
+    stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   if (batcher_.joinable()) {
     batcher_.join();
   } else {
@@ -273,17 +256,6 @@ std::size_t SolveService::peak_queue_depth() const noexcept {
   return admission_.peak_depth();
 }
 
-void SolveService::drain_shards(std::vector<Pending>& backlog) {
-  for (auto& s : shards_) {
-    std::lock_guard lk(s->mu);
-    while (!s->q.empty()) {
-      backlog.push_back(std::move(s->q.front()));
-      s->q.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-}
-
 void SolveService::fulfill_unran(Pending& p, tridiag::SolveCode code) {
   const auto now = Clock::now();
   SolveResult r;
@@ -306,88 +278,43 @@ void SolveService::shed(Pending& p) {
   fulfill_unran(p, tridiag::SolveCode::overloaded);
 }
 
-bool SolveService::evict_lowest_priority(int incoming_priority) {
-  // The only multi-shard lock site, always in index order — cannot
-  // deadlock against single-shard submit pushes or the batcher's
-  // one-shard-at-a-time drain.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& s : shards_) locks.emplace_back(s->mu);
-  Shard* vs = nullptr;
-  std::size_t vi = 0;
+const SolveService::Pending* SolveService::lowest_priority_victim(
+    int incoming_priority) const {
   const Pending* victim = nullptr;
-  for (auto& s : shards_) {
-    for (std::size_t i = 0; i < s->q.size(); ++i) {
-      const Pending& c = s->q[i];
-      if (c.req.priority >= incoming_priority) continue;
-      if (victim == nullptr || c.req.priority < victim->req.priority ||
-          (c.req.priority == victim->req.priority && c.seq > victim->seq)) {
-        vs = s.get();
-        vi = i;
-        victim = &c;
-      }
+  for (const Pending& c : queue_) {
+    if (c.req.priority >= incoming_priority) continue;
+    if (victim == nullptr || c.req.priority < victim->req.priority ||
+        (c.req.priority == victim->req.priority && c.seq > victim->seq)) {
+      victim = &c;
     }
   }
-  if (victim == nullptr) return false;
-  Pending evictee = std::move(vs->q[vi]);
-  vs->q.erase(vs->q.begin() +
-              static_cast<std::deque<Pending>::difference_type>(vi));
-  locks.clear();  // fulfill outside the shard locks
-  queued_.fetch_sub(1, std::memory_order_release);
-  admission_.release(evictee.bytes);
-  shed(evictee);
-  return true;
+  return victim;
 }
 
-bool SolveService::evict_doomed(Clock::time_point now) {
+const SolveService::Pending* SolveService::doomed_victim(
+    Clock::time_point now) const {
   const double est = admission_.estimated_delay_us(cfg_.max_batch);
-  if (est <= 0.0) return false;  // no latency signal yet — nobody is doomed
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& s : shards_) locks.emplace_back(s->mu);
-  Shard* vs = nullptr;
-  std::size_t vi = 0;
+  if (est <= 0.0) return nullptr;  // no latency signal yet — nobody is doomed
   const Pending* victim = nullptr;
   double victim_headroom = 0.0;
-  for (auto& s : shards_) {
-    for (std::size_t i = 0; i < s->q.size(); ++i) {
-      const Pending& c = s->q[i];
-      if (!c.has_deadline) continue;
-      const double headroom = us_between(now, c.deadline);
-      if (headroom >= est) continue;  // still expected to make it
-      if (victim == nullptr || headroom < victim_headroom) {
-        vs = s.get();
-        vi = i;
-        victim = &c;
-        victim_headroom = headroom;
-      }
+  for (const Pending& c : queue_) {
+    if (!c.has_deadline) continue;
+    const double headroom = us_between(now, c.deadline);
+    if (headroom >= est) continue;  // still expected to make it
+    if (victim == nullptr || headroom < victim_headroom) {
+      victim = &c;
+      victim_headroom = headroom;
     }
   }
-  if (victim == nullptr) return false;
-  Pending evictee = std::move(vs->q[vi]);
-  vs->q.erase(vs->q.begin() +
-              static_cast<std::deque<Pending>::difference_type>(vi));
-  locks.clear();
-  queued_.fetch_sub(1, std::memory_order_release);
-  admission_.release(evictee.bytes);
-  shed(evictee);
-  return true;
+  return victim;
 }
 
-void SolveService::expire_overdue(std::vector<Pending>& backlog,
-                                  Clock::time_point now) {
-  auto dead = std::stable_partition(
-      backlog.begin(), backlog.end(),
-      [now](const Pending& p) { return !p.has_deadline || now < p.deadline; });
-  for (auto it = dead; it != backlog.end(); ++it) {
-    admission_.release(it->bytes);
-    // Tally before fulfilling: a client woken by the future must already
-    // see itself in requests_expired().
-    m_expired_.add();
-    expired_.fetch_add(1, std::memory_order_relaxed);
-    fulfill_unran(*it, tridiag::SolveCode::deadline);
-  }
-  backlog.erase(dead, backlog.end());
+SolveService::Pending SolveService::evict(const Pending& victim) {
+  const auto it = queue_.begin() + (&victim - queue_.data());
+  Pending evictee = std::move(*it);
+  queue_.erase(it);
+  admission_.release(evictee.bytes);
+  return evictee;
 }
 
 void SolveService::dispatch(std::vector<Pending> group) {
@@ -578,28 +505,42 @@ void SolveService::dispatch(std::vector<Pending> group) {
 
 void SolveService::batcher_main() {
   std::vector<Pending> backlog;
-  const auto window = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::micro>(cfg_.batch_window_us));
   for (;;) {
-    // Timestamp before draining: the drain walks every shard mutex, and
-    // charging that walk against queued deadlines would eat into the
-    // dispatch margin (expiry with a slightly stale clock only ever errs
-    // toward dispatching, never toward expiring early).
+    // Timestamp before taking the lock: charging a wait for mu_ against
+    // queued deadlines would eat into the dispatch margin (expiry with a
+    // slightly stale clock only ever errs toward dispatching, never
+    // toward expiring early).
     const auto now = Clock::now();
-    drain_shards(backlog);
-    expire_overdue(backlog, now);
+    bool stopping = false;
+    std::vector<Pending>::iterator overdue;
+    {
+      std::lock_guard lk(mu_);
+      std::move(queue_.begin(), queue_.end(), std::back_inserter(backlog));
+      queue_.clear();
+      // Read with the take: once stop_ is set nothing more is pushed.
+      stopping = stop_;
+      overdue = std::stable_partition(
+          backlog.begin(), backlog.end(), [now](const Pending& p) {
+            return !p.has_deadline || now < p.deadline;
+          });
+      for (auto it = overdue; it != backlog.end(); ++it) {
+        admission_.release(it->bytes);
+      }
+    }
+    for (auto it = overdue; it != backlog.end(); ++it) {
+      // Tally before fulfilling: a client woken by the future must already
+      // see itself in requests_expired().
+      m_expired_.add();
+      expired_.fetch_add(1, std::memory_order_relaxed);
+      fulfill_unran(*it, tridiag::SolveCode::deadline);
+    }
+    backlog.erase(overdue, backlog.end());
     obs::gauge("service.queue.depth", static_cast<double>(backlog.size()));
 
     if (backlog.empty()) {
-      if (stop_.load(std::memory_order_acquire) &&
-          queued_.load(std::memory_order_acquire) == 0) {
-        break;
-      }
-      std::unique_lock lk(wake_mu_);
-      wake_cv_.wait(lk, [this] {
-        return queued_.load(std::memory_order_acquire) > 0 ||
-               stop_.load(std::memory_order_acquire);
-      });
+      if (stopping) break;
+      std::unique_lock lk(mu_);
+      cv_.wait(lk, [this] { return !queue_.empty() || stop_; });
       continue;
     }
 
@@ -610,7 +551,8 @@ void SolveService::batcher_main() {
         [](const Pending& a, const Pending& b) { return a.seq < b.seq; });
     const std::size_t n = oldest->req.system.size();
     std::size_t group_size = 0;
-    auto close = oldest->arrival + window;
+    auto close = after_wall_us(oldest->arrival, cfg_.batch_window_us)
+                     .value_or(Clock::time_point::max());
     for (const Pending& p : backlog) {
       if (p.req.system.size() != n) continue;
       ++group_size;
@@ -624,14 +566,11 @@ void SolveService::batcher_main() {
       }
     }
 
-    const bool admit = stop_.load(std::memory_order_acquire) ||
-                       group_size >= cfg_.max_batch || now >= close;
+    const bool admit =
+        stopping || group_size >= cfg_.max_batch || now >= close;
     if (!admit) {
-      std::unique_lock lk(wake_mu_);
-      wake_cv_.wait_until(lk, close, [this] {
-        return queued_.load(std::memory_order_acquire) > 0 ||
-               stop_.load(std::memory_order_acquire);
-      });
+      std::unique_lock lk(mu_);
+      cv_.wait_until(lk, close, [this] { return !queue_.empty() || stop_; });
       continue;
     }
 
@@ -663,10 +602,10 @@ void SolveService::batcher_main() {
     }
     // The members leave the bounded queue here — release their admission
     // reservations only now, so the depth bound also covered the time
-    // they sat in this backlog (a hard cap, not a shard-queue-only one).
-    for (Pending& p : group) {
-      admission_.release(p.bytes);
-      p.bytes = 0;
+    // they sat in this backlog.
+    {
+      std::lock_guard lk(mu_);
+      for (const Pending& p : group) admission_.release(p.bytes);
     }
     dispatch(std::move(group));
   }

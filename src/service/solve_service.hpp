@@ -9,8 +9,8 @@
 // large interleaved batch and ride the flat part of the curve. That is
 // exactly what SolveService does:
 //
-//   submit() ──► admission ──► mutex-sharded queues ──► batcher thread
-//     (any thread)  (bounds      (one per shard)      (coalesce + admit)
+//   submit() ──► admission ──► one queue ──────────► batcher thread
+//     (any thread)  (bounds      (one mutex)          (coalesce + admit)
 //                    + shedding)                             │
 //                                        gather one SystemBatch
 //                                                            │
@@ -33,8 +33,8 @@
 // (cfg.admission) shed excess load at submit() with
 // SolveCode::overloaded and the pristine rhs — never a blocked or lost
 // future. The depth bound counts every admitted-but-undispatched request
-// (shard queues plus the batcher's backlog), so it is a hard cap on
-// queue growth, provable via peak_queue_depth().
+// (the queue plus the batcher's backlog), so it is a hard cap on queue
+// growth, provable via peak_queue_depth().
 //
 // Faults: every batch the breaker passes dispatches through
 // run_solver_resilient — guarded solve, chunked retries from pristine
@@ -49,7 +49,8 @@
 // probing. Per-request provenance lands on SolveResult:
 // attempts, recovered, degraded.
 //
-// Deadline semantics (per request, wall time from submit; 0 = none):
+// Deadline semantics (per request, wall time from submit; 0, or a budget
+// past the steady clock's range, = none):
 //   * expires in-queue — the request is never dispatched; its future is
 //     fulfilled with SolveCode::deadline and the pristine right-hand
 //     side, exactly like the resilient pipeline's budget-exhausted
@@ -67,10 +68,13 @@
 // call makes). Pinned by tests/test_service.cpp for every solver kind,
 // solo and coalesced.
 //
-// Thread-safety: submit() is safe from any thread; one batcher thread
-// owns admission-to-batch and dispatch. shutdown() (and the destructor)
-// stops intake, drains every queued request — every future is fulfilled,
-// none lost — and joins the batcher.
+// Thread-safety: submit() is safe from any thread. One mutex guards the
+// queue, the admission bounds and the lifecycle flags; submit() pushes
+// under it and the batcher takes the whole queue under it, then gathers,
+// dispatches and fulfils futures unlocked. One batcher thread owns
+// admission-to-batch and dispatch. shutdown() (and the destructor) stops
+// intake, drains every queued request — every future is fulfilled, none
+// lost — and joins the batcher.
 //
 // Observability (all through the process-wide registry; names documented
 // in docs/SERVICE.md): counters service.requests.{submitted,completed,
@@ -89,7 +93,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -107,24 +110,24 @@ namespace tridsolve::service {
 
 /// Service-wide knobs (fixed at construction). Units are stated per
 /// field; docs/SERVICE.md is the operator reference for tuning them.
-/// Invalid combinations (max_batch == 0, negative batch_window_us, an
-/// unknown fallback_chain token) are rejected structurally: the service
-/// constructs into a rejecting state where every submit() resolves
-/// immediately with SolveCode::bad_argument and config_error() names the
-/// offending knob — never silent clamping of a nonsensical value.
+/// Invalid combinations (max_batch == 0, a batch_window_us or
+/// breaker.cooldown_us that is negative, not finite or past the steady
+/// clock's range, an unknown fallback_chain token) are rejected
+/// structurally: the service constructs into a rejecting state where
+/// every submit() resolves immediately with SolveCode::bad_argument and
+/// config_error() names the offending knob — never silent clamping of a
+/// nonsensical value.
 struct ServiceConfig {
   /// Coalescing window in wall microseconds, measured from the arrival
   /// of the oldest request in the open batch. Larger windows build
   /// bigger batches (higher throughput, Fig. 12 regime) at the cost of
   /// added p50 latency; 0 dispatches every request as it is seen.
-  /// Negative values are rejected (bad_argument).
+  /// Negative, non-finite or out-of-range values are rejected
+  /// (bad_argument).
   double batch_window_us = 200.0;
   /// Admission cap: at most this many requests ride one launch. Zero is
   /// rejected (bad_argument) — it would make dispatch impossible.
   std::size_t max_batch = 4096;
-  /// Submission queue shards (submit() round-robins across them so
-  /// concurrent clients do not serialize on one mutex). Clamped to >= 1.
-  std::size_t shards = 8;
   /// Solver every batch is dispatched through (the registry plans each
   /// coalesced shape with plan_hybrid).
   gpu::SolverKind solver = gpu::SolverKind::hybrid;
@@ -154,7 +157,8 @@ struct ServiceConfig {
 /// One client request: an owned N-row system plus its SLO.
 struct SolveRequest {
   tridiag::TridiagSystem<double> system;
-  /// Wall-clock budget in microseconds from submit(); 0 = no deadline.
+  /// Wall-clock budget in microseconds from submit(); 0 = no deadline, as
+  /// is a budget past the steady clock's range.
   double deadline_us = 0.0;
   /// Higher priority admits first when a window oversubscribes — and
   /// survives reject_lowest_priority shedding under overload.
@@ -242,12 +246,8 @@ class SolveService {
 
  private:
   struct Pending;
-  struct Shard;
 
   void batcher_main();
-  void drain_shards(std::vector<Pending>& backlog);
-  void expire_overdue(std::vector<Pending>& backlog,
-                      std::chrono::steady_clock::time_point now);
   /// One pipeline per batch: gather, the execute stage the breaker gate
   /// picks, scatter. Bisection halves re-enter here, so an ongoing fault
   /// storm trips the breaker mid-recovery instead of hammering a failing
@@ -255,24 +255,31 @@ class SolveService {
   void dispatch(std::vector<Pending> group);
   void fulfill_unran(Pending& p, tridiag::SolveCode code);
   void shed(Pending& p);
-  /// Evict the lowest-priority queued request strictly below
-  /// `incoming_priority` (newest among ties); all shard locks held in
-  /// index order for the scan. Returns false when no such victim exists.
-  bool evict_lowest_priority(int incoming_priority);
-  /// Evict the queued request with the least deadline headroom whose
-  /// estimated wait already exceeds it (brownout victim search).
-  bool evict_doomed(std::chrono::steady_clock::time_point now);
+  /// The lowest-priority queued request strictly below
+  /// `incoming_priority` (newest among ties), or nullptr. Caller holds mu_.
+  [[nodiscard]] const Pending* lowest_priority_victim(
+      int incoming_priority) const;
+  /// The queued request with the least deadline headroom whose estimated
+  /// wait already exceeds it (brownout victim search), or nullptr. Caller
+  /// holds mu_.
+  [[nodiscard]] const Pending* doomed_victim(
+      std::chrono::steady_clock::time_point now) const;
+  /// Take a victim out of the queue and release its reservation; the
+  /// caller holds mu_ and sheds the returned request after unlocking.
+  Pending evict(const Pending& victim);
 
   ServiceConfig cfg_;
   std::string config_error_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::size_t> queued_{0};
-  std::atomic<bool> accepting_{false};
-  std::atomic<bool> stop_{false};
 
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
+  /// Guards queue_, next_seq_, the lifecycle flags and every change to
+  /// admission_'s bounds; cv_ signals "queue_ non-empty or stop_".
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Pending> queue_;
+  std::uint64_t next_seq_ = 0;
+  bool accepting_ = false;
+  bool stop_ = false;
+
   std::thread batcher_;
   std::mutex lifecycle_mu_;  ///< serializes start()/shutdown()
 

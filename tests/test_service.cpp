@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -69,7 +70,7 @@ TEST(SolveService, InQueueExpiryReturnsDeadlineWithPristineInputs) {
 // A deadline inside a long batch window must shorten the window and get
 // the request *dispatched*, not expired: the window closes a dispatch
 // margin before the deadline precisely so the wake-up lands on the admit
-// path instead of expire_overdue (docs/SERVICE.md § tuning).
+// path instead of the expiry pass (docs/SERVICE.md § tuning).
 TEST(SolveService, DeadlineInsideWindowDispatchesInsteadOfExpiring) {
   service::ServiceConfig cfg;
   cfg.batch_window_us = 10'000'000.0;  // 10 s: deadline must cut it short
@@ -89,9 +90,10 @@ TEST(SolveService, DeadlineInsideWindowDispatchesInsteadOfExpiring) {
   svc.shutdown();
 }
 
-// A lone submit against an idle batcher must wake it: the notify in
-// submit() synchronizes through wake_mu_, so the future resolves without
-// any follow-up traffic (regression: lost-wakeup race).
+// A lone submit against an idle batcher must wake it: submit() pushes
+// under the queue mutex the batcher's wait predicate reads, so the notify
+// cannot slip past the wait and the future resolves without any
+// follow-up traffic (regression: lost-wakeup race).
 TEST(SolveService, LoneSubmitWakesIdleBatcher) {
   service::ServiceConfig cfg;
   cfg.batch_window_us = 0.0;
@@ -103,6 +105,26 @@ TEST(SolveService, LoneSubmitWakesIdleBatcher) {
       << "batcher never woke for a lone submit";
   EXPECT_EQ(fut.get().code, tridiag::SolveCode::ok);
   svc.shutdown();
+}
+
+// A deadline past the steady clock's range is no deadline: the request
+// is served, not expired (converting it to clock ticks used to overflow
+// int64, and the overflowed deadline lay in the past).
+TEST(SolveService, DeadlinePastClockRangeIsNoDeadline) {
+  service::SolveService svc(paused_config());
+  std::vector<std::future<service::SolveResult>> futures;
+  for (const double us : {std::numeric_limits<double>::infinity(), 1e18}) {
+    service::SolveRequest req = request_for(make_system(64, 19));
+    req.deadline_us = us;
+    futures.push_back(svc.submit(std::move(req)));
+  }
+  svc.shutdown();
+  for (auto& f : futures) {
+    const auto r = f.get();
+    EXPECT_EQ(r.code, tridiag::SolveCode::ok);
+    EXPECT_NE(r.batch_id, 0u);
+  }
+  EXPECT_EQ(svc.requests_expired(), 0u);
 }
 
 TEST(SolveService, IncompatibleShapesNeverCoalesce) {

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "service/solve_service.hpp"
 #include "tridiag/batch_status.hpp"
 #include "tridiag/thomas.hpp"
+#include "util/random.hpp"
 #include "workloads/traffic.hpp"
 
 using namespace tridsolve;
@@ -106,16 +111,28 @@ TEST(ServiceValidation, NegativeWindowAndBadAlphaReject) {
   EXPECT_EQ(svc3.submit(request_for(make_system(16, 5))).get().code,
             tridiag::SolveCode::bad_argument);
   svc3.shutdown();
-}
 
-TEST(ServiceValidation, ZeroShardsClampsAndServes) {
-  service::ServiceConfig cfg = paused_config();
-  cfg.shards = 0;  // documented clamp, not a rejection
-  service::SolveService svc(cfg);
-  EXPECT_TRUE(svc.config_error().empty());
-  auto fut = svc.submit(request_for(make_system(32, 5)));
-  svc.shutdown();
-  EXPECT_EQ(fut.get().code, tridiag::SolveCode::ok);
+  // A window or cooldown the steady clock cannot hold (its nanosecond
+  // ticks overflow int64 past ~9.2e15 us) rejects like a negative window.
+  for (const double us :
+       {std::numeric_limits<double>::infinity(), 1e16, std::nan("")}) {
+    service::ServiceConfig window;
+    window.batch_window_us = us;
+    service::SolveService svc_w(window);
+    EXPECT_NE(svc_w.config_error().find("batch_window_us"), std::string::npos)
+        << us;
+    EXPECT_EQ(svc_w.submit(request_for(make_system(16, 6))).get().code,
+              tridiag::SolveCode::bad_argument);
+
+    service::ServiceConfig cooldown;
+    cooldown.breaker.threshold = 1;
+    cooldown.breaker.cooldown_us = us;
+    service::SolveService svc_c(cooldown);
+    EXPECT_NE(svc_c.config_error().find("cooldown_us"), std::string::npos)
+        << us;
+    EXPECT_EQ(svc_c.submit(request_for(make_system(16, 7))).get().code,
+              tridiag::SolveCode::bad_argument);
+  }
 }
 
 TEST(ServiceValidation, ShedPolicyParsingIsStrict) {
@@ -263,6 +280,96 @@ TEST(ServiceOverload, BrownoutShedsDeadlineDoomedUpFront) {
   EXPECT_EQ(f.get().code, tridiag::SolveCode::overloaded);
   EXPECT_EQ(svc.requests_shed(), 1u);
   svc.shutdown();
+}
+
+// --- concurrent submitters --------------------------------------------------
+
+// submit() is documented safe from any thread. Four clients race 400
+// submits (two sizes, three priorities) into a live service bounded at 16
+// queued requests under reject_lowest_priority, while a fifth thread
+// shuts it down after a seeded number of submits. Every future resolves
+// with ok, overloaded (shed) or bad_argument (after shutdown), the
+// tallies match those codes, the bound holds, and every solved x matches
+// a host Thomas solve.
+TEST(ServiceConcurrency, FourSubmittersRaceShedAndShutdown) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 100;
+  util::Xoshiro256 rng(2718);
+  const auto shutdown_after =
+      static_cast<std::size_t>(util::uniform_int(rng, 100, 300));
+
+  std::vector<std::vector<tridiag::TridiagSystem<double>>> systems(kClients);
+  std::vector<std::vector<int>> priorities(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      const std::size_t n = util::uniform_int(rng, 0, 1) == 0 ? 32 : 64;
+      systems[c].push_back(make_system(n, rng()));
+      priorities[c].push_back(static_cast<int>(util::uniform_int(rng, 0, 2)));
+    }
+  }
+
+  service::ServiceConfig cfg;
+  cfg.admission.max_queue = 16;
+  cfg.admission.policy = service::ShedPolicy::reject_lowest_priority;
+  service::SolveService svc(cfg);
+
+  std::vector<std::vector<std::future<service::SolveResult>>> futures(
+      kClients);
+  std::atomic<std::size_t> submitted{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        service::SolveRequest req = request_for(systems[c][i]);
+        req.priority = priorities[c][i];
+        futures[c].push_back(svc.submit(std::move(req)));
+        submitted.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (submitted.load() < shutdown_after) std::this_thread::yield();
+    svc.shutdown();
+  });
+  for (auto& t : threads) t.join();
+
+  std::uint64_t ok = 0;
+  std::uint64_t overloaded = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(futures[c].size(), kPerClient);
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      auto& f = futures[c][i];
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+          << "client " << c << " request " << i;
+      const auto r = f.get();
+      if (r.code == tridiag::SolveCode::overloaded) {
+        ++overloaded;
+        continue;
+      }
+      if (r.code == tridiag::SolveCode::bad_argument) continue;
+      ASSERT_EQ(r.code, tridiag::SolveCode::ok)
+          << "client " << c << " request " << i << ": "
+          << tridiag::solve_code_name(r.code);
+      ++ok;
+      auto& sys = systems[c][i];
+      const std::size_t n = sys.size();
+      std::vector<double> x(n);
+      ASSERT_TRUE(tridiag::thomas_solve<double>(
+                      sys.ref(), tridiag::StridedView<double>(x.data(), n, 1))
+                      .ok());
+      ASSERT_EQ(r.x.size(), n);
+      double scale = 0.0;
+      double err = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        scale = std::max(scale, std::abs(x[k]));
+        err = std::max(err, std::abs(r.x[k] - x[k]));
+      }
+      EXPECT_LE(err, 1e-9 * scale) << "client " << c << " request " << i;
+    }
+  }
+  EXPECT_EQ(overloaded, svc.requests_shed());
+  EXPECT_EQ(ok, svc.requests_completed());
+  EXPECT_LE(svc.peak_queue_depth(), 16u);
 }
 
 // --- resilient dispatch: bisection, quarantine, provenance ------------------

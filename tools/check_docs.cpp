@@ -19,9 +19,7 @@
 // Table schema: `| `--flag ...` | binaries | description |` where the
 // binaries cell is either the word `all` (every checked binary) or a
 // comma-separated list of backticked binary names. Checked binaries are
-// discovered from --bin-dir: bench/bench_* (minus bench_kernels, a
-// google-benchmark binary with its own flag handling) plus
-// examples/quickstart.
+// discovered from --bin-dir: bench/bench_* plus examples/quickstart.
 //
 // Exit code 0 when consistent; 1 with a per-violation diagnostic.
 
@@ -157,7 +155,6 @@ int main(int argc, char** argv) {
   for (const auto& entry : fs::directory_iterator(bench_dir)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("bench_", 0) != 0) continue;
-    if (name == "bench_kernels") continue;  // google-benchmark CLI
     if (!fs::is_regular_file(entry.path()) ||
         (fs::status(entry.path()).permissions() & fs::perms::owner_exec) ==
             fs::perms::none) {
