@@ -5,7 +5,7 @@
 //   exact-serial    1 sim thread, every block instrumented — the
 //                   historical gpusim::launch behavior, the baseline
 //   exact-parallel  all sim threads, every block instrumented
-//   sampled         all sim threads, first/last/stride blocks instrumented
+//   sampled         all sim threads, one block per cost class instrumented
 //   functional      all sim threads, no instrumentation (and, by design,
 //                   no timing — recorded without simulated times)
 //

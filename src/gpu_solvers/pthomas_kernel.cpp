@@ -1,8 +1,11 @@
 #include "gpu_solvers/pthomas_kernel.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
+#include "gpusim/block_classes.hpp"
 #include "gpusim/vector_engine.hpp"
 #include "tridiag/pcr.hpp"
 
@@ -67,6 +70,41 @@ std::size_t grid_for(std::span<const tridiag::SystemRef<T>> systems,
                      int block_threads) {
   return (systems.size() + static_cast<std::size_t>(block_threads) - 1) /
          static_cast<std::size_t>(block_threads);
+}
+
+/// Cost classes of a thread-per-system grid (gpusim/block_classes.hpp),
+/// one table for the forward and the backward launch: per block its live
+/// lane count and, per lane, the system size and every array's row stride
+/// and address (xout's too, when given). Lanes sharing those touch
+/// translated rows of equal shape, so the recorded costs agree.
+template <typename T>
+gpusim::BlockClasses lane_classes(const gpusim::DeviceSpec& dev,
+                                  std::span<const tridiag::SystemRef<T>> systems,
+                                  std::span<const tridiag::StridedView<T>> xout,
+                                  int block_threads) {
+  gpusim::BlockClasses classes(
+      static_cast<std::size_t>(dev.transaction_bytes));
+  const auto view = [&](const tridiag::StridedView<T>& v) {
+    classes.push(v.stride());
+    classes.address(reinterpret_cast<std::uintptr_t>(v.data()));
+  };
+  const auto bt = static_cast<std::size_t>(block_threads);
+  for (std::size_t base = 0; base < systems.size(); base += bt) {
+    const std::size_t end = std::min(systems.size(), base + bt);
+    classes.begin_block();
+    classes.push(static_cast<std::int64_t>(end - base));
+    for (std::size_t l = base; l < end; ++l) {
+      const tridiag::SystemRef<T>& s = systems[l];
+      classes.push(static_cast<std::int64_t>(s.size()));
+      view(s.a);
+      view(s.b);
+      view(s.c);
+      view(s.d);
+      if (!xout.empty()) view(xout[l]);
+    }
+    classes.end_block();
+  }
+  return classes;
 }
 
 /// True when the grid-wide sweep may replace the launch bodies: the engine
@@ -201,6 +239,60 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
   gpusim::detail::note_scratch(acquires, reuses);
 }
 
+/// Backward substitution: x_i = d'_i - c'_i x_{i+1}, walking rows from the
+/// end; round r touches row n-1-r, x_{i+1} carries between rounds.
+/// `classes` is the forward launch's cost-class table, or null to build
+/// one here.
+template <typename T>
+gpusim::LaunchStats backward(const gpusim::DeviceSpec& dev,
+                             std::span<const tridiag::SystemRef<T>> systems,
+                             std::span<const tridiag::StridedView<T>> xout,
+                             int block_threads,
+                             const gpusim::BlockClasses* classes) {
+  const std::size_t grid = grid_for(systems, block_threads);
+  // Functional fast path (see pthomas_solve): one grid-wide vectorized
+  // backward sweep, then an empty-bodied launch for the accounting.
+  if (grid_sweep_applies(systems)) {
+    grid_vector_sweep<T>(systems, xout, /*forward=*/false,
+                         /*fuse_backward=*/false);
+    gpusim::detail::note_vector_blocks(static_cast<double>(grid));
+    return gpusim::launch(dev, {grid, block_threads},
+                          [](gpusim::BlockContext&) {});
+  }
+  std::optional<gpusim::BlockClasses> own;
+  if (classes == nullptr) {
+    classes = &own.emplace(lane_classes(dev, systems, xout, block_threads));
+  }
+  return gpusim::launch(
+      dev, {grid, block_threads, classes->table()},
+      [&](gpusim::BlockContext& ctx) {
+        const BlockLanes<T> blk(ctx, systems, block_threads);
+        const std::span<T> x_next = ctx.lane_buffer<T>(blk.lanes);
+        lockstep(ctx, blk, [&](auto& t, std::size_t r) {
+          const std::size_t lane = static_cast<std::size_t>(t.tid());
+          if (lane >= blk.lanes) return;
+          const tridiag::SystemRef<T>& s = systems[blk.base + lane];
+          const std::size_t n = s.size();
+          if (r >= n) return;
+          const std::size_t i = n - 1 - r;
+          T* const x_at =
+              xout.empty() ? s.d.ptr(i) : xout[blk.base + lane].ptr(i);
+          if (r == 0) {
+            const T x = t.load(s.d.ptr(i));  // x_{n-1} = d'_{n-1}
+            t.store(x_at, x);
+            x_next[lane] = x;
+            return;
+          }
+          const T cp = t.load(s.c.ptr(i));
+          const T dp = t.load(s.d.ptr(i));
+          const T x = dp - cp * x_next[lane];
+          t.template flops<T>(2);
+          t.store(x_at, x);
+          x_next[lane] = x;
+        });
+      });
+}
+
 }  // namespace
 
 template <typename T>
@@ -235,10 +327,13 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
     return stats;
   }
 
+  const gpusim::BlockClasses classes =
+      lane_classes(dev, systems, xout, block_threads);
   // Forward reduction, in place: c <- c', d <- d'. One serialized memory
   // round per row (the loads of row i gate the elimination row i+1 needs).
   stats.forward = gpusim::launch(
-      dev, {grid, block_threads}, [&](gpusim::BlockContext& ctx) {
+      dev, {grid, block_threads, classes.table()},
+      [&](gpusim::BlockContext& ctx) {
         const BlockLanes<T> blk(ctx, systems, block_threads);
         const std::span<T> cp = ctx.lane_buffer<T>(blk.lanes);
         const std::span<T> dp = ctx.lane_buffer<T>(blk.lanes);
@@ -270,7 +365,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
         });
       });
 
-  stats.backward = pthomas_backward(dev, systems, xout, block_threads);
+  stats.backward = backward(dev, systems, xout, block_threads, &classes);
   return stats;
 }
 
@@ -282,45 +377,7 @@ gpusim::LaunchStats pthomas_backward(const gpusim::DeviceSpec& dev,
   if (!xout.empty() && xout.size() != systems.size()) {
     throw std::invalid_argument("pthomas_backward: xout/systems size mismatch");
   }
-  const std::size_t grid = grid_for(systems, block_threads);
-  // Functional fast path (see pthomas_solve): one grid-wide vectorized
-  // backward sweep, then an empty-bodied launch for the accounting.
-  if (grid_sweep_applies(systems)) {
-    grid_vector_sweep<T>(systems, xout, /*forward=*/false,
-                         /*fuse_backward=*/false);
-    gpusim::detail::note_vector_blocks(static_cast<double>(grid));
-    return gpusim::launch(dev, {grid, block_threads},
-                          [](gpusim::BlockContext&) {});
-  }
-  // Backward substitution: x_i = d'_i - c'_i x_{i+1}, walking rows from the
-  // end; round r touches row n-1-r, x_{i+1} carries between rounds.
-  return gpusim::launch(
-      dev, {grid, block_threads}, [&](gpusim::BlockContext& ctx) {
-        const BlockLanes<T> blk(ctx, systems, block_threads);
-        const std::span<T> x_next = ctx.lane_buffer<T>(blk.lanes);
-        lockstep(ctx, blk, [&](auto& t, std::size_t r) {
-          const std::size_t lane = static_cast<std::size_t>(t.tid());
-          if (lane >= blk.lanes) return;
-          const tridiag::SystemRef<T>& s = systems[blk.base + lane];
-          const std::size_t n = s.size();
-          if (r >= n) return;
-          const std::size_t i = n - 1 - r;
-          T* const x_at =
-              xout.empty() ? s.d.ptr(i) : xout[blk.base + lane].ptr(i);
-          if (r == 0) {
-            const T x = t.load(s.d.ptr(i));  // x_{n-1} = d'_{n-1}
-            t.store(x_at, x);
-            x_next[lane] = x;
-            return;
-          }
-          const T cp = t.load(s.c.ptr(i));
-          const T dp = t.load(s.d.ptr(i));
-          const T x = dp - cp * x_next[lane];
-          t.template flops<T>(2);
-          t.store(x_at, x);
-          x_next[lane] = x;
-        });
-      });
+  return backward(dev, systems, xout, block_threads, nullptr);
 }
 
 template PthomasStats pthomas_solve<float>(const gpusim::DeviceSpec&,

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 
+#include "gpusim/block_classes.hpp"
 #include "tridiag/pcr.hpp"
 
 namespace tridsolve::gpu {
@@ -38,6 +40,51 @@ inline void guard_srow_combine(tridiag::SolveStatus& st, const SRow<T>& lo,
       st, tridiag::Row<T>{lo.a, lo.b, lo.c, lo.d},
       tridiag::Row<T>{mid.a, mid.b, mid.c, mid.d},
       tridiag::Row<T>{hi.a, hi.b, hi.c, hi.d}, pos);
+}
+
+/// Cost classes of the launch (gpusim/block_classes.hpp): per block its
+/// window count and, per window, the region length, how far the loaded
+/// rows reach before r0 (the warm-up the system start clips) and from r0
+/// on (the drain the system end clips), and every input and output
+/// array's row stride and address at row r0. Blocks sharing those load
+/// and store translated rows in the same phases; every combine is charged
+/// whether its row is real or identity padding, so values never matter.
+template <typename T>
+gpusim::BlockClasses window_classes(const gpusim::DeviceSpec& dev,
+                                    std::span<const TiledPcrWork<T>> work,
+                                    std::size_t per_block, std::size_t S,
+                                    std::size_t warm, std::size_t halo) {
+  gpusim::BlockClasses classes(
+      static_cast<std::size_t>(dev.transaction_bytes));
+  const auto lead = static_cast<std::int64_t>(warm * S);
+  for (std::size_t first = 0; first < work.size(); first += per_block) {
+    const std::size_t end = std::min(work.size(), first + per_block);
+    classes.begin_block();
+    classes.push(static_cast<std::int64_t>(end - first));
+    for (std::size_t g = first; g < end; ++g) {
+      const TiledPcrWork<T>& w = work[g];
+      const std::size_t len = w.r1 - w.r0;
+      const auto reach =
+          static_cast<std::int64_t>((len + halo + S - 1) / S * S);
+      const auto r0 = static_cast<std::int64_t>(w.r0);
+      const auto n = static_cast<std::int64_t>(w.sys.size());
+      classes.push(static_cast<std::int64_t>(len));
+      classes.push(std::min(r0, lead));
+      classes.push(std::min(n - r0, reach));
+      for (const tridiag::SystemRef<T>* sys : {&w.sys, &w.out}) {
+        for (const tridiag::StridedView<T>* v : {&sys->a, &sys->b, &sys->c,
+                                                 &sys->d}) {
+          classes.push(v->stride());
+          classes.address(reinterpret_cast<std::uintptr_t>(v->data()) +
+                          static_cast<std::uintptr_t>(w.r0) *
+                              static_cast<std::uintptr_t>(v->stride()) *
+                              sizeof(T));
+        }
+      }
+    }
+    classes.end_block();
+  }
+  return classes;
 }
 
 }  // namespace
@@ -104,7 +151,10 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
   stats.redundant_elims_avoided =
       stats.sub_tile_boundaries * tridiag::pcr_redundant_elims(cfg.k);
 
-  stats.launch = gpusim::launch(dev, {grid, threads}, [&](gpusim::BlockContext& ctx) {
+  const gpusim::BlockClasses classes =
+      window_classes(dev, work, G, S, warm, static_cast<std::size_t>(halo));
+  const gpusim::LaunchConfig launch_cfg{grid, threads, classes.table()};
+  stats.launch = gpusim::launch(dev, launch_cfg, [&](gpusim::BlockContext& ctx) {
     // ---- Window state for this block -----------------------------------
     struct Window {
       TiledPcrWork<T> w{};
@@ -252,10 +302,9 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       }
     };
 
-    if (ctx.observed() || guarding) {
+    if (ctx.observed()) {
       // Thread-major barrier phases, as the hardware block runs them: the
-      // order observers record, and the order in which the guard meets
-      // its first offence. Thread tid owns batch rows cc * 2^k + tid.
+      // order observers record. Thread tid owns batch rows cc * 2^k + tid.
       auto per_row = [&](std::size_t iter, auto&& body) {
         ctx.phase([&](gpusim::ThreadCtx& t) {
           for (Window& wd : win) {
@@ -295,24 +344,30 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       }
     } else {
       // Nothing observes this block and its windows share no data: run
-      // each window to completion, batch rows index-ascending. That is the
-      // same set of (cc, tid) work items, and each fused recurrence still
-      // meets its rows in ascending order, so outputs and tallies match
+      // each window to completion. Batch rows go in the phased order,
+      // thread-major and sub-tile-minor, so each fused recurrence meets
+      // its rows in ascending order and the guard meets its first offence
+      // where an observed block does: outputs, tallies and statuses match
       // the phased order bit for bit.
       gpusim::RawThread t;
+      auto per_row = [&](auto&& body) {
+        for (std::size_t tid = 0; tid < tcount; ++tid) {
+          for (std::size_t cc = 0; cc < cfg.c; ++cc) body(cc * tcount + tid);
+        }
+      };
       for (Window& wd : win) {
         for (unsigned j = 0; j < cfg.k; ++j) {
           for (SRow<T>& row : wd.tails[j]) init_tail(t, row);
         }
         for (std::size_t iter = 0; iter < wd.iters; ++iter) {
-          for (std::size_t idx = 0; idx < S; ++idx) load(t, wd, idx);
+          per_row([&](std::size_t idx) { load(t, wd, idx); });
           for (unsigned j = 1; j <= cfg.k; ++j) {
-            for (std::size_t idx = 0; idx < S; ++idx) combine(t, wd, j, idx);
+            per_row([&](std::size_t idx) { combine(t, wd, j, idx); });
             for (std::size_t r = 0; r < std::size_t{2} << (j - 1); ++r) {
               save_tail(t, wd, j, r);
             }
           }
-          for (std::size_t idx = 0; idx < S; ++idx) store(t, wd, idx);
+          per_row([&](std::size_t idx) { store(t, wd, idx); });
           wd.P += static_cast<std::ptrdiff_t>(S);
         }
       }

@@ -20,7 +20,8 @@
 // owned by the executing worker thread, so back-to-back blocks (and
 // launches) reuse warm buffers instead of allocating. A block constructed
 // with record=false executes functionally but skips all cost recording —
-// the sampled/functional_only fast paths of the execution engine. When
+// every block but each cost class's lowest in sampled mode, and every
+// block in functional_only. When
 // nothing observes a block (see observed()), a kernel may run the same
 // phase bodies on RawThread, a plain-memory stand-in for ThreadCtx, in a
 // loop order of its own choosing instead of through phase().

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -67,43 +68,66 @@ HazardMode parse_hazard_mode(std::string_view name) {
 
 namespace {
 
-/// Deterministic choice of which blocks record instrumentation, and which
-/// recorded block stands in for each non-recorded one at reduction time.
-/// Sampled plan: blocks {0, stride, 2*stride, ...} plus the last block
-/// (always instrumented exactly — it may be the ragged tail of a batch).
-struct SamplePlan {
+/// Which blocks record, and whose recorded shard stands in for each block
+/// at reduction. exact: every block records into its own shard. sampled:
+/// the lowest block of each cost class records into the class's shard and
+/// every other block runs unrecorded; a launch without a class table is
+/// one class per block. functional_only: nothing records.
+struct RecordPlan {
   static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
 
   InstrumentMode mode = InstrumentMode::exact;
-  std::size_t grid = 0;
-  std::size_t stride = 1;
-  std::size_t strided = 0;   ///< number of on-stride sampled blocks
-  bool tail_extra = false;   ///< grid-1 off-stride, owns an extra slot
-  std::size_t num_slots = 0; ///< recorded blocks (== shard count)
+  std::span<const std::uint32_t> cls;   ///< class of each block (may be empty)
+  std::span<const std::size_t> lowest;  ///< lowest block of each class
+  std::size_t classes = 0;              ///< classes that own a block
+  std::size_t num_slots = 0;            ///< shard count
 
-  static SamplePlan make(InstrumentMode mode, std::size_t grid,
-                         std::size_t sample_target) {
-    SamplePlan p;
-    p.mode = mode;
-    p.grid = grid;
-    if (grid == 0) return p;
-    switch (mode) {
+  /// Validates the launch's class table and finds each class's lowest
+  /// block into `lowest_buf` (reused across launches).
+  static RecordPlan make(const detail::LaunchRequest& req,
+                         std::vector<std::size_t>& lowest_buf) {
+    if (!req.block_class.empty() &&
+        req.block_class.size() != req.grid_blocks) {
+      throw std::invalid_argument(
+          "launch: block_class must hold one class id per block");
+    }
+    RecordPlan p;
+    p.mode = req.mode;
+    p.cls = req.block_class;
+    lowest_buf.clear();
+    for (std::size_t b = 0; b < p.cls.size(); ++b) {
+      const std::size_t c = p.cls[b];
+      if (c >= req.grid_blocks) {
+        throw std::invalid_argument("launch: block class id out of range");
+      }
+      if (c >= lowest_buf.size()) lowest_buf.resize(c + 1, npos);
+      if (lowest_buf[c] == npos) {
+        lowest_buf[c] = b;
+        ++p.classes;
+      }
+    }
+    p.lowest = lowest_buf;
+    if (p.cls.empty()) p.classes = req.grid_blocks;
+    switch (p.mode) {
       case InstrumentMode::exact:
-        p.stride = 1;
-        p.strided = grid;
-        p.num_slots = grid;
+        p.num_slots = req.grid_blocks;
         break;
       case InstrumentMode::sampled:
-        p.stride = std::max<std::size_t>(
-            1, grid / std::max<std::size_t>(1, sample_target));
-        p.strided = (grid - 1) / p.stride + 1;
-        p.tail_extra = (grid - 1) % p.stride != 0;
-        p.num_slots = p.strided + (p.tail_extra ? 1 : 0);
+        p.num_slots = p.cls.empty() ? req.grid_blocks : lowest_buf.size();
         break;
       case InstrumentMode::functional_only:
         break;
     }
     return p;
+  }
+
+  [[nodiscard]] std::size_t class_of(std::size_t b) const noexcept {
+    return cls.empty() ? b : cls[b];
+  }
+
+  /// Lowest block of block `b`'s class.
+  [[nodiscard]] std::size_t lowest_of(std::size_t b) const noexcept {
+    return cls.empty() ? b : lowest[cls[b]];
   }
 
   /// Shard index block `b` records into; npos = execute without recording.
@@ -112,26 +136,16 @@ struct SamplePlan {
       case InstrumentMode::exact:
         return b;
       case InstrumentMode::sampled:
-        if (b + 1 == grid) return tail_extra ? strided : b / stride;
-        return b % stride == 0 ? b / stride : npos;
+        return lowest_of(b) == b ? class_of(b) : npos;
       case InstrumentMode::functional_only:
         return npos;
     }
     return npos;
   }
 
-  /// Shard whose costs stand in for block `b` when scaling to the grid.
-  [[nodiscard]] std::size_t representative_slot(std::size_t b) const noexcept {
-    if (mode == InstrumentMode::exact) return b;
-    if (b + 1 == grid) return tail_extra ? strided : b / stride;
-    return b / stride;
-  }
-
-  /// Block id whose *exact* shard the sampling estimator would use for
-  /// block `b` (exact-mode self-check).
-  [[nodiscard]] std::size_t representative_block(std::size_t b) const noexcept {
-    if (b + 1 == grid) return b;
-    return (b / stride) * stride;
+  /// Shard whose costs stand in for block `b` when reducing the grid.
+  [[nodiscard]] std::size_t shard_of(std::size_t b) const noexcept {
+    return mode == InstrumentMode::exact ? b : class_of(b);
   }
 };
 
@@ -166,10 +180,9 @@ struct ExecutionEngine::Impl {
   // --- configuration (guarded by cfg_mu) ---
   mutable std::mutex cfg_mu;
   std::size_t threads = default_sim_threads();
-  InstrumentMode default_mode = InstrumentMode::exact;
+  InstrumentMode default_mode = InstrumentMode::sampled;
   HazardMode default_hazards = HazardMode::off;
   bool vector_enabled = true;
-  std::size_t sample_target = 16;
   FaultPlan fault_plan;
   std::uint64_t fault_launch_counter = 0;  ///< launches since plan install
   double default_deadline_us = 0.0;        ///< 0 = unlimited
@@ -207,8 +220,9 @@ struct ExecutionEngine::Impl {
   // --- current job (written before the generation bump, read-only while
   // workers run; slots shards are disjoint per block) ---
   const detail::LaunchRequest* job = nullptr;
-  const SamplePlan* plan = nullptr;
+  const RecordPlan* plan = nullptr;
   std::vector<KernelCosts> slots;  // reused: assign() keeps capacity
+  std::vector<std::size_t> class_lowest;  // RecordPlan::lowest storage
   std::size_t participants = 1;
   std::size_t chunk = 1;
   std::atomic<std::size_t> next_block{0};
@@ -256,7 +270,7 @@ struct ExecutionEngine::Impl {
       HazardTracker* hz =
           hazards_active ? trackers[scratch_idx].get() : nullptr;
       const detail::LaunchRequest& req = *job;
-      const SamplePlan& pl = *plan;
+      const RecordPlan& pl = *plan;
       for (;;) {
         if (abort.load(std::memory_order_relaxed)) return;
         const std::size_t begin =
@@ -265,7 +279,7 @@ struct ExecutionEngine::Impl {
         const std::size_t end = std::min(begin + chunk, req.grid_blocks);
         for (std::size_t b = begin; b < end; ++b) {
           const std::size_t slot = pl.slot_of(b);
-          const bool record = slot != SamplePlan::npos;
+          const bool record = slot != RecordPlan::npos;
           std::optional<FaultSession> fs;
           if (faults_active) {
             fs.emplace(job_fault_plan, job_fault_launch, b,
@@ -351,11 +365,6 @@ bool ExecutionEngine::functional_fast_path() const noexcept {
   return impl_->default_mode == InstrumentMode::functional_only &&
          impl_->default_hazards == HazardMode::off &&
          !impl_->fault_plan.active() && impl_->vector_enabled;
-}
-
-std::size_t ExecutionEngine::sample_target() const noexcept {
-  const std::lock_guard<std::mutex> lk(impl_->cfg_mu);
-  return impl_->sample_target;
 }
 
 FaultPlan ExecutionEngine::fault_plan() const noexcept {
@@ -448,8 +457,7 @@ LaunchOutcome execute_grid(const LaunchRequest& req) {
   ExecutionEngine::Impl& im = *engine.impl_;
   const std::lock_guard<std::mutex> launch_lock(im.launch_mu);
 
-  const SamplePlan plan =
-      SamplePlan::make(req.mode, req.grid_blocks, engine.sample_target());
+  const RecordPlan plan = RecordPlan::make(req, im.class_lowest);
   im.slots.assign(plan.num_slots, KernelCosts{});
   im.job = &req;
   im.plan = &plan;
@@ -570,26 +578,27 @@ LaunchOutcome execute_grid(const LaunchRequest& req) {
   // Deterministic reduction: merge per-block shards in block order. All
   // floating-point shard entries are sums of exactly-representable small
   // values, so the result is independent of worker count and identical to
-  // the historical serial accumulation.
+  // the historical serial accumulation; in sampled mode each block merges
+  // its class's shard, which is the exact record whenever the class table
+  // is right.
   for (std::size_t b = 0; b < req.grid_blocks; ++b) {
-    out.costs.merge(im.slots[plan.representative_slot(b)]);
+    out.costs.merge(im.slots[plan.shard_of(b)]);
   }
-  out.instrumented_blocks = plan.num_slots;
+  out.instrumented_blocks =
+      req.mode == InstrumentMode::exact ? req.grid_blocks : plan.classes;
 
-  // Exact mode doubles as the sampling estimator's ground-truth check:
-  // with every block's shard on hand, compute what `sampled` would have
-  // reported and verify it matches bit-for-bit.
-  if (req.mode == InstrumentMode::exact && req.grid_blocks > 1) {
+  // Exact mode verifies the launch's class table: with every block's
+  // shard on hand, compute what `sampled` would have reported and check
+  // that it matches the full record bit for bit.
+  if (req.mode == InstrumentMode::exact && !req.block_class.empty()) {
     static auto checks = obs::counter_handle("gpusim.sampling.checks");
     static auto mismatches = obs::counter_handle("gpusim.sampling.mismatches");
-    const SamplePlan probe = SamplePlan::make(
-        InstrumentMode::sampled, req.grid_blocks, engine.sample_target());
-    KernelCosts estimate;
+    KernelCosts scaled;
     for (std::size_t b = 0; b < req.grid_blocks; ++b) {
-      estimate.merge(im.slots[probe.representative_block(b)]);
+      scaled.merge(im.slots[plan.lowest_of(b)]);
     }
     checks.add();
-    if (!costs_equal(estimate, out.costs)) mismatches.add();
+    if (!costs_equal(scaled, out.costs)) mismatches.add();
   }
   return out;
 }

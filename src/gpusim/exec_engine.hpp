@@ -12,20 +12,22 @@
 // association of the same per-block sums is bit-identical.
 //
 // Instrumentation level (InstrumentMode) is the engine default each launch
-// reads (--instrument / ScopedInstrumentMode):
-//   exact           every block records; per-launch self-check verifies
-//                   the sampling estimator against ground truth
-//   sampled         only a deterministic subset of blocks (first, last,
-//                   stride sample) records; recorded costs are scaled to
-//                   the full grid via representative blocks. Valid for
-//                   block-homogeneous kernels (all batched solvers here);
-//                   outputs remain bit-exact because *all* blocks still
-//                   execute functionally.
+// reads (--instrument / ScopedInstrumentMode; `sampled` unless set):
+//   exact           every block records; the per-launch self-check counts
+//                   the launches whose declared cost classes disagree
+//                   with the full record (gpusim.sampling.mismatches)
+//   sampled         the lowest block of each cost class records, and its
+//                   costs stand in for every block of the class, merged
+//                   in block order; every other block runs unrecorded.
+//                   Costs and timing are bit-identical to exact whenever
+//                   the kernel's class table is (block_classes.hpp); a
+//                   launch that declares no classes records every block.
 //   functional_only no recording at all; the launch refuses to report
 //                   timing (LaunchStats.timed == false).
 // Blocks that record nothing, with no hazard tracker or fault session
 // attached, run the kernels' phase bodies on RawThread (block_context.hpp)
-// — the same bodies as recorded blocks, with no-op cost calls.
+// — the same bodies as recorded blocks, with no-op cost calls. Hazard
+// checks and fault plans keep every block observed in every mode.
 //
 // Thread count comes from --sim-threads / TRIDSOLVE_SIM_THREADS (default
 // hardware_concurrency); the main thread always participates, so 1 means
@@ -49,6 +51,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -64,7 +67,7 @@ namespace tridsolve::gpusim {
 
 enum class InstrumentMode {
   exact,            ///< every block records (ground truth + self-check)
-  sampled,          ///< deterministic block subset records, scaled to grid
+  sampled,          ///< one block per cost class records (the default)
   functional_only,  ///< no recording; timing unavailable
 };
 
@@ -96,6 +99,7 @@ struct LaunchRequest {
   const DeviceSpec* dev = nullptr;
   std::size_t grid_blocks = 0;
   int block_threads = 0;
+  std::span<const std::uint32_t> block_class;  ///< LaunchConfig::block_class
   InstrumentMode mode = InstrumentMode::exact;
   HazardMode hazards = HazardMode::off;
   BlockBody body = nullptr;
@@ -168,10 +172,6 @@ class ExecutionEngine {
   /// the launch accounting identical). Kernel-side conditions (no guard
   /// spans, equal per-array row strides) are the caller's to check.
   [[nodiscard]] bool functional_fast_path() const noexcept;
-
-  /// Approximate number of blocks the sampled mode instruments per launch
-  /// (first/last/stride plan; small grids degenerate to exact coverage).
-  [[nodiscard]] std::size_t sample_target() const noexcept;
 
   /// Fault-injection plan applied to every launch (snapshot). A default
   /// (inactive) plan means zero-overhead execution.

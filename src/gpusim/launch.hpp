@@ -1,11 +1,13 @@
 #pragma once
 // Kernel launch front-end: validates the configuration, hands the grid to
-// the execution engine (parallel blocks, pooled scratch, instrumentation
-// sampling — see exec_engine.hpp), and prices the launch with the timing
-// model.
+// the execution engine (parallel blocks, pooled scratch, one recorded block
+// per cost class — see exec_engine.hpp), and prices the launch with the
+// timing model.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -27,6 +29,12 @@ namespace tridsolve::gpusim {
 struct LaunchConfig {
   std::size_t grid_blocks = 1;
   int block_threads = 1;
+  /// Cost class of each block (one dense id per block, see
+  /// block_classes.hpp): blocks of one class record identical costs, so
+  /// sampled mode records only the lowest block of each. Empty means one
+  /// class per block. Read during the launch only; LaunchStats::config
+  /// does not keep it.
+  std::span<const std::uint32_t> block_class{};
 };
 
 /// Result of one simulated launch.
@@ -38,8 +46,9 @@ struct LaunchStats {
   /// costs were recorded, so the timing fields are meaningless and
   /// Timeline refuses to total them.
   bool timed = true;
-  /// Blocks that recorded instrumentation (grid size in exact mode, the
-  /// sample size in sampled mode, 0 in functional_only).
+  /// Blocks that recorded instrumentation: the grid size in exact mode,
+  /// one per cost class in sampled mode (the grid size when the launch
+  /// declared no classes), 0 in functional_only.
   std::size_t instrumented_blocks = 0;
   /// Shared-memory hazard findings (all zero when detection was off —
   /// `hazards.tracked` distinguishes "clean" from "not checked").
@@ -69,6 +78,7 @@ LaunchStats launch(const DeviceSpec& dev, LaunchConfig cfg, KernelFn&& body) {
   req.dev = &dev;
   req.grid_blocks = cfg.grid_blocks;
   req.block_threads = cfg.block_threads;
+  req.block_class = cfg.block_class;
   req.mode = mode;
   req.hazards = hazards;
   req.user = const_cast<void*>(static_cast<const void*>(std::addressof(body)));
@@ -90,6 +100,7 @@ LaunchStats launch(const DeviceSpec& dev, LaunchConfig cfg, KernelFn&& body) {
 
   LaunchStats stats;
   stats.config = cfg;
+  stats.config.block_class = {};
   stats.costs = outcome.costs;
   stats.instrumented_blocks = outcome.instrumented_blocks;
   stats.hazards = outcome.hazards;

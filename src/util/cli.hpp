@@ -50,7 +50,7 @@ class Cli {
 ///   --format {ascii,csv,json}  table output format
 ///   --csv                 legacy alias for --format csv
 ///   --sim-threads N       simulator worker threads (0 = default)
-///   --instrument MODE     exact | sampled | functional_only
+///   --instrument MODE     exact | sampled (default) | functional_only
 ///   --vector {on,off}     grid-wide vectorized p-Thomas sweep of functional
 ///                         solves (default on; off = per-block kernel bodies)
 ///   --check-hazards [MODE] shared-memory hazard detection: detect | fatal

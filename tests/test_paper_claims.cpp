@@ -6,8 +6,9 @@
 //
 // Each row runs run_solver in exact instrument mode on a random
 // diagonally dominant batch (seed 2011) in the layout the hybrid wants
-// for its shape (gpu::preferred_layout). Unsupported rows pin the
-// in-shared solvers' size cap.
+// for its shape (gpu::preferred_layout), then again in sampled mode,
+// which records one block per cost class and must reproduce every row.
+// Unsupported rows pin the in-shared solvers' size cap.
 //
 // To re-record after a deliberate cost-model change, print each row's
 // outcome with "%.17g" (which round-trips a double) and explain the move
@@ -76,19 +77,24 @@ constexpr GoldenRow kGolden[] = {
 
 TEST(PaperClaims, GoldenSimulatedCostsEveryKind) {
   gp::PlanCache::instance().clear();  // plans come from the heuristic
-  gp::SolverRunOptions opts;
-  opts.instrument = gs::InstrumentMode::exact;
-  for (const GoldenRow& row : kGolden) {
-    SCOPED_TRACE(std::string(gp::solver_name(row.kind)) +
-                 " M=" + std::to_string(row.m) + " N=" + std::to_string(row.n));
-    const auto batch = wl::make_batch<double>(
-        wl::Kind::random_dominant, row.m, row.n,
-        gp::preferred_layout(row.m, row.n), /*seed=*/2011);
-    const gp::SolveOutcome out =
-        gp::run_solver<double>(row.kind, gs::gtx480(), batch, opts);
-    EXPECT_EQ(out.supported, row.supported);
-    EXPECT_EQ(out.time_us, row.time_us);
-    EXPECT_EQ(out.launches, row.launches);
-    EXPECT_EQ(out.k, row.k);
+  for (const auto mode :
+       {gs::InstrumentMode::exact, gs::InstrumentMode::sampled}) {
+    gp::SolverRunOptions opts;
+    opts.instrument = mode;
+    for (const GoldenRow& row : kGolden) {
+      SCOPED_TRACE(std::string(gp::solver_name(row.kind)) +
+                   " M=" + std::to_string(row.m) +
+                   " N=" + std::to_string(row.n) + " " +
+                   gs::instrument_mode_name(mode));
+      const auto batch = wl::make_batch<double>(
+          wl::Kind::random_dominant, row.m, row.n,
+          gp::preferred_layout(row.m, row.n), /*seed=*/2011);
+      const gp::SolveOutcome out =
+          gp::run_solver<double>(row.kind, gs::gtx480(), batch, opts);
+      EXPECT_EQ(out.supported, row.supported);
+      EXPECT_EQ(out.time_us, row.time_us);
+      EXPECT_EQ(out.launches, row.launches);
+      EXPECT_EQ(out.k, row.k);
+    }
   }
 }

@@ -11,14 +11,18 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu_solvers/registry.hpp"
+#include "gpusim/block_classes.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/exec_engine.hpp"
 #include "gpusim/launch.hpp"
@@ -66,16 +70,21 @@ void expect_stats_identical(const gs::LaunchStats& a, const gs::LaunchStats& b,
       << what;
 }
 
-/// A block-homogeneous synthetic kernel: every block streams its own tile
-/// through shared memory with identical arithmetic — the shape the
-/// sampling estimator is specified for.
+/// A synthetic streaming kernel: every block streams its own tile of
+/// `data` through shared memory with identical arithmetic, and threads
+/// past the end of `data` idle, so full blocks cost the same and a ragged
+/// last block less. `classes` is the launch's cost-class table (empty:
+/// one class per block).
 gs::LaunchStats run_stream_kernel(const gs::DeviceSpec& dev,
                                   std::vector<double>& data, std::size_t grid,
-                                  int threads, gs::InstrumentMode mode) {
+                                  int threads, gs::InstrumentMode mode,
+                                  std::span<const std::uint32_t> classes = {}) {
   const gs::ScopedInstrumentMode scoped(mode);
   gs::LaunchConfig cfg;
   cfg.grid_blocks = grid;
   cfg.block_threads = threads;
+  cfg.block_class = classes;
+  const std::size_t n = data.size();
   return gs::launch(dev, cfg, [&](gs::BlockContext& ctx) {
     auto tile =
         ctx.shared<double>(static_cast<std::size_t>(ctx.block_threads()));
@@ -83,6 +92,7 @@ gs::LaunchStats run_stream_kernel(const gs::DeviceSpec& dev,
       const std::size_t i =
           ctx.block_id() * static_cast<std::size_t>(ctx.block_threads()) +
           static_cast<std::size_t>(t.tid());
+      if (i >= n) return;
       const double v = t.load(&data[i]);
       t.sstore(&tile[t.tid()], v);
       t.flops<double>(2);
@@ -92,6 +102,7 @@ gs::LaunchStats run_stream_kernel(const gs::DeviceSpec& dev,
       const std::size_t i =
           ctx.block_id() * static_cast<std::size_t>(ctx.block_threads()) +
           static_cast<std::size_t>(t.tid());
+      if (i >= n) return;
       const double v = t.sload(&tile[t.tid()]);
       t.divs<double>(1);
       t.store(&data[i], 2.0 * v + 1.0);
@@ -194,39 +205,48 @@ TEST(ExecutionEngine, ParallelExactMatchesSerialExact) {
   EXPECT_EQ(data, serial_out);
 }
 
-TEST(ExecutionEngine, SampledMatchesExactOnHomogeneousKernel) {
+// Sampled mode records the lowest block of each declared cost class and
+// charges its costs to the whole class: 99 full tiles are one class, the
+// ragged tail another, so two blocks record, and the costs, the predicted
+// timing and the outputs match the exact run bit for bit at 1 and 8 sim
+// threads.
+TEST(ExecutionEngine, SampledRecordsOneBlockPerDeclaredClass) {
   const auto dev = gs::gtx480();
   const std::size_t grid = 100;
   const int threads = 64;
-  const auto init = make_data(grid * static_cast<std::size_t>(threads));
+  const auto init =
+      make_data((grid - 1) * static_cast<std::size_t>(threads) + 5);
+  std::vector<std::uint32_t> classes(grid, 0);
+  classes.back() = 1;
 
   auto data = init;
   gs::LaunchStats exact;
   {
     gs::ScopedSimThreads guard(1);
     exact = run_stream_kernel(dev, data, grid, threads,
-                              gs::InstrumentMode::exact);
+                              gs::InstrumentMode::exact, classes);
   }
+  EXPECT_EQ(exact.instrumented_blocks, grid);
   const auto exact_out = data;
 
-  std::copy(init.begin(), init.end(), data.begin());
-  gs::LaunchStats sampled;
-  {
-    gs::ScopedSimThreads guard(8);
-    sampled = run_stream_kernel(dev, data, grid, threads,
-                                gs::InstrumentMode::sampled);
+  for (const std::size_t sim_threads : {1u, 8u}) {
+    const std::string what =
+        "exact vs sampled at " + std::to_string(sim_threads) + " sim threads";
+    std::copy(init.begin(), init.end(), data.begin());
+    gs::ScopedSimThreads guard(sim_threads);
+    const auto sampled = run_stream_kernel(
+        dev, data, grid, threads, gs::InstrumentMode::sampled, classes);
+    EXPECT_EQ(sampled.instrumented_blocks, 2u) << what;
+    expect_stats_identical(exact, sampled, what);
+    EXPECT_EQ(data, exact_out) << what;
   }
-  // The sample is a strict subset of the grid, yet the scaled costs, the
-  // predicted timing and the functional outputs are all bit-identical.
-  EXPECT_LT(sampled.instrumented_blocks, grid);
-  EXPECT_GE(sampled.instrumented_blocks, 2u);
-  expect_stats_identical(exact, sampled, "exact vs sampled");
-  EXPECT_EQ(data, exact_out);
 }
 
-TEST(ExecutionEngine, SampledCoversSmallGridsExactly) {
+// A launch that declares no classes is one class per block: sampled mode
+// then records every block, exactly as exact mode does.
+TEST(ExecutionEngine, SampledWithoutClassTableRecordsEveryBlock) {
   const auto dev = gs::gtx480();
-  const std::size_t grid = 8;  // below the sample target: every block records
+  const std::size_t grid = 100;
   const int threads = 32;
   const auto init = make_data(grid * static_cast<std::size_t>(threads));
 
@@ -234,12 +254,78 @@ TEST(ExecutionEngine, SampledCoversSmallGridsExactly) {
   const auto exact = run_stream_kernel(dev, data, grid, threads,
                                        gs::InstrumentMode::exact);
   const auto exact_out = data;
-  std::copy(init.begin(), init.end(), data.begin());
-  const auto sampled = run_stream_kernel(dev, data, grid, threads,
-                                         gs::InstrumentMode::sampled);
-  EXPECT_EQ(sampled.instrumented_blocks, grid);
-  expect_stats_identical(exact, sampled, "small-grid sampled");
-  EXPECT_EQ(data, exact_out);
+  for (const std::size_t sim_threads : {1u, 8u}) {
+    const std::string what =
+        "no table at " + std::to_string(sim_threads) + " sim threads";
+    std::copy(init.begin(), init.end(), data.begin());
+    gs::ScopedSimThreads guard(sim_threads);
+    const auto sampled = run_stream_kernel(dev, data, grid, threads,
+                                           gs::InstrumentMode::sampled);
+    EXPECT_EQ(sampled.instrumented_blocks, grid) << what;
+    expect_stats_identical(exact, sampled, what);
+    EXPECT_EQ(data, exact_out) << what;
+  }
+}
+
+// Exact mode verifies every declared table: a kernel that puts its
+// ragged tail block in the full blocks' class is counted as a mismatch,
+// and the correct table is not.
+TEST(ExecutionEngine, ExactSelfCheckCountsMisdeclaredClasses) {
+  const auto dev = gs::gtx480();
+  const std::size_t grid = 10;
+  const int threads = 64;
+  auto data = make_data((grid - 1) * static_cast<std::size_t>(threads) + 5);
+  auto& reg = obs::MetricsRegistry::instance();
+  const auto run_exact = [&](std::span<const std::uint32_t> classes) {
+    const double checks = reg.counter("gpusim.sampling.checks");
+    const double mismatches = reg.counter("gpusim.sampling.mismatches");
+    (void)run_stream_kernel(dev, data, grid, threads,
+                            gs::InstrumentMode::exact, classes);
+    return std::pair{reg.counter("gpusim.sampling.checks") - checks,
+                     reg.counter("gpusim.sampling.mismatches") - mismatches};
+  };
+
+  const std::vector<std::uint32_t> one_class(grid, 0);
+  EXPECT_EQ(run_exact(one_class), std::pair(1.0, 1.0));
+  std::vector<std::uint32_t> right = one_class;
+  right.back() = 1;
+  EXPECT_EQ(run_exact(right), std::pair(1.0, 0.0));
+  EXPECT_EQ(run_exact({}), std::pair(0.0, 0.0)) << "no table, nothing to check";
+}
+
+TEST(ExecutionEngine, RejectsMalformedClassTables) {
+  const auto dev = gs::gtx480();
+  auto data = make_data(4 * 32);
+  const std::vector<std::uint32_t> too_short(3, 0);
+  EXPECT_THROW((void)run_stream_kernel(dev, data, 4, 32,
+                                       gs::InstrumentMode::sampled, too_short),
+               std::invalid_argument);
+  const std::vector<std::uint32_t> out_of_range = {0, 1, 2, 4};
+  EXPECT_THROW((void)run_stream_kernel(dev, data, 4, 32,
+                                       gs::InstrumentMode::sampled,
+                                       out_of_range),
+               std::invalid_argument);
+}
+
+// BlockClasses: blocks join a class only on an identical
+// signature, and addresses count as offsets from the block's first one
+// plus that address modulo the transaction size.
+TEST(BlockClasses, GroupsBlocksByFullSignature) {
+  gs::BlockClasses classes(128);
+  const auto block = [&](std::uintptr_t base, std::int64_t rows) {
+    classes.begin_block();
+    classes.push(rows);
+    classes.address(base);
+    classes.address(base + 4096);
+    classes.end_block();
+  };
+  block(1024, 7);         // class 0
+  block(1024 + 512, 7);   // translated by whole transactions: class 0
+  block(1024 + 8, 7);     // other residue: class 1
+  block(1024 + 256, 6);   // other row count: class 2
+  block(1024 + 136, 7);   // residue 8 again: class 1
+  const std::vector<std::uint32_t> want = {0, 0, 1, 2, 1};
+  EXPECT_TRUE(std::ranges::equal(classes.table(), want));
 }
 
 TEST(ExecutionEngine, FunctionalOnlyComputesButRefusesTiming) {
@@ -286,9 +372,8 @@ TEST(ExecutionEngine, FunctionalOnlyRegistryRunsReportUnsupported) {
 
 TEST(ExecutionEngine, RegistryDeterministicAcrossThreadsAndSampling) {
   const auto dev = gs::gtx480();
-  // n = 512 keeps every solver in its block-homogeneous regime (Davidson's
-  // heterogeneous final kernel only appears past n = 1536); m = 64 avoids
-  // the hybrid's split-system variant (taken when m < 2 * num_sms).
+  // Split-system shapes and Davidson's heterogeneous final kernel are
+  // covered by VectorEngine.RegistryWideBitIdentityVectorOnVsOff.
   const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 64, 512,
                                             td::Layout::contiguous, 11);
 
@@ -372,8 +457,8 @@ TEST(ExecutionEngine, ExactModeSelfCheckPassesOverRegistry) {
         << gp::solver_name(kind) << ": " << outcome.detail;
   }
 
-  // Every exact launch replayed the sampling estimator against ground
-  // truth; on these block-homogeneous kernels it must never disagree.
+  // Every exact launch that declared cost classes checked them against
+  // its full record; none may disagree.
   EXPECT_GT(reg.counter("gpusim.sampling.checks"), checks_before);
   EXPECT_EQ(reg.counter("gpusim.sampling.mismatches"), mismatches_before);
 }

@@ -1,9 +1,9 @@
 // Vectorized functional fast path: registry-wide bit-identity of the
 // grid-wide sweep against the per-block kernel bodies, and of functional
 // and sampled runs (kernel bodies on RawThread) against exact runs (on
-// ThreadCtx), guard statuses included; the fallback rules (guards /
-// faults / hazards keep the sweep off), pooled-scratch steady state
-// (zero allocations once warm), and the LanePool itself.
+// ThreadCtx), guard statuses and sampled costs included; the fallback
+// rules (guards / faults / hazards keep the sweep off), pooled-scratch
+// steady state (zero allocations once warm), and the LanePool itself.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "gpu_solvers/hybrid_solver.hpp"
 #include "gpu_solvers/registry.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/exec_engine.hpp"
@@ -84,24 +85,56 @@ void expect_same_status(const td::BatchStatus& want, const td::BatchStatus& got,
   }
 }
 
+/// Launch by launch: labels, recorded costs and simulated time.
+void expect_same_timeline(const gs::Timeline& want, const gs::Timeline& got,
+                          const std::string& what) {
+  ASSERT_EQ(want.segments().size(), got.segments().size()) << what;
+  for (std::size_t i = 0; i < want.segments().size(); ++i) {
+    const auto& w = want.segments()[i];
+    const auto& g = got.segments()[i];
+    const std::string at = what + " launch " + w.label;
+    EXPECT_EQ(w.label, g.label) << at;
+    const gs::KernelCosts& a = w.stats.costs;
+    const gs::KernelCosts& b = g.stats.costs;
+    EXPECT_EQ(a.ops_f32, b.ops_f32) << at;
+    EXPECT_EQ(a.ops_f64, b.ops_f64) << at;
+    EXPECT_EQ(a.transactions, b.transactions) << at;
+    EXPECT_EQ(a.bytes_requested, b.bytes_requested) << at;
+    EXPECT_EQ(a.loads, b.loads) << at;
+    EXPECT_EQ(a.stores, b.stores) << at;
+    EXPECT_EQ(a.rounds_total, b.rounds_total) << at;
+    EXPECT_EQ(a.warps, b.warps) << at;
+    EXPECT_EQ(a.barriers, b.barriers) << at;
+    EXPECT_EQ(a.shared_accesses, b.shared_accesses) << at;
+    EXPECT_EQ(a.shared_bytes, b.shared_bytes) << at;
+    EXPECT_EQ(a.shared_serializations, b.shared_serializations) << at;
+    EXPECT_EQ(a.shared_peak_bytes, b.shared_peak_bytes) << at;
+    EXPECT_EQ(w.stats.timing.time_us, g.stats.timing.time_us) << at;
+  }
+}
+
 }  // namespace
 
 // Every solver kind, both layouts, shapes chosen to stress the lane
 // blocking: odd N, N not divisible by any SIMD width, and M = 1 (a
-// single lane — no cross-system vectorization possible). At M = 96 the
-// hybrids' PCR and p-Thomas launches already span more than
-// sample_target() blocks; M = 4100 does the same for the k = 0 p-Thomas
-// launches, so sampled runs leave blocks of each unrecorded. Functional
-// runs with the vector path on and off and sampled runs must all match
-// the exact run bitwise. The guarded pass plants a zero pivot, which
-// every kind must flag, and also compares every system's SolveStatus of
-// the sampled and functional runs (vector on and off) against the exact
-// run's.
+// single lane — no cross-system vectorization possible). M = 4, N = 16384
+// runs the hybrid's split-system PCR, whose first, interior and last
+// windows are different cost classes, and M = 4100 spans several k = 0
+// p-Thomas blocks plus a ragged tail; sampled runs leave blocks of every
+// hybrid launch unrecorded. Functional runs with the vector path on and
+// off and sampled runs must all match the exact run bitwise, and sampled
+// runs must match it on every launch's costs and time_us as well. The
+// guarded pass plants a zero pivot, which every kind must flag, and also
+// compares every system's SolveStatus of the sampled and functional runs
+// (vector on and off) against the exact run's. Every exact launch checks
+// its declared cost classes against its full record; none may disagree.
 TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
   struct Shape {
     std::size_t m, n;
   };
-  const Shape shapes[] = {{96, 257}, {64, 130}, {1, 301}, {4100, 33}};
+  const Shape shapes[] = {{96, 257}, {64, 130}, {1, 301}, {4100, 33},
+                          {4, 16384}};
+  const double mismatches_before = counter("gpusim.sampling.mismatches");
   std::set<std::string> sampled_launches;  // labels with unrecorded blocks
   for (const bool guard : {false, true}) {
     for (const auto kind : gpu::all_solver_kinds()) {
@@ -133,6 +166,8 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
           expect_bitwise(with_vec, without_vec, what);
           expect_bitwise(exact, with_vec, what + " exact vs functional");
           expect_bitwise(exact, sampled, what + " exact vs sampled");
+          EXPECT_EQ(ref.time_us, smp.time_us) << what << " sampled";
+          expect_same_timeline(ref.timeline, smp.timeline, what + " sampled");
           expect_same_status(ref.status, smp.status, what + " sampled");
           expect_same_status(ref.status, on.status,
                              what + " functional, vector on");
@@ -156,6 +191,51 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
     EXPECT_EQ(sampled_launches.count(label), 1u)
         << label << ": no sampled run left a block unrecorded";
   }
+
+  // A guarded hybrid on sub-tiles of c = 2 (S = 8 rows at k = 2): blocks
+  // that run unrecorded must meet rows in the phased order, thread-major
+  // and sub-tile-minor. The zero pivot at row 3 breaks the level-1
+  // eliminations of rows 2 (thread 3, sub-tile 0) and 4 (thread 1,
+  // sub-tile 1); the phased order meets row 4 first.
+  {
+    auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 64, 64,
+                                        td::Layout::contiguous, /*seed=*/7);
+    batch.b()[batch.index(32, 3)] = 0.0;
+    gpu::HybridOptions opts;
+    opts.force_k = 2;
+    opts.sub_tile_c = 2;
+    opts.guard = true;
+    const auto run = [&](gs::InstrumentMode mode, bool vector,
+                         td::SystemBatch<double>& out) {
+      const gs::ScopedInstrumentMode scoped_mode(mode);
+      const gs::ScopedVectorMode vec(vector);
+      out = batch.clone();
+      return gpu::hybrid_solve<double>(gs::gtx480(), out, opts);
+    };
+    td::SystemBatch<double> exact, sampled, with_vec, without_vec;
+    const auto ref = run(gs::InstrumentMode::exact, true, exact);
+    const auto smp = run(gs::InstrumentMode::sampled, true, sampled);
+    const auto on = run(gs::InstrumentMode::functional_only, true, with_vec);
+    const auto off =
+        run(gs::InstrumentMode::functional_only, false, without_vec);
+    const std::string what = "hybrid k=2 c=2 guarded";
+    ASSERT_EQ(ref.plan_c, 2u) << what;
+    expect_bitwise(exact, sampled, what + " exact vs sampled");
+    expect_bitwise(exact, with_vec, what + " exact vs functional");
+    expect_bitwise(with_vec, without_vec, what);
+    expect_same_timeline(ref.timeline, smp.timeline, what + " sampled");
+    expect_same_status(ref.status, smp.status, what + " sampled");
+    expect_same_status(ref.status, on.status, what + " functional, vector on");
+    expect_same_status(ref.status, off.status,
+                       what + " functional, vector off");
+    ASSERT_EQ(ref.status.size(), batch.num_systems()) << what;
+    EXPECT_EQ(ref.status[32].code, td::SolveCode::zero_pivot) << what;
+    EXPECT_EQ(ref.status[32].index, 4u) << what;
+    EXPECT_LT(smp.timeline.segments().front().stats.instrumented_blocks,
+              smp.timeline.segments().front().stats.config.grid_blocks)
+        << what << ": the sampled PCR launch recorded every block";
+  }
+  EXPECT_EQ(counter("gpusim.sampling.mismatches"), mismatches_before);
 }
 
 TEST(VectorEngine, FloatPathBitIdentical) {
