@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,18 +60,73 @@ inline Format output_format(const util::Cli& cli) {
                               " (expected ascii, csv or json)");
 }
 
+/// Host-wide CPU time counters from the first line of /proc/stat, in
+/// clock ticks: `steal` is time the hypervisor ran other guests on this
+/// host's CPUs, `total` the sum of user, nice, system, idle, iowait, irq,
+/// softirq and steal. Both read 0 where the file is unavailable.
+struct CpuTimes {
+  std::uint64_t steal = 0;
+  std::uint64_t total = 0;
+};
+
+inline CpuTimes read_cpu_times() {
+  CpuTimes t;
+  std::ifstream in("/proc/stat");
+  std::string label;
+  if (!(in >> label) || label != "cpu") return t;
+  std::uint64_t v = 0;
+  for (int field = 0; field < 8 && in >> v; ++field) {
+    t.total += v;
+    if (field == 7) t.steal = v;
+  }
+  return t;
+}
+
+/// Share of host CPU time stolen between two readings (0 when no tick
+/// passed or /proc/stat is unavailable).
+inline double steal_share(const CpuTimes& before, const CpuTimes& after) {
+  if (after.total <= before.total || after.steal < before.steal) return 0.0;
+  return static_cast<double>(after.steal - before.steal) /
+         static_cast<double>(after.total - before.total);
+}
+
+/// The host's CPU model (/proc/cpuinfo "model name"), or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+/// Write the host group of obs/record_schema.hpp: the logical CPU count,
+/// the CPU model and the steal share of the record's timed repeats.
+inline void put_host(obs::JsonValue& rec, double steal) {
+  rec["host_nproc"] =
+      static_cast<std::size_t>(std::max(1u, std::thread::hardware_concurrency()));
+  rec["host_cpu_model"] = cpu_model();
+  rec["host_steal_share"] = steal;
+}
+
 /// Host wall-time summary of repeated runs of one configuration.
 struct WallStats {
   double min_us = 0.0;
   double median_us = 0.0;
   int repeats = 1;
+  double steal_share = 0.0;  ///< host CPU steal during the timed repeats
 };
 
 /// Run `fn` under --repeat N semantics: one untimed warmup when N > 1,
-/// then N timed repetitions; reports min and median host wall time. The
-/// benches' *simulated* numbers are deterministic — this measures how
-/// long the simulator itself takes, i.e. the quantity the execution
-/// engine optimizes. `prep()` runs untimed before every `fn()` (warmup
+/// then N timed repetitions; reports min and median host wall time and
+/// the host's steal share across the timed repetitions. The benches'
+/// *simulated* numbers are deterministic — this measures how long the
+/// simulator itself takes, i.e. the quantity the execution engine
+/// optimizes. `prep()` runs untimed before every `fn()` (warmup
 /// included) — for benches that solve in place and must reset their
 /// inputs between repeats without charging the reset to the kernel.
 template <typename P, typename F>
@@ -81,6 +139,7 @@ WallStats repeat_wall(const util::Cli& cli, P&& prep, F&& fn) {
   }
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(repeats));
+  const CpuTimes cpu0 = read_cpu_times();
   for (int r = 0; r < repeats; ++r) {
     prep();
     const auto t0 = std::chrono::steady_clock::now();
@@ -89,6 +148,7 @@ WallStats repeat_wall(const util::Cli& cli, P&& prep, F&& fn) {
     samples.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
+  const CpuTimes cpu1 = read_cpu_times();
   std::sort(samples.begin(), samples.end());
   WallStats out;
   out.repeats = repeats;
@@ -97,6 +157,7 @@ WallStats repeat_wall(const util::Cli& cli, P&& prep, F&& fn) {
   out.median_us = samples.size() % 2 == 1
                       ? samples[mid]
                       : 0.5 * (samples[mid - 1] + samples[mid]);
+  out.steal_share = steal_share(cpu0, cpu1);
   return out;
 }
 

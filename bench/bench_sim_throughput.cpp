@@ -110,6 +110,11 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
     const double bps = blocks_per_solve / (wall.min_us * 1e-6);
     if (spec.serial) baseline_bps = bps;
     const double speedup = baseline_bps > 0.0 ? bps / baseline_bps : 1.0;
+    // Both timings come from this process, so the ratio is free of the
+    // speed swings between processes; --metrics-json carries it (latest
+    // shape) for the recorder-smoke gate.
+    registry.set(std::string("bench.speedup_vs_exact_serial.") + spec.name,
+                 speedup);
 
     table.add_row({spec.name, std::to_string(threads),
                    util::Table::num(wall.min_us / 1000.0, 2),
@@ -128,6 +133,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
     extra["blocks_per_solve"] = blocks_per_solve;
     extra["blocks_per_sec"] = bps;
     extra["speedup_vs_exact_serial"] = speedup;
+    bench::put_host(extra, wall.steal_share);
     if (spec.mode == gpusim::InstrumentMode::functional_only) {
       // No simulated timing exists in this mode (that is the point);
       // record the throughput fields without a timeline.

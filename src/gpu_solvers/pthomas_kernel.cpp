@@ -26,9 +26,12 @@ namespace {
 // The executor (lockstep) picks the handle: blocks that record, check
 // hazards or inject faults run the body through ThreadCtx; every other
 // block runs it on gpusim::RawThread, whose cost calls are no-ops, so both
-// compute the same bits by construction. The only other path is the
-// grid-wide vectorized sweep of functional solves (grid_vector_sweep),
-// pinned bit-identical to the bodies by tests/test_vector_engine.cpp.
+// compute the same bits by construction. The other paths are the lane
+// sweeps of gpusim/vector_engine.hpp, pinned bit-identical to the bodies
+// by tests/test_vector_engine.cpp: grid-wide for functional solves
+// (grid_vector_sweep), and block by block for the unobserved blocks of an
+// instrumented launch (block_forward_lanes, block_backward_lanes), both
+// only while the vector engine is on.
 
 /// Round count and lane count for one block of a thread-per-system grid.
 template <typename T>
@@ -107,17 +110,32 @@ gpusim::BlockClasses lane_classes(const gpusim::DeviceSpec& dev,
   return classes;
 }
 
-/// True when the grid-wide sweep may replace the launch bodies: the engine
-/// is on its functional fast path and every system's a/b/c/d arrays share
-/// one row stride (SystemBatch views always do; mismatched views run the
+/// True when every system's a/b/c/d arrays share one row stride, as lane
+/// segments need (SystemBatch views always do; mismatched views run the
 /// per-block bodies instead).
 template <typename T>
-bool grid_sweep_applies(std::span<const tridiag::SystemRef<T>> systems) {
-  if (!gpusim::ExecutionEngine::instance().functional_fast_path()) return false;
+bool strides_agree(std::span<const tridiag::SystemRef<T>> systems) {
   return std::all_of(systems.begin(), systems.end(), [](const auto& s) {
     const std::ptrdiff_t rs = s.a.stride();
     return s.b.stride() == rs && s.c.stride() == rs && s.d.stride() == rs;
   });
+}
+
+/// True when the grid-wide sweep may replace the launch bodies: the engine
+/// is on its functional fast path and the strides agree.
+template <typename T>
+bool grid_sweep_applies(std::span<const tridiag::SystemRef<T>> systems) {
+  return gpusim::ExecutionEngine::instance().functional_fast_path() &&
+         strides_agree(systems);
+}
+
+/// True when the unobserved blocks of a launch may run their lanes as
+/// lane segments (block_forward_lanes / block_backward_lanes) instead of
+/// the lockstep body: the vector engine is on and the strides agree.
+template <typename T>
+bool block_lanes_apply(std::span<const tridiag::SystemRef<T>> systems) {
+  return gpusim::ExecutionEngine::instance().vector_enabled() &&
+         strides_agree(systems);
 }
 
 /// Extend the maximal affine lane segment starting at lane `l0`:
@@ -183,6 +201,40 @@ gpusim::LaneSegment<T> sub_segment(const gpusim::LaneSegment<T>& seg,
   sub.d += shift;
   sub.lanes = w;
   return sub;
+}
+
+/// Forward sweep of one unobserved block (see block_lanes_apply): its
+/// systems `mine` split into maximal affine segments, each swept with the
+/// block's own zero-filled carries. Per lane the arithmetic and its order
+/// are the body's, so the bits are too (tests/test_vector_engine.cpp).
+template <typename T>
+void block_forward_lanes(std::span<const tridiag::SystemRef<T>> mine,
+                         std::span<T> cp, std::span<T> dp) {
+  for (std::size_t l0 = 0; l0 < mine.size();) {
+    gpusim::LaneSegment<T> seg;
+    const std::size_t end = affine_segment(mine, l0, seg);
+    gpusim::thomas_forward_lanes(seg, cp.data() + l0, dp.data() + l0);
+    l0 = end;
+  }
+}
+
+/// Backward counterpart of block_forward_lanes; `xout` is the block's
+/// slice of the output views (empty: in place).
+template <typename T>
+void block_backward_lanes(std::span<const tridiag::SystemRef<T>> mine,
+                          std::span<const tridiag::StridedView<T>> xout,
+                          std::span<T> x_next) {
+  for (std::size_t l0 = 0; l0 < mine.size();) {
+    gpusim::LaneSegment<T> seg;
+    std::size_t end = affine_segment(mine, l0, seg);
+    gpusim::LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
+    if (!xout.empty()) {
+      seg.lanes = xout_affine_run(xout, l0, seg.lanes, out);
+      end = l0 + seg.lanes;
+    }
+    gpusim::thomas_backward_lanes(seg, out, x_next.data() + l0);
+    l0 = end;
+  }
 }
 
 /// Grid-wide vectorized sweep for the functional fast path (the launch
@@ -263,11 +315,18 @@ gpusim::LaunchStats backward(const gpusim::DeviceSpec& dev,
   if (classes == nullptr) {
     classes = &own.emplace(lane_classes(dev, systems, xout, block_threads));
   }
+  const bool lanes = block_lanes_apply(systems);
   return gpusim::launch(
       dev, {grid, block_threads, classes->table()},
       [&](gpusim::BlockContext& ctx) {
         const BlockLanes<T> blk(ctx, systems, block_threads);
         const std::span<T> x_next = ctx.lane_buffer<T>(blk.lanes);
+        if (lanes && !ctx.observed()) {
+          block_backward_lanes(
+              systems.subspan(blk.base, blk.lanes),
+              xout.empty() ? xout : xout.subspan(blk.base, blk.lanes), x_next);
+          return;
+        }
         lockstep(ctx, blk, [&](auto& t, std::size_t r) {
           const std::size_t lane = static_cast<std::size_t>(t.tid());
           if (lane >= blk.lanes) return;
@@ -329,6 +388,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
 
   const gpusim::BlockClasses classes =
       lane_classes(dev, systems, xout, block_threads);
+  const bool lanes = !guarding && block_lanes_apply(systems);
   // Forward reduction, in place: c <- c', d <- d'. One serialized memory
   // round per row (the loads of row i gate the elimination row i+1 needs).
   stats.forward = gpusim::launch(
@@ -337,6 +397,10 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
         const BlockLanes<T> blk(ctx, systems, block_threads);
         const std::span<T> cp = ctx.lane_buffer<T>(blk.lanes);
         const std::span<T> dp = ctx.lane_buffer<T>(blk.lanes);
+        if (lanes && !ctx.observed()) {
+          block_forward_lanes(systems.subspan(blk.base, blk.lanes), cp, dp);
+          return;
+        }
         const std::span<tridiag::SolveStatus> acc =
             ctx.lane_buffer<tridiag::SolveStatus>(guarding ? blk.lanes : 0);
         lockstep(ctx, blk, [&](auto& t, std::size_t i) {

@@ -42,6 +42,19 @@ inline void guard_srow_combine(tridiag::SolveStatus& st, const SRow<T>& lo,
       tridiag::Row<T>{hi.a, hi.b, hi.c, hi.d}, pos);
 }
 
+/// The level-j elimination (Eqs. 5-6) of row `mid` against the rows
+/// 2^{j-1} before (`lo`) and after (`hi`) it. The two divisions are
+/// independent and run as one two-lane division; IEEE division rounds
+/// each lane exactly as a scalar division would.
+template <typename T>
+inline SRow<T> eliminate(const SRow<T>& lo, const SRow<T>& mid,
+                         const SRow<T>& hi) noexcept {
+  typedef T Pair __attribute__((vector_size(2 * sizeof(T))));
+  const Pair k = Pair{mid.a, mid.c} / Pair{lo.b, hi.b};
+  return {-lo.a * k[0], mid.b - lo.c * k[0] - hi.a * k[1], -hi.c * k[1],
+          mid.d - lo.d * k[0] - hi.d * k[1]};
+}
+
 /// Cost classes of the launch (gpusim/block_classes.hpp): per block its
 /// window count and, per window, the region length, how far the loaded
 /// rows reach before r0 (the warm-up the system start clips) and from r0
@@ -246,17 +259,40 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
         guard_srow_combine(wd.guard_st, lo, mid, hi,
                            static_cast<std::size_t>(pos));
       }
-      const T k1 = mid.a / lo.b;
-      const T k2 = mid.c / hi.b;
       SRow<T>& dst = wd.buf[j & 1u][idx];
       t.note_swrite(dst);
-      dst = SRow<T>{-lo.a * k1, mid.b - lo.c * k1 - hi.a * k2, -hi.c * k2,
-                    mid.d - lo.d * k1 - hi.d * k2};
+      dst = eliminate(lo, mid, hi);
       t.template flops<T>(10);
       t.template divs<T>(2);
       // Count only eliminations of real rows for the redundancy
       // bookkeeping (identity warm-up/drain rows are free lanes).
       if (real_row) ++wd.eliminations;
+    };
+    // COMBINE, a whole level of an unguarded raw block: the rows of a
+    // level are independent, so any order computes the phased order's
+    // bits. Split by where `lo` and `mid` come from (tail cache or batch),
+    // the loops carry no branch; real rows are counted in one step.
+    auto combine_level = [&](Window& wd, unsigned j) {
+      const std::size_t reach = std::size_t{1} << (j - 1);
+      const SRow<T>* src = wd.buf[(j - 1) & 1u].data();
+      const SRow<T>* tail = wd.tails[j - 1].data();
+      SRow<T>* dst = wd.buf[j & 1u].data();
+      for (std::size_t i = 0; i < reach; ++i) {
+        dst[i] = eliminate(tail[i], tail[i + reach], src[i]);
+      }
+      for (std::size_t i = reach; i < 2 * reach; ++i) {
+        dst[i] = eliminate(tail[i], src[i - reach], src[i]);
+      }
+      for (std::size_t i = 2 * reach; i < S; ++i) {
+        dst[i] = eliminate(src[i - 2 * reach], src[i - reach], src[i]);
+      }
+      const std::ptrdiff_t pos0 =
+          wd.P - static_cast<std::ptrdiff_t>(2 * reach - 1);
+      const std::ptrdiff_t real =
+          std::min(pos0 + static_cast<std::ptrdiff_t>(S),
+                   static_cast<std::ptrdiff_t>(wd.w.sys.size())) -
+          std::max<std::ptrdiff_t>(pos0, 0);
+      if (real > 0) wd.eliminations += static_cast<std::size_t>(real);
     };
     // TAIL SAVE: row `r` of level j-1's last 2^j rows, kept for the next
     // sub-tile before buffer (j-1)&1 is overwritten by level j+1.
@@ -348,7 +384,8 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       // thread-major and sub-tile-minor, so each fused recurrence meets
       // its rows in ascending order and the guard meets its first offence
       // where an observed block does: outputs, tallies and statuses match
-      // the phased order bit for bit.
+      // the phased order bit for bit. Without a guard, order within a
+      // combine level does not matter and combine_level runs it.
       gpusim::RawThread t;
       auto per_row = [&](auto&& body) {
         for (std::size_t tid = 0; tid < tcount; ++tid) {
@@ -362,7 +399,11 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
         for (std::size_t iter = 0; iter < wd.iters; ++iter) {
           per_row([&](std::size_t idx) { load(t, wd, idx); });
           for (unsigned j = 1; j <= cfg.k; ++j) {
-            per_row([&](std::size_t idx) { combine(t, wd, j, idx); });
+            if (guarding) {
+              per_row([&](std::size_t idx) { combine(t, wd, j, idx); });
+            } else {
+              combine_level(wd, j);
+            }
             for (std::size_t r = 0; r < std::size_t{2} << (j - 1); ++r) {
               save_tail(t, wd, j, r);
             }

@@ -13,8 +13,9 @@
 // block's first address plus that first address modulo the transaction
 // size. Two blocks with one signature touch address sets that are
 // translations of each other by a whole number of transactions, so the
-// coalescer counts the same transactions for both. Signatures are compared
-// in full, never by a hash.
+// coalescer counts the same transactions for both. A hash of the
+// signature only picks the candidate classes; a block joins one only
+// after a full compare of the two signatures.
 //
 // Contracts: one BlockClasses per launch, filled block by block in
 // ascending block order on the launching thread; the span table() returns
@@ -22,8 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 namespace tridsolve::gpusim {
@@ -68,13 +69,28 @@ class BlockClasses {
   }
 
  private:
+  /// Multiply-xor over four interleaved lanes: the multiplies of
+  /// neighbouring values are independent, so a long signature does not
+  /// wait one multiply latency per value.
+  struct SigHash {
+    std::size_t operator()(const std::vector<std::int64_t>& sig) const noexcept {
+      constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+      std::uint64_t h[4] = {sig.size(), 1, 2, 3};
+      for (std::size_t i = 0; i < sig.size(); ++i) {
+        h[i % 4] = (h[i % 4] ^ static_cast<std::uint64_t>(sig[i])) * kMul;
+      }
+      return ((h[0] * kMul ^ h[1]) * kMul ^ h[2]) * kMul ^ h[3];
+    }
+  };
+
   std::size_t tx_bytes_;
   std::vector<std::int64_t> sig_;   ///< signature of the open block
   std::uintptr_t base_ = 0;         ///< first address of the open block
   bool has_base_ = false;
   std::vector<std::uint32_t> ids_;  ///< class of each closed block
-  /// Class of each signature seen so far.
-  std::map<std::vector<std::int64_t>, std::uint32_t> known_;
+  /// Class of each signature seen so far; the hash picks the bucket and
+  /// the map's key equality is the full compare.
+  std::unordered_map<std::vector<std::int64_t>, std::uint32_t, SigHash> known_;
 };
 
 }  // namespace tridsolve::gpusim

@@ -39,8 +39,10 @@
 //  * Units: load/store sizes are bytes; flops are op-equivalents at the
 //    value type's precision; rounds are serialized-memory-round counts.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -108,37 +110,82 @@ struct WorkerScratch {
   int bank_width_ = 0;
 };
 
-/// Per-thread handle passed to phase lambdas.
+/// A phase's integer cost tallies: op-equivalents, divisions, global loads,
+/// stores and requested bytes. Every charged count is an integer, so the
+/// order they add up in does not matter; BlockContext weights the
+/// divisions and adds the totals to the cost shard once per phase.
+struct PhaseTally {
+  std::uint64_t ops[2] = {0, 0};   ///< op-equivalents, [fp32, fp64]
+  std::uint64_t divs[2] = {0, 0};  ///< divisions, [fp32, fp64]
+  std::uint64_t loads = 0;
+  std::uint64_t stores = 0;
+  std::uint64_t bytes = 0;         ///< global bytes requested
+
+  PhaseTally& operator+=(const PhaseTally& o) noexcept {
+    for (int p = 0; p < 2; ++p) {
+      ops[p] += o.ops[p];
+      divs[p] += o.divs[p];
+    }
+    loads += o.loads;
+    stores += o.stores;
+    bytes += o.bytes;
+    return *this;
+  }
+};
+
+/// Per-thread handle passed to phase lambdas. The block makes one handle
+/// per round of a phase and moves it from thread to thread, warp by warp
+/// in tid order; it keeps the phase's costs in integer tallies
+/// (PhaseTally) and numbers each thread's global accesses per round — the
+/// number is the access's coalescer site (coalescer.hpp).
 class ThreadCtx {
  public:
-  ThreadCtx(BlockContext* block, int tid, std::size_t round = 0) noexcept
-      : block_(block), tid_(tid), round_(round) {}
+  ThreadCtx(const ThreadCtx&) = delete;
+  ThreadCtx& operator=(const ThreadCtx&) = delete;
 
   [[nodiscard]] int tid() const noexcept { return tid_; }
 
   /// Functional global load, recorded for coalescing/bandwidth accounting.
   template <typename T>
-  [[nodiscard]] T load(const T* p);
+  [[nodiscard, gnu::always_inline]] T load(const T* p) {
+    global_access(p, sizeof(T), /*is_write=*/false);
+    return faults_ != nullptr ? fault_value(faults_, *p, /*is_store=*/false)
+                              : *p;
+  }
 
   /// Functional global store, recorded likewise.
   template <typename T>
-  void store(T* p, T v);
+  [[gnu::always_inline]] void store(T* p, T v) {
+    global_access(p, sizeof(T), /*is_write=*/true);
+    *p = faults_ != nullptr ? fault_value(faults_, v, /*is_store=*/true) : v;
+  }
 
   /// Charge n arithmetic op-equivalents at T's precision.
   template <typename T>
-  void flops(double n);
+  void flops(std::uint32_t n) noexcept {
+    tally_.ops[sizeof(T) == 8] += n;
+  }
 
-  /// Charge n divisions (weighted by the device's div_op_cost).
+  /// Charge n divisions (weighted by the device's div_op_cost when the
+  /// phase ends).
   template <typename T>
-  void divs(double n);
+  void divs(std::uint32_t n) noexcept {
+    tally_.divs[sizeof(T) == 8] += n;
+  }
 
   /// Instrumented *shared-memory* load/store: functionally identical to a
   /// plain access, but recorded for bank-conflict accounting. Optional —
   /// only kernels studying shared access patterns route through these.
   template <typename T>
-  [[nodiscard]] T sload(const T* p);
+  [[nodiscard]] T sload(const T* p) {
+    shared_access(p, sizeof(T), /*is_write=*/false);
+    return *p;
+  }
   template <typename T>
-  void sstore(T* p, T v);
+  void sstore(T* p, T v) {
+    shared_access(p, sizeof(T), /*is_write=*/true);
+    *p = v;
+  }
 
   /// Hazard-only annotations for kernels that touch simulated shared
   /// memory through raw references (spans from ctx.shared<T>()): they
@@ -146,28 +193,105 @@ class ThreadCtx {
   /// checking is enabled on this block. Annotate each raw shared read and
   /// write so the detector sees the kernel's true barrier structure.
   template <typename T>
-  void note_sread(const T& ref);
+  void note_sread(const T& ref) {
+    note_shared(&ref, sizeof(T), /*is_write=*/false);
+  }
   template <typename T>
-  void note_swrite(const T& ref);
+  void note_swrite(const T& ref) {
+    note_shared(&ref, sizeof(T), /*is_write=*/true);
+  }
 
   /// Intra-phase barrier marker — the analogue of a __syncthreads()
   /// *inside* the code between two phase boundaries. Purely observational
   /// (no cost, no functional effect): the hazard detector uses it to
   /// order accesses within a phase and to flag barrier divergence when
   /// the threads of a block disagree on how many they executed.
-  void sync() noexcept;
+  void sync() noexcept {
+    if (hazards_ != nullptr) hazard_sync(hazards_, tid_);
+  }
 
   /// Close the current dependent-load round: subsequent loads belong to a
   /// new serialized memory round on this thread's critical path.
-  void end_round() noexcept { ++round_; }
+  void end_round() noexcept {
+    ++round_;
+    site_ = 0;
+  }
 
   [[nodiscard]] std::size_t rounds() const noexcept { return round_; }
 
  private:
-  BlockContext* block_;
-  int tid_;
+  friend class BlockContext;
+
+  ThreadCtx(HazardTracker* hazards, FaultSession* faults) noexcept
+      : hazards_(hazards), faults_(faults) {}
+
+  /// Point the handle at one warp's trackers (null when not recording).
+  void enter_warp(WarpCoalescer* coalescer, BankTracker* banks) noexcept {
+    coalescer_ = coalescer;
+    banks_ = banks;
+  }
+
+  /// Become thread `tid` at round `round`.
+  void begin(int tid, std::size_t round) noexcept {
+    tid_ = tid;
+    round_ = round;
+    site_ = 0;
+    shared_ordinal_ = 0;
+  }
+
+  [[gnu::always_inline]] void global_access(const void* p, std::size_t size,
+                                            bool is_write) {
+    if (coalescer_ != nullptr) {
+      coalescer_->record(p, size, is_write, round_, site_);
+    }
+    ++site_;
+    ++(is_write ? tally_.stores : tally_.loads);
+    tally_.bytes += size;
+    if (hazards_ != nullptr) {
+      hazard(hazards_, p, size, tid_, is_write, /*expect_shared=*/false);
+    }
+  }
+
+  void shared_access(const void* p, std::size_t size, bool is_write) {
+    if (banks_ != nullptr) banks_->record(shared_ordinal_, p, size);
+    ++shared_ordinal_;
+    note_shared(p, size, is_write);
+  }
+
+  void note_shared(const void* p, std::size_t size, bool is_write) {
+    if (hazards_ != nullptr) {
+      hazard(hazards_, p, size, tid_, is_write, /*expect_shared=*/true);
+    }
+  }
+
+  // Observer calls stay out of line and never see the handle's address,
+  // so the handle can live in registers in the block's thread loop.
+  [[gnu::noinline]] static void hazard(HazardTracker* h, const void* p,
+                                       std::size_t size, int tid,
+                                       bool is_write, bool expect_shared) {
+    h->access(p, size, tid, is_write, expect_shared);
+  }
+
+  [[gnu::noinline]] static void hazard_sync(HazardTracker* h,
+                                            int tid) noexcept {
+    h->sync(tid);
+  }
+
+  template <typename T>
+  [[gnu::noinline]] static T fault_value(FaultSession* f, T v,
+                                         bool is_store) noexcept {
+    return f->filter_data(v, is_store);
+  }
+
+  HazardTracker* hazards_;
+  FaultSession* faults_;
+  WarpCoalescer* coalescer_ = nullptr;
+  BankTracker* banks_ = nullptr;
+  int tid_ = 0;
   std::size_t round_ = 0;
-  std::size_t shared_ordinal_ = 0;
+  std::size_t site_ = 0;            ///< global access ordinal in the round
+  std::size_t shared_ordinal_ = 0;  ///< shared access ordinal since begin()
+  PhaseTally tally_;
 };
 
 /// Per-thread handle for blocks nothing observes: the ThreadCtx calls a
@@ -188,9 +312,9 @@ class RawThread {
     *p = v;
   }
   template <typename T>
-  void flops(double) const noexcept {}
+  void flops(std::uint32_t) const noexcept {}
   template <typename T>
-  void divs(double) const noexcept {}
+  void divs(std::uint32_t) const noexcept {}
   template <typename T>
   void note_sread(const T&) const noexcept {}
   template <typename T>
@@ -269,22 +393,9 @@ class BlockContext {
   template <typename F>
   void phase(F&& fn) {
     const double span_t0 = phase_span_begin();
-    const int warp = dev_.warp_size;
-    for (int tid = 0; tid < block_threads_; ++tid) {
-      current_warp_ = static_cast<std::size_t>(tid / warp);
-      ThreadCtx t(this, tid);
-      fn(t);
-    }
+    const PhaseTally tally = run_threads(0, fn);
     phase_span_end("phase", span_t0, 1);
-    if (record_) {
-      for (std::size_t w = 0; w < num_warps_; ++w) {
-        scratch_.coalescers[w].flush();
-        scratch_.banks[w].flush();
-      }
-      ++costs_.barriers;
-    }
-    if (hazards_ != nullptr) hazards_->end_phase();
-    if (faults_ != nullptr) faults_->end_phase(*scratch_.arena);
+    end_phase(tally);
   }
 
   /// Run one barrier-delimited phase in *lockstep* (round-major) order:
@@ -301,31 +412,17 @@ class BlockContext {
   template <typename F>
   void phase_rounds(std::size_t rounds, F&& fn) {
     const double span_t0 = phase_span_begin();
-    const int warp = dev_.warp_size;
+    PhaseTally tally;
     for (std::size_t r = 0; r < rounds; ++r) {
-      for (int tid = 0; tid < block_threads_; ++tid) {
-        current_warp_ = static_cast<std::size_t>(tid / warp);
-        ThreadCtx t(this, tid, r);
-        fn(t, r);
-      }
+      tally += run_threads(r, [&](ThreadCtx& t) { fn(t, r); });
     }
     phase_span_end("phase_rounds", span_t0, rounds);
-    if (record_) {
-      for (std::size_t w = 0; w < num_warps_; ++w) {
-        scratch_.coalescers[w].flush();
-        scratch_.banks[w].flush();
-      }
-      ++costs_.barriers;
-    }
-    if (hazards_ != nullptr) hazards_->end_phase();
-    if (faults_ != nullptr) faults_->end_phase(*scratch_.arena);
+    end_phase(tally);
   }
 
   KernelCosts& costs() noexcept { return costs_; }
 
  private:
-  friend class ThreadCtx;
-
   /// Phase tracing (active only for the block carrying a span parent —
   /// block 0 of a traced launch). Wall-clock only: phases have no
   /// individual simulated time (the timing model prices whole launches),
@@ -361,33 +458,49 @@ class BlockContext {
     }
   }
 
-  void record_access(const void* p, std::size_t size, bool is_write,
-                     std::size_t round) {
-    if (!record_) return;
-    scratch_.coalescers[current_warp_].record(p, size, is_write, round);
-  }
-
-  void record_shared(const void* p, std::size_t size, std::size_t ordinal) {
-    if (!record_) return;
-    scratch_.banks[current_warp_].record(ordinal, p, size);
-  }
-
-  void hazard_access(const void* p, std::size_t size, int tid, bool is_write,
-                     bool expect_shared) {
-    if (hazards_ != nullptr) {
-      hazards_->access(p, size, tid, is_write, expect_shared);
+  /// Run fn(t) for every thread at round `round`, warp by warp in tid
+  /// order, on one handle pointed at each warp's trackers; returns the
+  /// handle's tallies. Flattened: the phase body and ThreadCtx's
+  /// recording fast path inline into this loop, so the handle stays in
+  /// registers; observer calls and coalescer misses stay out of line.
+  template <typename F>
+  [[gnu::flatten]] PhaseTally run_threads(std::size_t round, F&& fn) {
+    ThreadCtx t(hazards_, faults_);
+    const int warp = dev_.warp_size;
+    int tid = 0;
+    for (std::size_t w = 0; w < num_warps_; ++w) {
+      if (record_) {
+        t.enter_warp(&scratch_.coalescers[w], &scratch_.banks[w]);
+      }
+      const int end = std::min(tid + warp, block_threads_);
+      for (; tid < end; ++tid) {
+        t.begin(tid, round);
+        fn(t);
+      }
     }
+    return t.tally_;
   }
 
-  void hazard_sync(int tid) noexcept {
-    if (hazards_ != nullptr) hazards_->sync(tid);
-  }
-
-  /// Give the fault injector (when attached) a shot at a global access
-  /// value. No-op — and no site-ordinal consumption — when inactive.
-  template <typename T>
-  [[nodiscard]] T fault_data(T v, bool is_store) noexcept {
-    return faults_ != nullptr ? faults_->filter_data(v, is_store) : v;
+  /// The phase's closing barrier: flush every warp's trackers and the
+  /// phase's tallies into the cost shard, then close the observers'
+  /// barrier interval.
+  void end_phase(const PhaseTally& tally) {
+    if (record_) {
+      for (std::size_t w = 0; w < num_warps_; ++w) {
+        scratch_.coalescers[w].flush();
+        scratch_.banks[w].flush();
+      }
+      costs_.ops_f32 += static_cast<double>(tally.ops[0]) +
+                        static_cast<double>(tally.divs[0]) * dev_.div_op_cost;
+      costs_.ops_f64 += static_cast<double>(tally.ops[1]) +
+                        static_cast<double>(tally.divs[1]) * dev_.div_op_cost;
+      costs_.loads += tally.loads;
+      costs_.stores += tally.stores;
+      costs_.bytes_requested += tally.bytes;
+      ++costs_.barriers;
+    }
+    if (hazards_ != nullptr) hazards_->end_phase();
+    if (faults_ != nullptr) faults_->end_phase(*scratch_.arena);
   }
 
   const DeviceSpec& dev_;
@@ -402,68 +515,6 @@ class BlockContext {
   std::uint64_t span_parent_ = 0;
   std::size_t phase_index_ = 0;
   std::size_t num_warps_ = 0;
-  std::size_t current_warp_ = 0;
 };
-
-template <typename T>
-T ThreadCtx::load(const T* p) {
-  block_->record_access(p, sizeof(T), /*is_write=*/false, round_);
-  block_->hazard_access(p, sizeof(T), tid_, /*is_write=*/false,
-                        /*expect_shared=*/false);
-  return block_->fault_data(*p, /*is_store=*/false);
-}
-
-template <typename T>
-void ThreadCtx::store(T* p, T v) {
-  block_->record_access(p, sizeof(T), /*is_write=*/true, round_);
-  block_->hazard_access(p, sizeof(T), tid_, /*is_write=*/true,
-                        /*expect_shared=*/false);
-  *p = block_->fault_data(v, /*is_store=*/true);
-}
-
-template <typename T>
-T ThreadCtx::sload(const T* p) {
-  block_->record_shared(p, sizeof(T), shared_ordinal_++);
-  block_->hazard_access(p, sizeof(T), tid_, /*is_write=*/false,
-                        /*expect_shared=*/true);
-  return *p;
-}
-
-template <typename T>
-void ThreadCtx::sstore(T* p, T v) {
-  block_->record_shared(p, sizeof(T), shared_ordinal_++);
-  block_->hazard_access(p, sizeof(T), tid_, /*is_write=*/true,
-                        /*expect_shared=*/true);
-  *p = v;
-}
-
-template <typename T>
-void ThreadCtx::note_sread(const T& ref) {
-  block_->hazard_access(&ref, sizeof(T), tid_, /*is_write=*/false,
-                        /*expect_shared=*/true);
-}
-
-template <typename T>
-void ThreadCtx::note_swrite(const T& ref) {
-  block_->hazard_access(&ref, sizeof(T), tid_, /*is_write=*/true,
-                        /*expect_shared=*/true);
-}
-
-inline void ThreadCtx::sync() noexcept { block_->hazard_sync(tid_); }
-
-template <typename T>
-void ThreadCtx::flops(double n) {
-  if (!block_->record_) return;
-  if constexpr (sizeof(T) == 8) {
-    block_->costs_.ops_f64 += n;
-  } else {
-    block_->costs_.ops_f32 += n;
-  }
-}
-
-template <typename T>
-void ThreadCtx::divs(double n) {
-  flops<T>(n * block_->dev_.div_op_cost);
-}
 
 }  // namespace tridsolve::gpusim

@@ -1,6 +1,8 @@
 #include "gpusim/device_spec.hpp"
 
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace tridsolve::gpusim {
 
@@ -25,7 +27,27 @@ void mix_f64(std::uint64_t& h, double v) noexcept {
   mix_u64(h, std::bit_cast<std::uint64_t>(v));
 }
 
+/// A negative value converts to an integer with many bits set.
+template <typename Int>
+void require_pow2(const char* field, Int v) {
+  if (!std::has_single_bit(static_cast<std::uint64_t>(v))) {
+    throw std::invalid_argument(std::string("DeviceSpec: ") + field +
+                                " must be a positive power of two, got " +
+                                std::to_string(v));
+  }
+}
+
 }  // namespace
+
+void DeviceSpec::validate() const {
+  require_pow2("warp_size", warp_size);
+  require_pow2("transaction_bytes", transaction_bytes);
+  require_pow2("shared_bank_width", shared_bank_width);
+  if (shared_banks <= 0) {
+    throw std::invalid_argument("DeviceSpec: shared_banks must be > 0, got " +
+                                std::to_string(shared_banks));
+  }
+}
 
 std::uint64_t DeviceSpec::fingerprint() const noexcept {
   std::uint64_t h = kFnvOffset;

@@ -60,6 +60,12 @@ struct DeviceSpec {
     return ops_per_cycle(fp64) * clock_ghz;
   }
 
+  /// Throws std::invalid_argument unless warp_size, transaction_bytes and
+  /// shared_bank_width are positive powers of two and shared_banks > 0:
+  /// the simulator splits threads into warps and addresses into segments
+  /// and banks by these, the coalescer by shift. gpusim::launch checks it.
+  void validate() const;
+
   /// Stable identity hash (FNV-1a over the name and every numeric field):
   /// two specs with equal fields fingerprint equally, and any field change
   /// changes it. Keys plan-cache entries and calibration files so a plan

@@ -158,10 +158,11 @@ class ExecutionEngine {
   [[nodiscard]] HazardMode default_hazards() const noexcept;
   void set_default_hazards(HazardMode mode) noexcept;
 
-  /// Grid-wide vectorized p-Thomas sweep of functional_only solves (on
-  /// by default; --vector off runs the per-block kernel bodies instead —
-  /// same outputs, bit-identical, just slower). It is the only thing the
-  /// switch controls.
+  /// Vectorized p-Thomas lane sweeps (on by default): grid-wide in
+  /// functional_only solves, block by block for the unobserved blocks of
+  /// instrumented launches. --vector off runs the per-block kernel bodies
+  /// instead — same outputs, bit-identical, just slower. They are the only
+  /// thing the switch controls.
   [[nodiscard]] bool vector_enabled() const noexcept;
   void set_vector_enabled(bool on) noexcept;
 

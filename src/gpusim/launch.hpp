@@ -62,10 +62,12 @@ struct LaunchStats {
 };
 
 /// Execute `body(BlockContext&)` for every block of the grid.
-/// Throws std::invalid_argument for configurations a real driver would
+/// Throws std::invalid_argument for a malformed device spec
+/// (DeviceSpec::validate) and for configurations a real driver would
 /// reject (too many threads per block, shared memory over capacity).
 template <typename KernelFn>
 LaunchStats launch(const DeviceSpec& dev, LaunchConfig cfg, KernelFn&& body) {
+  dev.validate();
   if (cfg.block_threads <= 0 || cfg.block_threads > dev.max_threads_per_block) {
     throw std::invalid_argument("launch: invalid block size " +
                                 std::to_string(cfg.block_threads));

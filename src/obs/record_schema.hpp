@@ -160,6 +160,15 @@ inline constexpr Order service_orders[] = {
     {"service_p50_us", "service_p99_us"},
 };
 
+/// The host a timed record ran on: logical CPU count, CPU model, and the
+/// share of host CPU time stolen by the hypervisor during the record's
+/// timed repeats (/proc/stat), which explains run-to-run wall spread.
+inline constexpr Field host_fields[] = {
+    {"host_nproc", Rule::at_least_one},
+    {"host_cpu_model", Rule::text},
+    {"host_steal_share", Rule::unit},
+};
+
 /// Top-level groups, in check order.
 inline constexpr Group record_groups[] = {
     {"base", true, base_fields},
@@ -169,6 +178,7 @@ inline constexpr Group record_groups[] = {
     {"resilience", false, resilience_fields},
     {"plan", false, plan_fields},
     {"service", false, service_fields, service_orders},
+    {"host", false, host_fields},
 };
 
 /// Roofline attribution of one phase (bench_profile).

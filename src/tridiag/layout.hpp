@@ -86,14 +86,16 @@ class SystemBatch {
             StridedView<const T>(d_.data() + base, n_, stride)};
   }
 
+  /// Deep copy; each array is written once.
   [[nodiscard]] SystemBatch clone() const {
-    SystemBatch out(m_, n_, layout_);
-    for (std::size_t i = 0; i < m_ * n_; ++i) {
-      out.a_[i] = a_[i];
-      out.b_[i] = b_[i];
-      out.c_[i] = c_[i];
-      out.d_[i] = d_[i];
-    }
+    SystemBatch out;
+    out.a_ = util::AlignedBuffer<T>(a_.span());
+    out.b_ = util::AlignedBuffer<T>(b_.span());
+    out.c_ = util::AlignedBuffer<T>(c_.span());
+    out.d_ = util::AlignedBuffer<T>(d_.span());
+    out.m_ = m_;
+    out.n_ = n_;
+    out.layout_ = layout_;
     return out;
   }
 

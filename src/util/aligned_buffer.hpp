@@ -6,6 +6,7 @@
 // line start and makes the simulated 128-byte memory-transaction accounting
 // in gpusim deterministic (a segment never straddles an allocation edge).
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -32,6 +33,12 @@ class AlignedBuffer {
   explicit AlignedBuffer(std::size_t count, T fill = T{})
       : size_(count), data_(allocate(count)) {
     for (std::size_t i = 0; i < size_; ++i) data_[i] = fill;
+  }
+
+  /// A copy of `src`, written once (no fill first).
+  explicit AlignedBuffer(std::span<const T> src)
+      : size_(src.size()), data_(allocate(src.size())) {
+    std::copy(src.begin(), src.end(), data_.get());
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

@@ -51,8 +51,9 @@ class Cli {
 ///   --csv                 legacy alias for --format csv
 ///   --sim-threads N       simulator worker threads (0 = default)
 ///   --instrument MODE     exact | sampled (default) | functional_only
-///   --vector {on,off}     grid-wide vectorized p-Thomas sweep of functional
-///                         solves (default on; off = per-block kernel bodies)
+///   --vector {on,off}     vectorized p-Thomas lane sweeps: grid-wide in
+///                         functional solves, per unobserved block otherwise
+///                         (default on; off = per-block kernel bodies)
 ///   --check-hazards [MODE] shared-memory hazard detection: detect | fatal
 ///   --fault-seed N        fault-injection seed (deterministic site choice)
 ///   --fault-rate R        per-site injection probability in [0,1]

@@ -6,12 +6,14 @@
 #include <numeric>
 #include <vector>
 
+#include "gpu_solvers/registry.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/occupancy.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "gpusim/timing_model.hpp"
 #include "util/aligned_buffer.hpp"
+#include "workloads/generators.hpp"
 
 namespace gs = tridsolve::gpusim;
 using tridsolve::util::AlignedBuffer;
@@ -78,6 +80,64 @@ TEST(Launch, RejectsOversizedBlock) {
   EXPECT_THROW(
       gs::launch(dev, {1, 2048}, [](gs::BlockContext&) {}),
       std::invalid_argument);
+}
+
+// A malformed device spec is rejected at launch with invalid_argument,
+// never a division by zero: one case per field the simulator splits
+// threads or addresses by. The recording body would divide by the field.
+namespace {
+void expect_spec_rejected(const gs::DeviceSpec& dev) {
+  AlignedBuffer<double> data(64, 1.0);
+  EXPECT_THROW(gs::launch(dev, {1, 32},
+                          [&](gs::BlockContext& ctx) {
+                            ctx.phase([&](gs::ThreadCtx& t) {
+                              (void)t.load(&data[static_cast<std::size_t>(
+                                  t.tid())]);
+                            });
+                          }),
+               std::invalid_argument);
+}
+}  // namespace
+
+TEST(Launch, RejectsWarpSizeNotPowerOfTwo) {
+  auto dev = gs::gtx480();
+  dev.warp_size = 0;
+  expect_spec_rejected(dev);
+  dev.warp_size = 24;
+  expect_spec_rejected(dev);
+  // The registry turns the rejection into a structured bad_argument.
+  dev.warp_size = 0;
+  const auto batch = tridsolve::workloads::make_batch<double>(
+      tridsolve::workloads::Kind::random_dominant, 8, 64,
+      tridsolve::tridiag::Layout::interleaved, 1);
+  const auto out = tridsolve::gpu::run_solver(
+      tridsolve::gpu::SolverKind::hybrid, dev, batch);
+  EXPECT_FALSE(out.supported);
+  EXPECT_TRUE(out.bad_argument);
+}
+
+TEST(Launch, RejectsTransactionBytesNotPowerOfTwo) {
+  auto dev = gs::gtx480();
+  dev.transaction_bytes = 0;
+  expect_spec_rejected(dev);
+  dev.transaction_bytes = 96;
+  expect_spec_rejected(dev);
+}
+
+TEST(Launch, RejectsSharedBankWidthNotPowerOfTwo) {
+  auto dev = gs::gtx480();
+  dev.shared_bank_width = 0;
+  expect_spec_rejected(dev);
+  dev.shared_bank_width = 3;
+  expect_spec_rejected(dev);
+}
+
+TEST(Launch, RejectsNoSharedBanks) {
+  auto dev = gs::gtx480();
+  dev.shared_banks = 0;
+  expect_spec_rejected(dev);
+  dev.shared_banks = -32;
+  expect_spec_rejected(dev);
 }
 
 TEST(Launch, CoalescedAccessesShareTransactions) {

@@ -32,8 +32,9 @@
 // and per-plan shape/variant sanity (whole-number counts, 2^k must fit n,
 // concrete variant, c >= 1, blocks_per_system >= 1 for split_system).
 // Counter assertions (--metrics FILE --require-counters
-// "a>=1,b<=0,c==2"): each comma term checks one counter of a
-// --metrics-json dump; counters the registry never touched read as 0.
+// "a>=1,b<=0,c==2"): each comma term checks one counter (or, failing
+// that, one gauge) of a --metrics-json dump; names the registry never
+// touched read as 0.
 //
 // Exit code 0 on success; 1 with a diagnostic on the first failure.
 
@@ -310,9 +311,10 @@ std::size_t validate_plan_file(const std::string& path) {
 }
 
 /// Counter assertions over a --metrics-json dump: `spec` is a comma list
-/// of `name>=value`, `name<=value` or `name==value` terms. A counter the
-/// registry never touched reads as 0 (so `misses<=1` holds on a clean
-/// run rather than failing on a missing key).
+/// of `name>=value`, `name<=value` or `name==value` terms. A name that is
+/// not a counter is looked up among the gauges; one the registry never
+/// touched reads as 0 (so `misses<=1` holds on a clean run rather than
+/// failing on a missing key).
 void validate_metrics(const std::string& path, const std::string& spec) {
   const auto parsed = JsonValue::parse(read_file(path));
   if (!parsed) fail(path + ": not valid JSON");
@@ -320,6 +322,7 @@ void validate_metrics(const std::string& path, const std::string& spec) {
   if (!counters || !counters->is_object()) {
     fail(path + ": missing \"counters\" object (not a --metrics-json dump?)");
   }
+  const JsonValue* gauges = parsed->find("gauges");
   std::size_t checked = 0;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -339,6 +342,9 @@ void validate_metrics(const std::string& path, const std::string& spec) {
     const std::string name = term.substr(0, op_at);
     const double want = std::strtod(term.c_str() + op_at + 2, nullptr);
     const JsonValue* v = counters->find(name);
+    if (v == nullptr && gauges != nullptr && gauges->is_object()) {
+      v = gauges->find(name);
+    }
     const double got = v && v->is_number() ? v->as_number() : 0.0;
     const bool pass = op == ">=" ? got >= want
                     : op == "<=" ? got <= want
