@@ -2,6 +2,7 @@
 // tiling. Measures the redundant loads f(k) and redundant eliminations
 // g(k) per tile boundary that the buffered sliding window eliminates.
 
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -12,8 +13,18 @@ using namespace tridsolve;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv, util::with_obs_flags({"n", "tile"}));
-  const std::size_t n = static_cast<std::size_t>(cli.get_int("n", 65536));
-  const std::size_t tile = static_cast<std::size_t>(cli.get_int("tile", 256));
+  const std::int64_t n_arg = cli.get_int("n", 65536);
+  const std::int64_t tile_arg = cli.get_int("tile", 256);
+  // Eqs. 8-9 count whole tiles: n / tile - 1 interior boundaries.
+  if (tile_arg <= 0 || tile_arg >= n_arg || n_arg % tile_arg != 0) {
+    std::fprintf(stderr,
+                 "bench_ablation_caching: --tile must be positive, smaller "
+                 "than --n and divide it (n=%lld, tile=%lld)\n",
+                 static_cast<long long>(n_arg), static_cast<long long>(tile_arg));
+    return 2;
+  }
+  const auto n = static_cast<std::size_t>(n_arg);
+  const auto tile = static_cast<std::size_t>(tile_arg);
   const std::size_t boundaries = n / tile - 1;
 
   util::Table table("Naive halo tiling vs dependency caching (n=" +

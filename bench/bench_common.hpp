@@ -48,10 +48,8 @@ gpu::HybridReport run_ours(const gpusim::DeviceSpec& dev, std::size_t m,
 
 enum class Format { ascii, csv, json };
 
-/// Table output format: --format {ascii,csv,json}, with --csv kept as a
-/// backward-compatible alias for --format csv.
+/// Table output format: --format {ascii,csv,json}.
 inline Format output_format(const util::Cli& cli) {
-  if (cli.get_bool("csv", false)) return Format::csv;
   const std::string f = cli.get_string("format", "ascii");
   if (f == "ascii") return Format::ascii;
   if (f == "csv") return Format::csv;

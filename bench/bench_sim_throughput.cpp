@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,15 +39,6 @@ constexpr ModeSpec kModes[] = {
     {"functional", false, gpusim::InstrumentMode::functional_only},
 };
 
-[[nodiscard]] bool parse_on_off(const util::Cli& cli, const char* flag,
-                                bool fallback) {
-  const std::string v = cli.get_string(flag, fallback ? "on" : "off");
-  if (v == "on" || v == "true" || v == "1" || v == "yes") return true;
-  if (v == "off" || v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument(std::string("--") + flag + " expects on|off, got '" +
-                              v + "'");
-}
-
 void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
            const util::Cli& cli, bench::Telemetry& telemetry) {
   // exact-parallel must actually exercise the pool: on a box whose default
@@ -59,7 +49,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
   // vector-vs-scalar perf gate relies on this).
   const std::size_t configured_threads =
       gpusim::ExecutionEngine::instance().threads();
-  const bool guard = parse_on_off(cli, "guard", false);
+  const bool guard = cli.get_bool("guard", false);
   util::Table table("Simulator throughput, hybrid M=" + std::to_string(m) +
                     " N=" + std::to_string(n) + " (double)");
   table.set_header({"mode", "threads", "wall_min[ms]", "wall_median[ms]",

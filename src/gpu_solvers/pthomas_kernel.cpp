@@ -1,6 +1,7 @@
 #include "gpu_solvers/pthomas_kernel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -136,6 +137,14 @@ template <typename T>
 bool block_lanes_apply(std::span<const tridiag::SystemRef<T>> systems) {
   return gpusim::ExecutionEngine::instance().vector_enabled() &&
          strides_agree(systems);
+}
+
+/// Add a launch's tally of blocks that ran a per-block lane sweep
+/// (counted by every worker) to gpusim.vector.blocks.
+void note_swept(const std::atomic<std::size_t>& swept) noexcept {
+  if (const std::size_t n = swept.load(std::memory_order_relaxed)) {
+    gpusim::detail::note_vector_blocks(static_cast<double>(n));
+  }
 }
 
 /// Extend the maximal affine lane segment starting at lane `l0`:
@@ -316,7 +325,8 @@ gpusim::LaunchStats backward(const gpusim::DeviceSpec& dev,
     classes = &own.emplace(lane_classes(dev, systems, xout, block_threads));
   }
   const bool lanes = block_lanes_apply(systems);
-  return gpusim::launch(
+  std::atomic<std::size_t> swept{0};
+  const gpusim::LaunchStats stats = gpusim::launch(
       dev, {grid, block_threads, classes->table()},
       [&](gpusim::BlockContext& ctx) {
         const BlockLanes<T> blk(ctx, systems, block_threads);
@@ -325,6 +335,7 @@ gpusim::LaunchStats backward(const gpusim::DeviceSpec& dev,
           block_backward_lanes(
               systems.subspan(blk.base, blk.lanes),
               xout.empty() ? xout : xout.subspan(blk.base, blk.lanes), x_next);
+          swept.fetch_add(1, std::memory_order_relaxed);
           return;
         }
         lockstep(ctx, blk, [&](auto& t, std::size_t r) {
@@ -350,6 +361,8 @@ gpusim::LaunchStats backward(const gpusim::DeviceSpec& dev,
           x_next[lane] = x;
         });
       });
+  note_swept(swept);
+  return stats;
 }
 
 }  // namespace
@@ -389,6 +402,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
   const gpusim::BlockClasses classes =
       lane_classes(dev, systems, xout, block_threads);
   const bool lanes = !guarding && block_lanes_apply(systems);
+  std::atomic<std::size_t> swept{0};
   // Forward reduction, in place: c <- c', d <- d'. One serialized memory
   // round per row (the loads of row i gate the elimination row i+1 needs).
   stats.forward = gpusim::launch(
@@ -399,6 +413,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
         const std::span<T> dp = ctx.lane_buffer<T>(blk.lanes);
         if (lanes && !ctx.observed()) {
           block_forward_lanes(systems.subspan(blk.base, blk.lanes), cp, dp);
+          swept.fetch_add(1, std::memory_order_relaxed);
           return;
         }
         const std::span<tridiag::SolveStatus> acc =
@@ -428,6 +443,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
           t.store(s.d.ptr(i), dp[lane]);
         });
       });
+  note_swept(swept);
 
   stats.backward = backward(dev, systems, xout, block_threads, &classes);
   return stats;

@@ -166,12 +166,13 @@ struct RecordPlan {
   if (const char* env = std::getenv("TRIDSOLVE_SIM_THREADS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
+    if (end != env && *end == '\0' && v >= 1 &&
+        static_cast<unsigned long>(v) <= ExecutionEngine::kMaxThreads) {
       return static_cast<std::size_t>(v);
     }
   }
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? hc : 1;
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                 ExecutionEngine::kMaxThreads);
 }
 
 }  // namespace
@@ -327,7 +328,7 @@ std::size_t ExecutionEngine::threads() const noexcept {
 
 void ExecutionEngine::set_threads(std::size_t n) noexcept {
   const std::lock_guard<std::mutex> lk(impl_->cfg_mu);
-  impl_->threads = n == 0 ? default_sim_threads() : n;
+  impl_->threads = n == 0 ? default_sim_threads() : std::min(n, kMaxThreads);
 }
 
 InstrumentMode ExecutionEngine::default_instrument() const noexcept {
@@ -402,8 +403,10 @@ void configure_engine_from_cli(const util::Cli& cli) {
   ExecutionEngine& engine = ExecutionEngine::instance();
   if (cli.get("sim-threads")) {
     const auto n = cli.get_int("sim-threads", 0);
-    if (n < 0) {
-      throw std::invalid_argument("--sim-threads must be >= 0 (0 = default)");
+    if (n < 0 || n > static_cast<std::int64_t>(ExecutionEngine::kMaxThreads)) {
+      throw std::invalid_argument("--sim-threads must be in [0, " +
+                                  std::to_string(ExecutionEngine::kMaxThreads) +
+                                  "] (0 = default)");
     }
     engine.set_threads(static_cast<std::size_t>(n));
   }
@@ -413,16 +416,7 @@ void configure_engine_from_cli(const util::Cli& cli) {
   if (const auto mode = cli.get("check-hazards")) {
     engine.set_default_hazards(parse_hazard_mode(*mode));
   }
-  if (const auto vec = cli.get("vector")) {
-    if (*vec == "on" || *vec == "true" || *vec == "1" || *vec == "yes") {
-      engine.set_vector_enabled(true);
-    } else if (*vec == "off" || *vec == "false" || *vec == "0" ||
-               *vec == "no") {
-      engine.set_vector_enabled(false);
-    } else {
-      throw std::invalid_argument("--vector must be on|off");
-    }
-  }
+  if (cli.has("vector")) engine.set_vector_enabled(cli.get_bool("vector", true));
   if (cli.get("fault-rate") || cli.get("fault-seed") || cli.get("fault-kinds")) {
     FaultPlan plan = engine.fault_plan();
     plan.seed = static_cast<std::uint64_t>(

@@ -30,8 +30,9 @@
 // checks and fault plans keep every block observed in every mode.
 //
 // Thread count comes from --sim-threads / TRIDSOLVE_SIM_THREADS (default
-// hardware_concurrency); the main thread always participates, so 1 means
-// fully serial with zero pool traffic.
+// hardware_concurrency, at most ExecutionEngine::kMaxThreads); the main
+// thread always participates, so 1 means fully serial with zero pool
+// traffic.
 //
 // Orthogonally, HazardMode selects shared-memory hazard detection
 // (hazard_tracker.hpp): `off` (default), `detect` (count + report via
@@ -147,9 +148,16 @@ class ExecutionEngine {
  public:
   [[nodiscard]] static ExecutionEngine& instance();
 
+  /// Upper bound on threads(). A launch starts min(threads, grid) - 1
+  /// pool workers, so a mistyped count must not reach the OS: set_threads
+  /// clamps to it, --sim-threads above it throws and a larger
+  /// TRIDSOLVE_SIM_THREADS is ignored.
+  static constexpr std::size_t kMaxThreads = 256;
+
   /// Simulation threads used per launch (>= 1, main thread included).
   [[nodiscard]] std::size_t threads() const noexcept;
-  /// 0 restores the default (TRIDSOLVE_SIM_THREADS or hardware_concurrency).
+  /// 0 restores the default (TRIDSOLVE_SIM_THREADS or hardware_concurrency);
+  /// a count above kMaxThreads is clamped to it.
   void set_threads(std::size_t n) noexcept;
 
   [[nodiscard]] InstrumentMode default_instrument() const noexcept;

@@ -1,20 +1,7 @@
 #include "gpusim/trace.hpp"
 
-#include <cstdio>
 
 namespace tridsolve::gpusim {
-
-std::string describe_launch(const DeviceSpec& dev, const LaunchStats& stats) {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof buf,
-      "<<<%zu,%d>>> %.1fus [%s-bound] occ=%.0f%% tx=%zu coalesce=%.0f%%",
-      stats.config.grid_blocks, stats.config.block_threads,
-      stats.timing.time_us, stats.timing.bound(),
-      100.0 * stats.timing.occupancy.fraction, stats.costs.transactions,
-      100.0 * stats.costs.coalescing_efficiency(dev.transaction_bytes));
-  return buf;
-}
 
 util::Table timeline_table(const DeviceSpec& dev, const Timeline& timeline,
                            std::string title) {

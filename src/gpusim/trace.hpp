@@ -17,10 +17,6 @@
 
 namespace tridsolve::gpusim {
 
-/// One-line summary of a single launch.
-[[nodiscard]] std::string describe_launch(const DeviceSpec& dev,
-                                          const LaunchStats& stats);
-
 /// Table over all segments of a timeline: label, grid x block, time,
 /// binding resource, occupancy, transactions, coalescing efficiency and
 /// each segment's share of the total.

@@ -300,7 +300,8 @@ class LanePool {
 namespace detail {
 /// Metric bookkeeping for the fast path (cached handles; see
 /// vector_engine.cpp): per-launch LanePool tallies and the number of
-/// launch blocks a grid-wide sweep replaced (gpusim.vector.blocks).
+/// launch blocks a lane sweep replaced, grid-wide or block by block
+/// (gpusim.vector.blocks).
 void note_scratch(std::size_t acquires, std::size_t reuses) noexcept;
 void note_vector_blocks(double n) noexcept;
 }  // namespace detail

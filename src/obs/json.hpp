@@ -50,7 +50,6 @@ class JsonValue {
   }
 
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::null; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::boolean; }
   [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::number; }
   [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::string; }
   [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::array; }

@@ -90,11 +90,6 @@ bool MetricsRegistry::has_counter(std::string_view name) const noexcept {
   return slot != nullptr && slot->touched.load(std::memory_order_relaxed);
 }
 
-bool MetricsRegistry::has_gauge(std::string_view name) const noexcept {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return gauges_.find(name) != gauges_.end();
-}
-
 std::map<std::string, double> MetricsRegistry::counters() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, double> out;

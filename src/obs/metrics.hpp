@@ -125,7 +125,6 @@ class MetricsRegistry {
   [[nodiscard]] double gauge(std::string_view name) const noexcept;
 
   [[nodiscard]] bool has_counter(std::string_view name) const noexcept;
-  [[nodiscard]] bool has_gauge(std::string_view name) const noexcept;
 
   /// Resolve (creating on first use) the handle for histogram `name`.
   /// Returns an invalid (no-op) handle only if slot allocation fails.

@@ -188,7 +188,7 @@ class TridiagSystem {
 };
 
 /// Identity row (0,1,0 | 0): the virtual row used for all out-of-range
-/// neighbours, which makes CR/PCR size-agnostic (x_virtual = 0).
+/// neighbours, which makes PCR size-agnostic (x_virtual = 0).
 template <typename T>
 struct Row {
   T a{}, b{}, c{}, d{};

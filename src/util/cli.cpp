@@ -78,13 +78,17 @@ double Cli::get_double(const std::string& name, double fallback) const {
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+  if (*v == "on" || *v == "true" || *v == "yes" || *v == "1") return true;
+  if (*v == "off" || *v == "false" || *v == "no" || *v == "0") return false;
+  throw std::invalid_argument("--" + name +
+                              " expects on/off, true/false, yes/no or 1/0, got '" +
+                              *v + "'");
 }
 
 std::vector<std::string> with_obs_flags(std::vector<std::string> flags) {
   for (const char* name :
        {"json", "trace-json", "metrics-json", "metrics-prom", "spans-json",
-        "format", "csv", "sim-threads", "instrument", "vector",
+        "format", "sim-threads", "instrument", "vector",
         "check-hazards", "fault-seed", "fault-rate", "fault-kinds",
         "deadline-us", "max-retries", "plan-file"}) {
     if (std::find(flags.begin(), flags.end(), name) == flags.end()) {

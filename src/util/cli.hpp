@@ -30,6 +30,8 @@ class Cli {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+  /// on/off, true/false, yes/no or 1/0; a bare switch reads true. Any
+  /// other value throws std::invalid_argument naming the flag.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -48,7 +50,6 @@ class Cli {
 ///   --metrics-prom <path> dump the registry in Prometheus text format
 ///   --spans-json <path>   enable causal span tracing; write spans JSONL
 ///   --format {ascii,csv,json}  table output format
-///   --csv                 legacy alias for --format csv
 ///   --sim-threads N       simulator worker threads (0 = default)
 ///   --instrument MODE     exact | sampled (default) | functional_only
 ///   --vector {on,off}     vectorized p-Thomas lane sweeps: grid-wide in

@@ -36,28 +36,6 @@ Xoshiro256::result_type Xoshiro256::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256::long_jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-      0x39109bb02acbe635ULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (std::uint64_t{1} << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 double uniform(Xoshiro256& rng, double lo, double hi) noexcept {
   // 53 high bits -> [0,1) with full double resolution.
   const double unit = static_cast<double>(rng() >> 11) * 0x1.0p-53;

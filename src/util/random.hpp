@@ -25,9 +25,6 @@ class Xoshiro256 {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
-  /// Jump ahead by 2^128 steps: used to derive independent streams.
-  void long_jump() noexcept;
-
  private:
   std::uint64_t s_[4];
 };

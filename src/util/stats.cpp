@@ -47,18 +47,6 @@ double max_abs_diff_impl(std::span<const T> a, std::span<const T> b) {
   return worst;
 }
 
-template <typename T>
-double max_rel_diff_impl(std::span<const T> a, std::span<const T> b) {
-  assert(a.size() == b.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double ref = std::max(1.0, std::abs(static_cast<double>(b[i])));
-    worst = std::max(
-        worst, std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i])) / ref);
-  }
-  return worst;
-}
-
 }  // namespace
 
 double max_abs_diff(std::span<const double> a, std::span<const double> b) {
@@ -67,24 +55,4 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
 double max_abs_diff(std::span<const float> a, std::span<const float> b) {
   return max_abs_diff_impl(a, b);
 }
-double max_rel_diff(std::span<const double> a, std::span<const double> b) {
-  return max_rel_diff_impl(a, b);
-}
-double max_rel_diff(std::span<const float> a, std::span<const float> b) {
-  return max_rel_diff_impl(a, b);
-}
-
-double l2_norm(std::span<const double> v) {
-  double sq = 0.0;
-  for (double x : v) sq += x * x;
-  return std::sqrt(sq);
-}
-
-double geomean(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 }  // namespace tridsolve::util

@@ -23,14 +23,4 @@ Summary summarize(std::span<const double> values);
 double max_abs_diff(std::span<const double> a, std::span<const double> b);
 double max_abs_diff(std::span<const float> a, std::span<const float> b);
 
-/// max_i |a[i] - b[i]| / max(1, |b[i]|)  (mixed relative/absolute error).
-double max_rel_diff(std::span<const double> a, std::span<const double> b);
-double max_rel_diff(std::span<const float> a, std::span<const float> b);
-
-/// Euclidean norm.
-double l2_norm(std::span<const double> v);
-
-/// Geometric mean; values must be positive.
-double geomean(std::span<const double> values);
-
 }  // namespace tridsolve::util

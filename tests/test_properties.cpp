@@ -14,11 +14,9 @@
 
 #include "gpu_solvers/hybrid_solver.hpp"
 #include "gpusim/device_spec.hpp"
-#include "tridiag/cyclic_reduction.hpp"
 #include "tridiag/lu_pivot.hpp"
 #include "tridiag/pcr.hpp"
 #include "tridiag/partition.hpp"
-#include "tridiag/recursive_doubling.hpp"
 #include "tridiag/thomas.hpp"
 #include "util/random.hpp"
 #include "workloads/generators.hpp"
@@ -96,8 +94,7 @@ TEST_P(HostSolverProperty, AllHostSolversAgree) {
   wl::fill_matrix(s.kind, sys.ref(), rng);
   wl::fill_rhs_random(sys.ref(), rng);
 
-  std::vector<double> x_lu(s.n), x_th(s.n), x_cr(s.n), x_rd(s.n), x_pcr(s.n),
-      x_part(s.n);
+  std::vector<double> x_lu(s.n), x_th(s.n), x_pcr(s.n), x_part(s.n);
   ASSERT_TRUE(
       td::lu_gtsv(sys.ref(), td::StridedView<double>(x_lu.data(), s.n, 1)).ok());
   {
@@ -105,10 +102,6 @@ TEST_P(HostSolverProperty, AllHostSolversAgree) {
     ASSERT_TRUE(
         td::thomas_solve(c.ref(), td::StridedView<double>(x_th.data(), s.n, 1)).ok());
   }
-  ASSERT_TRUE(
-      td::cr_solve(sys.ref(), td::StridedView<double>(x_cr.data(), s.n, 1)).ok());
-  ASSERT_TRUE(
-      td::rd_solve(sys.ref(), td::StridedView<double>(x_rd.data(), s.n, 1)).ok());
   {
     auto c = sys.clone();
     ASSERT_TRUE(
@@ -124,8 +117,6 @@ TEST_P(HostSolverProperty, AllHostSolversAgree) {
   for (std::size_t i = 0; i < s.n; ++i) {
     const double scale = std::max(1.0, std::abs(x_lu[i]));
     EXPECT_NEAR(x_th[i] / scale, x_lu[i] / scale, 1e-8) << i;
-    EXPECT_NEAR(x_cr[i] / scale, x_lu[i] / scale, 1e-7) << i;
-    EXPECT_NEAR(x_rd[i] / scale, x_lu[i] / scale, 1e-6) << i;
     EXPECT_NEAR(x_pcr[i] / scale, x_lu[i] / scale, 1e-7) << i;
     EXPECT_NEAR(x_part[i] / scale, x_lu[i] / scale, 1e-7) << i;
   }

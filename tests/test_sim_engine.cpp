@@ -12,12 +12,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "gpusim/launch.hpp"
 #include "obs/metrics.hpp"
 #include "tridiag/layout.hpp"
+#include "util/cli.hpp"
 #include "workloads/generators.hpp"
 
 namespace gs = tridsolve::gpusim;
@@ -172,6 +175,43 @@ TEST(ExecutionEngine, ThreadCountConfigurable) {
     gs::ScopedSimThreads guard(0);  // 0 restores the default
     EXPECT_GE(engine.threads(), 1u);
   }
+}
+
+TEST(ExecutionEngine, ThreadCountIsBounded) {
+  // Launches nothing, so no pool worker starts: only the configured count
+  // and the CLI check are looked at.
+  constexpr std::size_t kMax = gs::ExecutionEngine::kMaxThreads;
+  auto& engine = gs::ExecutionEngine::instance();
+  const gs::ScopedSimThreads restore(1);
+  engine.set_threads(kMax + 1000);
+  EXPECT_EQ(engine.threads(), kMax);
+
+  const char* prev_env = std::getenv("TRIDSOLVE_SIM_THREADS");
+  const std::optional<std::string> prev =
+      prev_env ? std::optional<std::string>(prev_env) : std::nullopt;
+  ::setenv("TRIDSOLVE_SIM_THREADS", "3", 1);
+  engine.set_threads(0);
+  EXPECT_EQ(engine.threads(), 3u);
+  ::setenv("TRIDSOLVE_SIM_THREADS", std::to_string(kMax + 1).c_str(), 1);
+  engine.set_threads(0);  // ignored like a malformed value
+  EXPECT_EQ(engine.threads(),
+            std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kMax));
+  if (prev) {
+    ::setenv("TRIDSOLVE_SIM_THREADS", prev->c_str(), 1);
+  } else {
+    ::unsetenv("TRIDSOLVE_SIM_THREADS");
+  }
+
+  const auto configure = [](const std::string& n) {
+    const char* argv[] = {"prog", "--sim-threads", n.c_str()};
+    const tridsolve::util::Cli cli(3, argv, tridsolve::util::with_obs_flags({}));
+    gs::configure_engine_from_cli(cli);
+  };
+  configure(std::to_string(kMax));
+  EXPECT_EQ(engine.threads(), kMax);
+  EXPECT_THROW(configure(std::to_string(kMax + 1)), std::invalid_argument);
+  EXPECT_THROW(configure("-1"), std::invalid_argument);
+  EXPECT_EQ(engine.threads(), kMax);
 }
 
 TEST(ExecutionEngine, ParallelExactMatchesSerialExact) {

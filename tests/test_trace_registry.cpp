@@ -28,15 +28,6 @@ gs::Timeline sample_timeline(const gs::DeviceSpec& dev) {
 
 }  // namespace
 
-TEST(Trace, DescribeLaunchMentionsKeyFacts) {
-  const auto dev = gs::gtx480();
-  const auto tl = sample_timeline(dev);
-  const auto desc = gs::describe_launch(dev, tl.segments()[0].stats);
-  EXPECT_NE(desc.find("<<<4,64>>>"), std::string::npos);
-  EXPECT_NE(desc.find("bound"), std::string::npos);
-  EXPECT_NE(desc.find("occ="), std::string::npos);
-}
-
 TEST(Trace, TimelineTableHasAllSegmentsPlusTotal) {
   const auto dev = gs::gtx480();
   const auto tl = sample_timeline(dev);

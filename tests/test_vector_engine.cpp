@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gpu_solvers/hybrid_solver.hpp"
+#include "gpu_solvers/pthomas_kernel.hpp"
 #include "gpu_solvers/registry.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/exec_engine.hpp"
@@ -312,6 +313,46 @@ TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
                                   functional, &solution);
     EXPECT_EQ(counter("gpusim.vector.blocks"), before)
         << "fault-injected run must stay scalar";
+  }
+}
+
+// gpusim.vector.blocks also counts the blocks of an instrumented launch
+// that run the lane sweeps block by block: in a sampled k = 0 solve,
+// every block but the one recorded per cost class. With the sweeps off,
+// or with hazard checks observing every block, it does not move.
+TEST(VectorEngine, CounterCountsPerBlockLaneSweeps) {
+  const auto dev = gs::gtx480();
+  const gs::ScopedInstrumentMode sampled(gs::InstrumentMode::sampled);
+  const auto solve_delta = [&](gpu::PthomasStats* stats) {
+    auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 4100, 33,
+                                        td::Layout::interleaved, 17);
+    std::vector<td::SystemRef<double>> systems;
+    for (std::size_t m = 0; m < batch.num_systems(); ++m) {
+      systems.push_back(batch.system(m));
+    }
+    const double before = counter("gpusim.vector.blocks");
+    const auto run = gpu::pthomas_solve<double>(dev, systems);
+    if (stats != nullptr) *stats = run;
+    return counter("gpusim.vector.blocks") - before;
+  };
+
+  gpu::PthomasStats stats;
+  const double delta = solve_delta(&stats);
+  double unrecorded = 0.0;
+  for (const gs::LaunchStats* launch : {&stats.forward, &stats.backward}) {
+    EXPECT_GT(launch->instrumented_blocks, 0u);
+    EXPECT_LT(launch->instrumented_blocks, launch->config.grid_blocks);
+    unrecorded += static_cast<double>(launch->config.grid_blocks -
+                                      launch->instrumented_blocks);
+  }
+  EXPECT_EQ(delta, unrecorded);
+  {
+    const gs::ScopedVectorMode off(false);
+    EXPECT_EQ(solve_delta(nullptr), 0.0) << "--vector off runs the bodies";
+  }
+  {
+    const gs::ScopedHazardMode detect(gs::HazardMode::detect);
+    EXPECT_EQ(solve_delta(nullptr), 0.0) << "hazard checks observe every block";
   }
 }
 
