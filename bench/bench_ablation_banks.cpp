@@ -43,6 +43,6 @@ int main(int argc, char** argv) {
          bench::us(naive.timing.time_us), bench::us(padded.timing.time_us),
          util::Table::num(naive.timing.time_us / padded.timing.time_us, 2) + "x"});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   return 0;
 }

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                    std::to_string(cc.redundant_elims(n, k)),
                    std::to_string(cc.cache_rows_peak)});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   std::puts("Eq. 8: f(k) = 2^k - 1 redundant loads per boundary side;\n"
             "Eq. 9: g(k) = k*2^k - 2^{k+1} + 2 redundant eliminations.\n"
             "Both grow exponentially in k; the sliding window's totals are 0.");

@@ -54,6 +54,6 @@ int main(int argc, char** argv) {
                    std::to_string(rp.timeline.segments().size()) + "/" +
                        std::to_string(rf.timeline.segments().size())});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   return 0;
 }

@@ -63,6 +63,6 @@ int main(int argc, char** argv) {
                        ? "large system: in-shared methods inapplicable"
                        : ""});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   return 0;
 }

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                    std::to_string(ra.k), bench::us(ta), bench::us(tb),
                    std::to_string(rb.redundant_loads), bench::us(tc), best});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   std::puts("expected: (b) wins for very small M (device would otherwise idle,\n"
             "despite its halo re-loads); (a)/(c) win once M provides enough blocks.");
   return 0;

@@ -47,6 +47,6 @@ int main(int argc, char** argv) {
     extra["y_k"] = rep.y_k;
     telemetry.record(dev, "adi", n, n, rep.timeline, std::move(extra));
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   return 0;
 }

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       plans.push_back(std::move(entry));
     }
   }
-  bench::emit(table, cli);
+  bench::emit(table);
 
   if (const auto out = cli.get("out")) {
     obs::JsonValue doc = obs::JsonValue::object();

@@ -24,7 +24,6 @@
 #include "gpusim/trace.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/record_schema.hpp"
 #include "obs/span_tracer.hpp"
 #include "obs/telemetry.hpp"
@@ -44,18 +43,6 @@ gpu::HybridReport run_ours(const gpusim::DeviceSpec& dev, std::size_t m,
       workloads::make_batch<T>(workloads::Kind::random_dominant, m, n,
                                gpu::preferred_layout(m, n), /*seed=*/42);
   return gpu::hybrid_solve<T>(dev, batch, opts);
-}
-
-enum class Format { ascii, csv, json };
-
-/// Table output format: --format {ascii,csv,json}.
-inline Format output_format(const util::Cli& cli) {
-  const std::string f = cli.get_string("format", "ascii");
-  if (f == "ascii") return Format::ascii;
-  if (f == "csv") return Format::csv;
-  if (f == "json") return Format::json;
-  throw std::invalid_argument("unknown --format: " + f +
-                              " (expected ascii, csv or json)");
 }
 
 /// Host-wide CPU time counters from the first line of /proc/stat, in
@@ -165,21 +152,10 @@ WallStats repeat_wall(const util::Cli& cli, F&& fn) {
       cli, [] {}, std::forward<F>(fn));
 }
 
-/// Print a table in the format the command line selected.
-inline void emit(const util::Table& table, const util::Cli& cli) {
-  switch (output_format(cli)) {
-    case Format::csv:
-      std::fputs(table.to_csv().c_str(), stdout);
-      break;
-    case Format::json:
-      std::fputs(table.to_json().c_str(), stdout);
-      std::fputs("\n", stdout);
-      break;
-    case Format::ascii:
-      std::fputs(table.to_ascii().c_str(), stdout);
-      std::fputs("\n", stdout);
-      break;
-  }
+/// Print a table as aligned ASCII, followed by a blank line.
+inline void emit(const util::Table& table) {
+  std::fputs(table.to_ascii().c_str(), stdout);
+  std::fputs("\n", stdout);
 }
 
 /// The record's plan group (obs/record_schema.hpp): the plan a solve ran
@@ -195,9 +171,8 @@ inline void put_plan(obs::JsonValue& rec, gpu::PlanSource source,
 /// Observability hub of every bench and of quickstart, driven by the
 /// shared flags (util::with_obs_flags): a JSONL record sink (--json), a
 /// Chrome trace accumulating every recorded timeline as its own track
-/// (--trace-json), span tracing (--spans-json) and metrics-registry dumps
-/// (--metrics-json, --metrics-prom). Each is inert unless its flag was
-/// passed.
+/// (--trace-json), span tracing (--spans-json) and a metrics-registry dump
+/// (--metrics-json). Each is inert unless its flag was passed.
 class Telemetry {
  public:
   Telemetry(const util::Cli& cli, std::string bench_name)
@@ -218,7 +193,6 @@ class Telemetry {
     if (const auto path = cli.get("json")) sink_ = obs::JsonlSink(*path);
     trace_path_ = cli.get_string("trace-json", "");
     metrics_path_ = cli.get_string("metrics-json", "");
-    prom_path_ = cli.get_string("metrics-prom", "");
     spans_path_ = cli.get_string("spans-json", "");
     if (!spans_path_.empty()) {
       // Opt-in: tracing stays off (and free) unless --spans-json asks
@@ -245,9 +219,6 @@ class Telemetry {
       if (!trace_path_.empty()) trace_.add_spans(tracer.spans());
     }
     if (!trace_path_.empty()) trace_.write_file(trace_path_);
-    if (!prom_path_.empty()) {
-      obs::write_prometheus(obs::MetricsRegistry::instance(), prom_path_);
-    }
     if (!metrics_path_.empty()) {
       if (std::FILE* f = std::fopen(metrics_path_.c_str(), "w")) {
         const std::string text =
@@ -405,7 +376,6 @@ class Telemetry {
   obs::ChromeTraceBuilder trace_;
   std::string trace_path_;
   std::string metrics_path_;
-  std::string prom_path_;
   std::string spans_path_;
   std::chrono::steady_clock::time_point last_record_;
   gpusim::HazardMode hazard_mode_ = gpusim::HazardMode::off;

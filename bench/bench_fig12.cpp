@@ -17,8 +17,7 @@ namespace {
 
 template <typename T>
 void panel(const gpusim::DeviceSpec& dev, const cpu::CpuModel& cpu_model,
-           std::size_t n, std::size_t m_max, const util::Cli& cli,
-           bench::Telemetry& telemetry) {
+           std::size_t n, std::size_t m_max, bench::Telemetry& telemetry) {
   const bool fp64 = sizeof(T) == 8;
   util::Table table("Fig.12 N=" + std::to_string(n) + " (" +
                     (fp64 ? "double" : "single") +
@@ -42,7 +41,7 @@ void panel(const gpusim::DeviceSpec& dev, const cpu::CpuModel& cpu_model,
     extra["mkl_mt_us"] = mt;
     telemetry.record_hybrid(dev, m, n, ours, "hybrid", std::move(extra));
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   std::printf("  peak speedup at N=%zu (%s): %.1fx over sequential, %.1fx over "
               "multithreaded (paper: 49x / 8.3x double, 82.5x / 12.9x single, "
               "at N=512)\n\n",
@@ -60,20 +59,20 @@ int main(int argc, char** argv) {
 
   // --smoke: tiny shapes for CI telemetry validation, one panel only.
   if (cli.get_bool("smoke", false)) {
-    panel<double>(dev, cpu_model, 512, 256, cli, telemetry);
+    panel<double>(dev, cpu_model, 512, 256, telemetry);
     return 0;
   }
 
   const bool quick = cli.get_bool("quick", false);
-  panel<double>(dev, cpu_model, 512, quick ? 4096 : 16384, cli,
+  panel<double>(dev, cpu_model, 512, quick ? 4096 : 16384,
                 telemetry);                                         // Fig. 12(a)
-  panel<double>(dev, cpu_model, 2048, quick ? 1024 : 4096, cli,
+  panel<double>(dev, cpu_model, 2048, quick ? 1024 : 4096,
                 telemetry);                                         // Fig. 12(b)
-  panel<double>(dev, cpu_model, 16384, quick ? 256 : 1024, cli,
+  panel<double>(dev, cpu_model, 16384, quick ? 256 : 1024,
                 telemetry);                                         // Fig. 12(c)
   if (cli.get_bool("float", true)) {
     // The single-precision headline (§IV text; not plotted in Fig. 12).
-    panel<float>(dev, cpu_model, 512, quick ? 4096 : 16384, cli, telemetry);
+    panel<float>(dev, cpu_model, 512, quick ? 4096 : 16384, telemetry);
   }
   return 0;
 }

@@ -18,8 +18,7 @@ namespace {
 
 void panel(const gpusim::DeviceSpec& dev, const cpu::CpuModel& cpu_model,
            std::size_t m, const std::vector<std::size_t>& sizes,
-           bool include_mt, const util::Cli& cli,
-           bench::Telemetry& telemetry) {
+           bool include_mt, bench::Telemetry& telemetry) {
   util::Table table("Fig.13 M=" + std::to_string(m) +
                     " (double), execution time [ms] vs N");
   std::vector<std::string> header{"N", "MKL(seq)"};
@@ -45,7 +44,7 @@ void panel(const gpusim::DeviceSpec& dev, const cpu::CpuModel& cpu_model,
     extra["mkl_mt_us"] = mt;
     telemetry.record_hybrid(dev, m, n, ours, "hybrid", std::move(extra));
   }
-  bench::emit(table, cli);
+  bench::emit(table);
 }
 
 }  // namespace
@@ -61,24 +60,24 @@ int main(int argc, char** argv) {
   panel(dev, cpu_model, 2048,
         quick ? std::vector<std::size_t>{256, 1024, 4096}
               : std::vector<std::size_t>{256, 512, 1024, 2048, 4096, 8192},
-        /*include_mt=*/true, cli, telemetry);
+        /*include_mt=*/true, telemetry);
   // Panel (b): M = 256, N = 4K..32K.
   panel(dev, cpu_model, 256,
         quick ? std::vector<std::size_t>{4096, 16384}
               : std::vector<std::size_t>{4096, 8192, 16384, 32768},
-        true, cli, telemetry);
+        true, telemetry);
   // Panel (c): M = 16, N = 16K..128K.
   panel(dev, cpu_model, 16,
         quick ? std::vector<std::size_t>{16384, 65536}
               : std::vector<std::size_t>{16384, 32768, 65536, 131072},
-        true, cli, telemetry);
+        true, telemetry);
   // Panel (d): M = 1, N = 0.5M..8M (no MT series: gtsv is not threaded).
   panel(dev, cpu_model, 1,
         quick ? std::vector<std::size_t>{std::size_t{1} << 19}
               : std::vector<std::size_t>{std::size_t{1} << 19,
                                          std::size_t{1} << 21,
                                          std::size_t{1} << 23},
-        false, cli, telemetry);
+        false, telemetry);
   std::puts("(paper §IV: pcr_share ~55% at M=1; 36.2% at M=16; 6.25% at "
             "M=256 — see EXPERIMENTS.md for the simulator's deviation at "
             "mid-M)");

@@ -24,7 +24,7 @@ struct Config {
 
 template <typename T>
 void panel(const gpusim::DeviceSpec& dev, const std::vector<Config>& configs,
-           const util::Cli& cli, bench::Telemetry& telemetry) {
+           bench::Telemetry& telemetry) {
   const bool fp64 = sizeof(T) == 8;
   util::Table table(std::string("Fig.14") + (fp64 ? "(a) double" : "(b) single") +
                     ": Ours vs Davidson-style hybrid, execution time [ms]");
@@ -59,7 +59,7 @@ void panel(const gpusim::DeviceSpec& dev, const std::vector<Config>& configs,
     }
     table.add_row(std::move(row));
   }
-  bench::emit(table, cli);
+  bench::emit(table);
 }
 
 }  // namespace
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     flt.resize(2);
   }
 
-  panel<double>(dev, dbl, cli, telemetry);
-  panel<float>(dev, flt, cli, telemetry);
+  panel<double>(dev, dbl, telemetry);
+  panel<float>(dev, flt, telemetry);
   return 0;
 }

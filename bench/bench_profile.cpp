@@ -95,7 +95,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
     for (const auto& [phase, attr] : roofs) roof[phase] = attr.to_json();
     telemetry.record(dev, name, m, n, out.timeline, std::move(extra));
   }
-  bench::emit(table, cli);
+  bench::emit(table);
 }
 
 }  // namespace

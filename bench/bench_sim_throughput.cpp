@@ -136,7 +136,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
       telemetry.record_hybrid(dev, m, n, report, "hybrid", std::move(extra));
     }
   }
-  bench::emit(table, cli);
+  bench::emit(table);
 }
 
 }  // namespace

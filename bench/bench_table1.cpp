@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                        ? "yes"
                        : "NO"});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   std::puts("measured shared = (2*subtile + 2*f(k)) rows * 4 doubles: the\n"
             "implementation's ping-pong + tail-cache layout, always within\n"
             "the paper's 4-sub-tile window (top + 2x middle + bottom).");

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
            util::Table::num(gpu::cost_hybrid(m, n, p, 6), 0),
            util::Table::num(gpu::cost_hybrid(m, n, p, 8), 0)});
     }
-    bench::emit(table, cli);
+    bench::emit(table);
   }
 
   {
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
         telemetry.record_hybrid(dev, m, n, report);
       }
     }
-    bench::emit(table, cli);
+    bench::emit(table);
   }
 
   std::printf("Thomas steps for one 512-row system: %zu (formula 2n-1)\n",

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                    std::to_string(std::size_t{1} << paper_k),
                    std::to_string(gpu::model_best_k(cfg.m, cfg.n, dev))});
   }
-  bench::emit(table, cli);
+  bench::emit(table);
   std::puts("paper Table III: M<16 -> k=8 (tile 256), 16<=M<32 -> 7, "
             "32<=M<512 -> 6, 512<=M<1024 -> 5, M>=1024 -> 0");
   return 0;

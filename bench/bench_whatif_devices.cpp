@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
            zhang.supported ? bench::us(zhang.time_us) : "n/a: " + zhang.detail,
            dav.supported ? bench::us(dav.time_us) : "n/a: " + dav.detail});
     }
-    bench::emit(table, cli);
+    bench::emit(table);
   }
   std::puts("expected: the GTX280 (16KB shared) rejects in-shared baselines\n"
             "earlier; the hybrid runs everywhere, and its cost-model k shifts\n"

@@ -4,10 +4,10 @@
 //
 //   ./quickstart [--n 1000] [--trace]   (--trace prints the simulated
 //                                        per-kernel timeline)
-//   --json/--trace-json/--spans-json/--metrics-json/--metrics-prom
+//   --json/--trace-json/--spans-json/--metrics-json
 //                          the benches' telemetry sinks (bench::Telemetry):
 //                          one JSONL record, a Chrome trace, the span
-//                          tree, and metrics-registry dumps
+//                          tree, and a metrics-registry dump
 //   --break-row R          zeroes diagonal entry R: pivot-free solvers
 //                          break down, the guard flags the system and the
 //                          resilient pipeline's fallback chain recovers it

@@ -60,9 +60,6 @@ class AdiIntegrator {
   /// Advance `field` (row-major ny x nx, interior points) one full step.
   AdiStepReport step(std::vector<T>& field);
 
-  [[nodiscard]] std::size_t nx() const noexcept { return nx_; }
-  [[nodiscard]] std::size_t ny() const noexcept { return ny_; }
-
  private:
   /// One implicit half-step on the row-major field: plan the sweep for
   /// the layout its lines have in the field, solve there or between two

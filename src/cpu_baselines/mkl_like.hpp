@@ -56,8 +56,6 @@ class CpuModel {
   [[nodiscard]] double multithreaded_us(std::size_t m, std::size_t n,
                                         bool fp64) const noexcept;
 
-  [[nodiscard]] const CpuSpec& spec() const noexcept { return spec_; }
-
  private:
   CpuSpec spec_;
 };

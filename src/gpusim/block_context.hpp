@@ -217,8 +217,6 @@ class ThreadCtx {
     site_ = 0;
   }
 
-  [[nodiscard]] std::size_t rounds() const noexcept { return round_; }
-
  private:
   friend class BlockContext;
 
@@ -363,8 +361,6 @@ class BlockContext {
   [[nodiscard]] std::size_t block_id() const noexcept { return block_id_; }
   [[nodiscard]] std::size_t grid_blocks() const noexcept { return grid_blocks_; }
   [[nodiscard]] int block_threads() const noexcept { return block_threads_; }
-  [[nodiscard]] const DeviceSpec& device() const noexcept { return dev_; }
-  [[nodiscard]] bool recording() const noexcept { return record_; }
   /// True when this block records costs, a hazard detector watches it or
   /// a fault injector is attached. Observed blocks must run their phase
   /// bodies through phase()/phase_rounds() and ThreadCtx, so the

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <map>
 
-#include "obs/metrics.hpp"
-
 namespace tridsolve::obs {
 
 namespace {
@@ -65,7 +63,6 @@ int ChromeTraceBuilder::add_timeline(const gpusim::DeviceSpec& dev,
     args["shared_bytes"] = s.costs.shared_bytes;
     args["shared_peak_bytes"] = s.costs.shared_peak_bytes;
     trace_events_.push_back(std::move(ev));
-    ++events_;
     cursor_us += s.timing.time_us;
   }
   return tid;
@@ -114,7 +111,6 @@ std::size_t ChromeTraceBuilder::add_spans(const std::vector<Span>& spans) {
     args["sim_t1_us"] = s.sim_t1_us;
     for (const auto& [key, value] : s.attrs) args[key] = value;
     trace_events_.push_back(std::move(ev));
-    ++events_;
     ++added;
 
     // Causal arrow parent -> child (flow events are exempt from the
@@ -158,7 +154,6 @@ JsonValue ChromeTraceBuilder::to_json() const {
   JsonValue& other = doc["otherData"] = JsonValue::object();
   other["exporter"] = "tridsolve-obs";
   other["process"] = process_name_;
-  other["metrics"] = MetricsRegistry::instance().to_json();
   return doc;
 }
 
@@ -174,14 +169,6 @@ bool ChromeTraceBuilder::write_file(const std::string& path) const {
   std::fclose(f);
   if (!ok) std::fprintf(stderr, "chrome_trace: short write to %s\n", path.c_str());
   return ok;
-}
-
-std::string chrome_trace_json(const gpusim::DeviceSpec& dev,
-                              const gpusim::Timeline& timeline,
-                              const std::string& track_name) {
-  ChromeTraceBuilder builder;
-  builder.add_timeline(dev, timeline, track_name);
-  return builder.str();
 }
 
 }  // namespace tridsolve::obs

@@ -43,12 +43,8 @@ class ChromeTraceBuilder {
   /// added.
   std::size_t add_spans(const std::vector<Span>& spans);
 
-  /// Duration events recorded so far (metadata events not counted).
-  [[nodiscard]] std::size_t event_count() const noexcept { return events_; }
-
   /// The full document: {"traceEvents": [...], "displayTimeUnit": "ms",
-  /// "otherData": {...}}. A snapshot of the metrics registry is embedded
-  /// under otherData.metrics.
+  /// "otherData": {"exporter", "process"}}.
   [[nodiscard]] JsonValue to_json() const;
 
   [[nodiscard]] std::string str() const { return to_json().dump(1); }
@@ -60,12 +56,6 @@ class ChromeTraceBuilder {
   std::string process_name_;
   JsonValue trace_events_ = JsonValue::array();
   int next_tid_ = 0;
-  std::size_t events_ = 0;
 };
-
-/// One-shot convenience: a single-timeline trace document as a string.
-[[nodiscard]] std::string chrome_trace_json(const gpusim::DeviceSpec& dev,
-                                            const gpusim::Timeline& timeline,
-                                            const std::string& track_name);
 
 }  // namespace tridsolve::obs

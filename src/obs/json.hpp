@@ -49,13 +49,11 @@ class JsonValue {
     return v;
   }
 
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::null; }
   [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::number; }
   [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::string; }
   [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::array; }
   [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::object; }
 
-  [[nodiscard]] bool as_bool() const noexcept { return bool_; }
   [[nodiscard]] double as_number() const noexcept { return num_; }
   [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
   [[nodiscard]] const Array& as_array() const noexcept { return arr_; }

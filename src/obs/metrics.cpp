@@ -85,11 +85,6 @@ double MetricsRegistry::gauge(std::string_view name) const noexcept {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-bool MetricsRegistry::has_counter(std::string_view name) const noexcept {
-  const Slot* slot = find_slot(name);
-  return slot != nullptr && slot->touched.load(std::memory_order_relaxed);
-}
-
 std::map<std::string, double> MetricsRegistry::counters() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, double> out;

@@ -124,8 +124,6 @@ class MetricsRegistry {
   /// Latest gauge value; 0 when never set.
   [[nodiscard]] double gauge(std::string_view name) const noexcept;
 
-  [[nodiscard]] bool has_counter(std::string_view name) const noexcept;
-
   /// Resolve (creating on first use) the handle for histogram `name`.
   /// Returns an invalid (no-op) handle only if slot allocation fails.
   [[nodiscard]] Histogram histogram(std::string_view name) noexcept;

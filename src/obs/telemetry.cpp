@@ -4,10 +4,10 @@
 
 namespace tridsolve::obs {
 
-JsonlSink::JsonlSink(std::string path) : path_(std::move(path)) {
-  std::FILE* f = std::fopen(path_.c_str(), "w");
+JsonlSink::JsonlSink(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
-    throw std::runtime_error("JsonlSink: cannot open " + path_ +
+    throw std::runtime_error("JsonlSink: cannot open " + path +
                              " for writing");
   }
   file_ = std::shared_ptr<std::FILE>(f, [](std::FILE* p) { std::fclose(p); });
@@ -19,7 +19,6 @@ void JsonlSink::write(const JsonValue& record) {
   std::fwrite(line.data(), 1, line.size(), file_.get());
   std::fputc('\n', file_.get());
   std::fflush(file_.get());
-  ++records_;
 }
 
 }  // namespace tridsolve::obs

@@ -24,20 +24,16 @@ class JsonlSink {
   /// Open `path` for writing (truncates any previous contents). Throws
   /// std::runtime_error when the file cannot be opened, so a bench run
   /// asked for telemetry fails loudly instead of silently dropping it.
-  explicit JsonlSink(std::string path);
+  explicit JsonlSink(const std::string& path);
 
   [[nodiscard]] bool enabled() const noexcept { return file_ != nullptr; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] std::size_t records_written() const noexcept { return records_; }
 
   /// Append `record` as one compact line and flush, so partial bench
   /// runs still leave valid JSONL behind.
   void write(const JsonValue& record);
 
  private:
-  std::string path_;
   std::shared_ptr<std::FILE> file_;
-  std::size_t records_ = 0;
 };
 
 }  // namespace tridsolve::obs

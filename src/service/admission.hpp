@@ -75,11 +75,6 @@ class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig cfg) : cfg_(cfg) {}
 
-  [[nodiscard]] const AdmissionConfig& config() const noexcept { return cfg_; }
-  [[nodiscard]] bool bounded() const noexcept {
-    return cfg_.max_queue > 0 || cfg_.max_queue_bytes > 0;
-  }
-
   /// Reserve one queue slot (+ `bytes`) for an incoming request. Returns
   /// false, reserving nothing, when either bound would be exceeded; the
   /// caller then applies the shed policy.

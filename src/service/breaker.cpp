@@ -104,9 +104,5 @@ std::uint64_t CircuitBreaker::resets() const {
   std::lock_guard lk(mu_);
   return resets_;
 }
-int CircuitBreaker::consecutive_failures() const {
-  std::lock_guard lk(mu_);
-  return consecutive_;
-}
 
 }  // namespace tridsolve::service

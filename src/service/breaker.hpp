@@ -88,7 +88,6 @@ class CircuitBreaker {
   [[nodiscard]] BreakerState state() const;
   [[nodiscard]] std::uint64_t trips() const;
   [[nodiscard]] std::uint64_t resets() const;
-  [[nodiscard]] int consecutive_failures() const;
 
  private:
   void set_state_locked(BreakerState next);

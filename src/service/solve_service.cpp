@@ -22,17 +22,12 @@ using Clock = std::chrono::steady_clock;
 }
 
 /// How far before the earliest member deadline a deadline-driven window
-/// closes. Closing at exactly the deadline is self-defeating: the wait
-/// wakes at >= deadline and the next loop iteration expires the member
-/// before the admission check ever runs, so the request that shrank the
-/// window is deterministically returned SolveCode::deadline even under
-/// zero load. The margin must cover condition-variable wake latency plus
-/// one take/expire pass — including on a loaded machine under
-/// sanitizer instrumentation, where a wake can take well over 200us to
-/// reach the expiry check; requests whose whole deadline is shorter
-/// than the margin simply dispatch on the first iteration that sees
-/// them. Closing early is always safe (the batch merely coalesces a
-/// hair less); expiring a dispatchable request is not.
+/// closes: the lead time that window leaves the solve. The pass after a
+/// timed-out window wait is judged at the close time, not at the late
+/// wake (batcher_main), so wake-up latency cannot expire the member that
+/// shortened the window; an answer that still lands past its deadline
+/// becomes timed_out. Requests whose whole deadline is shorter than the
+/// margin dispatch on the first pass that sees them.
 constexpr auto kDeadlineDispatchMargin = std::chrono::microseconds(1000);
 
 /// Queue-bytes charged per request: the four coefficient arrays it holds
@@ -505,12 +500,18 @@ void SolveService::dispatch(std::vector<Pending> group) {
 
 void SolveService::batcher_main() {
   std::vector<Pending> backlog;
+  // After a window wait times out, the next pass is judged at the close
+  // it waited for: however late the wake, the window closes and its
+  // members dispatch instead of expiring. Every other pass reads the
+  // clock.
+  auto judge_by = Clock::time_point::max();
   for (;;) {
     // Timestamp before taking the lock: charging a wait for mu_ against
     // queued deadlines would eat into the dispatch margin (expiry with a
     // slightly stale clock only ever errs toward dispatching, never
     // toward expiring early).
-    const auto now = Clock::now();
+    const auto now = std::min(Clock::now(), judge_by);
+    judge_by = Clock::time_point::max();
     bool stopping = false;
     std::vector<Pending>::iterator overdue;
     {
@@ -570,7 +571,10 @@ void SolveService::batcher_main() {
         stopping || group_size >= cfg_.max_batch || now >= close;
     if (!admit) {
       std::unique_lock lk(mu_);
-      cv_.wait_until(lk, close, [this] { return !queue_.empty() || stop_; });
+      if (!cv_.wait_until(lk, close,
+                          [this] { return !queue_.empty() || stop_; })) {
+        judge_by = close;
+      }
       continue;
     }
 

@@ -79,9 +79,6 @@ class BatchStatus {
   [[nodiscard]] const SolveStatus& operator[](std::size_t m) const noexcept {
     return sys_[m];
   }
-  [[nodiscard]] const std::vector<SolveStatus>& systems() const noexcept {
-    return sys_;
-  }
 
   /// Merge a stage's verdict for system m: higher-severity code wins (the
   /// first stage to reach that severity keeps its row), growth is the max.

@@ -87,10 +87,9 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<std::string> with_obs_flags(std::vector<std::string> flags) {
   for (const char* name :
-       {"json", "trace-json", "metrics-json", "metrics-prom", "spans-json",
-        "format", "sim-threads", "instrument", "vector",
-        "check-hazards", "fault-seed", "fault-rate", "fault-kinds",
-        "deadline-us", "max-retries", "plan-file"}) {
+       {"json", "trace-json", "metrics-json", "spans-json", "sim-threads",
+        "instrument", "vector", "check-hazards", "fault-seed", "fault-rate",
+        "fault-kinds", "deadline-us", "max-retries", "plan-file"}) {
     if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
       flags.emplace_back(name);
     }

@@ -47,9 +47,7 @@ class Cli {
 ///   --json <path>         append one JSONL telemetry record per config
 ///   --trace-json <path>   write a Chrome trace-event (Perfetto) file
 ///   --metrics-json <path> dump the metrics registry at exit
-///   --metrics-prom <path> dump the registry in Prometheus text format
 ///   --spans-json <path>   enable causal span tracing; write spans JSONL
-///   --format {ascii,csv,json}  table output format
 ///   --sim-threads N       simulator worker threads (0 = default)
 ///   --instrument MODE     exact | sampled (default) | functional_only
 ///   --vector {on,off}     vectorized p-Thomas lane sweeps: grid-wide in

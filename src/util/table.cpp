@@ -54,77 +54,4 @@ std::string Table::to_ascii() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&out](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ',';
-      out << csv_escape(row[i]);
-    }
-    out << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
-std::string Table::to_json() const {
-  // Local JSON string quoting; util sits below the obs library.
-  auto quote = [](std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-    return out;
-  };
-  auto emit_row = [&quote](std::ostringstream& out,
-                           const std::vector<std::string>& row) {
-    out << '[';
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ',';
-      out << quote(row[i]);
-    }
-    out << ']';
-  };
-
-  std::ostringstream out;
-  out << "{\"title\":" << quote(title_) << ",\"header\":";
-  emit_row(out, header_);
-  out << ",\"rows\":[";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) out << ',';
-    emit_row(out, rows_[r]);
-  }
-  out << "]}";
-  return out.str();
-}
-
-std::string csv_escape(std::string_view cell) {
-  if (cell.find_first_of(",\"\n") == std::string_view::npos)
-    return std::string(cell);
-  std::string quoted = "\"";
-  for (char c : cell) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
-}
-
 }  // namespace tridsolve::util

@@ -1,15 +1,14 @@
 #pragma once
-// ASCII table / CSV emitter used by every bench binary to print
-// paper-style rows ("the same rows/series the paper reports").
+// ASCII table printer used by every bench binary to print paper-style
+// rows ("the same rows/series the paper reports").
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace tridsolve::util {
 
-/// Column-aligned text table with an optional title, printable as ASCII
-/// or CSV. Cells are strings; numeric helpers format with fixed precision.
+/// Column-aligned text table with an optional title. Cells are strings;
+/// numeric helpers format with fixed precision.
 class Table {
  public:
   explicit Table(std::string title = {});
@@ -27,24 +26,10 @@ class Table {
   /// Render with aligned columns and a rule under the header.
   [[nodiscard]] std::string to_ascii() const;
 
-  /// Render as CSV (no alignment, comma-separated, quoted when needed).
-  [[nodiscard]] std::string to_csv() const;
-
-  /// Render as a JSON object: {"title": ..., "header": [...], "rows":
-  /// [[...], ...]}. Cells stay strings — the table holds pre-formatted
-  /// text, and lossy re-parsing into numbers is the reader's decision.
-  [[nodiscard]] std::string to_json() const;
-
-  [[nodiscard]] const std::string& title() const noexcept { return title_; }
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Quote a CSV cell if it contains a comma, quote or newline.
-std::string csv_escape(std::string_view cell);
 
 }  // namespace tridsolve::util

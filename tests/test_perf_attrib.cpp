@@ -27,7 +27,6 @@
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/roofline.hpp"
 #include "obs/span_tracer.hpp"
 #include "tridiag/layout.hpp"
@@ -481,27 +480,4 @@ TEST(ResilientSpans, AttemptsAreChildrenTaggedWithSolveCode) {
     EXPECT_EQ(parent->name, "attempt");
   }
   EXPECT_GT(launches, 0u);
-}
-
-// ---- Prometheus text writer ------------------------------------------
-
-TEST(Prometheus, NamesSanitizedAndSummariesEmitted) {
-  EXPECT_EQ(obs::prometheus_name("gpusim.launch.time_us"),
-            "gpusim_launch_time_us");
-  EXPECT_EQ(obs::prometheus_name("0bad-name"), "_bad_name");
-
-  auto& reg = obs::MetricsRegistry::instance();
-  reg.reset();
-  obs::counter_handle("prom.count").add(3.0);
-  obs::observe("prom.lat_us", 10.0);
-  obs::observe("prom.lat_us", 20.0);
-  const std::string text = obs::prometheus_text(reg);
-  EXPECT_NE(text.find("# TYPE prom_count counter"), std::string::npos) << text;
-  EXPECT_NE(text.find("prom_count 3"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE prom_lat_us summary"), std::string::npos);
-  EXPECT_NE(text.find("prom_lat_us{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_NE(text.find("prom_lat_us{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(text.find("prom_lat_us_count 2"), std::string::npos);
-  EXPECT_NE(text.find("prom_lat_us_sum 30"), std::string::npos);
-  reg.reset();
 }

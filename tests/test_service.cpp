@@ -208,8 +208,9 @@ TEST(SolveService, CoalescedBatchBitwiseIdenticalToDirectRunSolver) {
     gpu::SolverRunOptions opts;
     opts.guard = true;
     tridiag::SystemBatch<double> expected;
-    gpu::run_solver(kind, dev, direct, opts, &expected);
+    const auto outcome = gpu::run_solver(kind, dev, direct, opts, &expected);
     if (expected.num_systems() != m) continue;
+    ASSERT_EQ(outcome.status.size(), m) << gpu::solver_name(kind);
 
     // Staged while paused, so one drain admits all five in submit order
     // (equal priority) — the exact batch `direct` models.
@@ -228,6 +229,8 @@ TEST(SolveService, CoalescedBatchBitwiseIdenticalToDirectRunSolver) {
         EXPECT_EQ(r.x[i], x[i]) << gpu::solver_name(kind) << " system " << j
                                 << " row " << i << " not bit-identical";
       }
+      EXPECT_EQ(r.code, outcome.status[j].code)
+          << gpu::solver_name(kind) << " system " << j;
     }
     svc.shutdown();
     EXPECT_EQ(svc.batches_launched(), 1u) << gpu::solver_name(kind);

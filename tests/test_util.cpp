@@ -133,19 +133,6 @@ TEST(Table, AsciiHasHeaderRuleAndAlignment) {
   EXPECT_NE(s.find("----"), std::string::npos);
 }
 
-TEST(Table, CsvEscapesSpecials) {
-  EXPECT_EQ(util::csv_escape("plain"), "plain");
-  EXPECT_EQ(util::csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(util::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Table, CsvRoundTripRows) {
-  util::Table t;
-  t.set_header({"x", "y"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n");
-}
-
 TEST(Cli, ParsesEqualsAndSpaceForms) {
   const char* argv[] = {"prog", "--m=128", "--n", "512", "--verbose"};
   util::Cli cli(5, argv, {"m", "n", "verbose"});
