@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     auto b = fresh();
     const auto dav = gpu::davidson_solve<double>(dev, b);
     auto b2 = fresh();
-    const auto part = gpu::partition_solve_gpu<double>(dev, b2, {});
+    const auto part = gpu::partition_solve_gpu<double>(dev, b2);
 
     table.add_row({util::Table::integer(static_cast<long long>(cfg.m)),
                    util::Table::integer(static_cast<long long>(cfg.n)),

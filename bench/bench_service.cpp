@@ -7,11 +7,11 @@
 // simulated time falls ever further below the solo sum. docs/SERVICE.md
 // and EXPERIMENTS.md ("Reproducing BENCH_service.json") read this curve.
 //
-// --soak switches to the chaos soak harness instead: deterministic
-// overload / fault-storm / breaker phases (under an injected
-// rate-1.0 launch-fault plan, independent of the CLI fault flags)
-// followed by live bursty traffic under whatever --fault-* plan the
-// operator installed, asserting the service's robustness invariants —
+// --soak switches to the chaos soak harness instead: live bursty traffic
+// under whatever --fault-* plan the operator installed, then
+// deterministic overload / fault-storm / breaker phases (the storms
+// under an injected rate-1.0 launch-fault plan, independent of the CLI
+// fault flags), asserting the service's robustness invariants —
 // every submitted future resolves with a structured SolveCode, the
 // bounded queue never exceeds its cap, and shedding / degradation /
 // quarantine are observable in the metrics registry. Exit status is
@@ -443,10 +443,15 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
   scfg.breaker.threshold = threshold;
   scfg.breaker.cooldown_us = sp.breaker_cooldown_us;
   service::SolveService svc(scfg);
-  // No solo baseline here: its launches would consume injected faults and
-  // shift the staged phases, so service_solo_sim_us stays 0.
+  // No solo baseline here: its launches would consume injected faults, so
+  // service_solo_sim_us stays 0.
+  auto& registry = obs::MetricsRegistry::instance();
+  const double faults_before =
+      registry.counter("gpusim.fault.launch_failures");
   PacedRun run = run_paced(svc, sp.solver_tok, systems, tcfg, sp.deadline_us,
                            /*priorities=*/3, /*solo_sim_us=*/0.0);
+  const auto live_faults = static_cast<long long>(
+      registry.counter("gpusim.fault.launch_failures") - faults_before);
 
   std::map<std::string, std::size_t> by_code;
   bool codes_fine = true;
@@ -464,7 +469,11 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
               static_cast<unsigned long long>(svc.breaker().resets()));
   soak_check(run.results.size() == sp.requests,
              "every submitted future resolved");
-  soak_check(codes_fine, "only structured codes under live faults");
+  // The plan draws per launch: at a low --fault-rate a short run may draw
+  // none, so say how many launch failures the check actually covered.
+  soak_check(codes_fine, "only structured codes under live faults (" +
+                             std::to_string(live_faults) +
+                             " launch failures drawn)");
   soak_check(svc.peak_queue_depth() <= bound,
              "peak queue depth " + std::to_string(svc.peak_queue_depth()) +
                  " <= bound " + std::to_string(bound));
@@ -482,11 +491,13 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
 int run_soak(const SoakParams& sp, bench::Telemetry& telemetry) {
   std::printf("chaos soak: solver=%s n=%zu seed=%llu\n", sp.solver_tok.c_str(),
               sp.n, static_cast<unsigned long long>(sp.seed));
+  // Live traffic first: its record's fault group counts from the
+  // Telemetry's construction, so the staged storms must not run before it.
+  soak_phase_live(sp, telemetry);
   soak_phase_overload(sp);
   soak_phase_storm_recovery(sp);
   soak_phase_breaker(sp);
   soak_phase_quarantine(sp);
-  soak_phase_live(sp, telemetry);
   if (g_soak_failures == 0) {
     std::printf("chaos soak: all invariants held\n");
     return 0;

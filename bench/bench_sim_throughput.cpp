@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -39,8 +41,36 @@ constexpr ModeSpec kModes[] = {
     {"functional", false, gpusim::InstrumentMode::functional_only},
 };
 
+/// The kModes entries --modes selects by whole comma-separated tokens
+/// (all of them when the flag is absent); empty, after a message on
+/// stderr, when a token names no mode.
+std::vector<bool> selected_modes(const util::Cli& cli) {
+  std::vector<bool> run(std::size(kModes), !cli.has("modes"));
+  if (!cli.has("modes")) return run;
+  const std::string modes = cli.get_string("modes", "");
+  std::string_view list = modes;
+  for (;;) {
+    const std::size_t comma = list.find(',');
+    const std::string_view tok = list.substr(0, comma);
+    const auto it = std::find_if(std::begin(kModes), std::end(kModes),
+                                 [&](const ModeSpec& s) { return tok == s.name; });
+    if (it == std::end(kModes)) {
+      std::fprintf(stderr,
+                   "bench_sim_throughput: unknown --modes token '%.*s' "
+                   "(expected exact-serial, exact-parallel, sampled or "
+                   "functional)\n",
+                   static_cast<int>(tok.size()), tok.data());
+      return {};
+    }
+    run[static_cast<std::size_t>(it - std::begin(kModes))] = true;
+    if (comma == std::string_view::npos) return run;
+    list.remove_prefix(comma + 1);
+  }
+}
+
 void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
-           const util::Cli& cli, bench::Telemetry& telemetry) {
+           const util::Cli& cli, const std::vector<bool>& run_mode,
+           bench::Telemetry& telemetry) {
   // exact-parallel must actually exercise the pool: on a box whose default
   // thread count is 1 (or when --sim-threads 1 is set), bump it to 2 so that
   // row measures pooled execution rather than silently re-running the
@@ -68,12 +98,9 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
 
   auto& registry = obs::MetricsRegistry::instance();
   double baseline_bps = 0.0;
-  const std::string mode_filter = cli.get_string("modes", "");
-  for (const ModeSpec& spec : kModes) {
-    if (!mode_filter.empty() &&
-        mode_filter.find(spec.name) == std::string::npos) {
-      continue;
-    }
+  for (std::size_t mi = 0; mi < std::size(kModes); ++mi) {
+    if (!run_mode[mi]) continue;
+    const ModeSpec& spec = kModes[mi];
     const std::size_t want_threads =
         spec.serial ? 1
         : spec.mode == gpusim::InstrumentMode::exact
@@ -146,6 +173,8 @@ int main(int argc, char** argv) {
                       util::with_obs_flags(
                           {"quick", "smoke", "m", "n", "modes", "guard",
                            "repeat"}));
+  const std::vector<bool> run_mode = selected_modes(cli);
+  if (run_mode.empty()) return 2;
   const auto dev = gpusim::gtx480();
   bench::Telemetry telemetry(cli, "sim_throughput");
 
@@ -160,6 +189,6 @@ int main(int argc, char** argv) {
   } else {
     shapes = {{256, 512}, {4096, 512}, {16384, 512}, {65536, 512}};
   }
-  for (const auto& [m, n] : shapes) panel(dev, m, n, cli, telemetry);
+  for (const auto& [m, n] : shapes) panel(dev, m, n, cli, run_mode, telemetry);
   return 0;
 }

@@ -4,10 +4,13 @@
 #include <stdexcept>
 
 #include "gpu_solvers/zhang_pcr_thomas.hpp"
+#include "tridiag/pcr.hpp"
 
 namespace tridsolve::gpu {
 
 namespace {
+
+constexpr int kBlockThreads = 128;
 
 /// Index padding a la Göddeke & Strzodka: insert one padding element per
 /// half-warp of entries so power-of-two strides stop aliasing to the same
@@ -38,7 +41,7 @@ gpusim::LaunchStats cr_kernel_solve(const gpusim::DeviceSpec& dev,
   }
   const auto levels = static_cast<unsigned>(std::bit_width(npad) - 1);
 
-  return gpusim::launch(dev, {batch.num_systems(), opts.block_threads},
+  return gpusim::launch(dev, {batch.num_systems(), kBlockThreads},
                         [&](gpusim::BlockContext& ctx) {
     // SoA shared arrays, as a real CR kernel lays them out.
     auto sa = ctx.shared<T>(storage);
@@ -46,7 +49,7 @@ gpusim::LaunchStats cr_kernel_solve(const gpusim::DeviceSpec& dev,
     auto sc = ctx.shared<T>(storage);
     auto sd = ctx.shared<T>(storage);
     auto sys = batch.system(ctx.block_id());
-    const auto tcount = static_cast<std::size_t>(opts.block_threads);
+    const auto tcount = static_cast<std::size_t>(kBlockThreads);
     auto idx = [&](std::size_t i) { return pad_index(i, opts.pad_shared, period); };
 
     // Coalesced load; identity rows pad to the next power of two.
@@ -79,26 +82,22 @@ gpusim::LaunchStats cr_kernel_solve(const gpusim::DeviceSpec& dev,
       ctx.phase([&](gpusim::ThreadCtx& t) {
         for (std::size_t p = step - 1 + static_cast<std::size_t>(t.tid()) * step;
              p < npad; p += tcount * step) {
+          // Braced lists load a, b, c, d in order: mid, lo, then hi.
+          auto load_row = [&](std::size_t s) {
+            return tridiag::Row<T>{t.sload(&sa[s]), t.sload(&sb[s]),
+                                   t.sload(&sc[s]), t.sload(&sd[s])};
+          };
           const std::size_t sm = idx(p);
-          const std::size_t sl = idx(p - reach);
-          const T a_m = t.sload(&sa[sm]), b_m = t.sload(&sb[sm]);
-          const T c_m = t.sload(&sc[sm]), d_m = t.sload(&sd[sm]);
-          const T a_l = t.sload(&sa[sl]), b_l = t.sload(&sb[sl]);
-          const T c_l = t.sload(&sc[sl]), d_l = t.sload(&sd[sl]);
-          T a_h = T(0), b_h = T(1), c_h = T(0), d_h = T(0);
-          if (p + reach < npad) {
-            const std::size_t sh = idx(p + reach);
-            a_h = t.sload(&sa[sh]);
-            b_h = t.sload(&sb[sh]);
-            c_h = t.sload(&sc[sh]);
-            d_h = t.sload(&sd[sh]);
-          }
-          const T k1 = a_m / b_l;
-          const T k2 = c_m / b_h;
-          t.sstore(&sa[sm], -a_l * k1);
-          t.sstore(&sb[sm], b_m - c_l * k1 - a_h * k2);
-          t.sstore(&sc[sm], -c_h * k2);
-          t.sstore(&sd[sm], d_m - d_l * k1 - d_h * k2);
+          const tridiag::Row<T> mid = load_row(sm);
+          const tridiag::Row<T> lo = load_row(idx(p - reach));
+          const tridiag::Row<T> hi = p + reach < npad
+                                         ? load_row(idx(p + reach))
+                                         : tridiag::identity_row<T>();
+          const tridiag::Row<T> out = tridiag::pcr_combine(lo, mid, hi);
+          t.sstore(&sa[sm], out.a);
+          t.sstore(&sb[sm], out.b);
+          t.sstore(&sc[sm], out.c);
+          t.sstore(&sd[sm], out.d);
           t.flops<T>(10);
           t.divs<T>(2);
         }

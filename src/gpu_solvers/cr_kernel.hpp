@@ -21,27 +21,16 @@
 namespace tridsolve::gpu {
 
 struct CrKernelOptions {
-  int block_threads = 128;
   bool pad_shared = false;  ///< Göddeke-style bank-conflict-avoiding padding
 };
 
-/// Solve every system of `batch` in place (solution in d). Requires the
-/// padded system (next power of two, plus padding if enabled) to fit in
-/// shared memory.
+/// Solve every system of `batch` in place (solution in d), one 128-thread
+/// block per system. Requires the padded system (next power of two, plus
+/// padding if enabled) to fit in shared memory.
 template <typename T>
 gpusim::LaunchStats cr_kernel_solve(const gpusim::DeviceSpec& dev,
                                     tridiag::SystemBatch<T>& batch,
                                     const CrKernelOptions& opts = {});
-
-/// Back-compat convenience: default options with a custom block size.
-template <typename T>
-gpusim::LaunchStats cr_kernel_solve(const gpusim::DeviceSpec& dev,
-                                    tridiag::SystemBatch<T>& batch,
-                                    int block_threads) {
-  CrKernelOptions opts;
-  opts.block_threads = block_threads;
-  return cr_kernel_solve(dev, batch, opts);
-}
 
 extern template gpusim::LaunchStats cr_kernel_solve<float>(
     const gpusim::DeviceSpec&, tridiag::SystemBatch<float>&,

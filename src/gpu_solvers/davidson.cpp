@@ -1,15 +1,17 @@
 #include "gpu_solvers/davidson.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
-#include <vector>
+#include <string>
 
 #include "gpu_solvers/inshared_block.hpp"
 
 namespace tridsolve::gpu {
 
 namespace {
+
+constexpr std::size_t kSharedRows = 1024;  ///< subsystem rows the final kernel tiles
+constexpr int kFinalBlockThreads = 128;    ///< p-Thomas lanes in the final kernel
 
 /// One stepped-global-PCR launch: dst[m,i] = combine(src[m,i-s], src[m,i],
 /// src[m,i+s]). A full pass over every row, 12 loads + 4 stores each.
@@ -37,27 +39,26 @@ gpusim::LaunchStats global_pcr_step(const gpusim::DeviceSpec& dev,
       auto s = src.system(m);
       auto d = dst.system(m);
 
-      auto read_row = [&](std::ptrdiff_t pos) -> ShRow<T> {
+      auto read_row = [&](std::ptrdiff_t pos) -> tridiag::Row<T> {
         if (pos < 0 || pos >= static_cast<std::ptrdiff_t>(n)) {
-          return ShRow<T>{T(0), T(1), T(0), T(0)};
+          return tridiag::identity_row<T>();
         }
         const auto u = static_cast<std::size_t>(pos);
-        return ShRow<T>{t.load(s.a.ptr(u)), t.load(s.b.ptr(u)),
-                        t.load(s.c.ptr(u)), t.load(s.d.ptr(u))};
+        return tridiag::Row<T>{t.load(s.a.ptr(u)), t.load(s.b.ptr(u)),
+                               t.load(s.c.ptr(u)), t.load(s.d.ptr(u))};
       };
       const auto ip = static_cast<std::ptrdiff_t>(i);
       const auto sp = static_cast<std::ptrdiff_t>(stride);
-      const ShRow<T> lo = read_row(ip - sp);
-      const ShRow<T> mid = read_row(ip);
-      const ShRow<T> hi = read_row(ip + sp);
-      const T k1 = mid.a / lo.b;
-      const T k2 = mid.c / hi.b;
+      const tridiag::Row<T> lo = read_row(ip - sp);
+      const tridiag::Row<T> mid = read_row(ip);
+      const tridiag::Row<T> hi = read_row(ip + sp);
+      const tridiag::Row<T> out = tridiag::pcr_combine(lo, mid, hi);
       t.flops<T>(10);
       t.divs<T>(2);
-      t.store(d.a.ptr(i), -lo.a * k1);
-      t.store(d.b.ptr(i), mid.b - lo.c * k1 - hi.a * k2);
-      t.store(d.c.ptr(i), -hi.c * k2);
-      t.store(d.d.ptr(i), mid.d - lo.d * k1 - hi.d * k2);
+      t.store(d.a.ptr(i), out.a);
+      t.store(d.b.ptr(i), out.b);
+      t.store(d.c.ptr(i), out.c);
+      t.store(d.d.ptr(i), out.d);
     });
   });
 }
@@ -66,17 +67,16 @@ gpusim::LaunchStats global_pcr_step(const gpusim::DeviceSpec& dev,
 
 template <typename T>
 DavidsonReport davidson_solve(const gpusim::DeviceSpec& dev,
-                              tridiag::SystemBatch<T>& batch,
-                              const DavidsonOptions& opts) {
+                              tridiag::SystemBatch<T>& batch) {
   DavidsonReport report;
   const std::size_t m_count = batch.num_systems();
   const std::size_t n = batch.system_size();
   if (m_count == 0 || n == 0) return report;
 
   // The auto-tuned original sizes its shared tile to the device; clamp the
-  // requested tile to what a block can actually host (4 values per row).
-  const std::size_t shared_rows = std::min(
-      opts.shared_rows, dev.shared_mem_per_block / (4 * sizeof(T)));
+  // tile to what a block can actually host (4 values per row).
+  const std::size_t shared_rows =
+      std::min(kSharedRows, dev.shared_mem_per_block / (4 * sizeof(T)));
 
   // Global PCR until each stride-2^k subsystem fits the shared tile.
   unsigned k_global = 0;
@@ -96,37 +96,32 @@ DavidsonReport davidson_solve(const gpusim::DeviceSpec& dev,
   // Final kernel: one block per (m, r) subsystem, coarse shared tile.
   const std::size_t sub_stride = std::size_t{1} << k_global;
   const std::size_t grid = m_count * sub_stride;
-  const int threads = opts.final_block_threads;
   tridiag::SystemBatch<T>& in = *src;
 
-  const auto final_stats = gpusim::launch(dev, {grid, threads}, [&](gpusim::BlockContext& ctx) {
+  const auto final_stats = gpusim::launch(dev, {grid, kFinalBlockThreads}, [&](gpusim::BlockContext& ctx) {
     const std::size_t m = ctx.block_id() / sub_stride;
     const std::size_t r = ctx.block_id() % sub_stride;
     if (r >= n) return;
     const std::size_t q = (n - r + sub_stride - 1) / sub_stride;
-    auto rows = ctx.shared<ShRow<T>>(q);
+    auto rows = ctx.shared<tridiag::Row<T>>(q);
     auto sys_in = in.system(m);
     auto sys_out = batch.system(m);  // x must land in the caller's d
 
     // Load the subsystem into shared: stride-2^k addresses, so for
     // k_global > 0 this is heavily uncoalesced (Davidson's layout cost).
-    const auto tcount = static_cast<std::size_t>(threads);
+    const auto tcount = static_cast<std::size_t>(kFinalBlockThreads);
     ctx.phase([&](gpusim::ThreadCtx& t) {
       for (std::size_t j = static_cast<std::size_t>(t.tid()); j < q; j += tcount) {
         const std::size_t pos = r + j * sub_stride;
-        rows[j] = ShRow<T>{t.load(sys_in.a.ptr(pos)), t.load(sys_in.b.ptr(pos)),
-                           t.load(sys_in.c.ptr(pos)), t.load(sys_in.d.ptr(pos))};
+        rows[j] = tridiag::Row<T>{
+            t.load(sys_in.a.ptr(pos)), t.load(sys_in.b.ptr(pos)),
+            t.load(sys_in.c.ptr(pos)), t.load(sys_in.d.ptr(pos))};
       }
     });
 
     // In-shared PCR, one barrier-synchronized step at a time, until there
     // is one subsystem per thread; then thread-parallel Thomas in shared.
-    std::size_t split = 1;
-    while (split < tcount && split < q) {
-      inshared_pcr_step(ctx, std::span<ShRow<T>>(rows.data(), q), split);
-      split *= 2;
-    }
-    inshared_pthomas(ctx, std::span<ShRow<T>>(rows.data(), q), std::min(split, q));
+    inshared_pcr_thomas(ctx, rows);
 
     ctx.phase([&](gpusim::ThreadCtx& t) {
       for (std::size_t j = static_cast<std::size_t>(t.tid()); j < q; j += tcount) {
@@ -140,10 +135,8 @@ DavidsonReport davidson_solve(const gpusim::DeviceSpec& dev,
 }
 
 template DavidsonReport davidson_solve<float>(const gpusim::DeviceSpec&,
-                                              tridiag::SystemBatch<float>&,
-                                              const DavidsonOptions&);
+                                              tridiag::SystemBatch<float>&);
 template DavidsonReport davidson_solve<double>(const gpusim::DeviceSpec&,
-                                               tridiag::SystemBatch<double>&,
-                                               const DavidsonOptions&);
+                                               tridiag::SystemBatch<double>&);
 
 }  // namespace tridsolve::gpu

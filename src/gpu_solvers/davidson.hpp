@@ -26,11 +26,6 @@
 
 namespace tridsolve::gpu {
 
-struct DavidsonOptions {
-  std::size_t shared_rows = 1024;  ///< subsystem rows the final kernel tiles
-  int final_block_threads = 128;   ///< p-Thomas lanes in the final kernel
-};
-
 struct DavidsonReport {
   unsigned global_steps = 0;  ///< stepped-PCR kernel launches
   gpusim::Timeline timeline;
@@ -40,17 +35,16 @@ struct DavidsonReport {
 };
 
 /// Solve every system of `batch` (contiguous layout) in place; the
-/// solution lands in d.
+/// solution lands in d. Global steps run until each subsystem fits a
+/// 1024-row shared tile (or the device's block limit, if smaller); the
+/// final kernel runs 128 threads per block.
 template <typename T>
 DavidsonReport davidson_solve(const gpusim::DeviceSpec& dev,
-                              tridiag::SystemBatch<T>& batch,
-                              const DavidsonOptions& opts = {});
+                              tridiag::SystemBatch<T>& batch);
 
 extern template DavidsonReport davidson_solve<float>(const gpusim::DeviceSpec&,
-                                                     tridiag::SystemBatch<float>&,
-                                                     const DavidsonOptions&);
+                                                     tridiag::SystemBatch<float>&);
 extern template DavidsonReport davidson_solve<double>(const gpusim::DeviceSpec&,
-                                                      tridiag::SystemBatch<double>&,
-                                                      const DavidsonOptions&);
+                                                      tridiag::SystemBatch<double>&);
 
 }  // namespace tridsolve::gpu

@@ -274,7 +274,7 @@ HybridReport hybrid_solve(const gpusim::DeviceSpec& dev,
   } else {
     std::vector<tridiag::SolveStatus> sys_guard(guard ? systems.size() : 0);
     const auto th =
-        pthomas_solve<T>(dev, systems, xout, kPthomasBlockSystems,
+        pthomas_solve<T>(dev, systems, xout,
                          std::span<tridiag::SolveStatus>(sys_guard));
     report.timeline.add("thomas-fwd", th.forward);
     report.timeline.add("thomas-bwd", th.backward);

@@ -5,47 +5,41 @@
 // Used by the Zhang-style small-system solver [16][17] and by the final
 // stage of the Davidson-style baseline [19]. An in-shared PCR step is done
 // in place with the usual read-into-registers / barrier / write-back
-// discipline (two phases = two barriers per step).
+// discipline (two phases = two barriers per step). The arithmetic is the
+// host's: tridiag::pcr_combine per PCR row, tridiag::thomas_forward_row
+// per Thomas row.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "gpusim/block_context.hpp"
+#include "tridiag/pcr.hpp"
+#include "tridiag/thomas.hpp"
 
 namespace tridsolve::gpu {
 
-/// One row in simulated shared memory (matches the kernels' layout).
-template <typename T>
-struct ShRow {
-  T a, b, c, d;
-};
-
 /// One in-place PCR step at `stride` over shared rows[0..q): every thread
-/// handles rows tid, tid+threads, ...; results are staged in registers and
-/// written back after a barrier. Out-of-range neighbours act as identity.
+/// handles rows tid, tid+threads, ...; results are staged in `staged` (the
+/// threads' registers, q rows) and written back after a barrier.
+/// Out-of-range neighbours act as identity.
 template <typename T>
-void inshared_pcr_step(gpusim::BlockContext& ctx, std::span<ShRow<T>> rows,
-                       std::size_t stride) {
+void inshared_pcr_step(gpusim::BlockContext& ctx,
+                       std::span<tridiag::Row<T>> rows,
+                       std::span<tridiag::Row<T>> staged, std::size_t stride) {
   const std::size_t q = rows.size();
   const auto threads = static_cast<std::size_t>(ctx.block_threads());
-  // Per-thread staging registers, indexed like the row ownership pattern.
-  std::vector<ShRow<T>> staged(q);
 
   ctx.phase([&](gpusim::ThreadCtx& t) {
     for (std::size_t i = static_cast<std::size_t>(t.tid()); i < q; i += threads) {
-      const ShRow<T> mid = rows[i];
-      const ShRow<T> lo =
-          i >= stride ? rows[i - stride] : ShRow<T>{T(0), T(1), T(0), T(0)};
-      const ShRow<T> hi =
-          i + stride < q ? rows[i + stride] : ShRow<T>{T(0), T(1), T(0), T(0)};
+      const bool has_lo = i >= stride;
+      const bool has_hi = i + stride < q;
       t.note_sread(rows[i]);
-      if (i >= stride) t.note_sread(rows[i - stride]);
-      if (i + stride < q) t.note_sread(rows[i + stride]);
-      const T k1 = mid.a / lo.b;
-      const T k2 = mid.c / hi.b;
-      staged[i] = ShRow<T>{-lo.a * k1, mid.b - lo.c * k1 - hi.a * k2, -hi.c * k2,
-                           mid.d - lo.d * k1 - hi.d * k2};
+      if (has_lo) t.note_sread(rows[i - stride]);
+      if (has_hi) t.note_sread(rows[i + stride]);
+      staged[i] = tridiag::pcr_combine(
+          has_lo ? rows[i - stride] : tridiag::identity_row<T>(), rows[i],
+          has_hi ? rows[i + stride] : tridiag::identity_row<T>());
       t.flops<T>(10);
       t.divs<T>(2);
     }
@@ -63,7 +57,8 @@ void inshared_pcr_step(gpusim::BlockContext& ctx, std::span<ShRow<T>> rows,
 /// num_subsystems); each thread solves subsystems tid, tid+threads, ...
 /// The solution overwrites rows[i].d.
 template <typename T>
-void inshared_pthomas(gpusim::BlockContext& ctx, std::span<ShRow<T>> rows,
+void inshared_pthomas(gpusim::BlockContext& ctx,
+                      std::span<tridiag::Row<T>> rows,
                       std::size_t num_subsystems) {
   const std::size_t q = rows.size();
   const auto threads = static_cast<std::size_t>(ctx.block_threads());
@@ -76,10 +71,8 @@ void inshared_pthomas(gpusim::BlockContext& ctx, std::span<ShRow<T>> rows,
         t.note_sread(rows[i]);
         t.note_swrite(rows[i].c);
         t.note_swrite(rows[i].d);
-        const T denom = rows[i].b - cp * rows[i].a;
-        const T inv = T(1) / denom;
-        cp = rows[i].c * inv;
-        dp = (rows[i].d - dp * rows[i].a) * inv;
+        tridiag::thomas_forward_row(rows[i].a, rows[i].b, rows[i].c, rows[i].d,
+                                    cp, dp);
         rows[i].c = cp;
         rows[i].d = dp;
         t.flops<T>(6);
@@ -102,6 +95,26 @@ void inshared_pthomas(gpusim::BlockContext& ctx, std::span<ShRow<T>> rows,
       }
     }
   });
+}
+
+/// The whole in-shared solve of a block's rows: PCR steps at strides 1,
+/// 2, 4, ... until there is one subsystem per thread (or per row), then
+/// thread-parallel Thomas; the solution overwrites rows[i].d. One lane
+/// buffer per block stages every step's rows, so a warm worker allocates
+/// nothing.
+template <typename T>
+void inshared_pcr_thomas(gpusim::BlockContext& ctx,
+                         std::span<tridiag::Row<T>> rows) {
+  const std::size_t q = rows.size();
+  const auto threads = static_cast<std::size_t>(ctx.block_threads());
+  const std::span<tridiag::Row<T>> staged =
+      ctx.lane_buffer<tridiag::Row<T>>(q);
+  std::size_t split = 1;
+  while (split < threads && split < q) {
+    inshared_pcr_step(ctx, rows, staged, split);
+    split *= 2;
+  }
+  inshared_pthomas(ctx, rows, std::min(split, q));
 }
 
 }  // namespace tridsolve::gpu

@@ -1,6 +1,5 @@
 #include "gpu_solvers/partition_kernel.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 #include "util/aligned_buffer.hpp"
@@ -32,13 +31,10 @@ V2<T> mul_mv(const M2<T>& a, const V2<T>& v) {
 
 template <typename T>
 PartitionGpuReport partition_solve_gpu(const gpusim::DeviceSpec& dev,
-                                       tridiag::SystemBatch<T>& batch,
-                                       const PartitionGpuOptions& opts) {
+                                       tridiag::SystemBatch<T>& batch) {
   const std::size_t m_count = batch.num_systems();
   const std::size_t n = batch.system_size();
-  const std::size_t p = opts.packet;
-  if (p < 2) throw std::invalid_argument("partition_solve_gpu: packet < 2");
-  if (p > 64) throw std::invalid_argument("partition_solve_gpu: packet > 64");
+  constexpr std::size_t p = kPartitionPacket;
   PartitionGpuReport report;
   if (m_count == 0 || n == 0) return report;
 
@@ -50,7 +46,7 @@ PartitionGpuReport partition_solve_gpu(const gpusim::DeviceSpec& dev,
   util::AlignedBuffer<T> au(total_packets), cu(total_packets), du(total_packets);
   util::AlignedBuffer<T> xf(total_packets), xl(total_packets);  // boundary x
 
-  const int bt = opts.block_threads;
+  constexpr int bt = 128;  // threads per block
   auto grid_for = [&](std::size_t items) {
     return (items + static_cast<std::size_t>(bt) - 1) / static_cast<std::size_t>(bt);
   };
@@ -69,7 +65,7 @@ PartitionGpuReport partition_solve_gpu(const gpusim::DeviceSpec& dev,
       auto sys = batch.system(m);
 
       // Register packing: the packet's rows live in thread-local storage.
-      T ra[64], rb[64], rc[64], rd[64];  // p <= 64 enforced below
+      T ra[p], rb[p], rc[p], rd[p];
       for (std::size_t j = s; j < e; ++j) {
         ra[j - s] = t.load(sys.a.ptr(j));
         rb[j - s] = t.load(sys.b.ptr(j));
@@ -220,10 +216,8 @@ PartitionGpuReport partition_solve_gpu(const gpusim::DeviceSpec& dev,
 }
 
 template PartitionGpuReport partition_solve_gpu<float>(const gpusim::DeviceSpec&,
-                                                       tridiag::SystemBatch<float>&,
-                                                       const PartitionGpuOptions&);
+                                                       tridiag::SystemBatch<float>&);
 template PartitionGpuReport partition_solve_gpu<double>(
-    const gpusim::DeviceSpec&, tridiag::SystemBatch<double>&,
-    const PartitionGpuOptions&);
+    const gpusim::DeviceSpec&, tridiag::SystemBatch<double>&);
 
 }  // namespace tridsolve::gpu

@@ -17,16 +17,16 @@
 // coalesce poorly in a contiguous batch layout, and the reduced stage has
 // only M-way parallelism.
 
+#include <cstddef>
+
 #include "gpusim/device_spec.hpp"
 #include "gpusim/launch.hpp"
 #include "tridiag/layout.hpp"
 
 namespace tridsolve::gpu {
 
-struct PartitionGpuOptions {
-  std::size_t packet = 8;   ///< rows per thread ("register packing" factor)
-  int block_threads = 128;
-};
+/// Rows per thread (the "register packing" factor).
+inline constexpr std::size_t kPartitionPacket = 8;
 
 struct PartitionGpuReport {
   gpusim::Timeline timeline;
@@ -35,17 +35,15 @@ struct PartitionGpuReport {
   [[nodiscard]] double total_us() const { return timeline.total_us(); }
 };
 
-/// Solve every system of `batch` in place (solution in d).
+/// Solve every system of `batch` in place (solution in d), 128 threads
+/// per block.
 template <typename T>
 PartitionGpuReport partition_solve_gpu(const gpusim::DeviceSpec& dev,
-                                       tridiag::SystemBatch<T>& batch,
-                                       const PartitionGpuOptions& opts = {});
+                                       tridiag::SystemBatch<T>& batch);
 
 extern template PartitionGpuReport partition_solve_gpu<float>(
-    const gpusim::DeviceSpec&, tridiag::SystemBatch<float>&,
-    const PartitionGpuOptions&);
+    const gpusim::DeviceSpec&, tridiag::SystemBatch<float>&);
 extern template PartitionGpuReport partition_solve_gpu<double>(
-    const gpusim::DeviceSpec&, tridiag::SystemBatch<double>&,
-    const PartitionGpuOptions&);
+    const gpusim::DeviceSpec&, tridiag::SystemBatch<double>&);
 
 }  // namespace tridsolve::gpu

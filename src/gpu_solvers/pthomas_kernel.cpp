@@ -6,9 +6,10 @@
 #include <optional>
 #include <stdexcept>
 
+#include "gpu_solvers/transition.hpp"
 #include "gpusim/block_classes.hpp"
 #include "gpusim/vector_engine.hpp"
-#include "tridiag/pcr.hpp"
+#include "tridiag/thomas.hpp"
 
 namespace tridsolve::gpu {
 
@@ -28,11 +29,171 @@ namespace {
 // hazards or inject faults run the body through ThreadCtx; every other
 // block runs it on gpusim::RawThread, whose cost calls are no-ops, so both
 // compute the same bits by construction. The other paths are the lane
-// sweeps of gpusim/vector_engine.hpp, pinned bit-identical to the bodies
-// by tests/test_vector_engine.cpp: grid-wide for functional solves
-// (grid_vector_sweep), and block by block for the unobserved blocks of an
-// instrumented launch (block_forward_lanes, block_backward_lanes), both
-// only while the vector engine is on.
+// sweeps below (thomas_forward_lanes, thomas_backward_lanes), pinned
+// bit-identical to the bodies by tests/test_vector_engine.cpp: grid-wide
+// for functional solves (grid_vector_sweep), and block by block for the
+// unobserved blocks of an instrumented launch (block_forward_lanes,
+// block_backward_lanes), both only while the vector engine is on. Every
+// path runs tridiag::thomas_forward_row, one call per row and lane.
+
+/// Every block holds this many systems, one thread each.
+constexpr int kBlockThreads = static_cast<int>(kPthomasBlockSystems);
+
+// ---- Lane sweeps -----------------------------------------------------------
+// The interleaved batched Thomas of Gloster et al. (arXiv:1909.04539):
+// whole *lane segments* — runs of consecutive systems whose coefficient
+// arrays form an affine grid, element (row i, lane l) of each array at
+// base + l*lane_step + i*row_step — swept row by row across lanes. The
+// interleaved layout the kernel prefers (and the reduced-system views the
+// hybrid solver builds) has lane_step == 1, so the inner loops are
+// contiguous, `__restrict`-annotated, and auto-vectorize under -O3 (see
+// the `release-native` preset for full-width SIMD).
+//
+// Per lane each sweep performs exactly the kernel body's arithmetic in
+// the same order (lanes are independent systems, so cross-lane order is
+// free). The four coefficient arrays (and the solution array of the
+// backward sweep, unless it is exactly the d array) must be disjoint, as
+// the in-place kernels always required; distinct segments never overlap,
+// so concurrent sweeps are race-free exactly as the kernel's blocks are.
+
+/// One affine lane segment.
+template <typename T>
+struct LaneSegment {
+  const T* a = nullptr;
+  const T* b = nullptr;
+  T* c = nullptr;
+  T* d = nullptr;
+  std::ptrdiff_t lane_step = 1;  ///< lane-to-lane element step (all arrays)
+  std::ptrdiff_t row_step = 1;   ///< row-to-row element step (all arrays)
+  std::size_t lanes = 0;
+  std::size_t rows = 0;
+};
+
+/// Solution-output addressing for the backward sweep. When `x == d` of
+/// the segment (same base and steps) the sweep runs its in-place
+/// variant; otherwise x must be disjoint from c and d.
+template <typename T>
+struct LaneOutput {
+  T* x = nullptr;
+  std::ptrdiff_t lane_step = 1;
+  std::ptrdiff_t row_step = 1;
+};
+
+/// Thomas forward elimination across a lane segment, in place
+/// (c <- c', d <- d'). `cp`/`dp` are the per-lane carries (>= lanes
+/// entries, zero-initialized by the caller for fresh systems).
+template <typename T>
+void thomas_forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
+                          T* __restrict dp) noexcept {
+  if (seg.rows == 0 || seg.lanes == 0) return;
+  if (seg.lane_step == 1) {
+    // Lane-contiguous (interleaved layout): row-major walk, the inner
+    // loop is a contiguous SIMD sweep across lanes.
+    for (std::size_t i = 0; i < seg.rows; ++i) {
+      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(i) * seg.row_step;
+      const T* __restrict a = seg.a + off;
+      const T* __restrict b = seg.b + off;
+      T* __restrict c = seg.c + off;
+      T* __restrict d = seg.d + off;
+      for (std::size_t l = 0; l < seg.lanes; ++l) {
+        tridiag::thomas_forward_row(a[l], b[l], c[l], d[l], cp[l], dp[l]);
+        c[l] = cp[l];
+        d[l] = dp[l];
+      }
+    }
+    return;
+  }
+  // Row-contiguous (contiguous layout, e.g. k = 0): the recurrence is
+  // serial per lane, but each lane streams its rows with unit stride and
+  // carried state in registers.
+  for (std::size_t l = 0; l < seg.lanes; ++l) {
+    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(l) * seg.lane_step;
+    const T* __restrict a = seg.a + off;
+    const T* __restrict b = seg.b + off;
+    T* __restrict c = seg.c + off;
+    T* __restrict d = seg.d + off;
+    T cpl = cp[l];
+    T dpl = dp[l];
+    for (std::size_t i = 0; i < seg.rows; ++i) {
+      const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(i) * seg.row_step;
+      tridiag::thomas_forward_row(a[k], b[k], c[k], d[k], cpl, dpl);
+      c[k] = cpl;
+      d[k] = dpl;
+    }
+    cp[l] = cpl;
+    dp[l] = dpl;
+  }
+}
+
+/// Thomas backward substitution across a lane segment:
+/// x_{n-1} = d'_{n-1}, then x_i = d'_i - c'_i x_{i+1}. `xn` carries
+/// x_{i+1} per lane. In-place when out.x addresses the segment's d.
+template <typename T>
+void thomas_backward_lanes(const LaneSegment<T>& seg, const LaneOutput<T>& out,
+                           T* __restrict xn) noexcept {
+  if (seg.rows == 0 || seg.lanes == 0) return;
+  const bool in_place = out.x == seg.d && out.lane_step == seg.lane_step &&
+                        out.row_step == seg.row_step;
+  if (seg.lane_step == 1 && out.lane_step == 1) {
+    for (std::size_t r = 0; r < seg.rows; ++r) {
+      const std::size_t i = seg.rows - 1 - r;
+      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(i) * seg.row_step;
+      const std::ptrdiff_t xoff =
+          static_cast<std::ptrdiff_t>(i) * out.row_step;
+      const T* __restrict d = seg.d + off;
+      if (r == 0) {
+        if (in_place) {
+          for (std::size_t l = 0; l < seg.lanes; ++l) xn[l] = d[l];
+        } else {
+          T* __restrict x = out.x + xoff;
+          for (std::size_t l = 0; l < seg.lanes; ++l) {
+            const T v = d[l];
+            x[l] = v;
+            xn[l] = v;
+          }
+        }
+        continue;
+      }
+      const T* __restrict c = seg.c + off;
+      if (in_place) {
+        T* __restrict dx = seg.d + off;
+        for (std::size_t l = 0; l < seg.lanes; ++l) {
+          const T v = dx[l] - c[l] * xn[l];
+          dx[l] = v;
+          xn[l] = v;
+        }
+      } else {
+        T* __restrict x = out.x + xoff;
+        for (std::size_t l = 0; l < seg.lanes; ++l) {
+          const T v = d[l] - c[l] * xn[l];
+          x[l] = v;
+          xn[l] = v;
+        }
+      }
+    }
+    return;
+  }
+  // Row-contiguous / general: serial per lane, streaming rows backward.
+  for (std::size_t l = 0; l < seg.lanes; ++l) {
+    const T* __restrict c =
+        seg.c + static_cast<std::ptrdiff_t>(l) * seg.lane_step;
+    const T* __restrict d =
+        seg.d + static_cast<std::ptrdiff_t>(l) * seg.lane_step;
+    T* x = out.x + static_cast<std::ptrdiff_t>(l) * out.lane_step;
+    const std::ptrdiff_t rs = seg.row_step;
+    const std::ptrdiff_t xrs = out.row_step;
+    const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(seg.rows - 1);
+    T v = d[last * rs];
+    x[last * xrs] = v;
+    for (std::ptrdiff_t i = last - 1; i >= 0; --i) {
+      v = d[i * rs] - c[i * rs] * v;
+      x[i * xrs] = v;
+    }
+    xn[l] = v;
+  }
+}
+
+// ---- Kernel executors ------------------------------------------------------
 
 /// Round count and lane count for one block of a thread-per-system grid.
 template <typename T>
@@ -42,8 +203,8 @@ struct BlockLanes {
   std::size_t rounds = 0; ///< max system size across live lanes
 
   BlockLanes(const gpusim::BlockContext& ctx,
-             std::span<const tridiag::SystemRef<T>> systems, int block_threads) {
-    const std::size_t bt = static_cast<std::size_t>(block_threads);
+             std::span<const tridiag::SystemRef<T>> systems) {
+    const std::size_t bt = kPthomasBlockSystems;
     base = ctx.block_id() * bt;
     lanes = std::min(bt, systems.size() - base);
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -70,10 +231,8 @@ void lockstep(gpusim::BlockContext& ctx, const BlockLanes<T>& blk, Body&& body) 
 }
 
 template <typename T>
-std::size_t grid_for(std::span<const tridiag::SystemRef<T>> systems,
-                     int block_threads) {
-  return (systems.size() + static_cast<std::size_t>(block_threads) - 1) /
-         static_cast<std::size_t>(block_threads);
+std::size_t grid_for(std::span<const tridiag::SystemRef<T>> systems) {
+  return (systems.size() + kPthomasBlockSystems - 1) / kPthomasBlockSystems;
 }
 
 /// Cost classes of a thread-per-system grid (gpusim/block_classes.hpp),
@@ -84,15 +243,14 @@ std::size_t grid_for(std::span<const tridiag::SystemRef<T>> systems,
 template <typename T>
 gpusim::BlockClasses lane_classes(const gpusim::DeviceSpec& dev,
                                   std::span<const tridiag::SystemRef<T>> systems,
-                                  std::span<const tridiag::StridedView<T>> xout,
-                                  int block_threads) {
+                                  std::span<const tridiag::StridedView<T>> xout) {
   gpusim::BlockClasses classes(
       static_cast<std::size_t>(dev.transaction_bytes));
   const auto view = [&](const tridiag::StridedView<T>& v) {
     classes.push(v.stride());
     classes.address(reinterpret_cast<std::uintptr_t>(v.data()));
   };
-  const auto bt = static_cast<std::size_t>(block_threads);
+  const std::size_t bt = kPthomasBlockSystems;
   for (std::size_t base = 0; base < systems.size(); base += bt) {
     const std::size_t end = std::min(systems.size(), base + bt);
     classes.begin_block();
@@ -153,7 +311,7 @@ void note_swept(const std::atomic<std::size_t>& swept) noexcept {
 /// returns one past its last lane.
 template <typename T>
 std::size_t affine_segment(std::span<const tridiag::SystemRef<T>> systems,
-                           std::size_t l0, gpusim::LaneSegment<T>& seg) {
+                           std::size_t l0, LaneSegment<T>& seg) {
   const tridiag::SystemRef<T>& s0 = systems[l0];
   seg = {.a = s0.a.data(), .b = s0.b.data(), .c = s0.c.data(),
          .d = s0.d.data(), .lane_step = 1, .row_step = s0.a.stride(),
@@ -180,7 +338,7 @@ std::size_t affine_segment(std::span<const tridiag::SystemRef<T>> systems,
 template <typename T>
 std::size_t xout_affine_run(std::span<const tridiag::StridedView<T>> xout,
                             std::size_t abs0, std::size_t max_lanes,
-                            gpusim::LaneOutput<T>& out) {
+                            LaneOutput<T>& out) {
   const tridiag::StridedView<T>& x0 = xout[abs0];
   out = {x0.data(), 1, x0.stride()};
   std::size_t xl = 1;
@@ -200,9 +358,9 @@ std::size_t xout_affine_run(std::span<const tridiag::StridedView<T>> xout,
 
 /// Shift an affine segment to its lanes [t0, t0 + w).
 template <typename T>
-gpusim::LaneSegment<T> sub_segment(const gpusim::LaneSegment<T>& seg,
-                                   std::size_t t0, std::size_t w) {
-  gpusim::LaneSegment<T> sub = seg;
+LaneSegment<T> sub_segment(const LaneSegment<T>& seg, std::size_t t0,
+                           std::size_t w) {
+  LaneSegment<T> sub = seg;
   const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(t0) * seg.lane_step;
   sub.a += shift;
   sub.b += shift;
@@ -220,9 +378,9 @@ template <typename T>
 void block_forward_lanes(std::span<const tridiag::SystemRef<T>> mine,
                          std::span<T> cp, std::span<T> dp) {
   for (std::size_t l0 = 0; l0 < mine.size();) {
-    gpusim::LaneSegment<T> seg;
+    LaneSegment<T> seg;
     const std::size_t end = affine_segment(mine, l0, seg);
-    gpusim::thomas_forward_lanes(seg, cp.data() + l0, dp.data() + l0);
+    thomas_forward_lanes(seg, cp.data() + l0, dp.data() + l0);
     l0 = end;
   }
 }
@@ -234,14 +392,14 @@ void block_backward_lanes(std::span<const tridiag::SystemRef<T>> mine,
                           std::span<const tridiag::StridedView<T>> xout,
                           std::span<T> x_next) {
   for (std::size_t l0 = 0; l0 < mine.size();) {
-    gpusim::LaneSegment<T> seg;
+    LaneSegment<T> seg;
     std::size_t end = affine_segment(mine, l0, seg);
-    gpusim::LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
+    LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
     if (!xout.empty()) {
       seg.lanes = xout_affine_run(xout, l0, seg.lanes, out);
       end = l0 + seg.lanes;
     }
-    gpusim::thomas_backward_lanes(seg, out, x_next.data() + l0);
+    thomas_backward_lanes(seg, out, x_next.data() + l0);
     l0 = end;
   }
 }
@@ -263,9 +421,9 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
   const bool backward = fuse_backward || !forward;
   std::size_t l0 = 0;
   while (l0 < systems.size()) {
-    gpusim::LaneSegment<T> seg;
+    LaneSegment<T> seg;
     std::size_t end = affine_segment(systems, l0, seg);
-    gpusim::LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
+    LaneOutput<T> out{seg.d, seg.lane_step, seg.row_step};
     if (backward && !xout.empty()) {
       seg.lanes = xout_affine_run(xout, l0, seg.lanes, out);
       end = l0 + seg.lanes;
@@ -277,8 +435,8 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
     const std::span<T> xn = pool.take<T>(backward ? tile : 0);
     for (std::size_t t0 = 0; t0 < seg.lanes; t0 += tile) {
       const std::size_t w = std::min(tile, seg.lanes - t0);
-      const gpusim::LaneSegment<T> sub = sub_segment(seg, t0, w);
-      const gpusim::LaneOutput<T> osub{
+      const LaneSegment<T> sub = sub_segment(seg, t0, w);
+      const LaneOutput<T> osub{
           out.x + static_cast<std::ptrdiff_t>(t0) * out.lane_step,
           out.lane_step, out.row_step};
       if (forward) {
@@ -286,10 +444,10 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
                   T(0));
         std::fill(dp.begin(), dp.begin() + static_cast<std::ptrdiff_t>(w),
                   T(0));
-        gpusim::thomas_forward_lanes(sub, cp.data(), dp.data());
+        thomas_forward_lanes(sub, cp.data(), dp.data());
       }
       if (backward) {
-        gpusim::thomas_backward_lanes(sub, osub, xn.data());
+        thomas_backward_lanes(sub, osub, xn.data());
       }
     }
     l0 = end;
@@ -308,28 +466,27 @@ template <typename T>
 gpusim::LaunchStats backward(const gpusim::DeviceSpec& dev,
                              std::span<const tridiag::SystemRef<T>> systems,
                              std::span<const tridiag::StridedView<T>> xout,
-                             int block_threads,
                              const gpusim::BlockClasses* classes) {
-  const std::size_t grid = grid_for(systems, block_threads);
+  const std::size_t grid = grid_for(systems);
   // Functional fast path (see pthomas_solve): one grid-wide vectorized
   // backward sweep, then an empty-bodied launch for the accounting.
   if (grid_sweep_applies(systems)) {
     grid_vector_sweep<T>(systems, xout, /*forward=*/false,
                          /*fuse_backward=*/false);
     gpusim::detail::note_vector_blocks(static_cast<double>(grid));
-    return gpusim::launch(dev, {grid, block_threads},
+    return gpusim::launch(dev, {grid, kBlockThreads},
                           [](gpusim::BlockContext&) {});
   }
   std::optional<gpusim::BlockClasses> own;
   if (classes == nullptr) {
-    classes = &own.emplace(lane_classes(dev, systems, xout, block_threads));
+    classes = &own.emplace(lane_classes(dev, systems, xout));
   }
   const bool lanes = block_lanes_apply(systems);
   std::atomic<std::size_t> swept{0};
   const gpusim::LaunchStats stats = gpusim::launch(
-      dev, {grid, block_threads, classes->table()},
+      dev, {grid, kBlockThreads, classes->table()},
       [&](gpusim::BlockContext& ctx) {
-        const BlockLanes<T> blk(ctx, systems, block_threads);
+        const BlockLanes<T> blk(ctx, systems);
         const std::span<T> x_next = ctx.lane_buffer<T>(blk.lanes);
         if (lanes && !ctx.observed()) {
           block_backward_lanes(
@@ -371,7 +528,6 @@ template <typename T>
 PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
                            std::span<const tridiag::SystemRef<T>> systems,
                            std::span<const tridiag::StridedView<T>> xout,
-                           int block_threads,
                            std::span<tridiag::SolveStatus> guard) {
   if (!guard.empty() && guard.size() != systems.size()) {
     throw std::invalid_argument("pthomas_solve: guard/systems size mismatch");
@@ -381,7 +537,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
   }
   PthomasStats stats;
   const bool guarding = !guard.empty();
-  const std::size_t grid = grid_for(systems, block_threads);
+  const std::size_t grid = grid_for(systems);
 
   // Functional fast path: no instrumentation, hazards, faults or guards
   // active, so run one grid-wide fused sweep (forward + backward per lane
@@ -393,22 +549,22 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
                          /*fuse_backward=*/true);
     gpusim::detail::note_vector_blocks(static_cast<double>(2 * grid));
     stats.forward =
-        gpusim::launch(dev, {grid, block_threads}, [](gpusim::BlockContext&) {});
+        gpusim::launch(dev, {grid, kBlockThreads}, [](gpusim::BlockContext&) {});
     stats.backward =
-        gpusim::launch(dev, {grid, block_threads}, [](gpusim::BlockContext&) {});
+        gpusim::launch(dev, {grid, kBlockThreads}, [](gpusim::BlockContext&) {});
     return stats;
   }
 
   const gpusim::BlockClasses classes =
-      lane_classes(dev, systems, xout, block_threads);
+      lane_classes(dev, systems, xout);
   const bool lanes = !guarding && block_lanes_apply(systems);
   std::atomic<std::size_t> swept{0};
   // Forward reduction, in place: c <- c', d <- d'. One serialized memory
   // round per row (the loads of row i gate the elimination row i+1 needs).
   stats.forward = gpusim::launch(
-      dev, {grid, block_threads, classes.table()},
+      dev, {grid, kBlockThreads, classes.table()},
       [&](gpusim::BlockContext& ctx) {
-        const BlockLanes<T> blk(ctx, systems, block_threads);
+        const BlockLanes<T> blk(ctx, systems);
         const std::span<T> cp = ctx.lane_buffer<T>(blk.lanes);
         const std::span<T> dp = ctx.lane_buffer<T>(blk.lanes);
         if (lanes && !ctx.observed()) {
@@ -427,16 +583,14 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
           const T b = t.load(s.b.ptr(i));
           const T c = t.load(s.c.ptr(i));
           const T d = t.load(s.d.ptr(i));
-          const T denom = b - cp[lane] * a;
+          const T pivot =
+              tridiag::thomas_forward_row(a, b, c, d, cp[lane], dp[lane]);
           if (guarding) {
             // Each lane owns one system, so the slot write is race-free
             // regardless of block scheduling order.
-            tridiag::detail::guard_thomas_pivot(acc[lane], a, b, c, denom, i);
+            tridiag::detail::guard_thomas_pivot(acc[lane], a, b, c, pivot, i);
             if (i + 1 == s.size()) guard[blk.base + lane] = acc[lane];
           }
-          const T inv = T(1) / denom;
-          cp[lane] = c * inv;
-          dp[lane] = (d - dp[lane] * a) * inv;
           t.template flops<T>(6);
           t.template divs<T>(1);
           t.store(s.c.ptr(i), cp[lane]);
@@ -445,34 +599,33 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
       });
   note_swept(swept);
 
-  stats.backward = backward(dev, systems, xout, block_threads, &classes);
+  stats.backward = backward(dev, systems, xout, &classes);
   return stats;
 }
 
 template <typename T>
 gpusim::LaunchStats pthomas_backward(const gpusim::DeviceSpec& dev,
                                      std::span<const tridiag::SystemRef<T>> systems,
-                                     std::span<const tridiag::StridedView<T>> xout,
-                                     int block_threads) {
+                                     std::span<const tridiag::StridedView<T>> xout) {
   if (!xout.empty() && xout.size() != systems.size()) {
     throw std::invalid_argument("pthomas_backward: xout/systems size mismatch");
   }
-  return backward(dev, systems, xout, block_threads, nullptr);
+  return backward(dev, systems, xout, nullptr);
 }
 
 template PthomasStats pthomas_solve<float>(const gpusim::DeviceSpec&,
                                            std::span<const tridiag::SystemRef<float>>,
                                            std::span<const tridiag::StridedView<float>>,
-                                           int, std::span<tridiag::SolveStatus>);
+                                           std::span<tridiag::SolveStatus>);
 template PthomasStats pthomas_solve<double>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<double>>,
-    std::span<const tridiag::StridedView<double>>, int,
+    std::span<const tridiag::StridedView<double>>,
     std::span<tridiag::SolveStatus>);
 template gpusim::LaunchStats pthomas_backward<float>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<float>>,
-    std::span<const tridiag::StridedView<float>>, int);
+    std::span<const tridiag::StridedView<float>>);
 template gpusim::LaunchStats pthomas_backward<double>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<double>>,
-    std::span<const tridiag::StridedView<double>>, int);
+    std::span<const tridiag::StridedView<double>>);
 
 }  // namespace tridsolve::gpu

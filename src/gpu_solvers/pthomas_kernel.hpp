@@ -39,9 +39,9 @@ struct PthomasStats {
   }
 };
 
-/// Solve `systems` in place on the simulated device.
-/// `block_threads` is the CUDA-style block size (threads are padded with
-/// idle lanes in the last block). If `xout` is non-empty it must parallel
+/// Solve `systems` in place on the simulated device, one thread per
+/// system and kPthomasBlockSystems (transition.hpp) threads per block;
+/// the last block pads with idle lanes. If `xout` is non-empty it must parallel
 /// `systems`; the backward pass then writes the solution there instead of
 /// overwriting d (used when the reduced systems live in a scratch buffer
 /// but the solution belongs in the caller's batch).
@@ -58,7 +58,6 @@ template <typename T>
 PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
                            std::span<const tridiag::SystemRef<T>> systems,
                            std::span<const tridiag::StridedView<T>> xout = {},
-                           int block_threads = 128,
                            std::span<tridiag::SolveStatus> guard = {});
 
 /// Backward sweep only, for the fused hybrid (whose PCR kernel already
@@ -66,22 +65,21 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
 template <typename T>
 gpusim::LaunchStats pthomas_backward(const gpusim::DeviceSpec& dev,
                                      std::span<const tridiag::SystemRef<T>> systems,
-                                     std::span<const tridiag::StridedView<T>> xout = {},
-                                     int block_threads = 128);
+                                     std::span<const tridiag::StridedView<T>> xout = {});
 
 extern template PthomasStats pthomas_solve<float>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<float>>,
-    std::span<const tridiag::StridedView<float>>, int,
+    std::span<const tridiag::StridedView<float>>,
     std::span<tridiag::SolveStatus>);
 extern template PthomasStats pthomas_solve<double>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<double>>,
-    std::span<const tridiag::StridedView<double>>, int,
+    std::span<const tridiag::StridedView<double>>,
     std::span<tridiag::SolveStatus>);
 extern template gpusim::LaunchStats pthomas_backward<float>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<float>>,
-    std::span<const tridiag::StridedView<float>>, int);
+    std::span<const tridiag::StridedView<float>>);
 extern template gpusim::LaunchStats pthomas_backward<double>(
     const gpusim::DeviceSpec&, std::span<const tridiag::SystemRef<double>>,
-    std::span<const tridiag::StridedView<double>>, int);
+    std::span<const tridiag::StridedView<double>>);
 
 }  // namespace tridsolve::gpu

@@ -109,7 +109,7 @@ SolveOutcome solve_in_place(SolverKind kind, const gpusim::DeviceSpec& dev,
         break;
       }
       case SolverKind::partition:
-        out.timeline = partition_solve_gpu(dev, work, {}).timeline;
+        out.timeline = partition_solve_gpu(dev, work).timeline;
         break;
     }
     // Everything but time_us first: reading it throws for a

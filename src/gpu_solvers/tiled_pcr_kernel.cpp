@@ -8,52 +8,19 @@
 
 #include "gpusim/block_classes.hpp"
 #include "tridiag/pcr.hpp"
+#include "tridiag/thomas.hpp"
 
 namespace tridsolve::gpu {
 
 namespace {
+
+using tridiag::Row;
 
 /// Upper bound on cfg.k used to size per-window tail arrays. 2^16 block
 /// threads is far beyond any DeviceSpec block limit, so this never bites
 /// real configurations; it exists so window state is trivially copyable
 /// (fixed-size tail array) and can live in pooled launch scratch.
 constexpr unsigned kMaxK = 16;
-
-/// One row in simulated shared memory.
-template <typename T>
-struct SRow {
-  T a, b, c, d;
-};
-
-template <typename T>
-constexpr SRow<T> identity_srow() noexcept {
-  return {T(0), T(1), T(0), T(0)};
-}
-
-/// Guard check for one PCR elimination in shared memory: wraps the shared
-/// tridiag::detail::guard_pcr_combine on SRow operands. Read-only.
-template <typename T>
-inline void guard_srow_combine(tridiag::SolveStatus& st, const SRow<T>& lo,
-                               const SRow<T>& mid, const SRow<T>& hi,
-                               std::size_t pos) noexcept {
-  tridiag::detail::guard_pcr_combine(
-      st, tridiag::Row<T>{lo.a, lo.b, lo.c, lo.d},
-      tridiag::Row<T>{mid.a, mid.b, mid.c, mid.d},
-      tridiag::Row<T>{hi.a, hi.b, hi.c, hi.d}, pos);
-}
-
-/// The level-j elimination (Eqs. 5-6) of row `mid` against the rows
-/// 2^{j-1} before (`lo`) and after (`hi`) it. The two divisions are
-/// independent and run as one two-lane division; IEEE division rounds
-/// each lane exactly as a scalar division would.
-template <typename T>
-inline SRow<T> eliminate(const SRow<T>& lo, const SRow<T>& mid,
-                         const SRow<T>& hi) noexcept {
-  typedef T Pair __attribute__((vector_size(2 * sizeof(T))));
-  const Pair k = Pair{mid.a, mid.c} / Pair{lo.b, hi.b};
-  return {-lo.a * k[0], mid.b - lo.c * k[0] - hi.a * k[1], -hi.c * k[1],
-          mid.d - lo.d * k[0] - hi.d * k[1]};
-}
 
 /// Cost classes of the launch (gpusim/block_classes.hpp): per block its
 /// window count and, per window, the region length, how far the loaded
@@ -173,11 +140,11 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       TiledPcrWork<T> w{};
       std::ptrdiff_t P = 0;     // load cursor (start of current sub-tile)
       std::size_t iters = 0;    // total iterations for this window
-      std::span<SRow<T>> buf[2]{};         // ping-pong level batches
+      std::span<Row<T>> buf[2]{};          // ping-pong level batches
       // tails[j]: level-j tail, 2^{j+1} rows. Fixed-size array (not a
       // vector) so Window is trivially copyable and can live in the
       // per-launch lane pool instead of a heap vector.
-      std::array<std::span<SRow<T>>, kMaxK> tails{};
+      std::array<std::span<Row<T>>, kMaxK> tails{};
       // "Registers" of the fused Thomas forward, one carry per thread;
       // zero-filled by lane_buffer, matching the T(0) carries.
       std::span<T> cp, dp;
@@ -200,10 +167,10 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       const std::size_t len = wd.w.r1 - wd.w.r0;
       wd.iters = warm + (len + static_cast<std::size_t>(halo) + S - 1) / S;
       max_iters = std::max(max_iters, wd.iters);
-      wd.buf[0] = ctx.shared<SRow<T>>(S);
-      wd.buf[1] = ctx.shared<SRow<T>>(S);
+      wd.buf[0] = ctx.shared<Row<T>>(S);
+      wd.buf[1] = ctx.shared<Row<T>>(S);
       for (unsigned j = 0; j < cfg.k; ++j) {
-        wd.tails[j] = ctx.shared<SRow<T>>(std::size_t{2} << j);
+        wd.tails[j] = ctx.shared<Row<T>>(std::size_t{2} << j);
       }
       wd.cp = ctx.lane_buffer<T>(cfg.fuse_thomas_forward ? tcount : 0);
       wd.dp = ctx.lane_buffer<T>(cfg.fuse_thomas_forward ? tcount : 0);
@@ -211,9 +178,9 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
 
     // ---- Phase bodies, each written once over a thread handle `t` -------
     // INIT: one tail row to the identity (lead-in state of Fig. 10).
-    auto init_tail = [](auto& t, SRow<T>& row) {
+    auto init_tail = [](auto& t, Row<T>& row) {
       t.note_swrite(row);
-      row = identity_srow<T>();
+      row = tridiag::identity_row<T>();
     };
     // LOAD: batch row `idx` of level 0 from global memory.
     auto load = [&](auto& t, Window& wd, std::size_t idx) {
@@ -221,31 +188,31 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       t.note_swrite(wd.buf[0][idx]);
       if (pos >= 0 && pos < static_cast<std::ptrdiff_t>(wd.w.sys.size())) {
         const auto u = static_cast<std::size_t>(pos);
-        wd.buf[0][idx] = SRow<T>{t.load(wd.w.sys.a.ptr(u)),
-                                 t.load(wd.w.sys.b.ptr(u)),
-                                 t.load(wd.w.sys.c.ptr(u)),
-                                 t.load(wd.w.sys.d.ptr(u))};
+        wd.buf[0][idx] = Row<T>{t.load(wd.w.sys.a.ptr(u)),
+                                t.load(wd.w.sys.b.ptr(u)),
+                                t.load(wd.w.sys.c.ptr(u)),
+                                t.load(wd.w.sys.d.ptr(u))};
         ++wd.row_loads;
       } else {
-        wd.buf[0][idx] = identity_srow<T>();
+        wd.buf[0][idx] = tridiag::identity_row<T>();
       }
     };
     // COMBINE: the level-j elimination (Eqs. 5-6) producing batch row `idx`.
     auto combine = [&](auto& t, Window& wd, unsigned j, std::size_t idx) {
       const auto reach = static_cast<std::ptrdiff_t>(std::size_t{1} << (j - 1));
       const std::ptrdiff_t span_j = 2 * reach;  // 2^j
-      const std::span<SRow<T>> src = wd.buf[(j - 1) & 1u];
-      const std::span<SRow<T>> tail = wd.tails[j - 1];
+      const std::span<Row<T>> src = wd.buf[(j - 1) & 1u];
+      const std::span<Row<T>> tail = wd.tails[j - 1];
       // Read level j-1 at batch-relative index `rel`; rel < 0 comes from
       // the tail cache holding the previous sub-tile's last 2^j values.
-      auto read = [&](std::ptrdiff_t rel) -> const SRow<T>& {
+      auto read = [&](std::ptrdiff_t rel) -> const Row<T>& {
         return rel >= 0 ? src[static_cast<std::size_t>(rel)]
                         : tail[static_cast<std::size_t>(rel + span_j)];
       };
       const auto i = static_cast<std::ptrdiff_t>(idx);
-      const SRow<T>& lo = read(i - span_j);
-      const SRow<T>& mid = read(i - reach);
-      const SRow<T>& hi = read(i);
+      const Row<T>& lo = read(i - span_j);
+      const Row<T>& mid = read(i - reach);
+      const Row<T>& hi = read(i);
       t.note_sread(lo);
       t.note_sread(mid);
       t.note_sread(hi);
@@ -256,12 +223,12 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
           pos >= 0 && pos < static_cast<std::ptrdiff_t>(wd.w.sys.size());
       if (guarding && real_row) {
         // Read-only divisor check; the elimination below is unchanged.
-        guard_srow_combine(wd.guard_st, lo, mid, hi,
-                           static_cast<std::size_t>(pos));
+        tridiag::detail::guard_pcr_combine(wd.guard_st, lo, mid, hi,
+                                           static_cast<std::size_t>(pos));
       }
-      SRow<T>& dst = wd.buf[j & 1u][idx];
+      Row<T>& dst = wd.buf[j & 1u][idx];
       t.note_swrite(dst);
-      dst = eliminate(lo, mid, hi);
+      dst = tridiag::pcr_combine(lo, mid, hi);
       t.template flops<T>(10);
       t.template divs<T>(2);
       // Count only eliminations of real rows for the redundancy
@@ -274,17 +241,18 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
     // the loops carry no branch; real rows are counted in one step.
     auto combine_level = [&](Window& wd, unsigned j) {
       const std::size_t reach = std::size_t{1} << (j - 1);
-      const SRow<T>* src = wd.buf[(j - 1) & 1u].data();
-      const SRow<T>* tail = wd.tails[j - 1].data();
-      SRow<T>* dst = wd.buf[j & 1u].data();
+      const Row<T>* src = wd.buf[(j - 1) & 1u].data();
+      const Row<T>* tail = wd.tails[j - 1].data();
+      Row<T>* dst = wd.buf[j & 1u].data();
       for (std::size_t i = 0; i < reach; ++i) {
-        dst[i] = eliminate(tail[i], tail[i + reach], src[i]);
+        dst[i] = tridiag::pcr_combine(tail[i], tail[i + reach], src[i]);
       }
       for (std::size_t i = reach; i < 2 * reach; ++i) {
-        dst[i] = eliminate(tail[i], src[i - reach], src[i]);
+        dst[i] = tridiag::pcr_combine(tail[i], src[i - reach], src[i]);
       }
       for (std::size_t i = 2 * reach; i < S; ++i) {
-        dst[i] = eliminate(src[i - 2 * reach], src[i - reach], src[i]);
+        dst[i] =
+            tridiag::pcr_combine(src[i - 2 * reach], src[i - reach], src[i]);
       }
       const std::ptrdiff_t pos0 =
           wd.P - static_cast<std::ptrdiff_t>(2 * reach - 1);
@@ -297,7 +265,7 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
     // TAIL SAVE: row `r` of level j-1's last 2^j rows, kept for the next
     // sub-tile before buffer (j-1)&1 is overwritten by level j+1.
     auto save_tail = [&](auto& t, Window& wd, unsigned j, std::size_t r) {
-      const SRow<T>& row =
+      const Row<T>& row =
           wd.buf[(j - 1) & 1u][S - (std::size_t{2} << (j - 1)) + r];
       t.note_sread(row);
       t.note_swrite(wd.tails[j - 1][r]);
@@ -313,19 +281,17 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
         return;
       }
       const auto u = static_cast<std::size_t>(pos);
-      const SRow<T>& row = wd.buf[cfg.k & 1u][idx];
+      const Row<T>& row = wd.buf[cfg.k & 1u][idx];
       t.note_sread(row);
       if (cfg.fuse_thomas_forward) {
         T& cp = wd.cp[idx & (tcount - 1)];  // idx mod 2^k
         T& dp = wd.dp[idx & (tcount - 1)];
-        const T denom = row.b - cp * row.a;
+        const T pivot =
+            tridiag::thomas_forward_row(row.a, row.b, row.c, row.d, cp, dp);
         if (guarding) {
           tridiag::detail::guard_thomas_pivot(wd.guard_st, row.a, row.b,
-                                              row.c, denom, u);
+                                              row.c, pivot, u);
         }
-        const T inv = T(1) / denom;
-        cp = row.c * inv;
-        dp = (row.d - dp * row.a) * inv;
         t.template flops<T>(6);
         t.template divs<T>(1);
         t.store(wd.w.out.c.ptr(u), cp);
@@ -394,7 +360,7 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       };
       for (Window& wd : win) {
         for (unsigned j = 0; j < cfg.k; ++j) {
-          for (SRow<T>& row : wd.tails[j]) init_tail(t, row);
+          for (Row<T>& row : wd.tails[j]) init_tail(t, row);
         }
         for (std::size_t iter = 0; iter < wd.iters; ++iter) {
           per_row([&](std::size_t idx) { load(t, wd, idx); });

@@ -6,6 +6,12 @@
 
 namespace tridsolve::gpu {
 
+namespace {
+
+constexpr int kBlockThreads = 128;
+
+}  // namespace
+
 std::size_t zhang_max_rows(const gpusim::DeviceSpec& dev, std::size_t elem_size) {
   return dev.shared_mem_per_block / (4 * elem_size);
 }
@@ -16,8 +22,7 @@ bool zhang_fits(const gpusim::DeviceSpec& dev, std::size_t n, std::size_t elem_s
 
 template <typename T>
 gpusim::LaunchStats zhang_solve(const gpusim::DeviceSpec& dev,
-                                tridiag::SystemBatch<T>& batch,
-                                int block_threads) {
+                                tridiag::SystemBatch<T>& batch) {
   const std::size_t n = batch.system_size();
   if (!zhang_fits(dev, n, sizeof(T))) {
     throw std::invalid_argument(
@@ -26,27 +31,21 @@ gpusim::LaunchStats zhang_solve(const gpusim::DeviceSpec& dev,
         std::to_string(zhang_max_rows(dev, sizeof(T))) + ")");
   }
 
-  return gpusim::launch(dev, {batch.num_systems(), block_threads},
+  return gpusim::launch(dev, {batch.num_systems(), kBlockThreads},
                         [&](gpusim::BlockContext& ctx) {
-    auto rows = ctx.shared<ShRow<T>>(n);
+    auto rows = ctx.shared<tridiag::Row<T>>(n);
     auto sys = batch.system(ctx.block_id());
-    const auto tcount = static_cast<std::size_t>(block_threads);
+    const auto tcount = static_cast<std::size_t>(kBlockThreads);
 
     // Coalesced load of the whole system.
     ctx.phase([&](gpusim::ThreadCtx& t) {
       for (std::size_t i = static_cast<std::size_t>(t.tid()); i < n; i += tcount) {
-        rows[i] = ShRow<T>{t.load(sys.a.ptr(i)), t.load(sys.b.ptr(i)),
-                           t.load(sys.c.ptr(i)), t.load(sys.d.ptr(i))};
+        rows[i] = tridiag::Row<T>{t.load(sys.a.ptr(i)), t.load(sys.b.ptr(i)),
+                                  t.load(sys.c.ptr(i)), t.load(sys.d.ptr(i))};
       }
     });
 
-    std::size_t split = 1;
-    while (split < tcount && split < n) {
-      inshared_pcr_step(ctx, std::span<ShRow<T>>(rows.data(), n), split);
-      split *= 2;
-    }
-    inshared_pthomas(ctx, std::span<ShRow<T>>(rows.data(), n),
-                     std::min(split, n));
+    inshared_pcr_thomas(ctx, rows);
 
     ctx.phase([&](gpusim::ThreadCtx& t) {
       for (std::size_t i = static_cast<std::size_t>(t.tid()); i < n; i += tcount) {
@@ -57,8 +56,8 @@ gpusim::LaunchStats zhang_solve(const gpusim::DeviceSpec& dev,
 }
 
 template gpusim::LaunchStats zhang_solve<float>(const gpusim::DeviceSpec&,
-                                                tridiag::SystemBatch<float>&, int);
+                                                tridiag::SystemBatch<float>&);
 template gpusim::LaunchStats zhang_solve<double>(const gpusim::DeviceSpec&,
-                                                 tridiag::SystemBatch<double>&, int);
+                                                 tridiag::SystemBatch<double>&);
 
 }  // namespace tridsolve::gpu

@@ -27,18 +27,16 @@ namespace tridsolve::gpu {
 [[nodiscard]] bool zhang_fits(const gpusim::DeviceSpec& dev, std::size_t n,
                               std::size_t elem_size);
 
-/// Solve every system of `batch` in place (solution in d).
+/// Solve every system of `batch` in place (solution in d), one
+/// 128-thread block per system.
 /// Throws std::invalid_argument if a system does not fit in shared memory.
 template <typename T>
 gpusim::LaunchStats zhang_solve(const gpusim::DeviceSpec& dev,
-                                tridiag::SystemBatch<T>& batch,
-                                int block_threads = 128);
+                                tridiag::SystemBatch<T>& batch);
 
 extern template gpusim::LaunchStats zhang_solve<float>(const gpusim::DeviceSpec&,
-                                                       tridiag::SystemBatch<float>&,
-                                                       int);
+                                                       tridiag::SystemBatch<float>&);
 extern template gpusim::LaunchStats zhang_solve<double>(const gpusim::DeviceSpec&,
-                                                        tridiag::SystemBatch<double>&,
-                                                        int);
+                                                        tridiag::SystemBatch<double>&);
 
 }  // namespace tridsolve::gpu

@@ -91,22 +91,6 @@ enum FaultKind : unsigned {
   return kinds;
 }
 
-/// Human-readable form of a kinds bitmask ("flip,nan", "all", "none").
-[[nodiscard]] inline std::string fault_kinds_name(unsigned kinds) {
-  if ((kinds & kFaultAll) == kFaultAll) return "all";
-  std::string out;
-  const auto append = [&out](const char* name) {
-    if (!out.empty()) out += ',';
-    out += name;
-  };
-  if (kinds & kFaultGlobalFlip) append("flip");
-  if (kinds & kFaultSharedFlip) append("shared");
-  if (kinds & kFaultNanWrite) append("nan");
-  if (kinds & kFaultLaunchFail) append("launch");
-  if (kinds & kFaultTimeout) append("timeout");
-  return out.empty() ? "none" : out;
-}
-
 /// Per-kind injection tallies. merge() is a plain sum, so any association
 /// of per-worker tallies yields the same totals.
 struct FaultCounts {

@@ -25,17 +25,4 @@ void note_vector_blocks(double n) noexcept {
 
 }  // namespace detail
 
-template void thomas_forward_lanes<float>(const LaneSegment<float>&,
-                                          float* __restrict,
-                                          float* __restrict) noexcept;
-template void thomas_forward_lanes<double>(const LaneSegment<double>&,
-                                           double* __restrict,
-                                           double* __restrict) noexcept;
-template void thomas_backward_lanes<float>(const LaneSegment<float>&,
-                                           const LaneOutput<float>&,
-                                           float* __restrict) noexcept;
-template void thomas_backward_lanes<double>(const LaneSegment<double>&,
-                                            const LaneOutput<double>&,
-                                            double* __restrict) noexcept;
-
 }  // namespace tridsolve::gpusim

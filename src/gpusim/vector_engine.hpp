@@ -1,39 +1,16 @@
 #pragma once
-// Vectorized lane execution for the functional fast path.
+// Host-side support for the simulator's fast paths.
 //
-// When a p-Thomas solve runs without instrumentation, hazard checking,
-// fault injection or divisor guards, its grid-wide sweep
-// (gpu_solvers/pthomas_kernel.cpp) drops the one-thread-at-a-time
-// simulation entirely and executes whole *lane segments* — runs of
-// consecutive systems whose coefficient arrays form an affine grid:
-// element (row i, lane l) of each array lives at
-// base + l*lane_step + i*row_step. The interleaved layout the paper's
-// p-Thomas kernel prefers (and the reduced-system views the hybrid
-// solver builds) satisfy this with lane_step == 1, so the inner loops
-// below are contiguous, `__restrict`-annotated, and auto-vectorize under
-// -O3 (see the `release-native` preset for full-width SIMD).
-//
-// Contracts:
-//  * Bit-exactness: every function performs, per lane, exactly the
-//    arithmetic of the p-Thomas kernel body in the same per-lane order
-//    (lanes are independent systems, so cross-lane ordering is free).
-//    tests/test_vector_engine.cpp pins vector-on vs vector-off outputs
-//    bitwise across the solver registry.
-//  * Aliasing: the four coefficient arrays (and the solution array of
-//    the backward sweep, unless it is exactly the d array) must be
-//    disjoint — the same precondition the in-place kernels always had.
-//  * Thread-safety: all functions are pure loops over caller-owned
-//    memory; distinct segments never overlap, so concurrent sweeps are
-//    race-free exactly as the kernel's blocks are.
-//
-// LanePool is the other half of the fast path: a per-worker bump
-// allocator backing the kernels' per-block lane carries (c', d', x_next,
-// PCR window state). Capacity only grows, so steady-state blocks perform
-// zero heap allocations; growth vs warm-serve tallies feed the
+// LanePool is a per-worker bump allocator backing the kernels' per-block
+// lane carries (c', d', x_next, PCR window state, in-shared staging rows)
+// and the grid-wide lane sweeps of gpu_solvers/pthomas_kernel.cpp.
+// Capacity only grows, so steady-state blocks perform zero heap
+// allocations; growth vs warm-serve tallies feed the
 // gpusim.scratch.{acquires,reuses} metrics. After every launch the engine
 // grows each participant's pool to the launch's largest per-block demand,
 // so which worker happened to run which block never decides when a pool
-// grows.
+// grows. lane_tile sizes the grid sweeps' cache tiles, and the note_*
+// counters record what the fast paths did.
 
 #include <algorithm>
 #include <cstddef>
@@ -44,151 +21,6 @@
 #include <vector>
 
 namespace tridsolve::gpusim {
-
-/// One affine lane segment (see file comment for the layout contract).
-template <typename T>
-struct LaneSegment {
-  const T* a = nullptr;
-  const T* b = nullptr;
-  T* c = nullptr;
-  T* d = nullptr;
-  std::ptrdiff_t lane_step = 1;  ///< lane-to-lane element step (all arrays)
-  std::ptrdiff_t row_step = 1;   ///< row-to-row element step (all arrays)
-  std::size_t lanes = 0;
-  std::size_t rows = 0;
-};
-
-/// Solution-output addressing for the backward sweep. When `x == d` of
-/// the segment (same base and steps) the sweep runs its in-place
-/// variant; otherwise x must be disjoint from c and d.
-template <typename T>
-struct LaneOutput {
-  T* x = nullptr;
-  std::ptrdiff_t lane_step = 1;
-  std::ptrdiff_t row_step = 1;
-};
-
-/// Thomas forward elimination across a lane segment, in place
-/// (c <- c', d <- d'). `cp`/`dp` are the per-lane carries (>= lanes
-/// entries, zero-initialized by the caller for fresh systems).
-template <typename T>
-void thomas_forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
-                          T* __restrict dp) noexcept {
-  if (seg.rows == 0 || seg.lanes == 0) return;
-  if (seg.lane_step == 1) {
-    // Lane-contiguous (interleaved layout): row-major walk, the inner
-    // loop is a contiguous SIMD sweep across lanes.
-    for (std::size_t i = 0; i < seg.rows; ++i) {
-      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(i) * seg.row_step;
-      const T* __restrict a = seg.a + off;
-      const T* __restrict b = seg.b + off;
-      T* __restrict c = seg.c + off;
-      T* __restrict d = seg.d + off;
-      for (std::size_t l = 0; l < seg.lanes; ++l) {
-        const T denom = b[l] - cp[l] * a[l];
-        const T inv = T(1) / denom;
-        const T cpl = c[l] * inv;
-        const T dpl = (d[l] - dp[l] * a[l]) * inv;
-        cp[l] = cpl;
-        dp[l] = dpl;
-        c[l] = cpl;
-        d[l] = dpl;
-      }
-    }
-    return;
-  }
-  // Row-contiguous (contiguous layout, e.g. k = 0): the recurrence is
-  // serial per lane, but each lane streams its rows with unit stride and
-  // carried state in registers.
-  for (std::size_t l = 0; l < seg.lanes; ++l) {
-    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(l) * seg.lane_step;
-    const T* __restrict a = seg.a + off;
-    const T* __restrict b = seg.b + off;
-    T* __restrict c = seg.c + off;
-    T* __restrict d = seg.d + off;
-    T cpl = cp[l];
-    T dpl = dp[l];
-    for (std::size_t i = 0; i < seg.rows; ++i) {
-      const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(i) * seg.row_step;
-      const T denom = b[k] - cpl * a[k];
-      const T inv = T(1) / denom;
-      cpl = c[k] * inv;
-      dpl = (d[k] - dpl * a[k]) * inv;
-      c[k] = cpl;
-      d[k] = dpl;
-    }
-    cp[l] = cpl;
-    dp[l] = dpl;
-  }
-}
-
-/// Thomas backward substitution across a lane segment:
-/// x_{n-1} = d'_{n-1}, then x_i = d'_i - c'_i x_{i+1}. `xn` carries
-/// x_{i+1} per lane. In-place when out.x addresses the segment's d.
-template <typename T>
-void thomas_backward_lanes(const LaneSegment<T>& seg, const LaneOutput<T>& out,
-                           T* __restrict xn) noexcept {
-  if (seg.rows == 0 || seg.lanes == 0) return;
-  const bool in_place = out.x == seg.d && out.lane_step == seg.lane_step &&
-                        out.row_step == seg.row_step;
-  if (seg.lane_step == 1 && out.lane_step == 1) {
-    for (std::size_t r = 0; r < seg.rows; ++r) {
-      const std::size_t i = seg.rows - 1 - r;
-      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(i) * seg.row_step;
-      const std::ptrdiff_t xoff =
-          static_cast<std::ptrdiff_t>(i) * out.row_step;
-      const T* __restrict d = seg.d + off;
-      if (r == 0) {
-        if (in_place) {
-          for (std::size_t l = 0; l < seg.lanes; ++l) xn[l] = d[l];
-        } else {
-          T* __restrict x = out.x + xoff;
-          for (std::size_t l = 0; l < seg.lanes; ++l) {
-            const T v = d[l];
-            x[l] = v;
-            xn[l] = v;
-          }
-        }
-        continue;
-      }
-      const T* __restrict c = seg.c + off;
-      if (in_place) {
-        T* __restrict dx = seg.d + off;
-        for (std::size_t l = 0; l < seg.lanes; ++l) {
-          const T v = dx[l] - c[l] * xn[l];
-          dx[l] = v;
-          xn[l] = v;
-        }
-      } else {
-        T* __restrict x = out.x + xoff;
-        for (std::size_t l = 0; l < seg.lanes; ++l) {
-          const T v = d[l] - c[l] * xn[l];
-          x[l] = v;
-          xn[l] = v;
-        }
-      }
-    }
-    return;
-  }
-  // Row-contiguous / general: serial per lane, streaming rows backward.
-  for (std::size_t l = 0; l < seg.lanes; ++l) {
-    const T* __restrict c =
-        seg.c + static_cast<std::ptrdiff_t>(l) * seg.lane_step;
-    const T* __restrict d =
-        seg.d + static_cast<std::ptrdiff_t>(l) * seg.lane_step;
-    T* x = out.x + static_cast<std::ptrdiff_t>(l) * out.lane_step;
-    const std::ptrdiff_t rs = seg.row_step;
-    const std::ptrdiff_t xrs = out.row_step;
-    const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(seg.rows - 1);
-    T v = d[last * rs];
-    x[last * xrs] = v;
-    for (std::ptrdiff_t i = last - 1; i >= 0; --i) {
-      v = d[i * rs] - c[i * rs] * v;
-      x[i * xrs] = v;
-    }
-    xn[l] = v;
-  }
-}
 
 /// Per-worker bump pool for per-block lane carries (see file comment).
 /// Chunked so a mid-block growth never invalidates earlier spans; the
@@ -305,18 +137,5 @@ namespace detail {
 void note_scratch(std::size_t acquires, std::size_t reuses) noexcept;
 void note_vector_blocks(double n) noexcept;
 }  // namespace detail
-
-extern template void thomas_forward_lanes<float>(const LaneSegment<float>&,
-                                                 float* __restrict,
-                                                 float* __restrict) noexcept;
-extern template void thomas_forward_lanes<double>(const LaneSegment<double>&,
-                                                  double* __restrict,
-                                                  double* __restrict) noexcept;
-extern template void thomas_backward_lanes<float>(const LaneSegment<float>&,
-                                                  const LaneOutput<float>&,
-                                                  float* __restrict) noexcept;
-extern template void thomas_backward_lanes<double>(const LaneSegment<double>&,
-                                                   const LaneOutput<double>&,
-                                                   double* __restrict) noexcept;
 
 }  // namespace tridsolve::gpusim

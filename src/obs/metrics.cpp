@@ -52,12 +52,6 @@ MetricsRegistry::Histogram MetricsRegistry::histogram(
   }
 }
 
-bool MetricsRegistry::has_histogram(std::string_view name) const noexcept {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = hist_by_name_.find(name);
-  return it != hist_by_name_.end() && it->second->hist.count() > 0;
-}
-
 std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, HistogramSnapshot> out;

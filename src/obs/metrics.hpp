@@ -133,8 +133,6 @@ class MetricsRegistry {
     histogram(name).record(value);
   }
 
-  [[nodiscard]] bool has_histogram(std::string_view name) const noexcept;
-
   [[nodiscard]] std::map<std::string, double> counters() const;
   [[nodiscard]] std::map<std::string, double> gauges() const;
 

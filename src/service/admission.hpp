@@ -104,9 +104,6 @@ class AdmissionController {
   [[nodiscard]] std::size_t peak_depth() const noexcept {
     return peak_depth_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double ewma_batch_us() const noexcept {
-    return ewma_us_.load(std::memory_order_relaxed);
-  }
 
  private:
   /// Weight of the newest sample in the batch-latency EWMA.

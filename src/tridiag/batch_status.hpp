@@ -114,21 +114,9 @@ class BatchStatus {
     sys_[m] = s;
   }
 
-  /// True once record_attempt has been called since the last resize.
-  [[nodiscard]] bool has_provenance() const noexcept {
-    return !attempts_.empty();
-  }
-
   /// Attempts recorded against system m (0 without provenance).
   [[nodiscard]] std::uint32_t attempts(std::size_t m) const noexcept {
     return m < attempts_.size() ? attempts_[m] : 0;
-  }
-
-  /// Total attempts across the batch.
-  [[nodiscard]] std::uint64_t total_attempts() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto a : attempts_) n += a;
-    return n;
   }
 
   /// Sticky detection record for system m: the worst code any attempt

@@ -26,10 +26,6 @@ namespace tridsolve::tridiag {
 
 enum class Layout { contiguous, interleaved };
 
-[[nodiscard]] constexpr const char* layout_name(Layout l) noexcept {
-  return l == Layout::contiguous ? "contiguous" : "interleaved";
-}
-
 /// M independent n-row tridiagonal systems in one SoA allocation.
 template <typename T>
 class SystemBatch {

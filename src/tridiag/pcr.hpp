@@ -49,17 +49,21 @@ template <typename T>
 }
 
 /// The PCR elimination for one row (Eqs. 5-6): combine `mid` with its
-/// neighbours `lo` (at -stride) and `hi` (at +stride).
+/// neighbours `lo` (at -stride) and `hi` (at +stride). Every PCR in the
+/// library — host, tiled kernel, in-shared steps, Davidson's global steps
+/// and CR's forward reduction — calls this one function. The two
+/// divisions are independent and run as one two-lane division; IEEE
+/// division rounds each lane exactly as a scalar division would.
 template <typename T>
-[[nodiscard]] constexpr Row<T> pcr_combine(const Row<T>& lo, const Row<T>& mid,
-                                           const Row<T>& hi) noexcept {
-  const T k1 = mid.a / lo.b;
-  const T k2 = mid.c / hi.b;
+[[nodiscard]] inline Row<T> pcr_combine(const Row<T>& lo, const Row<T>& mid,
+                                        const Row<T>& hi) noexcept {
+  typedef T Pair __attribute__((vector_size(2 * sizeof(T))));
+  const Pair k = Pair{mid.a, mid.c} / Pair{lo.b, hi.b};
   return Row<T>{
-      -lo.a * k1,
-      mid.b - lo.c * k1 - hi.a * k2,
-      -hi.c * k2,
-      mid.d - lo.d * k1 - hi.d * k2,
+      -lo.a * k[0],
+      mid.b - lo.c * k[0] - hi.a * k[1],
+      -hi.c * k[1],
+      mid.d - lo.d * k[0] - hi.d * k[1],
   };
 }
 
@@ -90,29 +94,6 @@ inline void guard_pcr_combine(SolveStatus& guard, const Row<T>& lo,
                                  std::abs(static_cast<double>(mid.b)),
                                  std::abs(static_cast<double>(mid.c))});
   const double ratio = scale / std::min(blo, bhi);
-  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
-}
-
-/// Pivot check for one Thomas forward-elimination row (a, b, c) whose
-/// denominator is `denom` = b - c'a: a zero or non-finite denominator
-/// flags zero_pivot at `pos` (first offence wins); otherwise the growth
-/// estimate absorbs max(|a|, |b|, |c|) / |denom|. Read-only — shared by
-/// the p-Thomas kernel and the tiled PCR kernel's fused forward sweep.
-template <typename T>
-inline void guard_thomas_pivot(SolveStatus& guard, T a, T b, T c, T denom,
-                               std::size_t pos) noexcept {
-  // !(denom != 0) also catches a NaN denominator.
-  if (!(denom != T(0)) || !std::isfinite(static_cast<double>(denom))) {
-    if (guard.code == SolveCode::ok) {
-      guard.code = SolveCode::zero_pivot;
-      guard.index = pos;
-    }
-    return;
-  }
-  const double scale = std::max({std::abs(static_cast<double>(a)),
-                                 std::abs(static_cast<double>(b)),
-                                 std::abs(static_cast<double>(c))});
-  const double ratio = scale / std::abs(static_cast<double>(denom));
   if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
 }
 

@@ -30,13 +30,63 @@ namespace tridsolve::tridiag {
   return n == 0 ? 0 : 2 * n - 1;
 }
 
+/// One Thomas forward-elimination row (Eqs. 2-3) in the reciprocal form
+/// every Thomas sweep in the library runs: the host solve below, the
+/// p-Thomas kernel body and its lane sweeps, the tiled PCR kernel's fused
+/// store and the in-shared solver. pivot = b - c'a, then c' = c / pivot
+/// and d' = (d - d'a) / pivot through one reciprocal. `cp` and `dp` carry
+/// the previous row's c' and d' in (zero for a system's first row) and
+/// this row's out. Returns the pivot for the guards to read.
+template <typename T>
+inline T thomas_forward_row(T a, T b, T c, T d, T& cp, T& dp) noexcept {
+  const T pivot = b - cp * a;
+  const T inv = T(1) / pivot;
+  cp = c * inv;
+  dp = (d - dp * a) * inv;
+  return pivot;
+}
+
+namespace detail {
+
+/// A pivot the forward row may divide by: nonzero and finite (a NaN
+/// pivot fails the finiteness test).
+template <typename T>
+[[nodiscard]] inline bool thomas_pivot_ok(T pivot) noexcept {
+  return pivot != T(0) && std::isfinite(static_cast<double>(pivot));
+}
+
+/// Pivot check for one Thomas forward-elimination row (a, b, c) whose
+/// pivot thomas_forward_row returned: a zero or non-finite pivot flags
+/// zero_pivot at `pos` (first offence wins); otherwise the growth
+/// estimate absorbs max(|a|, |b|, |c|) / |pivot|. Read-only — shared by
+/// the host solve, the p-Thomas kernel and the tiled PCR kernel's fused
+/// forward sweep.
+template <typename T>
+inline void guard_thomas_pivot(SolveStatus& guard, T a, T b, T c, T pivot,
+                               std::size_t pos) noexcept {
+  if (!thomas_pivot_ok(pivot)) {
+    if (guard.code == SolveCode::ok) {
+      guard.code = SolveCode::zero_pivot;
+      guard.index = pos;
+    }
+    return;
+  }
+  const double scale = std::max({std::abs(static_cast<double>(a)),
+                                 std::abs(static_cast<double>(b)),
+                                 std::abs(static_cast<double>(c))});
+  const double ratio = scale / std::abs(static_cast<double>(pivot));
+  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
+}
+
+}  // namespace detail
+
 /// Solve one tridiagonal system in place.
 ///
 /// Inputs are read through the views in `sys`; the solution is written to
 /// `x` (which may alias `sys.d`). `cprime` is an n-element scratch array
 /// (contiguous, caller-provided so batched loops can reuse it).
-/// Fails with SolveCode::zero_pivot if any forward-reduction denominator
-/// is zero or non-finite (a NaN pivot would otherwise stream NaNs through
+/// Fails with SolveCode::zero_pivot if any forward-reduction pivot is
+/// zero or non-finite (a NaN pivot would otherwise stream NaNs through
 /// the whole solution under an ok() status) — use lu_gtsv for matrices
 /// that need pivoting.
 ///
@@ -50,43 +100,30 @@ SolveStatus thomas_solve(SystemRef<T> sys, StridedView<T> x, std::span<T> cprime
   if (x.size() != n || cprime.size() < n) return {SolveCode::bad_size, 0};
   if (n == 0) return {};
 
-  // Forward reduction: c'_1 = c_1/b_1, d'_1 = d_1/b_1, then
-  // c'_i = c_i / (b_i - c'_{i-1} a_i), d'_i = (d_i - d'_{i-1} a_i) / same.
-  // d' is accumulated directly in x. The reciprocal form below is the
-  // exact arithmetic of the p-Thomas GPU kernel, so the two agree bitwise
-  // (rows with a_0 = 0 make i = 0 a plain b pivot).
+  // Forward reduction, one thomas_forward_row per row; d' is accumulated
+  // directly in x (rows with a_0 = 0 make i = 0 a plain b pivot).
   T cp = T(0);
   T dp = T(0);
-  double growth = 1.0;
+  SolveStatus st{};
   for (std::size_t i = 0; i < n; ++i) {
-    const T denom = sys.b[i] - cp * sys.a[i];
-    // !(denom != 0) also catches a NaN denominator.
-    if (!(denom != T(0)) || !std::isfinite(static_cast<double>(denom))) {
-      const SolveStatus st{SolveCode::zero_pivot, i, growth};
-      if (guard != nullptr) *guard = st;
-      return st;
-    }
+    const T pivot =
+        thomas_forward_row(sys.a[i], sys.b[i], sys.c[i], sys.d[i], cp, dp);
     if (guard != nullptr) {
-      const double scale =
-          std::max({std::abs(static_cast<double>(sys.a[i])),
-                    std::abs(static_cast<double>(sys.b[i])),
-                    std::abs(static_cast<double>(sys.c[i]))});
-      const double ratio = scale / std::abs(static_cast<double>(denom));
-      if (ratio > growth) growth = ratio;
+      detail::guard_thomas_pivot(st, sys.a[i], sys.b[i], sys.c[i], pivot, i);
+    } else if (!detail::thomas_pivot_ok(pivot)) {
+      st = {SolveCode::zero_pivot, i};
     }
-    const T inv = T(1) / denom;
-    cp = sys.c[i] * inv;
-    dp = (sys.d[i] - dp * sys.a[i]) * inv;
+    if (!st.ok()) break;
     cprime[i] = cp;
     x[i] = dp;
   }
 
   // Backward substitution: x_n = d'_n, x_i = d'_i - c'_i x_{i+1}.
-  for (std::size_t i = n - 1; i-- > 0;) {
-    x[i] = x[i] - cprime[i] * x[i + 1];
+  if (st.ok()) {
+    for (std::size_t i = n - 1; i-- > 0;) {
+      x[i] = x[i] - cprime[i] * x[i + 1];
+    }
   }
-  SolveStatus st{};
-  st.pivot_growth = growth;
   if (guard != nullptr) *guard = st;
   return st;
 }

@@ -17,8 +17,8 @@ Cli::Cli(int argc, const char* const* argv,
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw std::invalid_argument("unexpected argument '" + arg +
+                                  "' (flags are --name value)");
     }
     arg.erase(0, 2);
     if (arg == "help") {

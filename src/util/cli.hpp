@@ -2,7 +2,8 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports `--name=value` and `--name value` forms plus boolean switches.
-// Unknown flags are an error so bench sweeps fail loudly instead of
+// Unknown flags and bare words (an argument that is neither a flag nor a
+// flag's value) are errors so bench sweeps fail loudly instead of
 // silently running the default configuration. `--help` prints the
 // accepted flags (one per line, machine-parseable — tools/check_docs
 // cross-checks them against the README flag reference) and exits 0.
@@ -15,11 +16,12 @@
 
 namespace tridsolve::util {
 
-/// Parsed command line: flag map plus positional arguments.
+/// Parsed command line: the flag map.
 class Cli {
  public:
   /// Parse argv. `known_flags` lists every accepted flag name (without
-  /// the leading dashes); anything else throws std::invalid_argument.
+  /// the leading dashes); any other flag, and any bare word, throws
+  /// std::invalid_argument.
   Cli(int argc, const char* const* argv, std::vector<std::string> known_flags);
 
   [[nodiscard]] bool has(const std::string& name) const;
@@ -34,13 +36,8 @@ class Cli {
   /// other value throws std::invalid_argument naming the flag.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
  private:
   std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 /// The observability flags every bench/example accepts on top of its own:

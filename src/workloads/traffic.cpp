@@ -21,11 +21,11 @@ std::vector<double> arrival_times_us(const TrafficConfig& cfg) {
       continue;
     }
     // Warp the virtual clock onto on/off duty cycles: each cycle's
-    // on-window (cycle_us / burst long) absorbs one window's worth of
+    // on-window (kBurstCycleUs / burst long) absorbs one window's worth of
     // virtual time, the off remainder passes instantly.
-    const double on_len = cfg.cycle_us / burst;
+    const double on_len = kBurstCycleUs / burst;
     const double cycle_index = std::floor(tau / on_len);
-    out.push_back(cycle_index * cfg.cycle_us + (tau - cycle_index * on_len));
+    out.push_back(cycle_index * kBurstCycleUs + (tau - cycle_index * on_len));
   }
   return out;
 }

@@ -9,7 +9,7 @@
 //     inter-arrival gaps, the classic open-loop model of many
 //     independent clients.
 //   * bursty  (burst > 1) — the same mean rate delivered in on/off
-//     duty cycles: within each `cycle_us` period the generator is "on"
+//     duty cycles: within each kBurstCycleUs period the generator is "on"
 //     for 1/burst of the cycle at `burst * rate_rps`, then silent. Mean
 //     load matches the steady case; the instantaneous load the batcher
 //     sees is `burst` times higher, which is what stresses window
@@ -28,10 +28,12 @@
 
 namespace tridsolve::workloads {
 
+/// On/off period of a bursty schedule (burst > 1), microseconds.
+inline constexpr double kBurstCycleUs = 20000.0;
+
 struct TrafficConfig {
   double rate_rps = 1000.0;   ///< mean offered load, requests per second
   double burst = 1.0;         ///< duty-cycle factor; 1 = steady Poisson
-  double cycle_us = 20000.0;  ///< on/off period for burst > 1
   std::size_t requests = 1000;
   std::uint64_t seed = 42;
 };
@@ -40,7 +42,7 @@ struct TrafficConfig {
 /// request. Steady: cumulative exponential gaps at `rate_rps`. Bursty:
 /// gaps drawn at `burst * rate_rps` on a virtual always-on clock, then
 /// time-warped so each cycle's on-window occupies its first
-/// cycle_us / burst microseconds.
+/// kBurstCycleUs / burst microseconds.
 [[nodiscard]] std::vector<double> arrival_times_us(const TrafficConfig& cfg);
 
 /// One owned request system: matrix per `kind`, random rhs — the

@@ -324,7 +324,7 @@ TEST(GuardedSolve, PthomasGuardFlagsExactlyTheBrokenLane) {
   std::vector<td::SystemRef<double>> systems;
   for (std::size_t m = 0; m < m_count; ++m) systems.push_back(batch.system(m));
   std::vector<td::SolveStatus> guard(m_count);
-  gp::pthomas_solve<double>(dev, systems, {}, 128, guard);
+  gp::pthomas_solve<double>(dev, systems, {}, guard);
   for (std::size_t m = 0; m < m_count; ++m) {
     if (m == 2) {
       EXPECT_EQ(guard[m].code, td::SolveCode::zero_pivot);

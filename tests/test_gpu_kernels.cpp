@@ -1,12 +1,18 @@
 // Simulated-GPU kernel tests: p-Thomas (including views with mismatched
 // per-array strides), tiled PCR kernel (all window variants, fusion), and
 // the Davidson/Zhang/CR baselines — all validated against the host
-// reference solvers.
+// reference solvers, bit for bit where the kernel runs the host's
+// recurrences (tiled PCR, Zhang, Davidson).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu_solvers/cr_kernel.hpp"
@@ -19,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "tridiag/lu_pivot.hpp"
 #include "tridiag/pcr.hpp"
+#include "tridiag/thomas.hpp"
 #include "util/stats.hpp"
 #include "workloads/generators.hpp"
 
@@ -470,8 +477,7 @@ TEST(DavidsonSolver, SolvesLargeSystemWithGlobalSteps) {
   const std::size_t n = 8192;
   auto batch = make_batch(2, n);
   const auto ref = reference_solutions(batch);
-  gp::DavidsonOptions opts;
-  const auto report = gp::davidson_solve<double>(dev, batch, opts);
+  const auto report = gp::davidson_solve<double>(dev, batch);
   EXPECT_EQ(report.global_steps, 3u);  // 8192 -> 1024 rows per subsystem
   // One launch per global step + the final kernel.
   EXPECT_EQ(report.timeline.segments().size(), 4u);
@@ -497,4 +503,89 @@ TEST(DavidsonSolver, PaysLaunchOverheadPerStep) {
     overhead += seg.stats.timing.overhead_us;
   }
   EXPECT_GE(overhead, 6.0 * dev.kernel_launch_overhead_us * 0.99);
+}
+
+// The in-shared solvers run the host's recurrences: K PCR steps (Eqs.
+// 5-6) at strides 1, 2, ..., 2^(K-1), then Thomas on each of the 2^K
+// stride-2^K subsystems. Their solutions must equal host pcr_reduce(K)
+// followed by thomas_solve on each subsystem bit for bit, where K counts
+// Davidson's global steps plus the in-shared steps (128 threads: one
+// step per doubling until one subsystem per thread or per row).
+template <typename T>
+class InSharedBitExact : public ::testing::Test {
+ protected:
+  static td::SystemBatch<T> batch(std::size_t m, std::size_t n) {
+    return wl::make_batch<T>(wl::Kind::random_dominant, m, n,
+                             td::Layout::contiguous, 11 + n);
+  }
+
+  /// Host reference: the solution lands in each system's d.
+  static void host_pcr_then_thomas(td::SystemBatch<T>& b, unsigned depth) {
+    const std::size_t n = b.system_size();
+    const std::size_t split = std::size_t{1} << depth;
+    std::vector<T> cprime(n);
+    for (std::size_t m = 0; m < b.num_systems(); ++m) {
+      const td::SystemRef<T> sys = b.system(m);
+      td::pcr_reduce(sys, depth);
+      for (std::size_t r = 0; r < std::min(split, n); ++r) {
+        const auto sub = [&](const td::StridedView<T>& v) {
+          return td::StridedView<T>(v.ptr(r), (n - r + split - 1) / split,
+                                    v.stride() *
+                                        static_cast<std::ptrdiff_t>(split));
+        };
+        const td::SystemRef<T> s{sub(sys.a), sub(sys.b), sub(sys.c),
+                                 sub(sys.d)};
+        ASSERT_TRUE(td::thomas_solve<T>(s, s.d, std::span<T>(cprime)).ok());
+      }
+    }
+  }
+
+  static void expect_same_bits(const td::SystemBatch<T>& got,
+                               const td::SystemBatch<T>& want,
+                               const std::string& what) {
+    ASSERT_EQ(got.total_rows(), want.total_rows());
+    for (std::size_t i = 0; i < got.total_rows(); ++i) {
+      ASSERT_EQ(std::memcmp(&got.d()[i], &want.d()[i], sizeof(T)), 0)
+          << what << " row " << i << ": " << got.d()[i] << " vs "
+          << want.d()[i];
+    }
+  }
+};
+
+using Precisions = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(InSharedBitExact, Precisions);
+
+TYPED_TEST(InSharedBitExact, ZhangEqualsHostPcrThenThomas) {
+  using T = TypeParam;
+  const auto dev = gs::gtx480();
+  // (N, K): in-shared steps until 2^K reaches min(N, 128).
+  for (const auto& [n, depth] : {std::pair<std::size_t, unsigned>{64, 6},
+                                 {100, 7},
+                                 {512, 7}}) {
+    auto kernel = this->batch(3, n);
+    auto host = kernel.clone();
+    gp::zhang_solve<T>(dev, kernel);
+    this->host_pcr_then_thomas(host, depth);
+    this->expect_same_bits(kernel, host, "zhang N=" + std::to_string(n));
+  }
+}
+
+TYPED_TEST(InSharedBitExact, DavidsonEqualsHostPcrThenThomas) {
+  using T = TypeParam;
+  const auto dev = gs::gtx480();
+  // (N, global steps, K): 8192 needs three global steps to fit the
+  // 1024-row shared tile, then seven in-shared steps.
+  struct Case {
+    std::size_t n;
+    unsigned global_steps;
+    unsigned depth;
+  };
+  for (const Case& c : {Case{512, 0, 7}, Case{8192, 3, 10}}) {
+    auto kernel = this->batch(2, c.n);
+    auto host = kernel.clone();
+    const auto report = gp::davidson_solve<T>(dev, kernel);
+    ASSERT_EQ(report.global_steps, c.global_steps) << "N=" << c.n;
+    this->host_pcr_then_thomas(host, c.depth);
+    this->expect_same_bits(kernel, host, "davidson N=" + std::to_string(c.n));
+  }
 }

@@ -18,18 +18,17 @@ namespace gp = tridsolve::gpu;
 namespace gs = tridsolve::gpusim;
 
 class PartitionGpuShapes
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
 TEST_P(PartitionGpuShapes, MatchesHostPartitionAndReferee) {
-  const auto [m_count, n, p] = GetParam();
+  const auto [m_count, n] = GetParam();
+  const std::size_t p = gp::kPartitionPacket;
   const auto dev = gs::gtx480();
   auto batch = wl::make_batch<double>(wl::Kind::random_dominant, m_count, n,
                                       td::Layout::contiguous, m_count * n + p);
   const auto orig = batch.clone();
 
-  gp::PartitionGpuOptions opts;
-  opts.packet = p;
-  gp::partition_solve_gpu<double>(dev, batch, opts);
+  gp::partition_solve_gpu<double>(dev, batch);
 
   std::vector<double> x_host(n), x_ref(n);
   for (std::size_t m = 0; m < m_count; ++m) {
@@ -49,35 +48,22 @@ TEST_P(PartitionGpuShapes, MatchesHostPartitionAndReferee) {
   }
 }
 
-using MNP = std::tuple<std::size_t, std::size_t, std::size_t>;
+using MN = std::tuple<std::size_t, std::size_t>;
 INSTANTIATE_TEST_SUITE_P(Shapes, PartitionGpuShapes,
-                         ::testing::Values(MNP{1, 64, 8}, MNP{4, 100, 8},
-                                           MNP{16, 257, 16}, MNP{8, 1000, 32},
-                                           MNP{2, 33, 4}, MNP{3, 10, 64}));
+                         ::testing::Values(MN{1, 64}, MN{4, 100}, MN{16, 257},
+                                           MN{8, 1000}, MN{2, 33}, MN{3, 10},
+                                           MN{3, 5}));
 
 TEST(PartitionGpu, ThreeLaunches) {
   const auto dev = gs::gtx480();
   auto batch = wl::make_batch<double>(wl::Kind::toeplitz, 8, 256,
                                       td::Layout::contiguous, 7);
-  const auto rep = gp::partition_solve_gpu<double>(dev, batch, {});
+  const auto rep = gp::partition_solve_gpu<double>(dev, batch);
   ASSERT_EQ(rep.timeline.segments().size(), 3u);
   EXPECT_EQ(rep.timeline.segments()[0].label, "packet-sweeps");
   EXPECT_EQ(rep.timeline.segments()[1].label, "reduced-solve");
   EXPECT_EQ(rep.timeline.segments()[2].label, "back-substitution");
   EXPECT_GT(rep.total_us(), 0.0);
-}
-
-TEST(PartitionGpu, RejectsBadPacketSizes) {
-  const auto dev = gs::gtx480();
-  auto batch = wl::make_batch<double>(wl::Kind::toeplitz, 2, 64,
-                                      td::Layout::contiguous, 8);
-  gp::PartitionGpuOptions opts;
-  opts.packet = 1;
-  EXPECT_THROW(gp::partition_solve_gpu<double>(dev, batch, opts),
-               std::invalid_argument);
-  opts.packet = 128;
-  EXPECT_THROW(gp::partition_solve_gpu<double>(dev, batch, opts),
-               std::invalid_argument);
 }
 
 TEST(PartitionGpu, NoSharedMemoryUse) {
@@ -86,7 +72,7 @@ TEST(PartitionGpu, NoSharedMemoryUse) {
   const auto dev = gs::gtx480();
   auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 4, 512,
                                       td::Layout::contiguous, 9);
-  const auto rep = gp::partition_solve_gpu<double>(dev, batch, {});
+  const auto rep = gp::partition_solve_gpu<double>(dev, batch);
   for (const auto& seg : rep.timeline.segments()) {
     EXPECT_EQ(seg.stats.costs.shared_peak_bytes, 0u) << seg.label;
   }
@@ -97,7 +83,7 @@ TEST(PartitionGpu, FloatPath) {
   auto batch = wl::make_batch<float>(wl::Kind::adi_sweep, 4, 200,
                                      td::Layout::contiguous, 10);
   const auto orig = batch.clone();
-  gp::partition_solve_gpu<float>(dev, batch, {});
+  gp::partition_solve_gpu<float>(dev, batch);
   std::vector<float> x(200);
   for (std::size_t m = 0; m < 4; ++m) {
     auto check = orig.clone();

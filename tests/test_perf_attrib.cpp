@@ -150,7 +150,6 @@ TEST(Metrics, HistogramsRegisterSnapshotAndSerialize) {
   ASSERT_TRUE(handle.valid());
   handle.record(30.0);
 
-  ASSERT_TRUE(reg.has_histogram("test.latency_us"));
   const auto snaps = reg.histograms();
   ASSERT_EQ(snaps.count("test.latency_us"), 1u);
   EXPECT_EQ(snaps.at("test.latency_us").count, 3u);
@@ -166,7 +165,7 @@ TEST(Metrics, HistogramsRegisterSnapshotAndSerialize) {
     EXPECT_NE(entry->find(key), nullptr) << key;
   }
   reg.reset();
-  EXPECT_FALSE(reg.has_histogram("test.latency_us"))
+  EXPECT_EQ(reg.histograms().count("test.latency_us"), 0u)
       << "reset must clear histogram samples";
 }
 

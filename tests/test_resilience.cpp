@@ -84,11 +84,11 @@ gp::SolveOutcome reference_solve(gp::SolverKind kind,
 TEST(BatchStatusProvenance, LiveIsLatestDetectedIsWorst) {
   td::BatchStatus st;
   st.resize(3);
-  EXPECT_FALSE(st.has_provenance());
+  EXPECT_EQ(st.attempts(1), 0u);
 
   // System 1: flagged by attempt 0, cleared by a clean retry.
   st.record_attempt(1, {td::SolveCode::zero_pivot, 7});
-  EXPECT_TRUE(st.has_provenance());
+  EXPECT_EQ(st.attempts(1), 1u);
   st.record_attempt(1, {td::SolveCode::ok, 0});
   EXPECT_EQ(st[1].code, td::SolveCode::ok) << "live = latest attempt";
   EXPECT_EQ(st.detected(1).code, td::SolveCode::zero_pivot)
@@ -105,10 +105,9 @@ TEST(BatchStatusProvenance, LiveIsLatestDetectedIsWorst) {
   EXPECT_EQ(st.detected(2).code, td::SolveCode::launch_failed);
   EXPECT_EQ(st.attempts(2), 3u);
   EXPECT_EQ(st.attempts(0), 0u);
-  EXPECT_EQ(st.total_attempts(), 5u);
 
   st.resize(3);
-  EXPECT_FALSE(st.has_provenance()) << "resize clears provenance";
+  EXPECT_EQ(st.attempts(1) + st.attempts(2), 0u) << "resize clears provenance";
 }
 
 TEST(BatchStatusProvenance, SeededFromPreAttemptState) {
@@ -133,10 +132,6 @@ TEST(FaultKinds, ParseAndName) {
             gs::kFaultSharedFlip | gs::kFaultLaunchFail | gs::kFaultTimeout);
   EXPECT_THROW((void)gs::parse_fault_kinds("cosmic-ray"),
                std::invalid_argument);
-  EXPECT_EQ(gs::fault_kinds_name(gs::kFaultAll), "all");
-  EXPECT_EQ(gs::fault_kinds_name(gs::kFaultGlobalFlip | gs::kFaultNanWrite),
-            "flip,nan");
-  EXPECT_EQ(gs::fault_kinds_name(0), "none");
 }
 
 // ---- Injector determinism across scheduling --------------------------

@@ -383,8 +383,8 @@ TEST(TrafficGenerator, BurstySweepCompressesOnWindows) {
   // ...but every bursty arrival lands inside the first 1/burst of its
   // cycle (the "on" window).
   for (const double t : b) {
-    const double phase =
-        t - std::floor(t / bursty.cycle_us) * bursty.cycle_us;
-    EXPECT_LE(phase, bursty.cycle_us / bursty.burst + 1e-9);
+    const double phase = t - std::floor(t / workloads::kBurstCycleUs) *
+                                 workloads::kBurstCycleUs;
+    EXPECT_LE(phase, workloads::kBurstCycleUs / bursty.burst + 1e-9);
   }
 }

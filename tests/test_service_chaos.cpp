@@ -178,12 +178,12 @@ TEST(AdmissionController, DepthAndByteBoundsAreHardWithRollback) {
 TEST(AdmissionController, EwmaAndDelayEstimate) {
   service::AdmissionController ac(service::AdmissionConfig{});
   EXPECT_EQ(ac.estimated_delay_us(8), 0.0) << "no signal before first batch";
+  // On an empty queue the estimate is one wave: the EWMA itself.
   ac.observe_batch_latency(100.0);
-  EXPECT_DOUBLE_EQ(ac.ewma_batch_us(), 100.0);
+  EXPECT_DOUBLE_EQ(ac.estimated_delay_us(8), 100.0);
   ac.observe_batch_latency(200.0);
-  EXPECT_DOUBLE_EQ(ac.ewma_batch_us(), 120.0);  // alpha 0.2
-  // One wave when the queue is empty; depth/max_batch more as it fills.
-  EXPECT_DOUBLE_EQ(ac.estimated_delay_us(8), 120.0);
+  EXPECT_DOUBLE_EQ(ac.estimated_delay_us(8), 120.0);  // alpha 0.2
+  // depth/max_batch more waves as the queue fills.
   for (int i = 0; i < 8; ++i) EXPECT_TRUE(ac.try_reserve(1));
   EXPECT_DOUBLE_EQ(ac.estimated_delay_us(8), 240.0);
 }
@@ -269,7 +269,8 @@ TEST(ServiceOverload, BrownoutShedsDeadlineDoomedUpFront) {
   service::SolveService svc(cfg);
   EXPECT_EQ(svc.submit(request_for(make_system(32, 221))).get().code,
             tridiag::SolveCode::ok);
-  EXPECT_GT(svc.admission().ewma_batch_us(), 0.0);
+  EXPECT_GT(svc.admission().estimated_delay_us(cfg.max_batch), 0.0)
+      << "the batch fed the EWMA";
 
   // Estimated queue delay (>= one EWMA batch) dwarfs this deadline: the
   // request could only expire in-queue, so brownout refuses it at submit.

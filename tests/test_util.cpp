@@ -172,10 +172,11 @@ TEST(Cli, RejectsUnknownFlag) {
   EXPECT_THROW(util::Cli(2, argv, {"m"}), std::invalid_argument);
 }
 
-TEST(Cli, CollectsPositionals) {
-  const char* argv[] = {"prog", "file1", "--m=1", "file2"};
-  util::Cli cli(4, argv, {"m"});
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "file1");
-  EXPECT_EQ(cli.positional()[1], "file2");
+TEST(Cli, RejectsBareWord) {
+  // A word that is neither a flag nor a flag's value: leading, or after
+  // an `=` flag, which takes no next token.
+  const char* leading[] = {"prog", "file1", "--m=1"};
+  EXPECT_THROW(util::Cli(3, leading, {"m"}), std::invalid_argument);
+  const char* after_eq[] = {"prog", "--m=1", "file2"};
+  EXPECT_THROW(util::Cli(3, after_eq, {"m"}), std::invalid_argument);
 }

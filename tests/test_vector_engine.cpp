@@ -162,7 +162,9 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
           if (!ok_on) continue;  // kind rejects this shape (e.g. in-shared cap)
           const std::string what =
               std::string(gpu::solver_name(kind)) + " " +
-              td::layout_name(layout) + " M=" + std::to_string(s.m) +
+              (layout == td::Layout::contiguous ? "contiguous"
+                                                : "interleaved") +
+              " M=" + std::to_string(s.m) +
               " N=" + std::to_string(s.n) + (guard ? " guarded" : "");
           expect_bitwise(with_vec, without_vec, what);
           expect_bitwise(exact, with_vec, what + " exact vs functional");
