@@ -106,44 +106,63 @@ struct WallStats {
   double steal_share = 0.0;  ///< host CPU steal during the timed repeats
 };
 
-/// Run `fn` under --repeat N semantics: one untimed warmup when N > 1,
-/// then N timed repetitions; reports min and median host wall time and
-/// the host's steal share across the timed repetitions. The benches'
-/// *simulated* numbers are deterministic — this measures how long the
-/// simulator itself takes, i.e. the quantity the execution engine
-/// optimizes. `prep()` runs untimed before every `fn()` (warmup
+/// Time `configs` configurations under --repeat N semantics: one untimed
+/// warmup of each when N > 1, then N rounds that run `fn(i)` once for
+/// every configuration i in turn; reports, per configuration, min and
+/// median host wall time, plus the host's steal share across all rounds.
+/// Interleaving the repetitions lets host load that comes and goes land
+/// on every configuration alike, so ratios between their times hold. The
+/// benches' *simulated* numbers are deterministic — this measures how
+/// long the simulator itself takes, i.e. the quantity the execution
+/// engine optimizes. `prep(i)` runs untimed before every `fn(i)` (warmup
 /// included) — for benches that solve in place and must reset their
-/// inputs between repeats without charging the reset to the kernel.
+/// inputs between repeats, or switch engine settings between
+/// configurations, without charging that to the kernel.
 template <typename P, typename F>
-WallStats repeat_wall(const util::Cli& cli, P&& prep, F&& fn) {
+std::vector<WallStats> repeat_wall_rounds(const util::Cli& cli,
+                                          std::size_t configs, P&& prep,
+                                          F&& fn) {
   const int repeats =
       std::max<int>(1, static_cast<int>(cli.get_int("repeat", 1)));
   if (repeats > 1) {  // warmup: populate scratch pools, page in data
-    prep();
-    fn();
+    for (std::size_t i = 0; i < configs; ++i) {
+      prep(i);
+      fn(i);
+    }
   }
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(repeats));
+  std::vector<std::vector<double>> samples(configs);
   const CpuTimes cpu0 = read_cpu_times();
   for (int r = 0; r < repeats; ++r) {
-    prep();
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    for (std::size_t i = 0; i < configs; ++i) {
+      prep(i);
+      const auto t0 = std::chrono::steady_clock::now();
+      fn(i);
+      const auto t1 = std::chrono::steady_clock::now();
+      samples[i].push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
   }
   const CpuTimes cpu1 = read_cpu_times();
-  std::sort(samples.begin(), samples.end());
-  WallStats out;
-  out.repeats = repeats;
-  out.min_us = samples.front();
-  const std::size_t mid = samples.size() / 2;
-  out.median_us = samples.size() % 2 == 1
-                      ? samples[mid]
-                      : 0.5 * (samples[mid - 1] + samples[mid]);
-  out.steal_share = steal_share(cpu0, cpu1);
+  std::vector<WallStats> out(configs);
+  for (std::size_t i = 0; i < configs; ++i) {
+    std::vector<double>& s = samples[i];
+    std::sort(s.begin(), s.end());
+    out[i].repeats = repeats;
+    out[i].min_us = s.front();
+    const std::size_t mid = s.size() / 2;
+    out[i].median_us =
+        s.size() % 2 == 1 ? s[mid] : 0.5 * (s[mid - 1] + s[mid]);
+    out[i].steal_share = steal_share(cpu0, cpu1);
+  }
   return out;
+}
+
+/// repeat_wall_rounds for one configuration.
+template <typename P, typename F>
+WallStats repeat_wall(const util::Cli& cli, P&& prep, F&& fn) {
+  return repeat_wall_rounds(
+             cli, 1, [&](std::size_t) { prep(); }, [&](std::size_t) { fn(); })
+      .front();
 }
 
 template <typename F>

@@ -469,11 +469,17 @@ void soak_phase_live(const SoakParams& sp, bench::Telemetry& telemetry) {
               static_cast<unsigned long long>(svc.breaker().resets()));
   soak_check(run.results.size() == sp.requests,
              "every submitted future resolved");
-  // The plan draws per launch: at a low --fault-rate a short run may draw
-  // none, so say how many launch failures the check actually covered.
   soak_check(codes_fine, "only structured codes under live faults (" +
                              std::to_string(live_faults) +
                              " launch failures drawn)");
+  // A plan that asks for launch failures must have drawn one here, or
+  // the check above covered no fault at all (pick a --fault-seed that
+  // fires within the phase's first launches).
+  const gpusim::FaultPlan plan = gpusim::ExecutionEngine::instance().fault_plan();
+  if ((plan.kinds & gpusim::kFaultLaunchFail) != 0 && plan.rate > 0.0) {
+    soak_check(live_faults >= 1,
+               "the live phase drew at least one launch failure");
+  }
   soak_check(svc.peak_queue_depth() <= bound,
              "peak queue depth " + std::to_string(svc.peak_queue_depth()) +
                  " <= bound " + std::to_string(bound));

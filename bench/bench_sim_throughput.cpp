@@ -96,34 +96,61 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
     std::copy(batch.d().begin(), batch.d().end(), scratch.d().begin());
   };
 
-  auto& registry = obs::MetricsRegistry::instance();
-  double baseline_bps = 0.0;
+  // Every selected mode is timed in one round-robin (repeat_wall_rounds),
+  // so load on the host lands on each mode alike and the speedups, ratios
+  // of this process's own timings, hold. Each repeat switches the engine
+  // to its mode's settings untimed; the guards restore the configured
+  // ones when the panel ends.
+  struct ModeRun {
+    const ModeSpec* spec = nullptr;
+    std::size_t threads = 0;  ///< the worker count the engine settled on
+    double blocks = 0.0;  ///< gpusim.blocks retired by this mode's solves
+    std::size_t calls = 0;
+    gpu::HybridReport report;
+  };
+  auto& engine = gpusim::ExecutionEngine::instance();
+  const gpusim::ScopedSimThreads keep_threads(configured_threads);
+  const gpusim::ScopedInstrumentMode keep_mode(engine.default_instrument());
+  std::vector<ModeRun> runs;
   for (std::size_t mi = 0; mi < std::size(kModes); ++mi) {
     if (!run_mode[mi]) continue;
     const ModeSpec& spec = kModes[mi];
-    const std::size_t want_threads =
-        spec.serial ? 1
-        : spec.mode == gpusim::InstrumentMode::exact
-            ? std::max<std::size_t>(2, configured_threads)
-            : configured_threads;
-    const gpusim::ScopedSimThreads threads_guard(want_threads);
-    const gpusim::ScopedInstrumentMode mode_guard(spec.mode);
+    engine.set_threads(spec.serial ? 1
+                       : spec.mode == gpusim::InstrumentMode::exact
+                           ? std::max<std::size_t>(2, configured_threads)
+                           : configured_threads);
     // Read back what the engine actually settled on so the JSONL rows
     // record the real worker count, not the requested one.
-    const std::size_t threads = gpusim::ExecutionEngine::instance().threads();
+    ModeRun& run = runs.emplace_back();
+    run.spec = &spec;
+    run.threads = engine.threads();
+  }
 
-    gpu::HybridOptions opts;
-    opts.guard = guard;
-    const double blocks_before = registry.counter("gpusim.blocks");
-    std::size_t calls = 0;
-    gpu::HybridReport report;
-    const bench::WallStats wall = bench::repeat_wall(cli, restore, [&] {
-      report = gpu::hybrid_solve<double>(dev, scratch, opts);
-      ++calls;
-    });
+  auto& registry = obs::MetricsRegistry::instance();
+  gpu::HybridOptions opts;
+  opts.guard = guard;
+  const std::vector<bench::WallStats> walls = bench::repeat_wall_rounds(
+      cli, runs.size(),
+      [&](std::size_t i) {
+        restore();
+        engine.set_threads(runs[i].threads);
+        engine.set_default_instrument(runs[i].spec->mode);
+      },
+      [&](std::size_t i) {
+        ModeRun& run = runs[i];
+        const double blocks_before = registry.counter("gpusim.blocks");
+        run.report = gpu::hybrid_solve<double>(dev, scratch, opts);
+        run.blocks += registry.counter("gpusim.blocks") - blocks_before;
+        ++run.calls;
+      });
+
+  double baseline_bps = 0.0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ModeSpec& spec = *runs[i].spec;
+    const std::size_t threads = runs[i].threads;
+    const bench::WallStats& wall = walls[i];
     const double blocks_per_solve =
-        (registry.counter("gpusim.blocks") - blocks_before) /
-        static_cast<double>(calls);
+        runs[i].blocks / static_cast<double>(runs[i].calls);
     const double bps = blocks_per_solve / (wall.min_us * 1e-6);
     if (spec.serial) baseline_bps = bps;
     const double speedup = baseline_bps > 0.0 ? bps / baseline_bps : 1.0;
@@ -160,7 +187,8 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
       extra["time_us"] = 0.0;
       telemetry.record_raw(std::move(extra));
     } else {
-      telemetry.record_hybrid(dev, m, n, report, "hybrid", std::move(extra));
+      telemetry.record_hybrid(dev, m, n, runs[i].report, "hybrid",
+                              std::move(extra));
     }
   }
   bench::emit(table);

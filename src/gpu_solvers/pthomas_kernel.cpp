@@ -33,8 +33,10 @@ namespace {
 // bit-identical to the bodies by tests/test_vector_engine.cpp: grid-wide
 // for functional solves (grid_vector_sweep), and block by block for the
 // unobserved blocks of an instrumented launch (block_forward_lanes,
-// block_backward_lanes), both only while the vector engine is on. Every
-// path runs tridiag::thomas_forward_row, one call per row and lane.
+// block_backward_lanes), both only while the vector engine is on, guarded
+// or not. Every path runs tridiag::thomas_forward_row, one call per row
+// and lane, and a guarded one tridiag::detail::guard_thomas_pivot after
+// it.
 
 /// Every block holds this many systems, one thread each.
 constexpr int kBlockThreads = static_cast<int>(kPthomasBlockSystems);
@@ -81,10 +83,13 @@ struct LaneOutput {
 
 /// Thomas forward elimination across a lane segment, in place
 /// (c <- c', d <- d'). `cp`/`dp` are the per-lane carries (>= lanes
-/// entries, zero-initialized by the caller for fresh systems).
-template <typename T>
-void thomas_forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
-                          T* __restrict dp) noexcept {
+/// entries, zero-initialized by the caller for fresh systems). `Guarded`
+/// folds every row's pivot into the lane's status st[l], as the kernel
+/// body does; the unguarded instantiation carries no guard code.
+template <bool Guarded, typename T>
+void forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
+                   T* __restrict dp,
+                   tridiag::SolveStatus* __restrict st) noexcept {
   if (seg.rows == 0 || seg.lanes == 0) return;
   if (seg.lane_step == 1) {
     // Lane-contiguous (interleaved layout): row-major walk, the inner
@@ -96,7 +101,12 @@ void thomas_forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
       T* __restrict c = seg.c + off;
       T* __restrict d = seg.d + off;
       for (std::size_t l = 0; l < seg.lanes; ++l) {
-        tridiag::thomas_forward_row(a[l], b[l], c[l], d[l], cp[l], dp[l]);
+        const T cl = c[l];  // the guard reads c, not c'
+        const T pivot =
+            tridiag::thomas_forward_row(a[l], b[l], cl, d[l], cp[l], dp[l]);
+        if constexpr (Guarded) {
+          tridiag::detail::guard_thomas_pivot(st[l], a[l], b[l], cl, pivot, i);
+        }
         c[l] = cp[l];
         d[l] = dp[l];
       }
@@ -114,14 +124,34 @@ void thomas_forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
     T* __restrict d = seg.d + off;
     T cpl = cp[l];
     T dpl = dp[l];
+    tridiag::SolveStatus sl{};
+    if constexpr (Guarded) sl = st[l];
     for (std::size_t i = 0; i < seg.rows; ++i) {
       const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(i) * seg.row_step;
-      tridiag::thomas_forward_row(a[k], b[k], c[k], d[k], cpl, dpl);
+      const T ck = c[k];
+      const T pivot =
+          tridiag::thomas_forward_row(a[k], b[k], ck, d[k], cpl, dpl);
+      if constexpr (Guarded) {
+        tridiag::detail::guard_thomas_pivot(sl, a[k], b[k], ck, pivot, i);
+      }
       c[k] = cpl;
       d[k] = dpl;
     }
     cp[l] = cpl;
     dp[l] = dpl;
+    if constexpr (Guarded) st[l] = sl;
+  }
+}
+
+/// forward_lanes with an optional per-lane status accumulator: null runs
+/// the unguarded sweep.
+template <typename T>
+void thomas_forward_lanes(const LaneSegment<T>& seg, T* cp, T* dp,
+                          tridiag::SolveStatus* st = nullptr) noexcept {
+  if (st != nullptr) {
+    forward_lanes<true>(seg, cp, dp, st);
+  } else {
+    forward_lanes<false>(seg, cp, dp, st);
   }
 }
 
@@ -370,17 +400,35 @@ LaneSegment<T> sub_segment(const LaneSegment<T>& seg, std::size_t t0,
   return sub;
 }
 
+/// Start the guard status of every non-empty lane of a segment afresh, as
+/// the kernel body's accumulator starts; the sweep then folds each row
+/// in, so each lane ends with the status the body writes at its last row
+/// (an empty system's slot stays untouched, as in the body). Returns the
+/// segment's slice of `guard`, or null when the solve is unguarded.
+template <typename T>
+tridiag::SolveStatus* fresh_guard(std::span<tridiag::SolveStatus> guard,
+                                  std::size_t l0, const LaneSegment<T>& seg) {
+  if (guard.empty()) return nullptr;
+  tridiag::SolveStatus* st = guard.data() + l0;
+  if (seg.rows > 0) std::fill(st, st + seg.lanes, tridiag::SolveStatus{});
+  return st;
+}
+
 /// Forward sweep of one unobserved block (see block_lanes_apply): its
 /// systems `mine` split into maximal affine segments, each swept with the
-/// block's own zero-filled carries. Per lane the arithmetic and its order
-/// are the body's, so the bits are too (tests/test_vector_engine.cpp).
+/// block's own zero-filled carries, and `guard` (the block's slice, or
+/// empty) the statuses the body's guard would write. Per lane the
+/// arithmetic and its order are the body's, so the bits are too
+/// (tests/test_vector_engine.cpp).
 template <typename T>
 void block_forward_lanes(std::span<const tridiag::SystemRef<T>> mine,
-                         std::span<T> cp, std::span<T> dp) {
+                         std::span<T> cp, std::span<T> dp,
+                         std::span<tridiag::SolveStatus> guard) {
   for (std::size_t l0 = 0; l0 < mine.size();) {
     LaneSegment<T> seg;
     const std::size_t end = affine_segment(mine, l0, seg);
-    thomas_forward_lanes(seg, cp.data() + l0, dp.data() + l0);
+    thomas_forward_lanes(seg, cp.data() + l0, dp.data() + l0,
+                         fresh_guard(guard, l0, seg));
     l0 = end;
   }
 }
@@ -410,12 +458,15 @@ void block_backward_lanes(std::span<const tridiag::SystemRef<T>> mine,
 /// 128-lane block, so streams are megabytes long — and lane-tiles each
 /// segment (gpusim::lane_tile) so that when `fuse_backward` is set the
 /// backward substitution re-reads the forward sweep's c'/d' tile from
-/// cache instead of DRAM. Per-lane arithmetic and order are exactly the
-/// kernel bodies': bit-identical outputs (tests/test_vector_engine.cpp).
+/// cache instead of DRAM. A forward sweep writes each system's guard
+/// status into `guard` when it is not empty. Per-lane arithmetic and
+/// order are exactly the kernel bodies': bit-identical outputs and
+/// statuses (tests/test_vector_engine.cpp).
 template <typename T>
 void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
                        std::span<const tridiag::StridedView<T>> xout,
-                       bool forward, bool fuse_backward) {
+                       bool forward, bool fuse_backward,
+                       std::span<tridiag::SolveStatus> guard = {}) {
   gpusim::LanePool& pool = gpusim::host_lane_pool();
   pool.begin_block();
   const bool backward = fuse_backward || !forward;
@@ -444,7 +495,8 @@ void grid_vector_sweep(std::span<const tridiag::SystemRef<T>> systems,
                   T(0));
         std::fill(dp.begin(), dp.begin() + static_cast<std::ptrdiff_t>(w),
                   T(0));
-        thomas_forward_lanes(sub, cp.data(), dp.data());
+        thomas_forward_lanes(sub, cp.data(), dp.data(),
+                             fresh_guard(guard, l0 + t0, sub));
       }
       if (backward) {
         thomas_backward_lanes(sub, osub, xn.data());
@@ -539,14 +591,14 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
   const bool guarding = !guard.empty();
   const std::size_t grid = grid_for(systems);
 
-  // Functional fast path: no instrumentation, hazards, faults or guards
-  // active, so run one grid-wide fused sweep (forward + backward per lane
-  // tile, cache-blocked) and issue the two launches with empty bodies —
-  // launch accounting, timeline labels and grid shape stay exactly as in
-  // the per-block execution.
-  if (!guarding && grid_sweep_applies(systems)) {
+  // Functional fast path: no instrumentation, hazards or faults active,
+  // so run one grid-wide fused sweep (forward + backward per lane tile,
+  // cache-blocked, guard statuses included) and issue the two launches
+  // with empty bodies — launch accounting, timeline labels and grid shape
+  // stay exactly as in the per-block execution.
+  if (grid_sweep_applies(systems)) {
     grid_vector_sweep<T>(systems, xout, /*forward=*/true,
-                         /*fuse_backward=*/true);
+                         /*fuse_backward=*/true, guard);
     gpusim::detail::note_vector_blocks(static_cast<double>(2 * grid));
     stats.forward =
         gpusim::launch(dev, {grid, kBlockThreads}, [](gpusim::BlockContext&) {});
@@ -557,7 +609,7 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
 
   const gpusim::BlockClasses classes =
       lane_classes(dev, systems, xout);
-  const bool lanes = !guarding && block_lanes_apply(systems);
+  const bool lanes = block_lanes_apply(systems);
   std::atomic<std::size_t> swept{0};
   // Forward reduction, in place: c <- c', d <- d'. One serialized memory
   // round per row (the loads of row i gate the elimination row i+1 needs).
@@ -568,7 +620,9 @@ PthomasStats pthomas_solve(const gpusim::DeviceSpec& dev,
         const std::span<T> cp = ctx.lane_buffer<T>(blk.lanes);
         const std::span<T> dp = ctx.lane_buffer<T>(blk.lanes);
         if (lanes && !ctx.observed()) {
-          block_forward_lanes(systems.subspan(blk.base, blk.lanes), cp, dp);
+          block_forward_lanes(
+              systems.subspan(blk.base, blk.lanes), cp, dp,
+              guarding ? guard.subspan(blk.base, blk.lanes) : guard);
           swept.fetch_add(1, std::memory_order_relaxed);
           return;
         }

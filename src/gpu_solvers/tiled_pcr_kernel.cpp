@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "gpusim/block_classes.hpp"
 #include "tridiag/pcr.hpp"
@@ -21,6 +22,12 @@ using tridiag::Row;
 /// real configurations; it exists so window state is trivially copyable
 /// (fixed-size tail array) and can live in pooled launch scratch.
 constexpr unsigned kMaxK = 16;
+
+/// What one Eqs. 5-6 elimination charges: op-equivalents and divisions.
+/// The per-thread COMBINE body and a recording block's block_phase tally
+/// both read these, so the two paths record the same costs.
+constexpr std::uint32_t kCombineOps = 10;
+constexpr std::uint32_t kCombineDivs = 2;
 
 /// Cost classes of the launch (gpusim/block_classes.hpp): per block its
 /// window count and, per window, the region length, how far the loaded
@@ -197,6 +204,12 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
         wd.buf[0][idx] = tridiag::identity_row<T>();
       }
     };
+    // Position of the row the level-j elimination of batch row `idx`
+    // produces; outside [0, n) it is identity padding.
+    auto level_pos = [](const Window& wd, unsigned j, std::size_t idx) {
+      return wd.P - ((std::ptrdiff_t{2} << (j - 1)) - 1) +
+             static_cast<std::ptrdiff_t>(idx);
+    };
     // COMBINE: the level-j elimination (Eqs. 5-6) producing batch row `idx`.
     auto combine = [&](auto& t, Window& wd, unsigned j, std::size_t idx) {
       const auto reach = static_cast<std::ptrdiff_t>(std::size_t{1} << (j - 1));
@@ -216,9 +229,7 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       t.note_sread(lo);
       t.note_sread(mid);
       t.note_sread(hi);
-      // Position of the row this elimination produces (used for the
-      // redundancy bookkeeping and guard attribution below).
-      const std::ptrdiff_t pos = wd.P - (span_j - 1) + i;
+      const std::ptrdiff_t pos = level_pos(wd, j, idx);
       const bool real_row =
           pos >= 0 && pos < static_cast<std::ptrdiff_t>(wd.w.sys.size());
       if (guarding && real_row) {
@@ -229,16 +240,25 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       Row<T>& dst = wd.buf[j & 1u][idx];
       t.note_swrite(dst);
       dst = tridiag::pcr_combine(lo, mid, hi);
-      t.template flops<T>(10);
-      t.template divs<T>(2);
+      t.template flops<T>(kCombineOps);
+      t.template divs<T>(kCombineDivs);
       // Count only eliminations of real rows for the redundancy
       // bookkeeping (identity warm-up/drain rows are free lanes).
       if (real_row) ++wd.eliminations;
     };
-    // COMBINE, a whole level of an unguarded raw block: the rows of a
-    // level are independent, so any order computes the phased order's
-    // bits. Split by where `lo` and `mid` come from (tail cache or batch),
-    // the loops carry no branch; real rows are counted in one step.
+    // Batch rows [from, to) of a level-j elimination are real rows.
+    auto real_rows = [&](const Window& wd, unsigned j) {
+      const std::ptrdiff_t pos0 = level_pos(wd, j, 0);
+      const auto n = static_cast<std::ptrdiff_t>(wd.w.sys.size());
+      const auto s = static_cast<std::ptrdiff_t>(S);
+      return std::pair{
+          static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(-pos0, 0, s)),
+          static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(n - pos0, 0, s))};
+    };
+    // COMBINE, a whole level as one loop: the rows of a level are
+    // independent, so any order computes the phased order's bits. Split
+    // by where `lo` and `mid` come from (tail cache or batch), the loops
+    // carry no branch; real rows are counted in one step.
     auto combine_level = [&](Window& wd, unsigned j) {
       const std::size_t reach = std::size_t{1} << (j - 1);
       const Row<T>* src = wd.buf[(j - 1) & 1u].data();
@@ -254,13 +274,30 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
         dst[i] =
             tridiag::pcr_combine(src[i - 2 * reach], src[i - reach], src[i]);
       }
-      const std::ptrdiff_t pos0 =
-          wd.P - static_cast<std::ptrdiff_t>(2 * reach - 1);
-      const std::ptrdiff_t real =
-          std::min(pos0 + static_cast<std::ptrdiff_t>(S),
-                   static_cast<std::ptrdiff_t>(wd.w.sys.size())) -
-          std::max<std::ptrdiff_t>(pos0, 0);
-      if (real > 0) wd.eliminations += static_cast<std::size_t>(real);
+      const auto [from, to] = real_rows(wd, j);
+      if (to > from) wd.eliminations += to - from;
+    };
+    // GUARD, a whole level after combine_level (which leaves level j-1
+    // intact): the real rows in the phased order, thread-major and
+    // sub-tile-minor, so the guard meets the first offence where the
+    // per-thread walk does.
+    auto guard_level = [&](Window& wd, unsigned j) {
+      const std::size_t reach = std::size_t{1} << (j - 1);
+      const Row<T>* src = wd.buf[(j - 1) & 1u].data();
+      const Row<T>* tail = wd.tails[j - 1].data();
+      const std::ptrdiff_t pos0 = level_pos(wd, j, 0);
+      const auto [from, to] = real_rows(wd, j);
+      tridiag::SolveStatus st = wd.guard_st;
+      for (std::size_t tid = 0; tid < tcount; ++tid) {
+        for (std::size_t i = tid; i < to; i += tcount) {
+          if (i < from) continue;
+          tridiag::detail::guard_pcr_combine(
+              st, i >= 2 * reach ? src[i - 2 * reach] : tail[i],
+              i >= reach ? src[i - reach] : tail[i + reach], src[i],
+              static_cast<std::size_t>(pos0 + static_cast<std::ptrdiff_t>(i)));
+        }
+      }
+      wd.guard_st = st;
     };
     // TAIL SAVE: row `r` of level j-1's last 2^j rows, kept for the next
     // sub-tile before buffer (j-1)&1 is overwritten by level j+1.
@@ -304,10 +341,28 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       }
     };
 
-    if (ctx.observed()) {
-      // Thread-major barrier phases, as the hardware block runs them: the
-      // order observers record. Thread tid owns batch rows cc * 2^k + tid.
-      auto per_row = [&](std::size_t iter, auto&& body) {
+    // ---- Executor ---------------------------------------------------------
+    // One barrier-phase sequence for every block: INIT, then per sub-tile
+    // iteration LOAD, k x (COMBINE, TAIL SAVE) and STORE, every window of
+    // the block advancing together. Batch rows go in the phased order,
+    // thread-major and sub-tile-minor (thread tid owns rows cc * 2^k +
+    // tid), so each fused recurrence meets its rows in ascending order and
+    // the guard meets its first offence where the hardware block would.
+    //
+    // LOAD and STORE touch global memory: an observed block runs them
+    // through phase() so the coalescer (and any watcher) sees them, any
+    // other block as the same loop on RawThread. The shared-memory phases
+    // keep the per-thread walk only on a watched block (hazard detector or
+    // fault injector attached), which needs every shared access in barrier
+    // order. Every other block runs them as plain loops, whole levels at a
+    // time (combine_level), and a recording one closes each with
+    // block_phase and the per-thread body's tally. Outputs, recorded
+    // costs and statuses are the same on every path, bit for bit.
+    const bool watched = ctx.watched();
+    const bool records = ctx.observed();
+    gpusim::RawThread raw;
+    auto per_row = [&](std::size_t iter, auto&& body) {
+      if (records) {
         ctx.phase([&](gpusim::ThreadCtx& t) {
           for (Window& wd : win) {
             if (iter >= wd.iters) continue;
@@ -316,7 +371,31 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
             }
           }
         });
-      };
+        return;
+      }
+      for (Window& wd : win) {
+        if (iter >= wd.iters) continue;
+        for (std::size_t tid = 0; tid < tcount; ++tid) {
+          for (std::size_t cc = 0; cc < cfg.c; ++cc) {
+            body(raw, wd, cc * tcount + tid);
+          }
+        }
+      }
+    };
+    // A shared-memory phase of an unwatched block, whose per-thread body
+    // charges `combines` eliminations.
+    auto shared_phase = [&](std::size_t combines, auto&& fn) {
+      if (!records) {
+        fn();
+        return;
+      }
+      gpusim::PhaseTally tally;
+      tally.ops[sizeof(T) == 8] = kCombineOps * combines;
+      tally.divs[sizeof(T) == 8] = kCombineDivs * combines;
+      ctx.block_phase(tally, fn);
+    };
+
+    if (watched) {
       ctx.phase([&](gpusim::ThreadCtx& t) {
         for (Window& wd : win) {
           for (unsigned j = 0; j < cfg.k; ++j) {
@@ -327,10 +406,22 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
           }
         }
       });
-      for (std::size_t iter = 0; iter < max_iters; ++iter) {
-        per_row(iter, load);
-        for (unsigned j = 1; j <= cfg.k; ++j) {
-          per_row(iter, [&](gpusim::ThreadCtx& t, Window& wd, std::size_t idx) {
+    } else {
+      shared_phase(0, [&] {
+        for (Window& wd : win) {
+          for (unsigned j = 0; j < cfg.k; ++j) {
+            for (Row<T>& row : wd.tails[j]) init_tail(raw, row);
+          }
+        }
+      });
+    }
+    for (std::size_t iter = 0; iter < max_iters; ++iter) {
+      per_row(iter, load);
+      std::size_t live = 0;
+      for (const Window& wd : win) live += iter < wd.iters ? 1 : 0;
+      for (unsigned j = 1; j <= cfg.k; ++j) {
+        if (watched) {
+          per_row(iter, [&](auto& t, Window& wd, std::size_t idx) {
             combine(t, wd, j, idx);
           });
           ctx.phase([&](gpusim::ThreadCtx& t) {
@@ -340,44 +431,26 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
               if (iter < wd.iters) save_tail(t, wd, j, tid);
             }
           });
+          continue;
         }
-        per_row(iter, store);
-        for (Window& wd : win) wd.P += static_cast<std::ptrdiff_t>(S);
-      }
-    } else {
-      // Nothing observes this block and its windows share no data: run
-      // each window to completion. Batch rows go in the phased order,
-      // thread-major and sub-tile-minor, so each fused recurrence meets
-      // its rows in ascending order and the guard meets its first offence
-      // where an observed block does: outputs, tallies and statuses match
-      // the phased order bit for bit. Without a guard, order within a
-      // combine level does not matter and combine_level runs it.
-      gpusim::RawThread t;
-      auto per_row = [&](auto&& body) {
-        for (std::size_t tid = 0; tid < tcount; ++tid) {
-          for (std::size_t cc = 0; cc < cfg.c; ++cc) body(cc * tcount + tid);
-        }
-      };
-      for (Window& wd : win) {
-        for (unsigned j = 0; j < cfg.k; ++j) {
-          for (Row<T>& row : wd.tails[j]) init_tail(t, row);
-        }
-        for (std::size_t iter = 0; iter < wd.iters; ++iter) {
-          per_row([&](std::size_t idx) { load(t, wd, idx); });
-          for (unsigned j = 1; j <= cfg.k; ++j) {
-            if (guarding) {
-              per_row([&](std::size_t idx) { combine(t, wd, j, idx); });
-            } else {
-              combine_level(wd, j);
-            }
+        shared_phase(live * S, [&] {
+          for (Window& wd : win) {
+            if (iter >= wd.iters) continue;
+            combine_level(wd, j);
+            if (guarding) guard_level(wd, j);
+          }
+        });
+        shared_phase(0, [&] {
+          for (Window& wd : win) {
+            if (iter >= wd.iters) continue;
             for (std::size_t r = 0; r < std::size_t{2} << (j - 1); ++r) {
-              save_tail(t, wd, j, r);
+              save_tail(raw, wd, j, r);
             }
           }
-          per_row([&](std::size_t idx) { store(t, wd, idx); });
-          wd.P += static_cast<std::ptrdiff_t>(S);
-        }
+        });
       }
+      per_row(iter, store);
+      for (Window& wd : win) wd.P += static_cast<std::ptrdiff_t>(S);
     }
 
     // Blocks run concurrently; publish the block's tallies once

@@ -24,7 +24,9 @@
 // block in functional_only. When
 // nothing observes a block (see observed()), a kernel may run the same
 // phase bodies on RawThread, a plain-memory stand-in for ThreadCtx, in a
-// loop order of its own choosing instead of through phase().
+// loop order of its own choosing instead of through phase(). When only
+// the cost recorder observes it (see watched()), a phase that touches no
+// global memory may run as one plain loop closed by block_phase().
 //
 // Contracts:
 //  * Thread-safety: a BlockContext (and the ThreadCtx handles it hands
@@ -45,6 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "gpusim/bank_tracker.hpp"
@@ -362,13 +365,21 @@ class BlockContext {
   [[nodiscard]] std::size_t grid_blocks() const noexcept { return grid_blocks_; }
   [[nodiscard]] int block_threads() const noexcept { return block_threads_; }
   /// True when this block records costs, a hazard detector watches it or
-  /// a fault injector is attached. Observed blocks must run their phase
-  /// bodies through phase()/phase_rounds() and ThreadCtx, so the
+  /// a fault injector is attached. Observed blocks must run their global
+  /// accesses through phase()/phase_rounds() and ThreadCtx, so the
   /// coalescer, the detector and the injector see every access in the
-  /// instrumented order (fault-site ordinals included); any other block
-  /// may run the same bodies on RawThread.
+  /// instrumented order (fault-site ordinals included); watched blocks
+  /// their shared-memory phases too. Any other block may run the same
+  /// bodies on RawThread.
   [[nodiscard]] bool observed() const noexcept {
-    return record_ || hazards_ != nullptr || faults_ != nullptr;
+    return record_ || watched();
+  }
+  /// True when a hazard detector or a fault injector is attached: the
+  /// observers that need every shared access in barrier order. A block
+  /// that only records costs is observed but not watched, and may close
+  /// its global-memory-free phases with block_phase().
+  [[nodiscard]] bool watched() const noexcept {
+    return hazards_ != nullptr || faults_ != nullptr;
   }
 
   /// Allocate shared memory for this block (throws if over capacity).
@@ -413,6 +424,26 @@ class BlockContext {
       tally += run_threads(r, [&](ThreadCtx& t) { fn(t, r); });
     }
     phase_span_end("phase_rounds", span_t0, rounds);
+    end_phase(tally);
+  }
+
+  /// Run one barrier-delimited phase as a single block-wide loop: fn()
+  /// once, then close the phase as phase() does, with `tally` standing in
+  /// for what the per-thread body would have charged (one traced span, and
+  /// on a recording block the tally plus one barrier). Only for phases
+  /// that touch no global memory and route no shared access through
+  /// sload/sstore, so the coalescer and bank tracker have nothing to see.
+  /// A watched block must walk every phase per thread and throws
+  /// std::logic_error here.
+  template <typename F>
+  void block_phase(const PhaseTally& tally, F&& fn) {
+    if (watched()) {
+      throw std::logic_error(
+          "BlockContext::block_phase: a watched block runs per-thread phases");
+    }
+    const double span_t0 = phase_span_begin();
+    fn();
+    phase_span_end("phase", span_t0, 1);
     end_phase(tally);
   }
 

@@ -178,8 +178,9 @@ class ExecutionEngine {
   /// run functional_only with no hazard checking, no active fault plan,
   /// and the vector path on — i.e. a kernel may replace its launches with
   /// one grid-wide vectorized sweep (plus empty-bodied launches to keep
-  /// the launch accounting identical). Kernel-side conditions (no guard
-  /// spans, equal per-array row strides) are the caller's to check.
+  /// the launch accounting identical). Kernel-side conditions (equal
+  /// per-array row strides) are the caller's to check; a guarded solve
+  /// qualifies, since the sweep carries the guard.
   [[nodiscard]] bool functional_fast_path() const noexcept;
 
   /// Fault-injection plan applied to every launch (snapshot). A default

@@ -74,7 +74,8 @@ namespace detail {
 /// (first offence wins); otherwise the pivot-growth estimate absorbs the
 /// ratio of this row's coefficient magnitude to the smallest divisor.
 /// Read-only — shared by the host tiled PCR and the GPU kernels, whose
-/// arithmetic must stay bit-identical with guards on or off.
+/// arithmetic must stay bit-identical with guards on or off. Branch-free
+/// (see absorb_pivot), so it sits inside level and lane loops.
 template <typename T>
 inline void guard_pcr_combine(SolveStatus& guard, const Row<T>& lo,
                               const Row<T>& mid, const Row<T>& hi,
@@ -83,18 +84,8 @@ inline void guard_pcr_combine(SolveStatus& guard, const Row<T>& lo,
   const double bhi = std::abs(static_cast<double>(hi.b));
   const bool bad = !(blo > 0.0) || !(bhi > 0.0) ||  // zero or NaN divisor
                    !std::isfinite(blo) || !std::isfinite(bhi);
-  if (bad) {
-    if (guard.code == SolveCode::ok) {
-      guard.code = SolveCode::zero_pivot;
-      guard.index = pos;
-    }
-    return;
-  }
-  const double scale = std::max({std::abs(static_cast<double>(mid.a)),
-                                 std::abs(static_cast<double>(mid.b)),
-                                 std::abs(static_cast<double>(mid.c))});
-  const double ratio = scale / std::min(blo, bhi);
-  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
+  absorb_pivot(guard, bad, max_abs3(mid.a, mid.b, mid.c) / std::min(blo, bhi),
+               pos);
 }
 
 }  // namespace detail

@@ -59,23 +59,14 @@ template <typename T>
 /// pivot thomas_forward_row returned: a zero or non-finite pivot flags
 /// zero_pivot at `pos` (first offence wins); otherwise the growth
 /// estimate absorbs max(|a|, |b|, |c|) / |pivot|. Read-only — shared by
-/// the host solve, the p-Thomas kernel and the tiled PCR kernel's fused
-/// forward sweep.
+/// the host solve, the p-Thomas kernel body and lane sweeps and the tiled
+/// PCR kernel's fused forward sweep. Branch-free (see absorb_pivot), so
+/// it sits inside lane loops; `c` is the row's input c, not c'.
 template <typename T>
 inline void guard_thomas_pivot(SolveStatus& guard, T a, T b, T c, T pivot,
                                std::size_t pos) noexcept {
-  if (!thomas_pivot_ok(pivot)) {
-    if (guard.code == SolveCode::ok) {
-      guard.code = SolveCode::zero_pivot;
-      guard.index = pos;
-    }
-    return;
-  }
-  const double scale = std::max({std::abs(static_cast<double>(a)),
-                                 std::abs(static_cast<double>(b)),
-                                 std::abs(static_cast<double>(c))});
-  const double ratio = scale / std::abs(static_cast<double>(pivot));
-  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
+  absorb_pivot(guard, !thomas_pivot_ok(pivot),
+               max_abs3(a, b, c) / std::abs(static_cast<double>(pivot)), pos);
 }
 
 }  // namespace detail

@@ -13,6 +13,7 @@
 // Sizes and strides are in elements, not bytes; strides come up as 1
 // (contiguous), M (interleaved batch) and 2^k (post-PCR).
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 
@@ -74,6 +75,36 @@ struct SolveStatus {
 
   [[nodiscard]] bool ok() const noexcept { return code == SolveCode::ok; }
 };
+
+namespace detail {
+
+/// max(|a|, |b|, |c|) in double with std::max({...})'s NaN behaviour: an
+/// operand replaces the running maximum only when it compares greater, so
+/// a NaN after the first operand never wins.
+template <typename T>
+[[nodiscard]] inline double max_abs3(T a, T b, T c) noexcept {
+  double m = std::abs(static_cast<double>(a));
+  const double vb = std::abs(static_cast<double>(b));
+  m = m < vb ? vb : m;
+  const double vc = std::abs(static_cast<double>(c));
+  return m < vc ? vc : m;
+}
+
+/// Fold one checked pivot into a guard status by selects alone, so the
+/// pivot guards (pcr.hpp, thomas.hpp) sit inside level and lane loops: a
+/// bad pivot flags zero_pivot at `pos` unless an earlier offence did (the
+/// first offence wins); a good one raises pivot_growth to `ratio` when
+/// larger. `ratio` is ignored for a bad pivot.
+inline void absorb_pivot(SolveStatus& guard, bool bad, double ratio,
+                         std::size_t pos) noexcept {
+  const bool first = bad && guard.code == SolveCode::ok;
+  guard.code = first ? SolveCode::zero_pivot : guard.code;
+  guard.index = first ? pos : guard.index;
+  guard.pivot_growth =
+      !bad && ratio > guard.pivot_growth ? ratio : guard.pivot_growth;
+}
+
+}  // namespace detail
 
 /// Non-owning strided 1-D view. The stride is in elements, not bytes.
 ///

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -289,6 +292,116 @@ TEST(GuardedSolve, ThomasGuardTracksPivotGrowth) {
   bs.absorb(0, wild_guard);
   bs.apply_growth_limit(td::default_growth_limit<double>());
   EXPECT_EQ(bs[0].code, td::SolveCode::near_singular);
+}
+
+namespace {
+
+// The pivot guards as they were written with branches and early returns:
+// the oracles the branch-free guards must match bit for bit.
+template <typename T>
+void oracle_guard_pcr_combine(td::SolveStatus& guard, const td::Row<T>& lo,
+                              const td::Row<T>& mid, const td::Row<T>& hi,
+                              std::size_t pos) {
+  const double blo = std::abs(static_cast<double>(lo.b));
+  const double bhi = std::abs(static_cast<double>(hi.b));
+  const bool bad = !(blo > 0.0) || !(bhi > 0.0) ||
+                   !std::isfinite(blo) || !std::isfinite(bhi);
+  if (bad) {
+    if (guard.code == td::SolveCode::ok) {
+      guard.code = td::SolveCode::zero_pivot;
+      guard.index = pos;
+    }
+    return;
+  }
+  const double scale = std::max({std::abs(static_cast<double>(mid.a)),
+                                 std::abs(static_cast<double>(mid.b)),
+                                 std::abs(static_cast<double>(mid.c))});
+  const double ratio = scale / std::min(blo, bhi);
+  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
+}
+
+template <typename T>
+void oracle_guard_thomas_pivot(td::SolveStatus& guard, T a, T b, T c, T pivot,
+                               std::size_t pos) {
+  if (!td::detail::thomas_pivot_ok(pivot)) {
+    if (guard.code == td::SolveCode::ok) {
+      guard.code = td::SolveCode::zero_pivot;
+      guard.index = pos;
+    }
+    return;
+  }
+  const double scale = std::max({std::abs(static_cast<double>(a)),
+                                 std::abs(static_cast<double>(b)),
+                                 std::abs(static_cast<double>(c))});
+  const double ratio = scale / std::abs(static_cast<double>(pivot));
+  if (ratio > guard.pivot_growth) guard.pivot_growth = ratio;
+}
+
+bool same_status(const td::SolveStatus& x, const td::SolveStatus& y) {
+  return x.code == y.code && x.index == y.index &&
+         std::bit_cast<std::uint64_t>(x.pivot_growth) ==
+             std::bit_cast<std::uint64_t>(y.pivot_growth);
+}
+
+/// Every value of {+-0, +-denorm_min, +-1, +-big, +-inf, NaN} in every
+/// argument position the guards read, from a fresh status, from one
+/// already flagged and from an unflagged one at growth 7.
+template <typename T>
+void expect_guards_match_oracle() {
+  using L = std::numeric_limits<T>;
+  T big = T(1e30f);
+  if constexpr (sizeof(T) == 8) big = T(1e300);
+  const std::vector<T> values = {T(0),  -T(0), L::denorm_min(), -L::denorm_min(),
+                                 T(1),  T(-1), big,             -big,
+                                 L::infinity(), -L::infinity(), L::quiet_NaN()};
+  const td::SolveStatus starts[] = {
+      td::SolveStatus{},
+      td::SolveStatus{td::SolveCode::zero_pivot, 3, 7.0},
+      td::SolveStatus{td::SolveCode::ok, 0, 7.0}};
+  std::size_t pos = 0;
+  std::size_t mismatches = 0;
+  for (const td::SolveStatus& start : starts) {
+    for (const T lob : values) {
+      for (const T hib : values) {
+        for (const T ma : values) {
+          for (const T mb : values) {
+            for (const T mc : values) {
+              const td::Row<T> lo{T(2), lob, T(3), T(4)};
+              const td::Row<T> mid{ma, mb, mc, T(5)};
+              const td::Row<T> hi{T(6), hib, T(7), T(8)};
+              td::SolveStatus want = start, got = start;
+              oracle_guard_pcr_combine(want, lo, mid, hi, ++pos);
+              td::detail::guard_pcr_combine(got, lo, mid, hi, pos);
+              mismatches += same_status(want, got) ? 0 : 1;
+            }
+          }
+        }
+      }
+    }
+    for (const T a : values) {
+      for (const T b : values) {
+        for (const T c : values) {
+          for (const T pivot : values) {
+            td::SolveStatus want = start, got = start;
+            oracle_guard_thomas_pivot(want, a, b, c, pivot, ++pos);
+            td::detail::guard_thomas_pivot(got, a, b, c, pivot, pos);
+            mismatches += same_status(want, got) ? 0 : 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << (sizeof(T) == 8 ? "double" : "float");
+}
+
+}  // namespace
+
+// The branch-free guards (no early return, so they sit inside level and
+// lane loops) keep the branchy guards' code, first-offence index and
+// growth bits on every special value, NaN ordering in std::max included.
+TEST(GuardedSolve, GuardFunctionsMatchBranchyOracle) {
+  expect_guards_match_oracle<float>();
+  expect_guards_match_oracle<double>();
 }
 
 TEST(GuardedSolve, HostTiledPcrGuardIsReadOnlyAndDetects) {

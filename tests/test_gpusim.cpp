@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "gpu_solvers/registry.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/exec_engine.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/occupancy.hpp"
 #include "gpusim/shared_memory.hpp"
@@ -227,6 +229,88 @@ TEST(Launch, FlopChargingByPrecision) {
   });
   EXPECT_DOUBLE_EQ(stats.costs.ops_f32, 6.0);
   EXPECT_DOUBLE_EQ(stats.costs.ops_f64, 2 * (5.0 + 8.0));
+}
+
+namespace {
+
+/// One INIT-like phase that charges nothing and one COMBINE-like phase
+/// that charges 10 op-equivalents and 2 divisions per thread, on three
+/// blocks of three warps: per thread through phase(), or as one block-wide
+/// loop closed by block_phase() with the summed tally. Every recorded
+/// field and the simulated time must agree.
+template <typename T>
+void expect_block_phase_records_what_phase_records() {
+  const auto dev = gs::gtx480();
+  constexpr int kThreads = 96;
+  const gs::LaunchConfig cfg{3, kThreads};
+  std::vector<int> ran(3, 0);
+  const auto per_thread = gs::launch(dev, cfg, [&](gs::BlockContext& ctx) {
+    (void)ctx.shared<T>(kThreads);
+    ctx.phase([](gs::ThreadCtx&) {});
+    ctx.phase([](gs::ThreadCtx& t) {
+      t.flops<T>(10);
+      t.divs<T>(2);
+    });
+  });
+  const auto block_wide = gs::launch(dev, cfg, [&](gs::BlockContext& ctx) {
+    const auto rows = ctx.shared<T>(kThreads);
+    ctx.block_phase({}, [&] {
+      for (T& v : rows) v = T(1);
+    });
+    gs::PhaseTally tally;
+    tally.ops[sizeof(T) == 8] = 10 * kThreads;
+    tally.divs[sizeof(T) == 8] = 2 * kThreads;
+    ctx.block_phase(tally, [&] { ++ran[ctx.block_id()]; });
+  });
+  for (const int r : ran) EXPECT_EQ(r, 1) << "block_phase runs fn once";
+  const gs::KernelCosts& a = per_thread.costs;
+  const gs::KernelCosts& b = block_wide.costs;
+  EXPECT_GT(a.barriers, 0u);
+  EXPECT_GT(sizeof(T) == 8 ? a.ops_f64 : a.ops_f32, 0.0);
+  EXPECT_EQ(a.ops_f32, b.ops_f32);
+  EXPECT_EQ(a.ops_f64, b.ops_f64);
+  EXPECT_EQ(a.transactions, b.transactions);
+  EXPECT_EQ(a.bytes_requested, b.bytes_requested);
+  EXPECT_EQ(a.loads, b.loads);
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.rounds_total, b.rounds_total);
+  EXPECT_EQ(a.warps, b.warps);
+  EXPECT_EQ(a.barriers, b.barriers);
+  EXPECT_EQ(a.shared_accesses, b.shared_accesses);
+  EXPECT_EQ(a.shared_bytes, b.shared_bytes);
+  EXPECT_EQ(a.shared_serializations, b.shared_serializations);
+  EXPECT_EQ(a.shared_peak_bytes, b.shared_peak_bytes);
+  EXPECT_EQ(per_thread.timing.time_us, block_wide.timing.time_us);
+}
+
+}  // namespace
+
+// block_phase closes a plain-loop phase with the tally the per-thread
+// body would have charged. Watched blocks (hazard detector or fault
+// injector attached) must walk every phase per thread, so it throws there.
+TEST(BlockContext, BlockPhaseRecordsWhatPhaseRecords) {
+  expect_block_phase_records_what_phase_records<float>();
+  expect_block_phase_records_what_phase_records<double>();
+
+  const auto dev = gs::gtx480();
+  const auto body = [](gs::BlockContext& ctx) {
+    EXPECT_TRUE(ctx.watched());
+    ctx.block_phase({}, [] {});
+  };
+  {
+    const gs::ScopedHazardMode detect(gs::HazardMode::detect);
+    EXPECT_THROW((void)gs::launch(dev, {2, 64}, body), std::logic_error);
+  }
+  {
+    gs::FaultPlan plan;
+    plan.seed = 1;
+    plan.rate = 1e-9;  // active, but draws nothing here
+    const gs::ScopedFaultPlan faults(plan);
+    EXPECT_THROW((void)gs::launch(dev, {2, 64}, body), std::logic_error);
+  }
+  (void)gs::launch(dev, {2, 64}, [](gs::BlockContext& ctx) {
+    EXPECT_FALSE(ctx.watched());
+  });
 }
 
 // --- Timing model regimes -------------------------------------------------

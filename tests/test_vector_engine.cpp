@@ -1,8 +1,9 @@
 // Vectorized functional fast path: registry-wide bit-identity of the
-// grid-wide sweep against the per-block kernel bodies, and of functional
-// and sampled runs (kernel bodies on RawThread) against exact runs (on
-// ThreadCtx), guard statuses and sampled costs included; the fallback
-// rules (guards / faults / hazards keep the sweep off), pooled-scratch
+// grid-wide sweep against the per-block kernel bodies, and of functional,
+// sampled and exact runs against watched runs (hazard detection or a
+// fault plan attached: the only blocks that still walk every phase per
+// thread), guard statuses and recorded costs included; the fallback rules
+// (faults / hazards keep the sweep off, guards do not), pooled-scratch
 // steady state (zero allocations once warm), and the LanePool itself.
 
 #include <gtest/gtest.h>
@@ -114,6 +115,65 @@ void expect_same_timeline(const gs::Timeline& want, const gs::Timeline& got,
   }
 }
 
+double fault_counters() {
+  double n = 0.0;
+  for (const char* name :
+       {"gpusim.fault.bit_flips", "gpusim.fault.shared_corruptions",
+        "gpusim.fault.nan_writes", "gpusim.fault.launch_failures",
+        "gpusim.fault.timeouts"}) {
+    n += counter(name);
+  }
+  return n;
+}
+
+/// One finished run: its outputs, its timeline (null for functional runs,
+/// whose launches record nothing) and its statuses.
+template <typename T>
+struct Finished {
+  std::string name;
+  const td::SystemBatch<T>* out;
+  const gs::Timeline* timeline;
+  const td::BatchStatus* status;
+};
+
+/// Run `exact_run(out)` twice more, watched: under hazard detection, and
+/// under an active fault plan that draws no fault (rate 1e-9; the
+/// gpusim.fault.* counters must not move). Watched blocks keep the
+/// per-thread phased order, the order the hardware block runs, so these
+/// two are the reference: every run in `others` must match their
+/// outputs bitwise, and their statuses and (where it has one) timeline.
+template <typename T, typename ExactRun>
+void expect_match_watched(const ExactRun& exact_run,
+                          const std::vector<Finished<T>>& others,
+                          const std::string& what) {
+  td::SystemBatch<T> detected, planned;
+  const auto hz = [&] {
+    const gs::ScopedHazardMode detect(gs::HazardMode::detect);
+    return exact_run(detected);
+  }();
+  const double faults_before = fault_counters();
+  const auto fp = [&] {
+    gs::FaultPlan plan;
+    plan.seed = 1;
+    plan.rate = 1e-9;  // active, but draws nothing on these shapes
+    const gs::ScopedFaultPlan scoped(plan);
+    return exact_run(planned);
+  }();
+  EXPECT_EQ(fault_counters(), faults_before)
+      << what << ": the fault plan drew a fault";
+  const Finished<T> watched[] = {
+      {"hazard-checked exact", &detected, &hz.timeline, &hz.status},
+      {"fault-planned exact", &planned, &fp.timeline, &fp.status}};
+  for (const Finished<T>& w : watched) {
+    for (const Finished<T>& o : others) {
+      const std::string at = what + " " + w.name + " vs " + o.name;
+      expect_bitwise(*w.out, *o.out, at);
+      if (o.timeline != nullptr) expect_same_timeline(*w.timeline, *o.timeline, at);
+      expect_same_status(*w.status, *o.status, at);
+    }
+  }
+}
+
 }  // namespace
 
 // Every solver kind, both layouts, shapes chosen to stress the lane
@@ -127,8 +187,12 @@ void expect_same_timeline(const gs::Timeline& want, const gs::Timeline& got,
 // runs must match it on every launch's costs and time_us as well. The
 // guarded pass plants a zero pivot, which every kind must flag, and also
 // compares every system's SolveStatus of the sampled and functional runs
-// (vector on and off) against the exact run's. Every exact launch checks
-// its declared cost classes against its full record; none may disagree.
+// (vector on and off) against the exact run's, and all four against two
+// watched exact runs (hazard-checked, fault-planned), which alone still
+// walk every phase per thread. A guarded float hybrid runs the same
+// checks, and guarded p-Thomas on rows with tiny diagonals compares
+// statuses whose growth |c| sets. Every exact launch checks its declared cost classes against its
+// full record; none may disagree.
 TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
   struct Shape {
     std::size_t m, n;
@@ -180,6 +244,17 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
             ASSERT_EQ(ref.status.size(), batch.num_systems()) << what;
             EXPECT_FALSE(ref.status[s.m / 2].ok())
                 << what << ": the planted zero pivot went unflagged";
+            expect_match_watched<double>(
+                [&](td::SystemBatch<double>& out) {
+                  return solve(kind, batch, gs::InstrumentMode::exact,
+                               /*vector=*/true, guard, out);
+                },
+                {{"exact", &exact, &ref.timeline, &ref.status},
+                 {"sampled", &sampled, &smp.timeline, &smp.status},
+                 {"functional, vector on", &with_vec, nullptr, &on.status},
+                 {"functional, vector off", &without_vec, nullptr,
+                  &off.status}},
+                what);
           }
           for (const auto& seg : smp.timeline.segments()) {
             if (seg.stats.instrumented_blocks < seg.stats.config.grid_blocks) {
@@ -237,6 +312,82 @@ TEST(VectorEngine, RegistryWideBitIdentityVectorOnVsOff) {
     EXPECT_LT(smp.timeline.segments().front().stats.instrumented_blocks,
               smp.timeline.segments().front().stats.config.grid_blocks)
         << what << ": the sampled PCR launch recorded every block";
+    expect_match_watched<double>(
+        [&](td::SystemBatch<double>& out) {
+          return run(gs::InstrumentMode::exact, true, out);
+        },
+        {{"exact", &exact, &ref.timeline, &ref.status},
+         {"sampled", &sampled, &smp.timeline, &smp.status},
+         {"functional, vector on", &with_vec, nullptr, &on.status},
+         {"functional, vector off", &without_vec, nullptr, &off.status}},
+        what);
+  }
+
+  // A guarded float hybrid with a planted zero pivot: the same checks at
+  // single precision.
+  {
+    auto batch = wl::make_batch<float>(wl::Kind::random_dominant, 64, 130,
+                                       td::Layout::contiguous, /*seed=*/7);
+    batch.b()[batch.index(32, 0)] = 0.0f;
+    const auto kind = gpu::SolverKind::hybrid;
+    td::SystemBatch<float> exact, sampled, with_vec, without_vec;
+    const auto ref = solve(kind, batch, gs::InstrumentMode::exact,
+                           /*vector=*/true, /*guard=*/true, exact);
+    const auto smp = solve(kind, batch, gs::InstrumentMode::sampled,
+                           /*vector=*/true, /*guard=*/true, sampled);
+    const auto on = solve(kind, batch, gs::InstrumentMode::functional_only,
+                          /*vector=*/true, /*guard=*/true, with_vec);
+    const auto off = solve(kind, batch, gs::InstrumentMode::functional_only,
+                           /*vector=*/false, /*guard=*/true, without_vec);
+    const std::string what = "float hybrid contiguous M=64 N=130 guarded";
+    ASSERT_EQ(ref.status.size(), batch.num_systems()) << what;
+    EXPECT_EQ(ref.status[32].code, td::SolveCode::zero_pivot) << what;
+    EXPECT_EQ(ref.time_us, smp.time_us) << what;
+    expect_same_timeline(ref.timeline, smp.timeline, what + " sampled");
+    expect_match_watched<float>(
+        [&](td::SystemBatch<float>& out) {
+          return solve(kind, batch, gs::InstrumentMode::exact,
+                       /*vector=*/true, /*guard=*/true, out);
+        },
+        {{"exact", &exact, &ref.timeline, &ref.status},
+         {"sampled", &sampled, &smp.timeline, &smp.status},
+         {"functional, vector on", &with_vec, nullptr, &on.status},
+         {"functional, vector off", &without_vec, nullptr, &off.status}},
+        what);
+  }
+
+  // The lane sweeps' guard reads each row's input c, not the c' the sweep
+  // writes over it. On a diagonally dominant matrix max(|a|, |b|, |c|) is
+  // |b| either way, so this case takes rows with tiny diagonals, where |c|
+  // sets the growth: guarded p-Thomas (k = 0) in both layouts, whose lane
+  // sweeps (sampled: per block; functional: grid-wide) must report the
+  // per-thread body's statuses (exact; functional with --vector off).
+  for (const auto layout : {td::Layout::interleaved, td::Layout::contiguous}) {
+    const auto batch = wl::make_batch<double>(wl::Kind::needs_pivoting, 256,
+                                              33, layout, /*seed=*/7);
+    gpu::HybridOptions opts;
+    opts.force_k = 0;
+    opts.guard = true;
+    const auto run = [&](gs::InstrumentMode mode, bool vector) {
+      const gs::ScopedInstrumentMode scoped_mode(mode);
+      const gs::ScopedVectorMode vec(vector);
+      auto out = batch.clone();
+      return gpu::hybrid_solve<double>(gs::gtx480(), out, opts);
+    };
+    const auto ref = run(gs::InstrumentMode::exact, true);
+    const std::string what =
+        std::string("p-Thomas guarded needs_pivoting ") +
+        (layout == td::Layout::contiguous ? "contiguous" : "interleaved");
+    ASSERT_EQ(ref.k, 0u) << what;
+    ASSERT_EQ(ref.status.size(), batch.num_systems()) << what;
+    expect_same_status(ref.status, run(gs::InstrumentMode::sampled, true).status,
+                       what + " sampled");
+    expect_same_status(ref.status,
+                       run(gs::InstrumentMode::functional_only, true).status,
+                       what + " functional, vector on");
+    expect_same_status(ref.status,
+                       run(gs::InstrumentMode::functional_only, false).status,
+                       what + " functional, vector off");
   }
   EXPECT_EQ(counter("gpusim.sampling.mismatches"), mismatches_before);
 }
@@ -257,10 +408,13 @@ TEST(VectorEngine, FloatPathBitIdentical) {
   }
 }
 
-// Guards, hazard detection, and fault injection must each keep the
-// grid-wide sweep off: it skips per-access and per-row bookkeeping, so
-// any observing mode would silently lose its observations.
-TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
+// Hazard detection and fault injection must each keep the grid-wide
+// sweep off: it skips per-access bookkeeping, so either would silently
+// lose its observations. A guard is not an observer of that kind: the
+// lane sweeps call the same guard per row and lane as the kernel bodies
+// (statuses pinned by RegistryWideBitIdentityVectorOnVsOff), so a guarded
+// run vectorizes exactly the blocks an unguarded one does.
+TEST(VectorEngine, FaultsAndHazardsForceScalarFallback) {
   const auto dev = gs::gtx480();
   const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 64, 128,
                                             td::Layout::interleaved, 11);
@@ -278,19 +432,15 @@ TEST(VectorEngine, GuardsFaultsAndHazardsForceScalarFallback) {
     EXPECT_GT(plain_delta, 0.0) << "plain functional run should vectorize";
   }
 
-  // Guarded run: pivot guards need the per-row divisor observations, so
-  // every *guarded* sweep (the eliminations) must run the kernel bodies.
-  // The backward substitution performs no divisions and records nothing a
-  // guard could want, so it legitimately stays vectorized — the delta
-  // must drop strictly below the unguarded run's.
+  // Guarded run: the sweeps carry the guard, so it vectorizes as much.
   {
     auto opts = functional;
     opts.guard = true;
     const double before = counter("gpusim.vector.blocks");
     (void)gpu::run_solver<double>(gpu::SolverKind::hybrid, dev, batch, opts,
                                   &solution);
-    EXPECT_LT(counter("gpusim.vector.blocks") - before, plain_delta)
-        << "guarded run must drop every guarded sweep to the kernel bodies";
+    EXPECT_EQ(counter("gpusim.vector.blocks") - before, plain_delta)
+        << "a guarded run vectorizes the blocks an unguarded run does";
   }
 
   // Hazard detection: needs per-access shared-memory tracking.
