@@ -12,6 +12,9 @@
 // Every mode reports identical simulated numbers (ctest pins this:
 // tests/test_sim_engine.cpp); this bench reports how much cheaper they
 // are to produce. Results land in BENCH_sim_throughput.json via --json.
+// With --guard on every mode also runs unguarded in the same rounds, and
+// the guarded rows carry the guard's overhead (guarded ÷ unguarded
+// minimum wall, also the gauge bench.guard_overhead.<mode>).
 
 #include <algorithm>
 #include <cstdio>
@@ -81,9 +84,12 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
       gpusim::ExecutionEngine::instance().threads();
   const bool guard = cli.get_bool("guard", false);
   util::Table table("Simulator throughput, hybrid M=" + std::to_string(m) +
-                    " N=" + std::to_string(n) + " (double)");
-  table.set_header({"mode", "threads", "wall_min[ms]", "wall_median[ms]",
-                    "blocks/s", "speedup"});
+                    " N=" + std::to_string(n) + " (double)" +
+                    (guard ? ", guarded" : ""));
+  std::vector<std::string> header = {"mode", "threads", "wall_min[ms]",
+                                     "wall_median[ms]", "blocks/s", "speedup"};
+  if (guard) header.push_back("guard_x");
+  table.set_header(header);
 
   const auto batch = workloads::make_batch<double>(
       workloads::Kind::random_dominant, m, n, gpu::preferred_layout(m, n),
@@ -100,10 +106,13 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
   // so load on the host lands on each mode alike and the speedups, ratios
   // of this process's own timings, hold. Each repeat switches the engine
   // to its mode's settings untimed; the guards restore the configured
-  // ones when the panel ends.
+  // ones when the panel ends. --guard on times each mode twice a round,
+  // unguarded then guarded, so the guard's overhead is a ratio of this
+  // process's timings too; the rows are the guarded runs'.
   struct ModeRun {
     const ModeSpec* spec = nullptr;
     std::size_t threads = 0;  ///< the worker count the engine settled on
+    bool guard = false;
     double blocks = 0.0;  ///< gpusim.blocks retired by this mode's solves
     std::size_t calls = 0;
     gpu::HybridReport report;
@@ -121,14 +130,16 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
                            : configured_threads);
     // Read back what the engine actually settled on so the JSONL rows
     // record the real worker count, not the requested one.
-    ModeRun& run = runs.emplace_back();
-    run.spec = &spec;
-    run.threads = engine.threads();
+    for (const bool guarded : {false, true}) {
+      if (guarded && !guard) continue;
+      ModeRun& run = runs.emplace_back();
+      run.spec = &spec;
+      run.threads = engine.threads();
+      run.guard = guarded;
+    }
   }
 
   auto& registry = obs::MetricsRegistry::instance();
-  gpu::HybridOptions opts;
-  opts.guard = guard;
   const std::vector<bench::WallStats> walls = bench::repeat_wall_rounds(
       cli, runs.size(),
       [&](std::size_t i) {
@@ -139,6 +150,8 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
       [&](std::size_t i) {
         ModeRun& run = runs[i];
         const double blocks_before = registry.counter("gpusim.blocks");
+        gpu::HybridOptions opts;
+        opts.guard = run.guard;
         run.report = gpu::hybrid_solve<double>(dev, scratch, opts);
         run.blocks += registry.counter("gpusim.blocks") - blocks_before;
         ++run.calls;
@@ -146,6 +159,7 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
 
   double baseline_bps = 0.0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].guard != guard) continue;
     const ModeSpec& spec = *runs[i].spec;
     const std::size_t threads = runs[i].threads;
     const bench::WallStats& wall = walls[i];
@@ -160,12 +174,24 @@ void panel(const gpusim::DeviceSpec& dev, std::size_t m, std::size_t n,
     registry.set(std::string("bench.speedup_vs_exact_serial.") + spec.name,
                  speedup);
 
-    table.add_row({spec.name, std::to_string(threads),
-                   util::Table::num(wall.min_us / 1000.0, 2),
-                   util::Table::num(wall.median_us / 1000.0, 2),
-                   util::Table::num(bps, 0), bench::ratio(speedup)});
-
+    std::vector<std::string> row = {
+        spec.name, std::to_string(threads),
+        util::Table::num(wall.min_us / 1000.0, 2),
+        util::Table::num(wall.median_us / 1000.0, 2),
+        util::Table::num(bps, 0), bench::ratio(speedup)};
     obs::JsonValue extra = obs::JsonValue::object();
+    if (guard) {
+      // The guarded run's unguarded twin is the run before it.
+      const bench::WallStats& off = walls[i - 1];
+      const double overhead = wall.min_us / off.min_us;
+      registry.set(std::string("bench.guard_overhead.") + spec.name, overhead);
+      row.push_back(util::Table::num(overhead, 2) + "x");
+      extra["guard_overhead"] = overhead;
+      extra["unguarded_wall_us"] = off.min_us;
+      extra["unguarded_wall_median_us"] = off.median_us;
+    }
+    table.add_row(row);
+
     extra["mode"] = spec.name;
     extra["instrument"] = gpusim::instrument_mode_name(spec.mode);
     extra["sim_threads"] = threads;

@@ -35,8 +35,9 @@ namespace {
 // unobserved blocks of an instrumented launch (block_forward_lanes,
 // block_backward_lanes), both only while the vector engine is on, guarded
 // or not. Every path runs tridiag::thomas_forward_row, one call per row
-// and lane, and a guarded one tridiag::detail::guard_thomas_pivot after
-// it.
+// and lane, and a guarded one checks its pivot with thomas.hpp's one
+// test and ratio: tridiag::detail::guard_thomas_pivot in the bodies, on
+// per-lane arrays in the sweeps.
 
 /// Every block holds this many systems, one thread each.
 constexpr int kBlockThreads = static_cast<int>(kPthomasBlockSystems);
@@ -81,41 +82,75 @@ struct LaneOutput {
   std::ptrdiff_t row_step = 1;
 };
 
+/// Lanes whose guard state a guarded lane-contiguous sweep keeps at once,
+/// in stack arrays: a block's lanes, so a block sweep walks its rows
+/// once, and a grid sweep's wider tile walks its rows once per chunk.
+constexpr std::size_t kGuardLanes = kPthomasBlockSystems;
+
 /// Thomas forward elimination across a lane segment, in place
 /// (c <- c', d <- d'). `cp`/`dp` are the per-lane carries (>= lanes
 /// entries, zero-initialized by the caller for fresh systems). `Guarded`
-/// folds every row's pivot into the lane's status st[l], as the kernel
-/// body does; the unguarded instantiation carries no guard code.
+/// checks every row's pivot with the kernel body's test and ratio
+/// (tridiag/thomas.hpp), keeping each lane's first bad row and growth in
+/// separate arrays or registers so the lane loop vectorizes, and closes
+/// the lane's status st[l], as fresh_guard left it, once after its last
+/// row; the unguarded instantiation carries no guard code.
 template <bool Guarded, typename T>
 void forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
                    T* __restrict dp,
                    tridiag::SolveStatus* __restrict st) noexcept {
+  using tridiag::detail::kNoOffence;
   if (seg.rows == 0 || seg.lanes == 0) return;
   if (seg.lane_step == 1) {
     // Lane-contiguous (interleaved layout): row-major walk, the inner
     // loop is a contiguous SIMD sweep across lanes.
-    for (std::size_t i = 0; i < seg.rows; ++i) {
-      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(i) * seg.row_step;
-      const T* __restrict a = seg.a + off;
-      const T* __restrict b = seg.b + off;
-      T* __restrict c = seg.c + off;
-      T* __restrict d = seg.d + off;
-      for (std::size_t l = 0; l < seg.lanes; ++l) {
-        const T cl = c[l];  // the guard reads c, not c'
-        const T pivot =
-            tridiag::thomas_forward_row(a[l], b[l], cl, d[l], cp[l], dp[l]);
-        if constexpr (Guarded) {
-          tridiag::detail::guard_thomas_pivot(st[l], a[l], b[l], cl, pivot, i);
+    const std::size_t chunk = Guarded ? kGuardLanes : seg.lanes;
+    for (std::size_t l0 = 0; l0 < seg.lanes; l0 += chunk) {
+      const std::size_t w = std::min(chunk, seg.lanes - l0);
+      [[maybe_unused]] std::size_t first_bad[Guarded ? kGuardLanes : 1];
+      [[maybe_unused]] double growth[Guarded ? kGuardLanes : 1];
+      if constexpr (Guarded) {
+        for (std::size_t l = 0; l < w; ++l) {
+          first_bad[l] = kNoOffence;
+          growth[l] = st[l0 + l].pivot_growth;
         }
-        c[l] = cp[l];
-        d[l] = dp[l];
+      }
+      T* __restrict cpw = cp + l0;
+      T* __restrict dpw = dp + l0;
+      for (std::size_t i = 0; i < seg.rows; ++i) {
+        const std::ptrdiff_t off =
+            static_cast<std::ptrdiff_t>(i) * seg.row_step +
+            static_cast<std::ptrdiff_t>(l0);
+        const T* __restrict a = seg.a + off;
+        const T* __restrict b = seg.b + off;
+        T* __restrict c = seg.c + off;
+        T* __restrict d = seg.d + off;
+        for (std::size_t l = 0; l < w; ++l) {
+          const T cl = c[l];  // the guard reads c, not c'
+          const T pivot =
+              tridiag::thomas_forward_row(a[l], b[l], cl, d[l], cpw[l], dpw[l]);
+          if constexpr (Guarded) {
+            const bool bad = !tridiag::detail::thomas_pivot_ok(pivot);
+            first_bad[l] = std::min(first_bad[l], bad ? i : kNoOffence);
+            growth[l] = tridiag::detail::raise_growth(
+                growth[l], bad,
+                tridiag::detail::thomas_growth_ratio(a[l], b[l], cl, pivot));
+          }
+          c[l] = cpw[l];
+          d[l] = dpw[l];
+        }
+      }
+      if constexpr (Guarded) {
+        for (std::size_t l = 0; l < w; ++l) {
+          tridiag::detail::close_guard(st[l0 + l], first_bad[l], growth[l]);
+        }
       }
     }
     return;
   }
   // Row-contiguous (contiguous layout, e.g. k = 0): the recurrence is
   // serial per lane, but each lane streams its rows with unit stride and
-  // carried state in registers.
+  // carried state, guard state included, in registers.
   for (std::size_t l = 0; l < seg.lanes; ++l) {
     const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(l) * seg.lane_step;
     const T* __restrict a = seg.a + off;
@@ -124,22 +159,29 @@ void forward_lanes(const LaneSegment<T>& seg, T* __restrict cp,
     T* __restrict d = seg.d + off;
     T cpl = cp[l];
     T dpl = dp[l];
-    tridiag::SolveStatus sl{};
-    if constexpr (Guarded) sl = st[l];
+    [[maybe_unused]] std::size_t first_bad = kNoOffence;
+    [[maybe_unused]] double growth = 0.0;
+    if constexpr (Guarded) growth = st[l].pivot_growth;
     for (std::size_t i = 0; i < seg.rows; ++i) {
       const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(i) * seg.row_step;
       const T ck = c[k];
       const T pivot =
           tridiag::thomas_forward_row(a[k], b[k], ck, d[k], cpl, dpl);
       if constexpr (Guarded) {
-        tridiag::detail::guard_thomas_pivot(sl, a[k], b[k], ck, pivot, i);
+        const bool bad = !tridiag::detail::thomas_pivot_ok(pivot);
+        first_bad = std::min(first_bad, bad ? i : kNoOffence);
+        growth = tridiag::detail::raise_growth(
+            growth, bad,
+            tridiag::detail::thomas_growth_ratio(a[k], b[k], ck, pivot));
       }
       c[k] = cpl;
       d[k] = dpl;
     }
     cp[l] = cpl;
     dp[l] = dpl;
-    if constexpr (Guarded) st[l] = sl;
+    if constexpr (Guarded) {
+      tridiag::detail::close_guard(st[l], first_bad, growth);
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -75,6 +76,75 @@ gpusim::BlockClasses window_classes(const gpusim::DeviceSpec& dev,
 }
 
 }  // namespace
+
+namespace detail {
+
+template <typename T>
+void guard_window_level(tridiag::SolveStatus& guard, const Row<T>* src,
+                        const Row<T>* tail, std::size_t reach,
+                        std::size_t from, std::size_t to, std::size_t threads,
+                        std::ptrdiff_t pos0, double* ratio) noexcept {
+  using tridiag::detail::pcr_divisors_ok;
+  if (to <= from) return;
+  // Each real row's ratio, NaN for a bad row (a NaN never wins the growth
+  // fold), in loops with no loop-carried dependency, split where lo and
+  // mid move from the tail cache to the batch as in combine_level; lo,
+  // mid and hi point at the operands of row b.
+  // (An integer flag: GCC does not vectorize a bool OR reduction.)
+  unsigned any_bad = 0;
+  const auto ratios = [&](std::size_t b, std::size_t e, const Row<T>* lo,
+                          const Row<T>* mid, const Row<T>* hi) {
+    unsigned bad = 0;
+    for (std::size_t i = 0; i < e - b; ++i) {
+      const double r =
+          tridiag::detail::pcr_growth_ratio(lo[i], mid[i], hi[i]);
+      const bool ok = pcr_divisors_ok(lo[i], hi[i]);
+      ratio[b + i] = ok ? r : std::numeric_limits<double>::quiet_NaN();
+      bad |= ok ? 0u : 1u;
+    }
+    any_bad |= bad;
+  };
+  const std::size_t r1 = std::clamp(reach, from, to);
+  const std::size_t r2 = std::clamp(2 * reach, from, to);
+  if (from < r1) ratios(from, r1, tail + from, tail + from + reach, src + from);
+  if (r1 < r2) ratios(r1, r2, tail + r1, src + (r1 - reach), src + r1);
+  if (r2 < to) {
+    ratios(r2, to, src + (r2 - 2 * reach), src + (r2 - reach), src + r2);
+  }
+  const double growth =
+      tridiag::detail::fold_max(guard.pivot_growth, ratio + from, to - from);
+  // Only the first offence depends on the order; look for it only when a
+  // row is bad and the window is not flagged yet. The phased order's key
+  // is (i mod threads, i / threads), plain ascending i when c = 1.
+  std::size_t first_bad = tridiag::detail::kNoOffence;
+  if (any_bad != 0 && guard.ok()) {
+    for (std::size_t tid = 0; tid < threads; ++tid) {
+      for (std::size_t i = tid; i < to; i += threads) {
+        const Row<T>& lo = i >= 2 * reach ? src[i - 2 * reach] : tail[i];
+        if (i >= from && !pcr_divisors_ok(lo, src[i])) {
+          first_bad = static_cast<std::size_t>(
+              pos0 + static_cast<std::ptrdiff_t>(i));
+          break;
+        }
+      }
+      if (first_bad != tridiag::detail::kNoOffence) break;
+    }
+  }
+  tridiag::detail::close_guard(guard, first_bad, growth);
+}
+
+template void guard_window_level<float>(tridiag::SolveStatus&,
+                                        const Row<float>*, const Row<float>*,
+                                        std::size_t, std::size_t, std::size_t,
+                                        std::size_t, std::ptrdiff_t,
+                                        double*) noexcept;
+template void guard_window_level<double>(tridiag::SolveStatus&,
+                                         const Row<double>*,
+                                         const Row<double>*, std::size_t,
+                                         std::size_t, std::size_t, std::size_t,
+                                         std::ptrdiff_t, double*) noexcept;
+
+}  // namespace detail
 
 std::size_t tiled_pcr_window_shared_bytes(unsigned k, std::size_t c,
                                           std::size_t elem_size) {
@@ -278,26 +348,16 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
       if (to > from) wd.eliminations += to - from;
     };
     // GUARD, a whole level after combine_level (which leaves level j-1
-    // intact): the real rows in the phased order, thread-major and
-    // sub-tile-minor, so the guard meets the first offence where the
-    // per-thread walk does.
+    // intact), as one batched pass over its real rows that meets the
+    // first offence where the per-thread walk does.
+    const std::span<double> ratio =
+        guarding ? ctx.lane_buffer<double>(S) : std::span<double>{};
     auto guard_level = [&](Window& wd, unsigned j) {
-      const std::size_t reach = std::size_t{1} << (j - 1);
-      const Row<T>* src = wd.buf[(j - 1) & 1u].data();
-      const Row<T>* tail = wd.tails[j - 1].data();
-      const std::ptrdiff_t pos0 = level_pos(wd, j, 0);
       const auto [from, to] = real_rows(wd, j);
-      tridiag::SolveStatus st = wd.guard_st;
-      for (std::size_t tid = 0; tid < tcount; ++tid) {
-        for (std::size_t i = tid; i < to; i += tcount) {
-          if (i < from) continue;
-          tridiag::detail::guard_pcr_combine(
-              st, i >= 2 * reach ? src[i - 2 * reach] : tail[i],
-              i >= reach ? src[i - reach] : tail[i + reach], src[i],
-              static_cast<std::size_t>(pos0 + static_cast<std::ptrdiff_t>(i)));
-        }
-      }
-      wd.guard_st = st;
+      detail::guard_window_level(wd.guard_st, wd.buf[(j - 1) & 1u].data(),
+                                 wd.tails[j - 1].data(),
+                                 std::size_t{1} << (j - 1), from, to, tcount,
+                                 level_pos(wd, j, 0), ratio.data());
     };
     // TAIL SAVE: row `r` of level j-1's last 2^j rows, kept for the next
     // sub-tile before buffer (j-1)&1 is overwritten by level j+1.

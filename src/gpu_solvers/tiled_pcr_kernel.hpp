@@ -98,6 +98,37 @@ TiledPcrStats tiled_pcr_kernel(const gpusim::DeviceSpec& dev,
                                const TiledPcrConfig& cfg,
                                std::span<tridiag::SolveStatus> window_guard = {});
 
+namespace detail {
+
+/// The pivot guard of one combine level of a window, as every unwatched
+/// guarded block runs it after combine_level: a batched pass that leaves
+/// `guard` with the code, index and pivot_growth bits that
+/// tridiag::detail::guard_pcr_combine on each real row in the phased
+/// order (thread-major, sub-tile-minor: the order a watched block's
+/// threads meet the rows in) gives. Level j-1 is `src` (the sub-tile's
+/// batch rows) and `tail` (the previous sub-tile's last 2·reach rows),
+/// reach = 2^{j-1}: batch row i combines L(i - 2·reach), L(i - reach) and
+/// L(i), where L(x) is src[x] for x >= 0 and tail[x + 2·reach] otherwise.
+/// Rows [from, to) are real, row i at position pos0 + i; `threads` is the
+/// block's 2^k, and `ratio` is scratch for `to` doubles.
+template <typename T>
+void guard_window_level(tridiag::SolveStatus& guard,
+                        const tridiag::Row<T>* src,
+                        const tridiag::Row<T>* tail, std::size_t reach,
+                        std::size_t from, std::size_t to, std::size_t threads,
+                        std::ptrdiff_t pos0, double* ratio) noexcept;
+
+extern template void guard_window_level<float>(
+    tridiag::SolveStatus&, const tridiag::Row<float>*,
+    const tridiag::Row<float>*, std::size_t, std::size_t, std::size_t,
+    std::size_t, std::ptrdiff_t, double*) noexcept;
+extern template void guard_window_level<double>(
+    tridiag::SolveStatus&, const tridiag::Row<double>*,
+    const tridiag::Row<double>*, std::size_t, std::size_t, std::size_t,
+    std::size_t, std::ptrdiff_t, double*) noexcept;
+
+}  // namespace detail
+
 /// Helper: the shared-memory bytes one window needs (for occupancy
 /// reasoning and Table I/III checks).
 [[nodiscard]] std::size_t tiled_pcr_window_shared_bytes(unsigned k, std::size_t c,

@@ -69,22 +69,39 @@ template <typename T>
 
 namespace detail {
 
+/// The divisor test of one pcr_combine: both PCR pivots (lo.b and hi.b,
+/// the denominators of Eqs. 5-6) nonzero and finite; a NaN fails.
+template <typename T>
+[[nodiscard]] inline bool pcr_divisors_ok(const Row<T>& lo,
+                                          const Row<T>& hi) noexcept {
+  const double blo = std::abs(static_cast<double>(lo.b));
+  const double bhi = std::abs(static_cast<double>(hi.b));
+  return blo > 0.0 && bhi > 0.0 && std::isfinite(blo) && std::isfinite(bhi);
+}
+
+/// The growth ratio of one pcr_combine: the row's coefficient magnitude
+/// over its smallest divisor. Meaningful only when pcr_divisors_ok.
+template <typename T>
+[[nodiscard]] inline double pcr_growth_ratio(const Row<T>& lo,
+                                             const Row<T>& mid,
+                                             const Row<T>& hi) noexcept {
+  return max_abs3(mid.a, mid.b, mid.c) /
+         std::min(std::abs(static_cast<double>(lo.b)),
+                  std::abs(static_cast<double>(hi.b)));
+}
+
 /// Divisor check for one pcr_combine: a zero or non-finite PCR pivot
-/// (lo.b / hi.b, the denominators of Eqs. 5-6) flags zero_pivot at `pos`
-/// (first offence wins); otherwise the pivot-growth estimate absorbs the
-/// ratio of this row's coefficient magnitude to the smallest divisor.
-/// Read-only — shared by the host tiled PCR and the GPU kernels, whose
-/// arithmetic must stay bit-identical with guards on or off. Branch-free
-/// (see absorb_pivot), so it sits inside level and lane loops.
+/// flags zero_pivot at `pos` (first offence wins); otherwise the
+/// pivot-growth estimate absorbs pcr_growth_ratio. Read-only — shared by
+/// the host tiled PCR and the GPU kernels' watched blocks, whose
+/// arithmetic must stay bit-identical with guards on or off; the
+/// kernels' batched level pass (tiled_pcr_kernel.hpp) calls the same test
+/// and ratio. Branch-free (see absorb_pivot).
 template <typename T>
 inline void guard_pcr_combine(SolveStatus& guard, const Row<T>& lo,
                               const Row<T>& mid, const Row<T>& hi,
                               std::size_t pos) noexcept {
-  const double blo = std::abs(static_cast<double>(lo.b));
-  const double bhi = std::abs(static_cast<double>(hi.b));
-  const bool bad = !(blo > 0.0) || !(bhi > 0.0) ||  // zero or NaN divisor
-                   !std::isfinite(blo) || !std::isfinite(bhi);
-  absorb_pivot(guard, bad, max_abs3(mid.a, mid.b, mid.c) / std::min(blo, bhi),
+  absorb_pivot(guard, !pcr_divisors_ok(lo, hi), pcr_growth_ratio(lo, mid, hi),
                pos);
 }
 

@@ -68,25 +68,20 @@ extern template double relative_residual<double>(const SystemRef<const double>&,
 /// The residual gate every guarded solution passes (the registry's
 /// post-hoc scan and the resilient pipeline's host stages): a status that
 /// is already flagged comes back unchanged; otherwise a non-finite x[i]
-/// makes it zero_pivot at row i, and a relative residual that is not
-/// <= sqrt(eps_T) (NaN included) makes it near_singular. Pivot growth is
-/// carried through.
+/// makes it zero_pivot at the first such row i, and a relative residual
+/// that is not <= sqrt(eps_T) (NaN included) makes it near_singular.
+/// Pivot growth is carried through. One pass over the system computes
+/// every norm the gate reads.
 template <typename T>
 [[nodiscard]] SolveStatus gate_solution(const SystemRef<const T>& sys,
                                         StridedView<const T> x,
-                                        SolveStatus st = {}) noexcept {
-  if (!st.ok()) return st;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (!std::isfinite(static_cast<double>(x[i]))) {
-      return {SolveCode::zero_pivot, i, st.pivot_growth};
-    }
-  }
-  const double gate =
-      std::sqrt(static_cast<double>(std::numeric_limits<T>::epsilon()));
-  if (!(relative_residual(sys, x) <= gate)) {
-    return {SolveCode::near_singular, 0, st.pivot_growth};
-  }
-  return st;
-}
+                                        SolveStatus st = {}) noexcept;
+
+extern template SolveStatus gate_solution<float>(const SystemRef<const float>&,
+                                                 StridedView<const float>,
+                                                 SolveStatus) noexcept;
+extern template SolveStatus gate_solution<double>(
+    const SystemRef<const double>&, StridedView<const double>,
+    SolveStatus) noexcept;
 
 }  // namespace tridsolve::tridiag

@@ -55,18 +55,27 @@ template <typename T>
   return pivot != T(0) && std::isfinite(static_cast<double>(pivot));
 }
 
+/// The growth ratio of one Thomas forward row (a, b, c): its coefficient
+/// magnitude over |pivot|. Meaningful only when thomas_pivot_ok; `c` is
+/// the row's input c, not c'.
+template <typename T>
+[[nodiscard]] inline double thomas_growth_ratio(T a, T b, T c,
+                                                T pivot) noexcept {
+  return max_abs3(a, b, c) / std::abs(static_cast<double>(pivot));
+}
+
 /// Pivot check for one Thomas forward-elimination row (a, b, c) whose
 /// pivot thomas_forward_row returned: a zero or non-finite pivot flags
 /// zero_pivot at `pos` (first offence wins); otherwise the growth
-/// estimate absorbs max(|a|, |b|, |c|) / |pivot|. Read-only — shared by
-/// the host solve, the p-Thomas kernel body and lane sweeps and the tiled
-/// PCR kernel's fused forward sweep. Branch-free (see absorb_pivot), so
-/// it sits inside lane loops; `c` is the row's input c, not c'.
+/// estimate absorbs thomas_growth_ratio. Read-only — shared by the host
+/// solve, the p-Thomas kernel body and the tiled PCR kernel's fused
+/// forward sweep; the p-Thomas lane sweeps call the same test and ratio
+/// on per-lane arrays. Branch-free (see absorb_pivot).
 template <typename T>
 inline void guard_thomas_pivot(SolveStatus& guard, T a, T b, T c, T pivot,
                                std::size_t pos) noexcept {
   absorb_pivot(guard, !thomas_pivot_ok(pivot),
-               max_abs3(a, b, c) / std::abs(static_cast<double>(pivot)), pos);
+               thomas_growth_ratio(a, b, c, pivot), pos);
 }
 
 }  // namespace detail

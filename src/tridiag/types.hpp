@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 
 #include "util/aligned_buffer.hpp"
@@ -90,18 +91,72 @@ template <typename T>
   return m < vc ? vc : m;
 }
 
-/// Fold one checked pivot into a guard status by selects alone, so the
+/// The growth select every pivot guard folds with: a good pivot's ratio
+/// raises `growth` when it compares greater, so a NaN ratio never wins;
+/// a bad pivot's ratio is ignored. (`&`, not `&&`: GCC if-converts the
+/// lane loops that call this only without the extra branch.)
+[[nodiscard]] inline double raise_growth(double growth, bool bad,
+                                         double ratio) noexcept {
+  return !bad & (ratio > growth) ? ratio : growth;
+}
+
+inline constexpr std::size_t kNoOffence = static_cast<std::size_t>(-1);
+
+/// Close a guard pass into `guard` by selects alone: its first bad row
+/// flags zero_pivot at `first_bad` (kNoOffence: none) unless an earlier
+/// offence did (the first offence wins), and pivot_growth becomes the
+/// pass's `growth` (folded from the status's own growth).
+inline void close_guard(SolveStatus& guard, std::size_t first_bad,
+                        double growth) noexcept {
+  const bool first = first_bad != kNoOffence && guard.code == SolveCode::ok;
+  guard.code = first ? SolveCode::zero_pivot : guard.code;
+  guard.index = first ? first_bad : guard.index;
+  guard.pivot_growth = growth;
+}
+
+/// Fold one checked pivot into a guard status, a pass of one row, so the
 /// pivot guards (pcr.hpp, thomas.hpp) sit inside level and lane loops: a
-/// bad pivot flags zero_pivot at `pos` unless an earlier offence did (the
-/// first offence wins); a good one raises pivot_growth to `ratio` when
-/// larger. `ratio` is ignored for a bad pivot.
+/// bad pivot flags zero_pivot at `pos` unless an earlier offence did; a
+/// good one raises pivot_growth to `ratio` when larger. `ratio` is
+/// ignored for a bad pivot.
 inline void absorb_pivot(SolveStatus& guard, bool bad, double ratio,
                          std::size_t pos) noexcept {
-  const bool first = bad && guard.code == SolveCode::ok;
-  guard.code = first ? SolveCode::zero_pivot : guard.code;
-  guard.index = first ? pos : guard.index;
-  guard.pivot_growth =
-      !bad && ratio > guard.pivot_growth ? ratio : guard.pivot_growth;
+  close_guard(guard, bad ? pos : kNoOffence,
+              raise_growth(guard.pivot_growth, bad, ratio));
+}
+
+// Batched guard passes (the tiled-PCR level guard, the p-Thomas lane
+// sweeps) keep their state outside SolveStatus so their loops vectorize:
+// the first bad row, kNoOffence until one is met, and the growth. Only
+// the first offence depends on the order rows are met in. The growth is
+// a maximum over ratios that are never -0, of a running value that is
+// never NaN (it starts at 1.0 and only a ratio that compares greater
+// replaces it), and a NaN ratio never wins a select in any order, so any
+// fold order gives the bits of the row-by-row absorb_pivot fold.
+
+/// The largest of `init` and the values v[0, n) by raise_growth's select,
+/// so a NaN value never wins: the fold of a batched pass's ratios (a bad
+/// row's ratio passed as NaN) and of the residual's infinity norms. The
+/// select runs on explicit vector lanes; GCC does not vectorize a select
+/// reduction over doubles on its own.
+[[nodiscard]] inline double fold_max(double init, const double* v,
+                                     std::size_t n) noexcept {
+  constexpr std::size_t kLanes = 4;
+  typedef double Lanes __attribute__((vector_size(kLanes * sizeof(double))));
+  Lanes part;
+  for (std::size_t l = 0; l < kLanes; ++l) part[l] = init;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Lanes x;
+    std::memcpy(&x, v + i, sizeof x);
+    part = x > part ? x : part;
+  }
+  double out = init;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    out = raise_growth(out, false, part[l]);
+  }
+  for (; i < n; ++i) out = raise_growth(out, false, v[i]);
+  return out;
 }
 
 }  // namespace detail

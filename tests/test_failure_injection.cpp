@@ -9,7 +9,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "gpu_solvers/hybrid_solver.hpp"
@@ -18,6 +20,7 @@
 #include "gpu_solvers/tiled_pcr_kernel.hpp"
 #include "gpu_solvers/zhang_pcr_thomas.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/exec_engine.hpp"
 #include "gpusim/launch.hpp"
 #include "obs/metrics.hpp"
 #include "tridiag/batch_status.hpp"
@@ -26,6 +29,7 @@
 #include "tridiag/residual.hpp"
 #include "tridiag/thomas.hpp"
 #include "tridiag/tiled_pcr.hpp"
+#include "util/random.hpp"
 #include "workloads/generators.hpp"
 
 namespace td = tridsolve::tridiag;
@@ -402,6 +406,444 @@ void expect_guards_match_oracle() {
 TEST(GuardedSolve, GuardFunctionsMatchBranchyOracle) {
   expect_guards_match_oracle<float>();
   expect_guards_match_oracle<double>();
+}
+
+namespace {
+
+// ---- Batched guard passes against their row-by-row references ------------
+
+/// The value a planted special takes: {+-0, +-denorm_min, +-inf, NaN}.
+template <typename T>
+T special_value(Xoshiro256& rng) {
+  using L = std::numeric_limits<T>;
+  const T values[] = {T(0),          -T(0),          L::denorm_min(),
+                      -L::denorm_min(), L::infinity(), -L::infinity(),
+                      L::quiet_NaN()};
+  return values[rng() % std::size(values)];
+}
+
+template <typename T>
+td::Row<T> healthy_row(Xoshiro256& rng) {
+  const auto u = [&] {
+    return static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+  };
+  const T b = static_cast<T>(tridsolve::util::uniform(rng, 2.0, 4.0));
+  return {u(), rng() % 2 ? b : -b, u(), u()};
+}
+
+/// The tiled-PCR level guard as the watched blocks run it: guard_pcr_combine
+/// on every real row, thread-major and sub-tile-minor.
+template <typename T>
+td::SolveStatus level_guard_reference(td::SolveStatus st,
+                                      const std::vector<td::Row<T>>& src,
+                                      const std::vector<td::Row<T>>& tail,
+                                      std::size_t reach, std::size_t from,
+                                      std::size_t to, std::size_t threads,
+                                      std::size_t pos0) {
+  const auto level = [&](std::ptrdiff_t x) -> const td::Row<T>& {
+    return x >= 0 ? src[static_cast<std::size_t>(x)]
+                  : tail[static_cast<std::size_t>(
+                        x + 2 * static_cast<std::ptrdiff_t>(reach))];
+  };
+  const auto r = static_cast<std::ptrdiff_t>(reach);
+  for (std::size_t tid = 0; tid < threads; ++tid) {
+    for (std::size_t i = tid; i < to; i += threads) {
+      if (i < from) continue;
+      const auto x = static_cast<std::ptrdiff_t>(i);
+      td::detail::guard_pcr_combine(st, level(x - 2 * r), level(x - r),
+                                    level(x), pos0 + i);
+    }
+  }
+  return st;
+}
+
+template <typename T>
+td::SolveStatus level_guard_batched(td::SolveStatus st,
+                                    const std::vector<td::Row<T>>& src,
+                                    const std::vector<td::Row<T>>& tail,
+                                    std::size_t reach, std::size_t from,
+                                    std::size_t to, std::size_t threads,
+                                    std::size_t pos0) {
+  std::vector<double> ratio(src.size());
+  gp::detail::guard_window_level(st, src.data(), tail.data(), reach, from,
+                                 to, threads,
+                                 static_cast<std::ptrdiff_t>(pos0),
+                                 ratio.data());
+  return st;
+}
+
+/// Random levels of every k in 1..6 and c in {1, 2, 4}: healthy rows with
+/// specials planted in divisors (b) and in the other fields a row brings
+/// as `mid`, real-row ranges that clip either end, statuses fresh, at a
+/// raised growth and already flagged.
+template <typename T>
+std::size_t level_guard_mismatches(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const td::SolveStatus starts[] = {
+      td::SolveStatus{}, td::SolveStatus{td::SolveCode::ok, 0, 7.0},
+      td::SolveStatus{td::SolveCode::zero_pivot, 3, 7.0}};
+  std::size_t mismatches = 0;
+  std::size_t flagged = 0;  // levels a fresh status leaves flagged
+  for (unsigned k = 1; k <= 6; ++k) {
+    const std::size_t threads = std::size_t{1} << k;
+    for (const std::size_t c :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const std::size_t S = c * threads;
+      for (unsigned j = 1; j <= k; ++j) {
+        const std::size_t reach = std::size_t{1} << (j - 1);
+        for (int rep = 0; rep < 24; ++rep) {
+          std::vector<td::Row<T>> src(S), tail(2 * reach);
+          for (auto& row : src) row = healthy_row<T>(rng);
+          for (auto& row : tail) row = healthy_row<T>(rng);
+          const std::size_t plants = rng() % 4;
+          for (std::size_t p = 0; p < plants; ++p) {
+            const bool in_tail = rng() % 4 == 0;
+            td::Row<T>& row = in_tail ? tail[rng() % tail.size()]
+                                      : src[rng() % S];
+            switch (rng() % 3) {
+              case 0: row.b = special_value<T>(rng); break;
+              case 1: row.a = special_value<T>(rng); break;
+              default: row.c = special_value<T>(rng); break;
+            }
+          }
+          std::size_t from = rng() % 3 == 0 ? rng() % (S + 1) : 0;
+          std::size_t to = rng() % 3 == 0 ? rng() % (S + 1) : S;
+          if (from > to) std::swap(from, to);
+          const std::size_t pos0 = rng() % 1000;
+          for (const td::SolveStatus& start : starts) {
+            const td::SolveStatus want = level_guard_reference(
+                start, src, tail, reach, from, to, threads, pos0);
+            const td::SolveStatus got = level_guard_batched(
+                start, src, tail, reach, from, to, threads, pos0);
+            mismatches += same_status(want, got) ? 0 : 1;
+            flagged += start.ok() && !want.ok() ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(flagged, 0u) << "no level met a bad divisor";
+  return mismatches;
+}
+
+}  // namespace
+
+// The tiled-PCR level guard of every unwatched block (a batched pass: its
+// ratios in vector loops, the growth folded in any order, the first
+// offence searched only when a row is bad) gives the code, index and
+// growth bits of guard_pcr_combine on each row in the phased order.
+TEST(GuardedSolve, BatchedLevelGuardMatchesPhasedOracle) {
+  EXPECT_EQ(level_guard_mismatches<float>(301), 0u);
+  EXPECT_EQ(level_guard_mismatches<double>(302), 0u);
+
+  // c = 2 at k = 2 (S = 8 rows, 4 threads) on level 1: zero divisors in
+  // batch rows 1 and 4 make rows 1, 3, 4 and 6 bad. Thread 0 owns rows 0
+  // and 4, so the phased order meets row 4 first, not row 1.
+  Xoshiro256 rng(303);
+  std::vector<td::Row<double>> src(8), tail(2);
+  for (auto& row : src) row = healthy_row<double>(rng);
+  for (auto& row : tail) row = healthy_row<double>(rng);
+  src[1].b = 0.0;
+  src[4].b = 0.0;
+  const td::SolveStatus want =
+      level_guard_reference<double>({}, src, tail, 1, 0, 8, 4, 100);
+  const td::SolveStatus got =
+      level_guard_batched<double>({}, src, tail, 1, 0, 8, 4, 100);
+  EXPECT_EQ(want.code, td::SolveCode::zero_pivot);
+  EXPECT_EQ(want.index, 104u);
+  EXPECT_TRUE(same_status(want, got))
+      << "index " << got.index << ", growth " << got.pivot_growth;
+}
+
+namespace {
+
+/// Guarded p-Thomas on `systems`, each status against guard_thomas_pivot
+/// row by row over a copy of its system (every row, bad ones included).
+template <typename T>
+std::size_t lane_guard_mismatches(std::vector<td::SystemRef<T>> systems,
+                                  const std::string& what) {
+  std::vector<td::SolveStatus> want(systems.size());
+  for (std::size_t m = 0; m < systems.size(); ++m) {
+    const td::SystemRef<T>& s = systems[m];
+    T cp = T(0), dp = T(0);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const T pivot = td::thomas_forward_row(s.a[i], s.b[i], s.c[i], s.d[i],
+                                             cp, dp);
+      td::detail::guard_thomas_pivot(want[m], s.a[i], s.b[i], s.c[i], pivot,
+                                     i);
+    }
+  }
+  EXPECT_TRUE(std::any_of(want.begin(), want.end(),
+                          [](const td::SolveStatus& st) { return !st.ok(); }))
+      << what << ": no system met a bad pivot";
+  const auto dev = gs::gtx480();
+  std::size_t mismatches = 0;
+  struct Path {
+    const char* name;
+    gs::InstrumentMode mode;
+    bool vector;
+  };
+  // functional: the grid-wide sweep; sampled: the per-block sweeps of the
+  // unrecorded blocks; exact with the vector engine off: the lockstep body.
+  const Path paths[] = {
+      {"functional", gs::InstrumentMode::functional_only, true},
+      {"sampled", gs::InstrumentMode::sampled, true},
+      {"lockstep", gs::InstrumentMode::exact, false}};
+  for (const Path& path : paths) {
+    // Each path solves in place: keep the inputs.
+    std::vector<std::vector<T>> saved;
+    for (const auto& s : systems) {
+      for (const auto* v : {&s.a, &s.b, &s.c, &s.d}) {
+        std::vector<T>& copy = saved.emplace_back(v->size());
+        for (std::size_t i = 0; i < v->size(); ++i) copy[i] = (*v)[i];
+      }
+    }
+    std::vector<td::SolveStatus> got(systems.size());
+    {
+      const gs::ScopedInstrumentMode scoped_mode(path.mode);
+      const gs::ScopedVectorMode vec(path.vector);
+      gp::pthomas_solve<T>(dev, systems, {}, got);
+    }
+    for (std::size_t m = 0; m < systems.size(); ++m) {
+      if (!same_status(want[m], got[m])) {
+        ++mismatches;
+        ADD_FAILURE() << what << " / " << path.name << " system " << m
+                      << ": code " << static_cast<int>(got[m].code)
+                      << " index " << got[m].index << " growth "
+                      << got[m].pivot_growth << ", want code "
+                      << static_cast<int>(want[m].code) << " index "
+                      << want[m].index << " growth " << want[m].pivot_growth;
+      }
+    }
+    std::size_t w = 0;
+    for (const auto& s : systems) {
+      for (const auto* v : {&s.a, &s.b, &s.c, &s.d}) {
+        for (std::size_t i = 0; i < v->size(); ++i) (*v)[i] = saved[w][i];
+        ++w;
+      }
+    }
+  }
+  return mismatches;
+}
+
+/// Several bad rows in a third of the systems: zero rows (a = b = 0 makes
+/// the pivot 0 or NaN) and specials in b, at random rows.
+template <typename T>
+void plant_bad_rows(std::vector<td::SystemRef<T>>& systems, Xoshiro256& rng) {
+  for (auto& s : systems) {
+    if (s.size() == 0 || rng() % 3 != 0) continue;
+    const std::size_t plants = 1 + rng() % 3;
+    for (std::size_t p = 0; p < plants; ++p) {
+      const std::size_t i = rng() % s.size();
+      if (rng() % 2 == 0) {
+        s.a[i] = T(0);
+        s.b[i] = T(0);
+      } else {
+        s.b[i] = special_value<T>(rng);
+      }
+    }
+  }
+}
+
+/// Ragged batches in both lane layouts: `lanes` systems whose sizes come
+/// in runs (so affine lane segments break inside blocks), viewed
+/// lane-contiguously (row i of system m at i * lanes + m) or
+/// row-contiguously (at m * rows + i).
+template <typename T>
+std::size_t ragged_lane_mismatches(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const std::size_t lanes = 300, rows = 40;
+  std::size_t mismatches = 0;
+  for (const bool interleaved : {true, false}) {
+    std::vector<T> a(lanes * rows), b(lanes * rows), c(lanes * rows),
+        d(lanes * rows);
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      a[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+      b[e] = static_cast<T>(tridsolve::util::uniform(rng, 2.5, 4.0));
+      c[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+      d[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+    }
+    std::vector<td::SystemRef<T>> systems;
+    std::size_t n = rows;
+    for (std::size_t m = 0; m < lanes; ++m) {
+      if (rng() % 40 == 0) n = rng() % (rows + 1);  // a new run
+      const std::size_t base = interleaved ? m : m * rows;
+      const std::ptrdiff_t stride =
+          interleaved ? static_cast<std::ptrdiff_t>(lanes) : 1;
+      systems.push_back({td::StridedView<T>(a.data() + base, n, stride),
+                         td::StridedView<T>(b.data() + base, n, stride),
+                         td::StridedView<T>(c.data() + base, n, stride),
+                         td::StridedView<T>(d.data() + base, n, stride)});
+    }
+    plant_bad_rows(systems, rng);
+    mismatches += lane_guard_mismatches<T>(
+        systems, interleaved ? "lane-contiguous" : "row-contiguous");
+  }
+  return mismatches;
+}
+
+}  // namespace
+
+// The p-Thomas lane sweeps keep each lane's first bad row and growth in
+// separate arrays and write its status once, after its last row: every
+// path gives the statuses of guard_thomas_pivot row by row.
+TEST(GuardedSolve, LaneGuardMatchesPerRowOracle) {
+  EXPECT_EQ(ragged_lane_mismatches<float>(311), 0u);
+  EXPECT_EQ(ragged_lane_mismatches<double>(312), 0u);
+}
+
+namespace {
+
+// The residual gate as it was written with a sticky-NaN accumulator and a
+// branch per row: the oracle for the branch-free gate.
+void oracle_accumulate_inf_norm(double& worst, double sample) {
+  if (std::isnan(sample)) {
+    worst = std::numeric_limits<double>::quiet_NaN();
+  } else if (!std::isnan(worst) && sample > worst) {
+    worst = sample;
+  }
+}
+
+template <typename T>
+double oracle_residual_inf(const td::SystemRef<const T>& sys,
+                           td::StridedView<const T> x) {
+  const std::size_t n = sys.size();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double r =
+        static_cast<double>(sys.b[i]) * x[i] - static_cast<double>(sys.d[i]);
+    if (i > 0) r += static_cast<double>(sys.a[i]) * x[i - 1];
+    if (i + 1 < n) r += static_cast<double>(sys.c[i]) * x[i + 1];
+    oracle_accumulate_inf_norm(worst, std::abs(r));
+  }
+  return worst;
+}
+
+template <typename T>
+double oracle_relative_residual(const td::SystemRef<const T>& sys,
+                                td::StridedView<const T> x) {
+  const std::size_t n = sys.size();
+  if (n == 0) return 0.0;
+  double norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double row = std::abs(static_cast<double>(sys.a[i])) +
+                       std::abs(static_cast<double>(sys.b[i])) +
+                       std::abs(static_cast<double>(sys.c[i]));
+    oracle_accumulate_inf_norm(norm_a, row);
+    oracle_accumulate_inf_norm(norm_x, std::abs(static_cast<double>(x[i])));
+    oracle_accumulate_inf_norm(norm_d, std::abs(static_cast<double>(sys.d[i])));
+  }
+  const double denom = norm_a * norm_x + norm_d;
+  if (!(denom > 0.0)) return std::numeric_limits<double>::quiet_NaN();
+  if (!std::isfinite(denom)) return std::numeric_limits<double>::quiet_NaN();
+  return oracle_residual_inf(sys, x) / denom;
+}
+
+template <typename T>
+td::SolveStatus oracle_gate_solution(const td::SystemRef<const T>& sys,
+                                     td::StridedView<const T> x,
+                                     td::SolveStatus st) {
+  if (!st.ok()) return st;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!std::isfinite(static_cast<double>(x[i]))) {
+      return {td::SolveCode::zero_pivot, i, st.pivot_growth};
+    }
+  }
+  const double gate =
+      std::sqrt(static_cast<double>(std::numeric_limits<T>::epsilon()));
+  if (!(oracle_relative_residual(sys, x) <= gate)) {
+    return {td::SolveCode::near_singular, 0, st.pivot_growth};
+  }
+  return st;
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// Systems of every size in {0, 1, 2, 3, 5, 64, 600} (600 spans several
+/// of the gate's chunks), stride 1 and strided, with x a solution, a
+/// perturbed one or random, and NaN or +-inf planted in x, d and the
+/// coefficients; the gate from a fresh and a flagged status.
+template <typename T>
+std::size_t residual_mismatches(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  using L = std::numeric_limits<T>;
+  const T specials[] = {L::quiet_NaN(), L::infinity(), -L::infinity()};
+  std::size_t mismatches = 0;
+  std::size_t passed = 0, flagged = 0;  // fresh-status gate outcomes
+  for (const std::size_t n : {0, 1, 2, 3, 5, 64, 600}) {
+    for (const std::ptrdiff_t stride : {1, 3}) {
+      for (int rep = 0; rep < 40; ++rep) {
+        const std::size_t len = n * static_cast<std::size_t>(stride);
+        std::vector<T> a(len), b(len), c(len), d(len), x(len);
+        for (std::size_t e = 0; e < len; ++e) {
+          a[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+          b[e] = static_cast<T>(tridsolve::util::uniform(rng, 2.5, 4.0));
+          c[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+          x[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+          d[e] = static_cast<T>(tridsolve::util::uniform(rng, -1.0, 1.0));
+        }
+        const auto view = [&](std::vector<T>& v) {
+          return td::StridedView<const T>(v.data(), n, stride);
+        };
+        const td::SystemRef<const T> sys{view(a), view(b), view(c), view(d)};
+        if (rep % 4 == 0 && n > 0) {
+          // d = A x exactly enough that the residual gate passes.
+          for (std::size_t i = 0; i < n; ++i) {
+            const auto at = [&](std::size_t r) {
+              return static_cast<std::size_t>(
+                  static_cast<std::ptrdiff_t>(r) * stride);
+            };
+            double r = static_cast<double>(b[at(i)]) * x[at(i)];
+            if (i > 0) r += static_cast<double>(a[at(i)]) * x[at(i - 1)];
+            if (i + 1 < n) r += static_cast<double>(c[at(i)]) * x[at(i + 1)];
+            d[at(i)] = static_cast<T>(r);
+          }
+        }
+        if (n > 0 && rep % 2 == 1) {
+          std::vector<T>* arrays[] = {&a, &b, &c, &d, &x};
+          const std::size_t plants = 1 + rng() % 3;
+          for (std::size_t p = 0; p < plants; ++p) {
+            std::vector<T>& v = *arrays[rng() % 5];
+            v[(rng() % n) * static_cast<std::size_t>(stride)] =
+                specials[rng() % 3];
+          }
+        }
+        const td::StridedView<const T> xv = view(x);
+        mismatches += same_bits(td::residual_inf(sys, xv),
+                                oracle_residual_inf(sys, xv))
+                          ? 0
+                          : 1;
+        mismatches += same_bits(td::relative_residual(sys, xv),
+                                oracle_relative_residual(sys, xv))
+                          ? 0
+                          : 1;
+        for (const td::SolveStatus& start :
+             {td::SolveStatus{td::SolveCode::ok, 0, 3.0},
+              td::SolveStatus{td::SolveCode::zero_pivot, 2, 3.0}}) {
+          const td::SolveStatus want = oracle_gate_solution(sys, xv, start);
+          mismatches += same_status(td::gate_solution(sys, xv, start), want)
+                            ? 0
+                            : 1;
+          if (start.ok()) (want.ok() ? passed : flagged) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(passed, 0u) << "no case passed the gate";
+  EXPECT_GT(flagged, 0u) << "no case failed the gate";
+  return mismatches;
+}
+
+}  // namespace
+
+// The branch-free residual gate (maxima on vector lanes with a separate
+// NaN flag, the first and last rows peeled) keeps the sticky-NaN gate's
+// values and statuses bit for bit, in contiguous and strided views.
+TEST(GuardedSolve, ResidualGateMatchesStickyNanOracle) {
+  EXPECT_EQ(residual_mismatches<float>(321), 0u);
+  EXPECT_EQ(residual_mismatches<double>(322), 0u);
 }
 
 TEST(GuardedSolve, HostTiledPcrGuardIsReadOnlyAndDetects) {

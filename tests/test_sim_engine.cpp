@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -416,6 +417,14 @@ TEST(ExecutionEngine, RegistryDeterministicAcrossThreadsAndSampling) {
   // covered by VectorEngine.RegistryWideBitIdentityVectorOnVsOff.
   const auto batch = wl::make_batch<double>(wl::Kind::random_dominant, 64, 512,
                                             td::Layout::contiguous, 11);
+  // The guarded pass solves a copy with zero pivots planted in systems
+  // that land in different blocks of every kernel (row 0 breaks the first
+  // Thomas pivot, row 200 two PCR combines), so pool workers write flagged
+  // and ok guard slots side by side: under ThreadSanitizer (label `race`)
+  // this pass checks those writes.
+  auto broken = batch.clone();
+  for (const std::size_t m : {3, 40}) broken.b()[broken.index(m, 0)] = 0.0;
+  broken.b()[broken.index(17, 200)] = 0.0;
 
   struct Strategy {
     const char* name;
@@ -429,53 +438,79 @@ TEST(ExecutionEngine, RegistryDeterministicAcrossThreadsAndSampling) {
       {"sampled-parallel", 8, gs::InstrumentMode::sampled},
   };
 
-  for (const auto kind : gp::all_solver_kinds()) {
-    gp::SolveOutcome base_outcome;
-    td::SystemBatch<double> base_solution;
-    const auto base_metrics = strategy_invariant_metric_delta([&] {
-      gs::ScopedSimThreads guard(baseline.threads);
-      gp::SolverRunOptions opts;
-      opts.instrument = baseline.mode;
-      base_outcome = gp::run_solver(kind, dev, batch, opts, &base_solution);
-    });
-    ASSERT_TRUE(base_outcome.supported)
-        << gp::solver_name(kind) << ": " << base_outcome.detail;
-
-    for (const auto& strat : variants) {
-      const std::string what =
-          std::string(gp::solver_name(kind)) + " / " + strat.name;
-      gp::SolveOutcome outcome;
-      td::SystemBatch<double> solution;
-      const auto metrics = strategy_invariant_metric_delta([&] {
-        gs::ScopedSimThreads guard(strat.threads);
+  const auto same_status = [](const td::SolveStatus& x,
+                              const td::SolveStatus& y) {
+    return x.code == y.code && x.index == y.index &&
+           std::bit_cast<std::uint64_t>(x.pivot_growth) ==
+               std::bit_cast<std::uint64_t>(y.pivot_growth);
+  };
+  for (const bool guard : {false, true}) {
+    const td::SystemBatch<double>& input = guard ? broken : batch;
+    const auto run = [&](gp::SolverKind kind, const Strategy& strat,
+                         gp::SolveOutcome& outcome,
+                         td::SystemBatch<double>& solution) {
+      return strategy_invariant_metric_delta([&] {
+        gs::ScopedSimThreads scoped(strat.threads);
         gp::SolverRunOptions opts;
         opts.instrument = strat.mode;
-        outcome = gp::run_solver(kind, dev, batch, opts, &solution);
+        opts.guard = guard;
+        outcome = gp::run_solver(kind, dev, input, opts, &solution);
       });
-      ASSERT_TRUE(outcome.supported) << what << ": " << outcome.detail;
-
-      // The reported numbers are bit-identical, not merely close.
-      EXPECT_EQ(outcome.time_us, base_outcome.time_us) << what;
-      EXPECT_EQ(outcome.launches, base_outcome.launches) << what;
-
-      // So is the solution the solver produced.
-      ASSERT_EQ(solution.total_rows(), base_solution.total_rows()) << what;
-      for (std::size_t i = 0; i < solution.total_rows(); ++i) {
-        ASSERT_EQ(solution.d()[i], base_solution.d()[i])
-            << what << " row " << i;
+    };
+    for (const auto kind : gp::all_solver_kinds()) {
+      gp::SolveOutcome base_outcome;
+      td::SystemBatch<double> base_solution;
+      const auto base_metrics =
+          run(kind, baseline, base_outcome, base_solution);
+      ASSERT_TRUE(base_outcome.supported)
+          << gp::solver_name(kind) << ": " << base_outcome.detail;
+      if (guard) {  // row 0 breaks every kind; row 200 only the PCR ones
+        EXPECT_GE(base_outcome.flagged, 2u) << gp::solver_name(kind);
       }
 
-      // And every strategy-invariant metric the run emitted.
-      for (const auto& [name, value] : base_metrics) {
-        const auto it = metrics.find(name);
-        ASSERT_TRUE(it != metrics.end()) << what << " lost " << name;
-        EXPECT_EQ(it->second, value)
-            << what << " " << name << ": " << std::hexfloat << it->second
-            << " vs " << value << std::defaultfloat;
-      }
-      for (const auto& [name, value] : metrics) {
-        EXPECT_TRUE(base_metrics.count(name))
-            << what << " gained " << name << " = " << value;
+      for (const auto& strat : variants) {
+        const std::string what = std::string(gp::solver_name(kind)) + " / " +
+                                 strat.name + (guard ? " guarded" : "");
+        gp::SolveOutcome outcome;
+        td::SystemBatch<double> solution;
+        const auto metrics = run(kind, strat, outcome, solution);
+        ASSERT_TRUE(outcome.supported) << what << ": " << outcome.detail;
+
+        // The reported numbers are bit-identical, not merely close.
+        EXPECT_EQ(outcome.time_us, base_outcome.time_us) << what;
+        EXPECT_EQ(outcome.launches, base_outcome.launches) << what;
+
+        // So is every system's guard status, and the solution of every
+        // system the guard passed. A flagged system's output is left as
+        // the solver produced it, and which bits that is (a NaN's sign,
+        // say) is not pinned here.
+        ASSERT_EQ(outcome.status.size(), base_outcome.status.size()) << what;
+        for (std::size_t m = 0; m < outcome.status.size(); ++m) {
+          EXPECT_TRUE(same_status(outcome.status[m], base_outcome.status[m]))
+              << what << " system " << m;
+        }
+        ASSERT_EQ(solution.total_rows(), base_solution.total_rows()) << what;
+        for (std::size_t m = 0; m < solution.num_systems(); ++m) {
+          if (guard && !base_outcome.status[m].ok()) continue;
+          for (std::size_t i = 0; i < solution.system_size(); ++i) {
+            ASSERT_EQ(solution.d()[solution.index(m, i)],
+                      base_solution.d()[base_solution.index(m, i)])
+                << what << " system " << m << " row " << i;
+          }
+        }
+
+        // And every strategy-invariant metric the run emitted.
+        for (const auto& [name, value] : base_metrics) {
+          const auto it = metrics.find(name);
+          ASSERT_TRUE(it != metrics.end()) << what << " lost " << name;
+          EXPECT_EQ(it->second, value)
+              << what << " " << name << ": " << std::hexfloat << it->second
+              << " vs " << value << std::defaultfloat;
+        }
+        for (const auto& [name, value] : metrics) {
+          EXPECT_TRUE(base_metrics.count(name))
+              << what << " gained " << name << " = " << value;
+        }
       }
     }
   }
